@@ -27,7 +27,7 @@ from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
                       SupersonicJetWarning, jet_dynamic_pressure,
                       jet_velocity, output_pressure, recirculation_penalty)
 from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
-                     FixedPointError, OperatingState, OptimizationResult,
+                     OperatingState, OptimizationResult,
                      SweepError, SweepResult, blowing_objective,
                      compare_designs, curve_match_objective,
                      design_orderings, nelder_mead, optimize_geometry,
@@ -57,7 +57,7 @@ __all__ = [
     "jet_dynamic_pressure", "jet_velocity", "output_pressure",
     "recirculation_penalty",
     "MODE_BLOWING", "MODE_NEUTRAL", "MODE_SUCTION",
-    "FixedPointError", "OperatingState", "OptimizationResult", "SweepError",
+    "OperatingState", "OptimizationResult", "SweepError",
     "SweepResult", "blowing_objective", "compare_designs",
     "curve_match_objective", "design_orderings", "nelder_mead",
     "optimize_geometry", "solve_operating_point", "suction_objective",

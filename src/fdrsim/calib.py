@@ -223,8 +223,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
                         p_c=float(clipped[2]))
         total = 0.0
         for q, p_ref in zip(qs, ps):
-            p = solve_operating_point(q, device, trial,
-                                      solve_network=False).p_out
+            p = solve_operating_point(q, device, trial).p_out
             total += ((p - p_ref) / scale) ** 2
         return total + penalty
 
@@ -235,8 +234,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
                      p_c=float(params[2]))
 
     residuals = tuple(
-        float(p_ref - solve_operating_point(q, device, fitted,
-                                            solve_network=False).p_out)
+        float(p_ref - solve_operating_point(q, device, fitted).p_out)
         for q, p_ref in zip(qs, ps))
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(

@@ -20,13 +20,12 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from ._units import (M2_PER_MM2, M3S_PER_LPM, M_PER_MM, N_PER_GF,  # noqa: F401
+from ._units import (M2_PER_CM2, M2_PER_MM2, M3S_PER_LPM, M_PER_MM,
                      PA_PER_KPA)
 from . import calib, engine, friction
 from .core import (CATALOG_TYPE_IDS, Device, Material, catalog_device,
                    validate_geometry)
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .flow import SolverError
 from .gate import opening_ratio
 
 __all__ = ["main"]
@@ -409,7 +408,7 @@ def _cmd_friction(args: argparse.Namespace) -> int:
         raise ConfigError("--weight-n must be positive")
     points = friction.friction_curve(
         device, coeffs, mu0_s=args.mu0_s, mu0_k=args.mu0_k,
-        weight_load=args.weight_n, a_eff=args.a_eff_cm2 * 1.0e-4,
+        weight_load=args.weight_n, a_eff=args.a_eff_cm2 * M2_PER_CM2,
         q_list=q_list)
     if args.format == "csv":
         lines = ["q_in_lpm,p_out_kpa,n_eff_n,mu_s,mu_k"]
@@ -574,7 +573,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except calib.FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return _EXIT_FIT
-    except (SolverError, engine.FixedPointError, engine.SweepError) as exc:
+    except engine.SweepError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except ValueError as exc:

@@ -1,13 +1,12 @@
 """Coupled operating points, ramp sweeps, design comparison, optimization.
 
-One operating point chains the calibrated pieces together: the supply law
-gives the inlet pressure at a commanded flow, the junction balance gives
-the chamber pressure, the gate compliance turns that into an opening
-area, the internal network is re-solved with the new opening, and the
-jet closure prices the output port.  The chain is iterated to a fixed
-point on the opening area (it settles immediately because the closure
-has no feedback path, but the loop is kept as a guard for future
-couplings and as the convergence contract).
+One operating point is a straight chain of the calibrated pieces: the
+supply law gives the inlet pressure at a commanded flow, the junction
+balance gives the chamber pressure, the gate compliance turns that into
+an opening area, and the jet closure prices the output port.  The gate
+opening depends on the chamber pressure alone and nothing downstream
+feeds back into it, so each step runs once and the chain has a closed
+form.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results and
@@ -33,7 +32,7 @@ import numpy as np
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, with_gate
 from .ejector import DEFAULT_COEFFS, ModelCoefficients, output_pressure
-from .flow import assemble_network, bifurcation_pressure, input_pressure, solve_steady
+from .flow import bifurcation_pressure, input_pressure
 from .gate import GateComplianceModel, opening_area
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_Q_STEP",
     "OperatingState",
     "SweepResult",
-    "FixedPointError",
     "SweepError",
     "solve_operating_point",
     "sweep",
@@ -67,20 +65,6 @@ MODE_DEADBAND = 1.0     # [Pa] band around zero treated as neither mode
 
 DEFAULT_Q_END = 30.0 * M3S_PER_LPM   # canonical ramp top [m^3/s]
 DEFAULT_Q_STEP = 0.1 * M3S_PER_LPM   # canonical ramp step [m^3/s]
-
-_FIXED_POINT_TOL = 1.0e-12   # [m^2] opening-area agreement between passes
-_FIXED_POINT_MAX_ITER = 100
-
-
-class FixedPointError(RuntimeError):
-    """Operating-point iteration failed; carries the last two opening areas."""
-
-    def __init__(self, message: str, iterates: tuple[float, float],
-                 q_in: float):
-        super().__init__(message)
-        self.iterates = iterates
-        self.q_in = q_in
-
 
 class SweepError(RuntimeError):
     """A grid point inside a sweep failed; carries the offending q_in."""
@@ -134,40 +118,26 @@ def _compliance_for(device: Device, coeffs: ModelCoefficients) -> GateCompliance
 
 
 def solve_operating_point(q_in: float, device: Device,
-                          coeffs: ModelCoefficients = DEFAULT_COEFFS, *,
-                          solve_network: bool = True) -> OperatingState:
+                          coeffs: ModelCoefficients = DEFAULT_COEFFS) -> OperatingState:
     """Steady state of the whole device at one commanded flow.
 
-    Iterates supply pressure -> chamber pressure -> gate opening ->
-    internal network until successive opening areas agree within 1e-12
-    m^2 (at most 100 passes), then prices the output port.  With
-    ``solve_network=False`` the internal network re-solve is skipped;
-    the returned state is identical because the network has no feedback
-    into the closure, so optimization loops use this cheaper path.
+    Supply pressure -> chamber pressure -> gate opening -> output-port
+    pressure, each evaluated once.  A gate path with no open area at all
+    (the gate shut and no assembly leak, ``leak_fraction`` 0) leaves the
+    device without a steady state and raises ``ValueError``.
     """
+    if not math.isfinite(q_in):
+        raise ValueError("q_in must be finite")
     if q_in < 0.0:
         raise ValueError("q_in must be nonnegative")
     g = device.geometry
-    model = _compliance_for(device, coeffs)
-
     p_in = input_pressure(q_in, coeffs)
     p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
-    a_fg_prev = 0.0
-    state = None
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        state = opening_area(max(0.0, p_chamber), model, g.gate,
-                             device.material)
-        if solve_network:
-            solve_steady(assemble_network(g, state.a_fg, coeffs, device.fluid),
-                         q_in)
-        if abs(state.a_fg - a_fg_prev) < _FIXED_POINT_TOL:
-            break
-        a_fg_prev = state.a_fg
-    else:
-        raise FixedPointError(
-            f"operating point did not settle at q_in={q_in:.9g} m^3/s",
-            iterates=(a_fg_prev, state.a_fg), q_in=q_in)
-
+    state = opening_area(max(0.0, p_chamber), _compliance_for(device, coeffs),
+                         g.gate, device.material)
+    # gate path area as flow.assemble_network floors it, same message
+    if max(state.a_fg, coeffs.leak_fraction * g.a_ex) <= 0.0:
+        raise ValueError("element area must be positive")
     p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
     return OperatingState(q_in=q_in, p_in=p_in, p_chamber=p_chamber,
                           a_fg=state.a_fg, p_out=p_out, mode=_mode_for(p_out))
@@ -191,8 +161,7 @@ def _refine_switching(device: Device, coeffs: ModelCoefficients,
     sign_lo = math.copysign(1.0, p_lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        p_mid = solve_operating_point(mid, device, coeffs,
-                                      solve_network=False).p_out
+        p_mid = solve_operating_point(mid, device, coeffs).p_out
         if abs(p_mid) < MODE_DEADBAND or hi - lo < 1.0e-18:
             return mid
         if math.copysign(1.0, p_mid) == sign_lo:
@@ -204,8 +173,7 @@ def _refine_switching(device: Device, coeffs: ModelCoefficients,
 
 def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
           q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
-          step: float = DEFAULT_Q_STEP, *, workers: int = 1,
-          solve_network: bool = True) -> SweepResult:
+          step: float = DEFAULT_Q_STEP, *, workers: int = 1) -> SweepResult:
     """Quasi-static ramp over the inclusive grid q_start, +step, .., q_end.
 
     Each point is an independent steady state; ``workers`` > 1 fans the
@@ -218,8 +186,7 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
 
     def point(q: float) -> OperatingState:
         try:
-            return solve_operating_point(q, device, coeffs,
-                                         solve_network=solve_network)
+            return solve_operating_point(q, device, coeffs)
         except (ValueError, RuntimeError) as exc:
             raise SweepError(
                 f"sweep failed at q_in={q:.9g} m^3/s: {exc}", q_in=q) from exc
@@ -481,8 +448,7 @@ def curve_match_objective(coeffs: ModelCoefficients,
     def objective(candidate: Device) -> float:
         total = 0.0
         for q, p_ref in zip(qs, ps):
-            p = solve_operating_point(q, candidate, coeffs,
-                                      solve_network=False).p_out
+            p = solve_operating_point(q, candidate, coeffs).p_out
             total += ((p - p_ref) / scale) ** 2
         return total
 
@@ -502,8 +468,7 @@ def switching_objective(coeffs: ModelCoefficients, *,
     value."""
 
     def objective(candidate: Device) -> float:
-        result = sweep(candidate, coeffs, q_start, q_end, step,
-                       solve_network=False)
+        result = sweep(candidate, coeffs, q_start, q_end, step)
         if result.switching_p_in is None:
             return _NO_SWITCHING_VALUE
         if target_p_in is None:
@@ -519,8 +484,7 @@ def suction_objective(coeffs: ModelCoefficients,
     """Maximize suction at ``q_star``: minimizes p_out (most negative wins)."""
 
     def objective(candidate: Device) -> float:
-        return solve_operating_point(q_star, candidate, coeffs,
-                                     solve_network=False).p_out
+        return solve_operating_point(q_star, candidate, coeffs).p_out
 
     return objective
 
@@ -530,7 +494,6 @@ def blowing_objective(coeffs: ModelCoefficients,
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
 
     def objective(candidate: Device) -> float:
-        return -solve_operating_point(q_star, candidate, coeffs,
-                                      solve_network=False).p_out
+        return -solve_operating_point(q_star, candidate, coeffs).p_out
 
     return objective

@@ -261,6 +261,22 @@ def test_sweep_solver_failure_exit_three(tmp_path):
                  "--coeffs", str(coeffs), "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("flow", ["nan", "inf"])
+def test_simulate_non_finite_flow_exit_config(flow, capsys):
+    assert main(["simulate", "--type", "B", "--qin-lpm", flow]) == 2
+    captured = capsys.readouterr()
+    assert "q_in must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_sealed_gate_exit_config(tmp_path, capsys):
+    coeffs = tmp_path / "sealed.json"
+    coeffs.write_text(json.dumps({"leak_fraction": 0.0}), encoding="utf-8")
+    assert main(["simulate", "--type", "B", "--qin-lpm", "0",
+                 "--coeffs", str(coeffs)]) == 2
+    assert "element area must be positive" in capsys.readouterr().err
+
+
 def test_help_mentions_units(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])

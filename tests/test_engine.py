@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fdrsim.engine as engine
+import fdrsim.flow as flow
 from fdrsim import (
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
@@ -55,12 +56,46 @@ def test_negative_flow_rejected():
         solve_operating_point(-1.0e-4, _B)
 
 
-def test_network_solve_does_not_feed_back():
-    for q in (5.0, 15.0, 30.0):
-        with_net = solve_operating_point(q * M3S_PER_LPM, _B)
-        without = solve_operating_point(q * M3S_PER_LPM, _B,
-                                        solve_network=False)
-        assert with_net == without
+@pytest.mark.parametrize("q_in", [math.nan, math.inf, -math.inf])
+def test_non_finite_flow_rejected(q_in):
+    with pytest.raises(ValueError, match="finite"):
+        solve_operating_point(q_in, _B)
+
+
+def test_sealed_gate_without_leak_rejected():
+    # gate shut at rest and no assembly leak: the gate path has no area
+    sealed = dataclasses.replace(DEFAULT_COEFFS, leak_fraction=0.0)
+    with pytest.raises(ValueError, match="element area must be positive"):
+        solve_operating_point(0.0, _B, sealed)
+
+
+def test_operating_point_path_skips_network_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("network solver reached")
+
+    # every binding a module could call through, not only the definitions
+    for module in (flow, engine):
+        for name in ("solve_steady", "assemble_network"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    st = solve_operating_point(30.0 * M3S_PER_LPM, _B)
+    assert st.mode == MODE_SUCTION
+    res = sweep(_B, step=1.0 * M3S_PER_LPM)
+    assert res.switching_q is not None
+
+
+def test_gate_opening_evaluated_once_per_point(monkeypatch):
+    calls = []
+    original = engine.opening_area
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "opening_area", counting)
+    for q in (0.0, 15.0, 30.0):
+        calls.clear()
+        solve_operating_point(q * M3S_PER_LPM, _B)
+        assert len(calls) == 1
 
 
 def test_fixed_point_matches_closed_form():
@@ -152,7 +187,7 @@ def test_sweep_bad_grids_rejected():
 
 def test_sweep_locates_stub_closure_root(monkeypatch):
     # synthetic closure crossing zero at exactly 15 L/min
-    def stub(q_in, device, coeffs=DEFAULT_COEFFS, *, solve_network=True):
+    def stub(q_in, device, coeffs=DEFAULT_COEFFS):
         p_out = 1.0e3 * (q_in / M3S_PER_LPM - 15.0)
         return OperatingState(q_in=q_in, p_in=0.0, p_chamber=0.0, a_fg=0.0,
                               p_out=p_out, mode=engine._mode_for(p_out))
