@@ -31,7 +31,7 @@ import numpy as np
 from ._units import M2_PER_MM2, M3S_PER_LPM, PA_PER_KPA
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .engine import nelder_mead, solve_operating_point
+from .engine import _chain, nelder_mead
 
 __all__ = [
     "FitError",
@@ -57,6 +57,10 @@ class MeasurementRow:
     a_fg: float | None = None   # [m^2]
 
     def __post_init__(self) -> None:
+        for name in ("q_in", "p_in", "p_out", "a_fg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.q_in < 0.0:
             raise ValueError("q_in must be nonnegative")
 
@@ -204,7 +208,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         warnings = ("p_out never changes sign; "
                     "the switching point is unconstrained",)
 
-    qs = [r.q_in for r in rows]
+    qs = np.array([r.q_in for r in rows])
     ps = np.array([r.p_out for r in rows])
     scale = float(np.std(ps))
     if scale <= 0.0:
@@ -222,8 +226,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         trial = replace(start, eta=float(clipped[0]), k0=float(clipped[1]),
                         p_c=float(clipped[2]))
         total = 0.0
-        for q, p_ref in zip(qs, ps):
-            p = solve_operating_point(q, device, trial).p_out
+        for p, p_ref in zip(_chain(qs, device, trial)[3].tolist(), ps):
             total += ((p - p_ref) / scale) ** 2
         return total + penalty
 
@@ -234,8 +237,8 @@ def fit_closures(data: MeasurementSet, device: Device, *,
                      p_c=float(params[2]))
 
     residuals = tuple(
-        float(p_ref - solve_operating_point(q, device, fitted).p_out)
-        for q, p_ref in zip(qs, ps))
+        float(p_ref - p)
+        for p, p_ref in zip(_chain(qs, device, fitted)[3].tolist(), ps))
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,

@@ -6,15 +6,14 @@ significant digits, files always end in a newline, and comment lines
 start with ``#``, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
-failure.  The environment variable ``FDR_WORKERS`` (positive integer)
-caps sweep parallelism; the default is a single worker.
+failure.  A sweep grid whose step does not divide the range, or that
+would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -147,17 +146,6 @@ def _device_from_args(args: argparse.Namespace) -> Device:
         raise ConfigError(str(exc)) from exc
 
 
-def _workers() -> int:
-    raw = os.environ.get("FDR_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FDR_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"FDR_WORKERS must be positive, got {workers}")
-    return workers
-
-
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
@@ -240,8 +228,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = engine.sweep(device, coeffs,
                           args.qin_start_lpm * M3S_PER_LPM,
                           args.qin_end_lpm * M3S_PER_LPM,
-                          args.step_lpm * M3S_PER_LPM,
-                          workers=_workers())
+                          args.step_lpm * M3S_PER_LPM)
     a_ex = device.geometry.a_ex
     if args.format == "csv":
         lines = [_SWEEP_HEADER_SI if args.si else _SWEEP_HEADER]
@@ -274,8 +261,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             type_ids, coeffs,
             q_start=args.qin_start_lpm * M3S_PER_LPM,
             q_end=args.qin_end_lpm * M3S_PER_LPM,
-            step=args.step_lpm * M3S_PER_LPM,
-            workers=_workers())
+            step=args.step_lpm * M3S_PER_LPM)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     orderings = engine.design_orderings(table)

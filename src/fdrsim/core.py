@@ -18,6 +18,7 @@ elastomer.  All quantities are SI: m, m^2, Pa, kg/m^3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -174,15 +175,15 @@ def validate_geometry(g: DeviceGeometry) -> list[str]:
     """Return human-readable constraint violations (empty list when valid)."""
     violations: list[str] = []
     for name in ("a_in", "a_branch", "a_ne", "a_ex", "a_out"):
-        if getattr(g, name) <= 0.0:
-            violations.append(f"{name} must be positive")
+        if not 0.0 < getattr(g, name) < math.inf:
+            violations.append(f"{name} must be positive and finite")
     if g.n_nozzles < 1:
         violations.append("n_nozzles must be at least 1")
-    if g.channel_width_ref <= 0.0:
-        violations.append("channel_width_ref must be positive")
+    if not 0.0 < g.channel_width_ref < math.inf:
+        violations.append("channel_width_ref must be positive and finite")
     for name in ("w", "t", "h"):
-        if getattr(g.gate, name) <= 0.0:
-            violations.append(f"gate.{name} must be positive")
+        if not 0.0 < getattr(g.gate, name) < math.inf:
+            violations.append(f"gate.{name} must be positive and finite")
     # thin-plate regime: the flap must be slender in both directions
     if g.gate.t > 0.0 and g.gate.w > 0.0 and g.gate.t >= g.gate.w:
         violations.append("gate.t must be smaller than gate.w")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (DEFAULT_CHANNEL_WIDTH_REF, P_ATM, AIR, DeviceGeometry,
                    FluidProperties)
@@ -71,6 +71,9 @@ class ModelCoefficients:
     leak_fraction: float = 0.02
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ValueError("supply law coefficients must be nonnegative")
         if self.eta <= 0.0:
@@ -108,13 +111,23 @@ def jet_dynamic_pressure(q_in: float, geometry: DeviceGeometry,
     evaluating but its incompressible closure is out of its depth there.
     """
     v = jet_velocity(q_in, geometry)
-    sonic = math.sqrt(fluid.gamma * P_ATM / fluid.rho)
-    if v > sonic:
-        # static message so repeated sweep points collapse to one report
-        warnings.warn("jet velocity exceeds the ambient speed of sound; "
-                      "the incompressible jet closure is extrapolating",
-                      SupersonicJetWarning, stacklevel=2)
+    if v > _sonic_speed(fluid):
+        _warn_supersonic()
     return 0.5 * fluid.rho * v * v
+
+
+def _sonic_speed(fluid: FluidProperties) -> float:
+    """Ambient speed of sound sqrt(gamma P_atm / rho) [m/s]."""
+    return math.sqrt(fluid.gamma * P_ATM / fluid.rho)
+
+
+def _warn_supersonic() -> None:
+    """Issue :class:`SupersonicJetWarning`, attributed to the line that
+    called this function's caller."""
+    # static message so repeated sweep points collapse to one report
+    warnings.warn("jet velocity exceeds the ambient speed of sound; "
+                  "the incompressible jet closure is extrapolating",
+                  SupersonicJetWarning, stacklevel=3)
 
 
 def recirculation_penalty(w: float, coeffs: ModelCoefficients,

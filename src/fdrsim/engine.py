@@ -9,10 +9,12 @@ feeds back into it, so each step runs once and the chain has a closed
 form.
 
 Ramps are quasi-static: each grid point is an independent steady state,
-so sweeping up and sweeping down give pointwise identical results and
-grid points may be solved concurrently.  A sweep reports the switching
-point, where the output pressure crosses zero (blowing to suction),
-refined by bisection between the bracketing grid points.
+so sweeping up and sweeping down give pointwise identical results.
+Every stage of the chain is elementwise in the flow, so a sweep (and a
+closure fit) evaluates its whole grid in one numpy pass whose rows equal
+the scalar chain bit for bit.  A sweep reports the switching point,
+where the output pressure crosses zero (blowing to suction), refined by
+scalar bisection between the bracketing grid points.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -23,7 +25,6 @@ projection plus a dominating penalty.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -31,9 +32,12 @@ import numpy as np
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, with_gate
-from .ejector import DEFAULT_COEFFS, ModelCoefficients, output_pressure
+from .ejector import (DEFAULT_COEFFS, ModelCoefficients, _sonic_speed,
+                      _warn_supersonic, output_pressure,
+                      recirculation_penalty)
 from .flow import bifurcation_pressure, input_pressure
-from .gate import GateComplianceModel, opening_area
+from .gate import (REFERENCE_STIFFNESS, GateComplianceModel, gate_stiffness,
+                   opening_area)
 
 __all__ = [
     "MODE_BLOWING",
@@ -42,6 +46,7 @@ __all__ = [
     "MODE_DEADBAND",
     "DEFAULT_Q_END",
     "DEFAULT_Q_STEP",
+    "MAX_GRID_POINTS",
     "OperatingState",
     "SweepResult",
     "SweepError",
@@ -65,6 +70,9 @@ MODE_DEADBAND = 1.0     # [Pa] band around zero treated as neither mode
 
 DEFAULT_Q_END = 30.0 * M3S_PER_LPM   # canonical ramp top [m^3/s]
 DEFAULT_Q_STEP = 0.1 * M3S_PER_LPM   # canonical ramp step [m^3/s]
+MAX_GRID_POINTS = 1_000_000          # largest sweep grid accepted
+
+_NOT_FINITE = "operating point is not finite (flow beyond the model's range)"
 
 class SweepError(RuntimeError):
     """A grid point inside a sweep failed; carries the offending q_in."""
@@ -124,34 +132,136 @@ def solve_operating_point(q_in: float, device: Device,
     Supply pressure -> chamber pressure -> gate opening -> output-port
     pressure, each evaluated once.  A gate path with no open area at all
     (the gate shut and no assembly leak, ``leak_fraction`` 0) leaves the
-    device without a steady state and raises ``ValueError``.
+    device without a steady state and raises ``ValueError``; so does a
+    flow so large that a pressure overflows to a non-finite value.
     """
     if not math.isfinite(q_in):
         raise ValueError("q_in must be finite")
     if q_in < 0.0:
         raise ValueError("q_in must be nonnegative")
     g = device.geometry
-    p_in = input_pressure(q_in, coeffs)
-    p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
-    state = opening_area(max(0.0, p_chamber), _compliance_for(device, coeffs),
-                         g.gate, device.material)
-    # gate path area as flow.assemble_network floors it, same message
-    if max(state.a_fg, coeffs.leak_fraction * g.a_ex) <= 0.0:
-        raise ValueError("element area must be positive")
-    p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
+    try:
+        p_in = input_pressure(q_in, coeffs)
+        p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
+        state = opening_area(max(0.0, p_chamber),
+                             _compliance_for(device, coeffs),
+                             g.gate, device.material)
+        # gate path area as flow.assemble_network floors it, same message
+        if max(state.a_fg, coeffs.leak_fraction * g.a_ex) <= 0.0:
+            raise ValueError("element area must be positive")
+        p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
+    except OverflowError as exc:   # a float ``**`` out of range
+        raise ValueError(_NOT_FINITE) from exc
+    if not all(map(math.isfinite, (p_in, p_chamber, state.a_fg, p_out))):
+        raise ValueError(_NOT_FINITE)
     return OperatingState(q_in=q_in, p_in=p_in, p_chamber=p_chamber,
                           a_fg=state.a_fg, p_out=p_out, mode=_mode_for(p_out))
 
 
-def _grid(q_start: float, q_end: float, step: float) -> list[float]:
-    if step <= 0.0:
+class _RowError(ValueError):
+    """A grid row has no steady state; ``index`` is the first such row."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _chain(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Grid form of :func:`solve_operating_point` over a float64 array of
+    flows: returns the arrays (p_in, p_chamber, a_fg, p_out).
+
+    Row ``i`` equals ``solve_operating_point(qs[i], device, coeffs)`` bit
+    for bit.  The operations run in the scalar order, with Python's
+    ``max``/``min`` spelled as ``np.where`` on the same comparison, and
+    the two squares are libm ``pow`` through ``np.float_power``, as
+    Python's ``**`` on floats is (``u * u`` and numpy's ``u ** 2`` round
+    differently on some inputs).  A row without a steady state raises
+    :class:`_RowError` at the first such row, with the scalar path's
+    message; any sonic row before it warns once.
+    """
+    g = device.geometry
+    fluid = device.fluid
+    try:
+        if g.a_in <= 0.0 or g.a_branch <= 0.0:
+            raise ValueError("areas must be positive")
+        if g.a_ex <= 0.0:
+            raise ValueError("a_ex must be positive")
+        model = _compliance_for(device, coeffs)
+        gain = (model.compliance_scale * REFERENCE_STIFFNESS
+                / gate_stiffness(g.gate, device.material))
+        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
+    except ValueError as exc:
+        raise _RowError(str(exc), 0) from exc
+    a_max = model.a_fg_max
+    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
+    split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
+    leak = coeffs.leak_fraction * g.a_ex
+    half_rho = 0.5 * fluid.rho
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p_in = coeffs.c1 * qs + coeffs.c2 * qs * qs
+        u_in = qs / g.a_in
+        u_in_sq = np.float_power(u_in, 2.0)
+        p_chamber = (fluid.rho / fluid.rho_in * p_in
+                     + kinetic_scale * u_in_sq * split)
+        p = np.where(p_chamber > 0.0, p_chamber, 0.0)
+        excess = p - model.crack_pressure
+        opening = gain * np.where(excess > 0.0, excess, 0.0)
+        a_fg = np.where(opening < a_max, opening, a_max)
+        s = a_fg / a_max
+        blocked = (1.0 - s) * qs
+        p_blow = half_rho * np.float_power(blocked / (coeffs.cd_out * g.a_out),
+                                           2.0)
+        v = (qs / g.n_nozzles) / g.a_ne
+        q_jet = half_rho * v * v
+        ratio = a_fg / g.a_ex
+        vent = np.where(ratio < 1.0, ratio, 1.0)
+        p_suck = coeffs.eta * q_jet * vent * penalty
+        p_out = (1.0 - s) * p_blow - s * p_suck
+
+    # the scalar path's checks, in the order it meets them on one row
+    checks = (
+        (~np.isfinite(qs), "q_in must be finite"),
+        (qs < 0.0, "q_in must be nonnegative"),
+        (np.isinf(u_in_sq) & np.isfinite(u_in), _NOT_FINITE),
+        (~((s >= 0.0) & (s <= 1.0)), "open_fraction must lie in [0, 1]"),
+        (np.where(leak > a_fg, leak, a_fg) <= 0.0,
+         "element area must be positive"),
+        (~(np.isfinite(p_in) & np.isfinite(p_chamber) & np.isfinite(a_fg)
+           & np.isfinite(p_out)), _NOT_FINITE),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    end = int(np.argmax(bad)) if bad.any() else len(qs)
+    if np.any(v[:end] > _sonic_speed(fluid)):
+        _warn_supersonic()
+    if end < len(qs):
+        raise _RowError(next(msg for mask, msg in checks if mask[end]), end)
+    return p_in, p_chamber, a_fg, p_out
+
+
+def _grid(q_start: float, q_end: float, step: float) -> np.ndarray:
+    """The inclusive grid ``q_start + i * step`` up to ``q_end``.
+
+    The step must divide the range (to 1e-9 relative), so the last point
+    is ``q_end`` up to rounding, and the grid may hold at most
+    ``MAX_GRID_POINTS`` points; both are checked before any allocation.
+    """
+    if not step > 0.0:
         raise ValueError("step must be positive")
     if not q_start < q_end:
         raise ValueError("q_start must be less than q_end")
-    n = int(round((q_end - q_start) / step))
+    span = q_end - q_start
+    count = span / step
+    # n + 1 points with n = round(count); also rejects an infinite count
+    if not count < MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
+    n = round(count)
     if n < 1:
         raise ValueError("step larger than the sweep range")
-    return [q_start + i * step for i in range(n + 1)]
+    if abs(n * step - span) > 1.0e-9 * span:
+        raise ValueError("step must divide the sweep range")
+    return q_start + np.arange(n + 1) * step
 
 
 def _refine_switching(device: Device, coeffs: ModelCoefficients,
@@ -173,34 +283,32 @@ def _refine_switching(device: Device, coeffs: ModelCoefficients,
 
 def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
           q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
-          step: float = DEFAULT_Q_STEP, *, workers: int = 1) -> SweepResult:
+          step: float = DEFAULT_Q_STEP) -> SweepResult:
     """Quasi-static ramp over the inclusive grid q_start, +step, .., q_end.
 
-    Each point is an independent steady state; ``workers`` > 1 fans the
-    grid out to that many threads with results assembled back in grid
-    order, so the outcome is identical for any worker count.
+    The step must divide the range and the grid may hold at most
+    ``MAX_GRID_POINTS`` points (``ValueError`` otherwise).  Each point is
+    an independent steady state, equal to ``solve_operating_point`` at
+    its flow; the first point without one raises :class:`SweepError`.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     qs = _grid(q_start, q_end, step)
-
-    def point(q: float) -> OperatingState:
-        try:
-            return solve_operating_point(q, device, coeffs)
-        except (ValueError, RuntimeError) as exc:
-            raise SweepError(
-                f"sweep failed at q_in={q:.9g} m^3/s: {exc}", q_in=q) from exc
-
-    if workers == 1:
-        states = tuple(point(q) for q in qs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = tuple(pool.map(point, qs))
+    try:
+        columns = _chain(qs, device, coeffs)
+    except _RowError as exc:
+        q = float(qs[exc.index])
+        raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
+                         q_in=q) from exc
+    p_in, p_chamber, a_fg, p_outs = (c.tolist() for c in columns)
+    states = tuple(
+        OperatingState(q_in=q, p_in=pi, p_chamber=pc, a_fg=a, p_out=po,
+                       mode=_mode_for(po))
+        for q, pi, pc, a, po in zip(qs.tolist(), p_in, p_chamber, a_fg,
+                                    p_outs))
 
     switching_q: float | None = None
     switching_p_in: float | None = None
     last_sign = 0.0
-    last_q = qs[0]
+    last_q = states[0].q_in
     last_p = states[0].p_out
     for st in states:
         sign = 0.0 if st.p_out == 0.0 else math.copysign(1.0, st.p_out)
@@ -213,25 +321,23 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
             last_sign = sign
             last_q = st.q_in
             last_p = st.p_out
-    p_outs = [st.p_out for st in states]
+    # 0.0 - x, not -x: a grid whose least p_out is 0 sucks +0, not -0
     return SweepResult(states=states, switching_q=switching_q,
                        switching_p_in=switching_p_in,
-                       max_blow=max(p_outs), max_suck=-min(p_outs))
+                       max_blow=max(p_outs), max_suck=0.0 - min(p_outs))
 
 
 def compare_designs(type_ids: Sequence[str],
                     coeffs: ModelCoefficients = DEFAULT_COEFFS, *,
                     q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
-                    step: float = DEFAULT_Q_STEP,
-                    workers: int = 1) -> dict[str, SweepResult]:
+                    step: float = DEFAULT_Q_STEP) -> dict[str, SweepResult]:
     """One sweep per catalog type under a single shared coefficient set."""
     if not type_ids:
         raise ValueError("type_ids must be non-empty")
     table: dict[str, SweepResult] = {}
     for tid in type_ids:
         device = catalog_device(tid)
-        table[device.type_id] = sweep(device, coeffs, q_start, q_end, step,
-                                      workers=workers)
+        table[device.type_id] = sweep(device, coeffs, q_start, q_end, step)
     return table
 
 
@@ -432,8 +538,8 @@ def optimize_geometry(objective: Callable[[Device], float],
                               converged=evals < max_evals)
 
 
-def _target_curve(target: SweepResult) -> tuple[list[float], np.ndarray, float]:
-    qs = [st.q_in for st in target.states]
+def _target_curve(target: SweepResult) -> tuple[np.ndarray, np.ndarray, float]:
+    qs = np.array([st.q_in for st in target.states])
     ps = np.array([st.p_out for st in target.states])
     scale = float(np.std(ps))
     return qs, ps, scale if scale > 0.0 else 1.0
@@ -447,8 +553,7 @@ def curve_match_objective(coeffs: ModelCoefficients,
 
     def objective(candidate: Device) -> float:
         total = 0.0
-        for q, p_ref in zip(qs, ps):
-            p = solve_operating_point(q, candidate, coeffs).p_out
+        for p, p_ref in zip(_chain(qs, candidate, coeffs)[3].tolist(), ps):
             total += ((p - p_ref) / scale) ** 2
         return total
 

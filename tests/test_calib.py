@@ -45,6 +45,11 @@ def test_measurement_row_validation():
     with pytest.raises(ValueError):
         MeasurementRow(q_in=-1.0e-4)
     MeasurementRow(q_in=0.0)  # rest point is legal
+    for field in ("q_in", "p_in", "p_out", "a_fg"):
+        for bad in (float("nan"), float("inf")):
+            fields = {"q_in": 1.0e-4, field: bad}
+            with pytest.raises(ValueError, match="finite"):
+                MeasurementRow(**fields)
 
 
 def test_measurement_set_collapses_exact_duplicates():

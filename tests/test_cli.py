@@ -243,6 +243,17 @@ def test_device_config_rejects_invalid_geometry(tmp_path, capsys):
     assert "gate.t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("w_mm", "nan"), ("a_ne_mm2", "inf")])
+def test_device_config_rejects_non_finite(tmp_path, capsys, key, value):
+    cfg = tmp_path / "dev.json"
+    cfg.write_text(json.dumps({"type": "B", key: value}), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--step-lpm", "5",
+                 "--out", str(out)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coeffs_file_unknown_key(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"ETA": 0.1}), encoding="utf-8")
@@ -275,6 +286,63 @@ def test_simulate_sealed_gate_exit_config(tmp_path, capsys):
     assert main(["simulate", "--type", "B", "--qin-lpm", "0",
                  "--coeffs", str(coeffs)]) == 2
     assert "element area must be positive" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_flow_exit_config(capsys):
+    assert main(["simulate", "--type", "B", "--qin-lpm", "1e200"]) == 2
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_non_finite_rows_exit_solver(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--type", "B", "--qin-end-lpm", "1e200",
+                 "--step-lpm", "1e199", "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("end,step", [("1", "0.35"), ("30", "1e-9")])
+def test_sweep_rejected_grid_exit_config(tmp_path, end, step):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--type", "B", "--qin-end-lpm", end,
+                 "--step-lpm", step, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_blow_only_reports_positive_zero_suck(tmp_path):
+    coeffs = tmp_path / "shut.json"
+    coeffs.write_text(json.dumps({"p_c": 1.0e6}), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--type", "B", "--step-lpm", "5",
+                 "--coeffs", str(coeffs), "--out", str(out)]) == 0
+    assert _comment_value(out.read_text(encoding="utf-8"),
+                          "max_suck_kpa") == "0"
+
+
+def test_coeffs_file_non_finite_exit_config(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text(json.dumps({"eta": "nan"}), encoding="utf-8")
+    assert main(["simulate", "--type", "B", "--qin-lpm", "10",
+                 "--coeffs", str(coeffs)]) == 2
+    captured = capsys.readouterr()
+    assert "eta must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fit", ["input", "closures"])
+def test_calibrate_non_finite_cell_exit_config(tmp_path, capsys, fit):
+    data = tmp_path / "meas.csv"
+    data.write_text("q_in_lpm,p_in_kpa,p_out_kpa\n"
+                    "5,5.4,0.08\n"
+                    "15,nan,-1.5\n"
+                    "25,41.1,nan\n", encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", str(data), "--fit", fit,
+                 "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_mentions_units(capsys):

@@ -1,6 +1,7 @@
 """Material law, device catalog, and geometry validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ def test_validate_geometry_names_offending_field():
                             gate=FlapGateGeometry(8.0e-3, 0.0, 2.0e-3))
     messages = validate_geometry(g)
     assert any("gate.t" in m for m in messages)
+
+
+def test_validate_geometry_rejects_non_finite():
+    g = dataclasses.replace(DeviceGeometry(), a_ne=math.inf,
+                            gate=FlapGateGeometry(math.nan, 0.5e-3, 2.0e-3))
+    messages = validate_geometry(g)
+    assert any("a_ne" in m and "finite" in m for m in messages)
+    assert any("gate.w" in m and "finite" in m for m in messages)
 
 
 def test_validate_geometry_split_rule():

@@ -40,6 +40,8 @@ def test_default_coefficients_pinned():
     ("c1", -1.0), ("c2", -1.0), ("eta", 0.0), ("c_recirc", -0.1),
     ("k0", 0.0), ("p_c", -1.0), ("cd_out", 0.0), ("cd_out", 1.5),
     ("cd_gate", 1.0001), ("leak_fraction", -0.01), ("leak_fraction", 1.0),
+    ("eta", float("nan")), ("c1", float("inf")), ("p_c", float("nan")),
+    ("c_recirc", float("inf")),
 ])
 def test_coefficient_validation(field, bad):
     with pytest.raises(ValueError):

@@ -56,7 +56,9 @@ def test_negative_flow_rejected():
         solve_operating_point(-1.0e-4, _B)
 
 
-@pytest.mark.parametrize("q_in", [math.nan, math.inf, -math.inf])
+# the last flow is finite but overflows the chain's squares
+@pytest.mark.parametrize("q_in", [math.nan, math.inf, -math.inf,
+                                  1.0e200 * M3S_PER_LPM])
 def test_non_finite_flow_rejected(q_in):
     with pytest.raises(ValueError, match="finite"):
         solve_operating_point(q_in, _B)
@@ -169,11 +171,10 @@ def test_sweep_direction_independent():
     assert tuple(reversed(down)) == res.states
 
 
-def test_sweep_deterministic_and_worker_invariant():
+def test_sweep_deterministic():
     a = sweep(_B, step=0.5 * M3S_PER_LPM)
     b = sweep(_B, step=0.5 * M3S_PER_LPM)
-    c = sweep(_B, step=0.5 * M3S_PER_LPM, workers=4)
-    assert a == b == c
+    assert a == b
 
 
 def test_sweep_bad_grids_rejected():
@@ -181,18 +182,43 @@ def test_sweep_bad_grids_rejected():
         sweep(_B, step=-0.1 * M3S_PER_LPM)
     with pytest.raises(ValueError):
         sweep(_B, q_start=10.0 * M3S_PER_LPM, q_end=10.0 * M3S_PER_LPM)
-    with pytest.raises(ValueError):
-        sweep(_B, workers=0)
+    # a step that does not divide the range would overshoot q_end
+    with pytest.raises(ValueError, match="divide"):
+        sweep(_B, q_end=1.0 * M3S_PER_LPM, step=0.35 * M3S_PER_LPM)
+    # over the cap (or unbounded): rejected before anything is allocated
+    for q_end, step in ((30.0 * M3S_PER_LPM, 1.0e-9 * M3S_PER_LPM),
+                        (math.inf, 1.0 * M3S_PER_LPM)):
+        with pytest.raises(ValueError, match="points"):
+            sweep(_B, q_end=q_end, step=step)
+
+
+def test_grid_points_and_cap():
+    step = 0.1 * M3S_PER_LPM
+    qs = engine._grid(0.0, 30.0 * M3S_PER_LPM, step)
+    assert qs.tolist() == [0.0 + i * step for i in range(301)]
+    top = (engine.MAX_GRID_POINTS - 1) * 1.0e-6
+    assert len(engine._grid(0.0, top, 1.0e-6)) == engine.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="points"):
+        engine._grid(0.0, top + 1.0e-6, 1.0e-6)
 
 
 def test_sweep_locates_stub_closure_root(monkeypatch):
-    # synthetic closure crossing zero at exactly 15 L/min
-    def stub(q_in, device, coeffs=DEFAULT_COEFFS):
-        p_out = 1.0e3 * (q_in / M3S_PER_LPM - 15.0)
+    # synthetic closure crossing zero at exactly 15 L/min, for the grid
+    # (kernel) and for the bisection (scalar path) alike
+    def closure(q_in):
+        return 1.0e3 * (q_in / M3S_PER_LPM - 15.0)
+
+    def stub_chain(qs, device, coeffs):
+        zeros = np.zeros_like(qs)
+        return zeros, zeros, zeros, closure(qs)
+
+    def stub_point(q_in, device, coeffs=DEFAULT_COEFFS):
+        p_out = closure(q_in)
         return OperatingState(q_in=q_in, p_in=0.0, p_chamber=0.0, a_fg=0.0,
                               p_out=p_out, mode=engine._mode_for(p_out))
 
-    monkeypatch.setattr(engine, "solve_operating_point", stub)
+    monkeypatch.setattr(engine, "_chain", stub_chain)
+    monkeypatch.setattr(engine, "solve_operating_point", stub_point)
     res = engine.sweep(_B, step=1.0 * M3S_PER_LPM)
     assert res.switching_q == pytest.approx(15.0 * M3S_PER_LPM,
                                             abs=0.01 * M3S_PER_LPM)
@@ -205,6 +231,15 @@ def test_sweep_without_sign_change_reports_none():
     assert res.switching_q is None
     assert res.switching_p_in is None
     assert all(st.p_out >= 0.0 for st in res.states)
+    # the rest point is the least p_out: no suction is +0, not -0
+    assert res.max_suck == 0.0 and math.copysign(1.0, res.max_suck) == 1.0
+
+
+def test_sweep_non_finite_row_fails_at_first_bad_flow():
+    step = 1.0e199 * M3S_PER_LPM
+    with pytest.raises(engine.SweepError, match="not finite") as exc:
+        sweep(_B, q_end=10.0 * step, step=step)
+    assert exc.value.q_in == step
 
 
 def test_sweep_result_validation():

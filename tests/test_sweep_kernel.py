@@ -1,0 +1,141 @@
+"""The grid kernel behind ``sweep``: every row equals the scalar chain."""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fdrsim.engine as engine
+from fdrsim import (
+    CATALOG_TYPE_IDS,
+    DEFAULT_COEFFS,
+    Material,
+    SupersonicJetWarning,
+    SweepError,
+    catalog_device,
+    solve_operating_point,
+    sweep,
+    with_gate,
+)
+from fdrsim._units import M3S_PER_LPM
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def devices(draw):
+    device = catalog_device(draw(st.sampled_from(CATALOG_TYPE_IDS)))
+    device = with_gate(
+        device,
+        w=draw(st.floats(3.0e-3, 14.0e-3)),
+        t=draw(st.floats(0.2e-3, 0.9e-3)),
+        h=draw(st.floats(1.2e-3, 3.0e-3)),
+        a_ne=draw(st.floats(0.1e-6, 1.0e-6)))
+    # an unequal inlet split switches on the junction's kinetic term
+    geometry = dataclasses.replace(
+        device.geometry, split_design_rule=False,
+        a_branch=draw(st.sampled_from([device.geometry.a_branch, 1.5e-6,
+                                       2.5e-6])))
+    return dataclasses.replace(
+        device, geometry=geometry,
+        material=Material.from_shore_a(draw(st.floats(5.0, 60.0))))
+
+
+@st.composite
+def coefficients(draw):
+    return dataclasses.replace(
+        DEFAULT_COEFFS,
+        # a zero supply law leaves the junction's kinetic term alone
+        c1=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0e8))),
+        c2=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0e11))),
+        eta=draw(st.floats(0.01, 1.0)),
+        c_recirc=draw(st.floats(0.0, 5.0)),
+        k0=draw(st.floats(1.0e-12, 1.0e-8)),
+        p_c=draw(st.floats(0.0, 2.0e4)),
+        cd_out=draw(st.floats(0.1, 1.0)),
+        leak_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))))
+
+
+@st.composite
+def grids(draw):
+    step = draw(st.floats(0.05, 5.0)) * M3S_PER_LPM
+    q_start = draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))) * M3S_PER_LPM
+    count = draw(st.integers(1, 80))
+    return q_start, q_start + count * step, step
+
+
+def _scalar_sweep(qs, device, coeffs):
+    """Reference: the grid solved one scalar call at a time, or the
+    (q_in, message) of the first point that fails."""
+    states = []
+    for q in qs:
+        try:
+            states.append(solve_operating_point(q, device, coeffs))
+        except ValueError as exc:
+            return None, (q, str(exc))
+    return tuple(states), None
+
+
+@_PROPERTY
+@given(devices(), coefficients(), grids())
+def test_sweep_rows_equal_scalar_path(device, coeffs, grid):
+    q_start, q_end, step = grid
+    try:
+        qs = engine._grid(q_start, q_end, step).tolist()
+    except ValueError:
+        return      # the drawn range is not a whole number of steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        expected, failure = _scalar_sweep(qs, device, coeffs)
+        if failure is not None:
+            with pytest.raises(SweepError) as exc:
+                sweep(device, coeffs, q_start, q_end, step)
+            assert exc.value.q_in == failure[0]
+            assert str(exc.value).endswith(failure[1])
+            return
+        res = sweep(device, coeffs, q_start, q_end, step)
+    # OperatingState equality covers every field and the mode
+    assert res.states == expected
+
+
+@_PROPERTY
+@given(devices(), coefficients(), st.integers(0, 2**32 - 1),
+       st.integers(1, 400))
+def test_kernel_rows_equal_scalar_path_in_any_order(device, coeffs, seed,
+                                                    count):
+    # hundreds of unsorted flows per example: the rows where a square
+    # rounds differently from Python's are rare
+    qs = np.random.default_rng(seed).uniform(0.0, 40.0, count) * M3S_PER_LPM
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        expected, failure = _scalar_sweep(qs.tolist(), device, coeffs)
+        if failure is not None:
+            with pytest.raises(ValueError) as exc:
+                engine._chain(qs, device, coeffs)
+            assert qs[exc.value.index] == failure[0]
+            assert str(exc.value) == failure[1]
+            return
+        columns = engine._chain(qs, device, coeffs)
+    for i, state in enumerate(expected):
+        assert tuple(c[i] for c in columns) == (
+            state.p_in, state.p_chamber, state.a_fg, state.p_out)
+
+
+def test_sweep_warns_once_on_sonic_rows():
+    b = catalog_device("B")
+    with pytest.warns(SupersonicJetWarning):
+        sweep(b, step=1.0 * M3S_PER_LPM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupersonicJetWarning)
+        sweep(b, q_end=10.0 * M3S_PER_LPM, step=1.0 * M3S_PER_LPM)
+
+
+def test_sweep_sealed_gate_fails_at_first_flow():
+    sealed = dataclasses.replace(DEFAULT_COEFFS, leak_fraction=0.0)
+    with pytest.raises(SweepError,
+                       match="element area must be positive") as exc:
+        sweep(catalog_device("B"), sealed, step=1.0 * M3S_PER_LPM)
+    assert exc.value.q_in == 0.0
