@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._units import M2_PER_MM2, M3S_PER_LPM, PA_PER_KPA
+from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
 from .engine import _chain, nelder_mead
@@ -43,6 +43,11 @@ __all__ = [
     "fit_input_pressure",
     "fit_closures",
 ]
+
+
+# measurement CSV columns: MeasurementRow field -> unit (q_in -> q_in_lpm)
+_MEASUREMENT_UNITS = {"q_in": FLOW, "p_in": PRESSURE, "p_out": PRESSURE,
+                      "a_fg": AREA}
 
 
 class FitError(RuntimeError):
@@ -105,7 +110,7 @@ def builtin_calibration_points() -> MeasurementSet:
     """The six published bench measurements of the supply line, SI units."""
     points_lpm_kpa = ((5.0, 5.4), (10.0, 13.5), (15.0, 21.1),
                       (20.0, 32.2), (25.0, 41.1), (30.0, 47.1))
-    rows = tuple(MeasurementRow(q_in=q * M3S_PER_LPM, p_in=p * PA_PER_KPA)
+    rows = tuple(MeasurementRow(q_in=FLOW.to_si(q), p_in=PRESSURE.to_si(p))
                  for q, p in points_lpm_kpa)
     return MeasurementSet(rows=rows, label="builtin")
 
@@ -114,25 +119,18 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     """Read a measurement CSV (display units) into an SI MeasurementSet."""
     path = Path(path)
     rows: list[MeasurementRow] = []
+    q_column = FLOW.key("q_in")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "q_in_lpm" not in reader.fieldnames:
-            raise FitError(f"{path}: missing required column q_in_lpm")
-
-        def grab(record: dict, column: str, scale: float) -> float | None:
-            raw = (record.get(column) or "").strip()
-            return float(raw) * scale if raw else None
-
+        if reader.fieldnames is None or q_column not in reader.fieldnames:
+            raise FitError(f"{path}: missing required column {q_column}")
         for record in reader:
-            q_raw = (record.get("q_in_lpm") or "").strip()
-            if not q_raw:
-                continue
-            rows.append(MeasurementRow(
-                q_in=float(q_raw) * M3S_PER_LPM,
-                p_in=grab(record, "p_in_kpa", PA_PER_KPA),
-                p_out=grab(record, "p_out_kpa", PA_PER_KPA),
-                a_fg=grab(record, "a_fg_mm2", M2_PER_MM2),
-            ))
+            cells = {name: (record.get(unit.key(name)) or "").strip()
+                     for name, unit in _MEASUREMENT_UNITS.items()}
+            if cells["q_in"]:
+                rows.append(MeasurementRow(**{
+                    name: _MEASUREMENT_UNITS[name].to_si(float(cell))
+                    if cell else None for name, cell in cells.items()}))
     return MeasurementSet(rows=tuple(rows), label=path.name)
 
 

@@ -1,9 +1,12 @@
 """Command-line front end: config loading, dispatch, CSV/JSON emission.
 
 This is the only layer that speaks display units (L/min, kPa, mm, mm2);
-everything behind it is strict SI.  Numeric CSV fields carry 9
-significant digits, files always end in a newline, and comment lines
-start with ``#``, so identical invocations produce byte-identical files.
+everything behind it is strict SI.  Each output is a table of ``_Column``
+specs (name, ``_units.Unit``, SI getter) written by one CSV and one JSON
+writer; config keys take their names and scales from the same units.
+Numeric CSV fields carry 9 significant digits, a missing value reads
+``none`` (JSON ``null``), files end in a newline and comment lines start
+with ``#``, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
@@ -15,14 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import (Any, Callable, Iterable, NamedTuple, Sequence,
+                    get_type_hints)
 
-from ._units import (M2_PER_CM2, M2_PER_MM2, M3S_PER_LPM, M_PER_MM,
-                     PA_PER_KPA)
+from ._units import (AREA, FLOW, FORCE, LENGTH, M2_PER_CM2, PRESSURE,
+                     UNITLESS, Unit)
 from . import calib, engine, friction
-from .core import (CATALOG_TYPE_IDS, Device, Material, catalog_device,
+from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
+                   FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
 from .gate import opening_ratio
@@ -34,80 +40,182 @@ _EXIT_SOLVER = 3
 _EXIT_FIT = 4
 
 
-class ConfigError(RuntimeError):
-    pass
-
-
 def _fmt(x: float) -> str:
     """Numeric CSV formatting contract: 9 significant digits."""
     return f"{x:.9g}"
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+# --- output columns -----------------------------------------------------------
+
+class _Column(NamedTuple):
+    name: str                    # quantity name, the key without its suffix
+    unit: Unit
+    get: Callable[[Any], Any]    # record -> SI value
+
+
+def _display_values(column: _Column, records: Sequence) -> list:
+    """The column's display values over ``records`` (Unit.to_display)."""
+    values = list(map(column.get, records))
+    scale = column.unit.scale
+    if scale is None:
+        return values
+    return [None if x is None else x / scale for x in values]
+
+
+def _csv_cells(values: Iterable) -> list[str]:
+    return [x if x.__class__ is str else "none" if x is None else _fmt(x)
+            for x in values]
+
+
+def _csv_text(columns: Sequence[_Column], records: Sequence, *,
+              si: bool = False, comments: Sequence[str] = ()) -> str:
+    """CSV in display units; ``si`` appends every dimensioned column in SI."""
+    si_columns = [c for c in columns if si and c.unit.scale is not None]
+    header = ([c.unit.key(c.name) for c in columns]
+              + [f"{c.name}_{c.unit.si}" for c in si_columns])
+    cells = [_csv_cells(_display_values(c, records)) for c in columns]
+    cells += [_csv_cells(map(c.get, records)) for c in si_columns]
+    lines = [",".join(header), *map(",".join, zip(*cells)), *comments]
+    return "\n".join(lines) + "\n"
+
+
+def _json_records(columns: Sequence[_Column], records: Sequence, *,
+                  si: bool = False) -> list[dict]:
+    """One JSON object per record in display units; ``si`` adds an ``si``
+    object holding every dimensioned column in SI under its bare name."""
+    keys = [c.unit.key(c.name) for c in columns]
+    objs = [dict(zip(keys, row))
+            for row in zip(*(_display_values(c, records) for c in columns))]
+    if si:
+        si_columns = [c for c in columns if c.unit.scale is not None]
+        for obj, rec in zip(objs, records):
+            obj["si"] = {c.name: c.get(rec) for c in si_columns}
+    return objs
+
+
+def _state_columns(a_ex: float) -> tuple[_Column, ...]:
+    """Columns of one sweep row (an ``engine.OperatingState``)."""
+    return (
+        _Column("q_in", FLOW, attrgetter("q_in")),
+        _Column("p_in", PRESSURE, attrgetter("p_in")),
+        _Column("p_chamber", PRESSURE, attrgetter("p_chamber")),
+        _Column("a_fg", AREA, attrgetter("a_fg")),
+        _Column("a_fg_over_a_ex", UNITLESS,
+                lambda st: opening_ratio(st.a_fg, a_ex)),
+        _Column("p_out", PRESSURE, attrgetter("p_out")),
+        _Column("mode", UNITLESS, attrgetter("mode")),
+    )
+
+
+# switching point and extremes of an ``engine.SweepResult``
+_SUMMARY_COLUMNS = (
+    _Column("switching_q", FLOW, attrgetter("switching_q")),
+    _Column("switching_p_in", PRESSURE, attrgetter("switching_p_in")),
+    _Column("max_blow", PRESSURE, attrgetter("max_blow")),
+    _Column("max_suck", PRESSURE, attrgetter("max_suck")),
+)
+
+# one compare row: a (type id, SweepResult) pair
+_COMPARE_COLUMNS = (_Column("type", UNITLESS, itemgetter(0)),) + tuple(
+    c._replace(get=lambda item, get=c.get: get(item[1]))
+    for c in _SUMMARY_COLUMNS)
+
+# one ``friction.FrictionCurvePoint``
+_FRICTION_COLUMNS = (
+    _Column("q_in", FLOW, attrgetter("q_in")),
+    _Column("p_out", PRESSURE, attrgetter("state.p_out")),
+    _Column("n_eff", FORCE, attrgetter("prediction.n_eff")),
+    _Column("mu_s", UNITLESS, attrgetter("prediction.mu_s")),
+    _Column("mu_k", UNITLESS, attrgetter("prediction.mu_k")),
+)
+
+# Unit of each device dimension a config file or the optimizer sets.  The
+# config key is ``unit.key(field)``; its value must have the field's type.
+_DIMENSION_UNITS = {"a_in": AREA, "a_branch": AREA, "a_ne": AREA,
+                    "n_nozzles": UNITLESS, "a_ex": AREA, "a_out": AREA,
+                    "channel_width_ref": LENGTH,
+                    "split_design_rule": UNITLESS,
+                    "w": LENGTH, "t": LENGTH, "h": LENGTH}
+
+# optimizable dimensions; each has a ``--bounds-<key>-<unit>`` flag
+_DESIGN_KEYS = ("w", "t", "h", "a_ne")
+
+# one ``engine.OptimizationResult``
+_OPTIMIZE_COLUMNS = tuple(
+    _Column(key, _DIMENSION_UNITS[key], lambda r, key=key: r.params[key])
+    for key in _DESIGN_KEYS) + (
+    _Column("objective_value", UNITLESS, attrgetter("value")),
+    _Column("evaluations", UNITLESS, attrgetter("evaluations")),
+    _Column("converged", UNITLESS, attrgetter("converged")),
+)
+
+
 # --- config loading -----------------------------------------------------------
 
-_DEVICE_KEYS = {
-    "type": str,
-    "shore_a": float,
-    "a_in_mm2": float,
-    "a_branch_mm2": float,
-    "a_ne_mm2": float,
-    "n_nozzles": int,
-    "a_ex_mm2": float,
-    "a_out_mm2": float,
-    "channel_width_ref_mm": float,
-    "w_mm": float,
-    "t_mm": float,
-    "h_mm": float,
-    "split_design_rule": bool,
-}
+_FIELD_TYPES = {**get_type_hints(FlapGateGeometry),
+                **get_type_hints(DeviceGeometry)}
+# config key -> (geometry field, unit), e.g. w_mm -> (w, LENGTH)
+_CONFIG_FIELDS = {unit.key(name): (name, unit)
+                  for name, unit in _DIMENSION_UNITS.items()}
+_CONFIG_KEYS = {"type", "shore_a", *_CONFIG_FIELDS}
 
-_COEFF_KEYS = ("c1", "c2", "eta", "c_recirc", "k0", "p_c", "cd_out",
-               "cd_gate", "leak_fraction")
+_COEFF_NAMES = frozenset(f.name for f in fields(ModelCoefficients))
+
+
+def _config_value(value, kind: type, key: str):
+    """A JSON value read as ``kind``: a bool or str as itself, a float from
+    a number or numeric string, an int from a whole number."""
+    try:
+        if kind in (bool, str) or isinstance(value, bool):
+            ok = type(value) is kind
+        else:
+            value = float(value)
+            ok = kind is float or value.is_integer()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return raw
 
 
 def _load_device_config(path: str) -> Device:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(raw) - set(_DEVICE_KEYS)
+    raw = _read_json_object(path, "config")
+    unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"config {path}: unknown fields {sorted(unknown)}")
+        raise ValueError(f"config {path}: unknown fields {sorted(unknown)}")
 
-    device = catalog_device(str(raw.get("type", "B")))
+    device = catalog_device(_config_value(raw.get("type", "B"), str, "type"))
+    values = {
+        name: unit.to_si(_config_value(raw[key], _FIELD_TYPES[name], key))
+        for key, (name, unit) in _CONFIG_FIELDS.items() if key in raw}
     g = device.geometry
-    gate = g.gate
-    gate = replace(
-        gate,
-        w=float(raw["w_mm"]) * M_PER_MM if "w_mm" in raw else gate.w,
-        t=float(raw["t_mm"]) * M_PER_MM if "t_mm" in raw else gate.t,
-        h=float(raw["h_mm"]) * M_PER_MM if "h_mm" in raw else gate.h,
-    )
-    g = replace(
-        g,
-        gate=gate,
-        a_in=float(raw["a_in_mm2"]) * M2_PER_MM2 if "a_in_mm2" in raw else g.a_in,
-        a_branch=(float(raw["a_branch_mm2"]) * M2_PER_MM2
-                  if "a_branch_mm2" in raw else g.a_branch),
-        a_ne=float(raw["a_ne_mm2"]) * M2_PER_MM2 if "a_ne_mm2" in raw else g.a_ne,
-        n_nozzles=int(raw["n_nozzles"]) if "n_nozzles" in raw else g.n_nozzles,
-        a_ex=float(raw["a_ex_mm2"]) * M2_PER_MM2 if "a_ex_mm2" in raw else g.a_ex,
-        a_out=float(raw["a_out_mm2"]) * M2_PER_MM2 if "a_out_mm2" in raw else g.a_out,
-        channel_width_ref=(float(raw["channel_width_ref_mm"]) * M_PER_MM
-                           if "channel_width_ref_mm" in raw
-                           else g.channel_width_ref),
-        split_design_rule=bool(raw.get("split_design_rule",
-                                       g.split_design_rule)),
-    )
-    material = (Material.from_shore_a(float(raw["shore_a"]))
+    gate = replace(g.gate, **{f.name: values.pop(f.name)
+                              for f in fields(g.gate) if f.name in values})
+    g = replace(g, gate=gate, **values)
+    material = (Material.from_shore_a(
+                    _config_value(raw["shore_a"], float, "shore_a"))
                 if "shore_a" in raw else device.material)
     violations = validate_geometry(g)
     if violations:
-        raise ConfigError(f"config {path} invalid: " + "; ".join(violations))
+        raise ValueError(f"config {path} invalid: " + "; ".join(violations))
     return replace(device, geometry=g, material=material,
                    type_id=None if set(raw) - {"type"} else device.type_id)
 
@@ -115,73 +223,26 @@ def _load_device_config(path: str) -> Device:
 def _load_coeffs(path: str | None) -> ModelCoefficients:
     if path is None:
         return DEFAULT_COEFFS
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read coefficients {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"coefficients {path} not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"coefficients {path} must hold a JSON object")
+    raw = _read_json_object(path, "coefficients")
     if "coefficients" in raw and isinstance(raw["coefficients"], dict):
         raw = raw["coefficients"]  # accept a calibrate-command report
-    fields = {k: float(v) for k, v in raw.items() if k in _COEFF_KEYS}
-    unknown = set(raw) - set(_COEFF_KEYS) - {"rms_residual", "residuals",
-                                             "warnings"}
+    unknown = set(raw) - _COEFF_NAMES - {"rms_residual", "residuals",
+                                         "warnings"}
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"coefficients {path}: unknown fields {sorted(unknown)}")
+    values = {k: _config_value(v, float, k)
+              for k, v in raw.items() if k in _COEFF_NAMES}
     try:
-        return replace(DEFAULT_COEFFS, **fields)
+        return replace(DEFAULT_COEFFS, **values)
     except ValueError as exc:
-        raise ConfigError(f"coefficients {path} out of range: {exc}") from exc
+        raise ValueError(f"coefficients {path} out of range: {exc}") from exc
 
 
 def _device_from_args(args: argparse.Namespace) -> Device:
     if args.config is not None:
         return _load_device_config(args.config)
-    try:
-        return catalog_device(args.type)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
-
-
-def _state_row(st: engine.OperatingState, a_ex: float, si: bool) -> list[str]:
-    row = [
-        _fmt(st.q_in / M3S_PER_LPM),
-        _fmt(st.p_in / PA_PER_KPA),
-        _fmt(st.p_chamber / PA_PER_KPA),
-        _fmt(st.a_fg / M2_PER_MM2),
-        _fmt(opening_ratio(st.a_fg, a_ex)),
-        _fmt(st.p_out / PA_PER_KPA),
-        st.mode,
-    ]
-    if si:
-        row += [_fmt(st.q_in), _fmt(st.p_in), _fmt(st.p_chamber),
-                _fmt(st.a_fg), _fmt(st.p_out)]
-    return row
-
-
-def _state_json(st: engine.OperatingState, a_ex: float) -> dict:
-    return {
-        "q_in_lpm": st.q_in / M3S_PER_LPM,
-        "p_in_kpa": st.p_in / PA_PER_KPA,
-        "p_chamber_kpa": st.p_chamber / PA_PER_KPA,
-        "a_fg_mm2": st.a_fg / M2_PER_MM2,
-        "a_fg_over_a_ex": opening_ratio(st.a_fg, a_ex),
-        "p_out_kpa": st.p_out / PA_PER_KPA,
-        "mode": st.mode,
-        "si": {"q_in": st.q_in, "p_in": st.p_in, "p_chamber": st.p_chamber,
-               "a_fg": st.a_fg, "p_out": st.p_out},
-    }
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return catalog_device(args.type)
 
 
 # --- commands -----------------------------------------------------------------
@@ -189,65 +250,36 @@ def _json_text(obj) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
-    q_in = args.qin_lpm * M3S_PER_LPM
-    st = engine.solve_operating_point(q_in, device, coeffs)
+    st = engine.solve_operating_point(FLOW.to_si(args.qin_lpm), device, coeffs)
     a_ex = device.geometry.a_ex
+    kpa, mm2 = PRESSURE.to_display, AREA.to_display
     print(f"q_in      = {_fmt(args.qin_lpm)} L/min ({_fmt(st.q_in)} m^3/s)")
-    print(f"p_in      = {_fmt(st.p_in / PA_PER_KPA)} kPa ({_fmt(st.p_in)} Pa)")
-    print(f"p_chamber = {_fmt(st.p_chamber / PA_PER_KPA)} kPa "
+    print(f"p_in      = {_fmt(kpa(st.p_in))} kPa ({_fmt(st.p_in)} Pa)")
+    print(f"p_chamber = {_fmt(kpa(st.p_chamber))} kPa "
           f"({_fmt(st.p_chamber)} Pa)")
-    print(f"a_fg      = {_fmt(st.a_fg / M2_PER_MM2)} mm^2 ({_fmt(st.a_fg)} m^2)"
+    print(f"a_fg      = {_fmt(mm2(st.a_fg))} mm^2 ({_fmt(st.a_fg)} m^2)"
           f", a_fg/a_ex = {_fmt(opening_ratio(st.a_fg, a_ex))}")
-    print(f"p_out     = {_fmt(st.p_out / PA_PER_KPA)} kPa ({_fmt(st.p_out)} Pa)")
+    print(f"p_out     = {_fmt(kpa(st.p_out))} kPa ({_fmt(st.p_out)} Pa)")
     print(f"mode      = {st.mode}")
     return 0
-
-
-_SWEEP_HEADER = ("q_in_lpm,p_in_kpa,p_chamber_kpa,a_fg_mm2,a_fg_over_a_ex,"
-                 "p_out_kpa,mode")
-_SWEEP_HEADER_SI = _SWEEP_HEADER + ",q_in_m3s,p_in_pa,p_chamber_pa,a_fg_m2,p_out_pa"
-
-
-def _sweep_comments(result: engine.SweepResult) -> list[str]:
-    if result.switching_q is not None:
-        sq = _fmt(result.switching_q / M3S_PER_LPM)
-        sp = _fmt(result.switching_p_in / PA_PER_KPA)
-    else:
-        sq = sp = "none"
-    return [
-        f"# switching_q_lpm={sq}",
-        f"# switching_p_in_kpa={sp}",
-        f"# max_blow_kpa={_fmt(result.max_blow / PA_PER_KPA)}",
-        f"# max_suck_kpa={_fmt(result.max_suck / PA_PER_KPA)}",
-    ]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
-    result = engine.sweep(device, coeffs,
-                          args.qin_start_lpm * M3S_PER_LPM,
-                          args.qin_end_lpm * M3S_PER_LPM,
-                          args.step_lpm * M3S_PER_LPM)
-    a_ex = device.geometry.a_ex
+    result = engine.sweep(device, coeffs, FLOW.to_si(args.qin_start_lpm),
+                          FLOW.to_si(args.qin_end_lpm),
+                          FLOW.to_si(args.step_lpm))
+    columns = _state_columns(device.geometry.a_ex)
+    [summary] = _json_records(_SUMMARY_COLUMNS, [result])
     if args.format == "csv":
-        lines = [_SWEEP_HEADER_SI if args.si else _SWEEP_HEADER]
-        lines += [",".join(_state_row(st, a_ex, args.si))
-                  for st in result.states]
-        lines += _sweep_comments(result)
-        _write_text(args.out, "\n".join(lines) + "\n")
+        text = _csv_text(columns, result.states, si=args.si, comments=[
+            f"# {key}={cell}"
+            for key, cell in zip(summary, _csv_cells(summary.values()))])
     else:
-        payload = {
-            "states": [_state_json(st, a_ex) for st in result.states],
-            "switching_q_lpm": (result.switching_q / M3S_PER_LPM
-                                if result.switching_q is not None else None),
-            "switching_p_in_kpa": (result.switching_p_in / PA_PER_KPA
-                                   if result.switching_p_in is not None
-                                   else None),
-            "max_blow_kpa": result.max_blow / PA_PER_KPA,
-            "max_suck_kpa": result.max_suck / PA_PER_KPA,
-        }
-        _write_text(args.out, _json_text(payload))
+        text = _json_text({**summary, "states": _json_records(
+            columns, result.states, si=True)})
+    _write_text(args.out, text)
     return 0
 
 
@@ -255,47 +287,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     coeffs = _load_coeffs(args.coeffs)
     type_ids = [t.strip() for t in args.types.split(",") if t.strip()]
     if not type_ids:
-        raise ConfigError("--types must name at least one catalog type")
-    try:
-        table = engine.compare_designs(
-            type_ids, coeffs,
-            q_start=args.qin_start_lpm * M3S_PER_LPM,
-            q_end=args.qin_end_lpm * M3S_PER_LPM,
-            step=args.step_lpm * M3S_PER_LPM)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("--types must name at least one catalog type")
+    table = engine.compare_designs(
+        type_ids, coeffs, q_start=FLOW.to_si(args.qin_start_lpm),
+        q_end=FLOW.to_si(args.qin_end_lpm), step=FLOW.to_si(args.step_lpm))
     orderings = engine.design_orderings(table)
-
-    def row(tid: str) -> list[str]:
-        r = table[tid]
-        sq = (_fmt(r.switching_q / M3S_PER_LPM)
-              if r.switching_q is not None else "none")
-        sp = (_fmt(r.switching_p_in / PA_PER_KPA)
-              if r.switching_p_in is not None else "none")
-        return [tid, sq, sp, _fmt(r.max_blow / PA_PER_KPA),
-                _fmt(r.max_suck / PA_PER_KPA)]
-
     if args.format == "csv":
-        lines = ["type,switching_q_lpm,switching_p_in_kpa,max_blow_kpa,"
-                 "max_suck_kpa"]
-        lines += [",".join(row(tid)) for tid in table]
-        lines += [f"# order_{key}=" + ">".join(order)
-                  for key, order in orderings.items()]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        text = _csv_text(_COMPARE_COLUMNS, list(table.items()), comments=[
+            f"# order_{key}=" + ">".join(order)
+            for key, order in orderings.items()])
     else:
-        payload = {
-            "types": {tid: {
-                "switching_q_lpm": (r.switching_q / M3S_PER_LPM
-                                    if r.switching_q is not None else None),
-                "switching_p_in_kpa": (r.switching_p_in / PA_PER_KPA
-                                       if r.switching_p_in is not None
-                                       else None),
-                "max_blow_kpa": r.max_blow / PA_PER_KPA,
-                "max_suck_kpa": r.max_suck / PA_PER_KPA,
-            } for tid, r in table.items()},
+        text = _json_text({
+            "types": dict(zip(table, _json_records(_SUMMARY_COLUMNS,
+                                                   list(table.values())))),
             "orderings": {k: list(v) for k, v in orderings.items()},
-        }
-        _write_text(args.out, _json_text(payload))
+        })
+    _write_text(args.out, text)
     return 0
 
 
@@ -311,70 +318,46 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         start = _load_coeffs(args.coeffs)
         (_, report) = calib.fit_closures(data, device, start=start,
                                          max_evals=args.max_evals)
-    payload = {
-        "coefficients": report.coefficients,
-        "rms_residual": report.rms_residual,
-        "residuals": {k: list(v) for k, v in report.residuals.items()},
-        "warnings": list(report.warnings),
-    }
-    _write_text(args.out, _json_text(payload))
+    _write_text(args.out, _json_text(asdict(report)))
     return 0
 
 
-def _parse_bounds(text: str | None, scale: float,
-                  flag: str) -> tuple[float, float] | None:
-    if text is None:
-        return None
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"{flag} expects LO:HI, got {text!r}")
+def _parse_bounds(text: str, unit: Unit, flag: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(p) * scale for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects numbers, got {text!r}") from exc
+        lo, hi = (unit.to_si(float(p)) for p in text.split(":"))
+    except ValueError as exc:   # not two fields, or not numbers
+        raise ValueError(f"{flag} expects LO:HI numbers, got {text!r}"
+                         ) from exc
     return lo, hi
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
+    q_star = FLOW.to_si(args.at_qin_lpm)
     if args.objective == "switching":
-        target = (args.target_p_in_kpa * PA_PER_KPA
+        target = (PRESSURE.to_si(args.target_p_in_kpa)
                   if args.target_p_in_kpa is not None else None)
         objective = engine.switching_objective(coeffs, target_p_in=target)
     elif args.objective == "suction":
-        objective = engine.suction_objective(coeffs,
-                                             args.at_qin_lpm * M3S_PER_LPM)
+        objective = engine.suction_objective(coeffs, q_star)
     else:
-        objective = engine.blowing_objective(coeffs,
-                                             args.at_qin_lpm * M3S_PER_LPM)
+        objective = engine.blowing_objective(coeffs, q_star)
 
     bounds: dict[str, tuple[float, float]] = {}
-    for key, text, scale, flag in (
-            ("w", args.bounds_w_mm, M_PER_MM, "--bounds-w-mm"),
-            ("t", args.bounds_t_mm, M_PER_MM, "--bounds-t-mm"),
-            ("h", args.bounds_h_mm, M_PER_MM, "--bounds-h-mm"),
-            ("a_ne", args.bounds_ane_mm2, M2_PER_MM2, "--bounds-ane-mm2")):
-        parsed = _parse_bounds(text, scale, flag)
-        if parsed is not None:
-            bounds[key] = parsed
+    flags = []
+    for key in _DESIGN_KEYS:
+        unit = _DIMENSION_UNITS[key]
+        flag = f"--bounds-{key.replace('_', '')}-{unit.display}"
+        flags.append(flag)
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is not None:
+            bounds[key] = _parse_bounds(text, unit, flag)
     if not bounds:
-        raise ConfigError("give at least one of --bounds-w-mm, --bounds-t-mm, "
-                          "--bounds-h-mm, --bounds-ane-mm2")
-    try:
-        result = engine.optimize_geometry(objective, bounds, device,
-                                          max_evals=args.max_evals)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload = {
-        "w_mm": result.params["w"] / M_PER_MM,
-        "t_mm": result.params["t"] / M_PER_MM,
-        "h_mm": result.params["h"] / M_PER_MM,
-        "a_ne_mm2": result.params["a_ne"] / M2_PER_MM2,
-        "objective_value": result.value,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-    }
+        raise ValueError("give at least one of " + ", ".join(flags))
+    result = engine.optimize_geometry(objective, bounds, device,
+                                      max_evals=args.max_evals)
+    [payload] = _json_records(_OPTIMIZE_COLUMNS, [result])
     _write_text(args.out, _json_text(payload))
     return 0
 
@@ -383,39 +366,22 @@ def _cmd_friction(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     try:
-        q_list = [float(tok) * M3S_PER_LPM
+        q_list = [FLOW.to_si(float(tok))
                   for tok in args.qin_lpm.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--qin-lpm expects comma-separated numbers: {exc}"
+        raise ValueError(f"--qin-lpm expects comma-separated numbers: {exc}"
                           ) from exc
     if not q_list:
-        raise ConfigError("--qin-lpm must list at least one flow")
-    if args.weight_n <= 0.0:
-        raise ConfigError("--weight-n must be positive")
+        raise ValueError("--qin-lpm must list at least one flow")
     points = friction.friction_curve(
         device, coeffs, mu0_s=args.mu0_s, mu0_k=args.mu0_k,
         weight_load=args.weight_n, a_eff=args.a_eff_cm2 * M2_PER_CM2,
         q_list=q_list)
     if args.format == "csv":
-        lines = ["q_in_lpm,p_out_kpa,n_eff_n,mu_s,mu_k"]
-        for pt in points:
-            lines.append(",".join([
-                _fmt(pt.q_in / M3S_PER_LPM),
-                _fmt(pt.state.p_out / PA_PER_KPA),
-                _fmt(pt.prediction.n_eff),
-                _fmt(pt.prediction.mu_s),
-                _fmt(pt.prediction.mu_k),
-            ]))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        text = _csv_text(_FRICTION_COLUMNS, points)
     else:
-        payload = [{
-            "q_in_lpm": pt.q_in / M3S_PER_LPM,
-            "p_out_kpa": pt.state.p_out / PA_PER_KPA,
-            "n_eff_n": pt.prediction.n_eff,
-            "mu_s": pt.prediction.mu_s,
-            "mu_k": pt.prediction.mu_k,
-        } for pt in points]
-        _write_text(args.out, _json_text(payload))
+        text = _json_text(_json_records(_FRICTION_COLUMNS, points))
+    _write_text(args.out, text)
     return 0
 
 
@@ -434,6 +400,22 @@ def _add_device_flags(sub: argparse.ArgumentParser) -> None:
                           "(default: built-in calibrated set)")
 
 
+def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--qin-start-lpm", type=float, default=0.0,
+                     help="ramp start in L/min (default 0)")
+    sub.add_argument("--qin-end-lpm", type=float, default=30.0,
+                     help="ramp end in L/min (default 30)")
+    sub.add_argument("--step-lpm", type=float, default=0.1,
+                     help="grid step in L/min (default 0.1)")
+
+
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", required=True, metavar="PATH",
+                     help="output file path")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default csv)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdr",
@@ -450,16 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = subs.add_parser("sweep", help="quasi-static ramp to a CSV/JSON file")
     _add_device_flags(sw)
-    sw.add_argument("--qin-start-lpm", type=float, default=0.0,
-                    help="ramp start in L/min (default 0)")
-    sw.add_argument("--qin-end-lpm", type=float, default=30.0,
-                    help="ramp end in L/min (default 30)")
-    sw.add_argument("--step-lpm", type=float, default=0.1,
-                    help="grid step in L/min (default 0.1)")
-    sw.add_argument("--out", required=True, metavar="PATH",
-                    help="output file path")
-    sw.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="output format (default csv)")
+    _add_grid_flags(sw)
+    _add_output_flags(sw)
     sw.add_argument("--si", action="store_true",
                     help="append SI columns (m^3/s, Pa, m^2) to the CSV")
     sw.set_defaults(func=_cmd_sweep)
@@ -470,16 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated catalog letters, e.g. A,B,C")
     cmp_.add_argument("--coeffs", metavar="PATH", default=None,
                       help="closure coefficients JSON in SI units")
-    cmp_.add_argument("--qin-start-lpm", type=float, default=0.0,
-                      help="ramp start in L/min (default 0)")
-    cmp_.add_argument("--qin-end-lpm", type=float, default=30.0,
-                      help="ramp end in L/min (default 30)")
-    cmp_.add_argument("--step-lpm", type=float, default=0.1,
-                      help="grid step in L/min (default 0.1)")
-    cmp_.add_argument("--out", required=True, metavar="PATH",
-                      help="output file path")
-    cmp_.add_argument("--format", choices=("csv", "json"), default="csv",
-                      help="output format (default csv)")
+    _add_grid_flags(cmp_)
+    _add_output_flags(cmp_)
     cmp_.set_defaults(func=_cmd_compare)
 
     cal = subs.add_parser("calibrate", help="fit coefficients to measurements")
@@ -539,10 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--qin-lpm", default="0,10,20,30",
                     help="comma-separated flows in L/min "
                          "(default 0,10,20,30)")
-    fr.add_argument("--out", required=True, metavar="PATH",
-                    help="output file path")
-    fr.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="output format (default csv)")
+    _add_output_flags(fr)
     fr.set_defaults(func=_cmd_friction)
 
     return parser
@@ -553,20 +516,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except calib.FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return _EXIT_FIT
     except engine.SweepError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except OSError as exc:
-        # unreadable --data / unwritable --out
+    except (ValueError, OSError) as exc:
+        # OSError: an unreadable input file or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

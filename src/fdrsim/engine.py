@@ -489,8 +489,8 @@ def optimize_geometry(objective: Callable[[Device], float],
         lo, hi = bounds.get(key, (base[key], base[key]))
         if not lo <= hi:
             raise ValueError(f"bounds for {key} must satisfy lo <= hi")
-        if lo <= 0.0:
-            raise ValueError(f"bounds for {key} must be positive")
+        if not (0.0 < lo and hi < math.inf):
+            raise ValueError(f"bounds for {key} must be positive and finite")
         lows[key] = lo
         widths[key] = hi - lo
     free = [k for k in _DESIGN_KEYS if widths[k] > 0.0]
@@ -571,6 +571,8 @@ def switching_objective(coeffs: ModelCoefficients, *,
     ``target_p_in`` [Pa], or the pressure itself (to be minimized) when no
     target is given.  Candidates that never switch score a large flat
     value."""
+    if target_p_in is not None and not math.isfinite(target_p_in):
+        raise ValueError("target_p_in must be finite")
 
     def objective(candidate: Device) -> float:
         result = sweep(candidate, coeffs, q_start, q_end, step)
@@ -587,6 +589,8 @@ def switching_objective(coeffs: ModelCoefficients, *,
 def suction_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize suction at ``q_star``: minimizes p_out (most negative wins)."""
+    if not 0.0 <= q_star < math.inf:
+        raise ValueError("q_star must be nonnegative and finite")
 
     def objective(candidate: Device) -> float:
         return solve_operating_point(q_star, candidate, coeffs).p_out
@@ -597,8 +601,9 @@ def suction_objective(coeffs: ModelCoefficients,
 def blowing_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
+    suction = suction_objective(coeffs, q_star)
 
     def objective(candidate: Device) -> float:
-        return -solve_operating_point(q_star, candidate, coeffs).p_out
+        return -suction(candidate)
 
     return objective

@@ -20,6 +20,7 @@ clamp is exactly ``(-p_out) a_eff / W``: suction gains fall off as 1/W.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,10 +84,10 @@ def effective_normal(weight_load: float, p_out: float, a_eff: float) -> float:
     Suction adds (-p_out) a_eff, blowing subtracts; clamped at zero when
     blowing lifts the pad off.
     """
-    if weight_load < 0.0:
-        raise ValueError("weight_load must be nonnegative")
-    if a_eff <= 0.0:
-        raise ValueError("a_eff must be positive")
+    if not 0.0 <= weight_load < math.inf:
+        raise ValueError("weight_load must be nonnegative and finite")
+    if not 0.0 < a_eff < math.inf:
+        raise ValueError("a_eff must be positive and finite")
     return max(0.0, weight_load + (-p_out) * a_eff)
 
 
@@ -97,10 +98,10 @@ def predict_coefficients(mu0_s: float, mu0_k: float, weight_load: float,
     Both coefficients share the factor n_eff / W, so their ratio never
     moves; the relative change is (-p_out) a_eff / W above liftoff.
     """
-    if mu0_s <= 0.0 or mu0_k <= 0.0:
-        raise ValueError("base coefficients must be positive")
-    if weight_load <= 0.0:
-        raise ValueError("weight_load must be positive")
+    if not (0.0 < mu0_s < math.inf and 0.0 < mu0_k < math.inf):
+        raise ValueError("base coefficients must be positive and finite")
+    if not 0.0 < weight_load < math.inf:
+        raise ValueError("weight_load must be positive and finite")
     n_eff = effective_normal(weight_load, p_out, a_eff)
     factor = n_eff / weight_load
     return FrictionPrediction(mu_s=mu0_s * factor, mu_k=mu0_k * factor,

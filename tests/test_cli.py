@@ -195,6 +195,33 @@ def test_friction_rejects_bad_flow_list(tmp_path):
                  "--qin-lpm", "0,ten,20", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--weight-n", "nan"), ("--mu0-s", "nan"), ("--mu0-k", "nan"),
+    ("--a-eff-cm2", "inf"),
+])
+def test_friction_non_finite_flag_exit_config(tmp_path, capsys, flag, value):
+    out = tmp_path / "mu.csv"
+    assert main(["friction", "--type", "B", "--weight-n", "1", flag, value,
+                 "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--objective", "suction", "--at-qin-lpm", "nan"],
+    ["--objective", "blowing", "--at-qin-lpm", "inf"],
+    ["--objective", "suction", "--at-qin-lpm", "-5"],
+    ["--objective", "switching", "--target-p-in-kpa", "nan"],
+    ["--objective", "switching", "--bounds-h-mm", "1.8:inf"],
+])
+def test_optimize_non_finite_flag_exit_config(tmp_path, capsys, flags):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--bounds-h-mm", "1.8:2.0", *flags,
+                 "--max-evals", "10", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_height_hits_lower_bound(tmp_path):
     out = tmp_path / "opt.json"
     assert main(["optimize", "--objective", "switching",
@@ -243,14 +270,22 @@ def test_device_config_rejects_invalid_geometry(tmp_path, capsys):
     assert "gate.t" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("w_mm", "nan"), ("a_ne_mm2", "inf")])
+@pytest.mark.parametrize("key,value", [
+    ("w_mm", "nan"), ("a_ne_mm2", "inf"),
+    # JSON values of the wrong type
+    ("w_mm", None), ("w_mm", True), ("split_design_rule", "false"),
+    ("n_nozzles", 2.7), ("n_nozzles", None), ("shore_a", None),
+    ("type", 5),
+])
 def test_device_config_rejects_non_finite(tmp_path, capsys, key, value):
     cfg = tmp_path / "dev.json"
     cfg.write_text(json.dumps({"type": "B", key: value}), encoding="utf-8")
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", str(cfg), "--step-lpm", "5",
                  "--out", str(out)]) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    expected = ("must be positive and finite" if value in ("nan", "inf")
+                else f"{key} must be ")
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -323,12 +358,17 @@ def test_sweep_blow_only_reports_positive_zero_suck(tmp_path):
 
 def test_coeffs_file_non_finite_exit_config(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
-    coeffs.write_text(json.dumps({"eta": "nan"}), encoding="utf-8")
-    assert main(["simulate", "--type", "B", "--qin-lpm", "10",
-                 "--coeffs", str(coeffs)]) == 2
-    captured = capsys.readouterr()
-    assert "eta must be finite" in captured.err
-    assert captured.out == ""
+    # a non-finite value, then JSON values of the wrong type
+    for value, message in (("nan", "eta must be finite"),
+                           (None, "eta must be float"),
+                           (True, "eta must be float"),
+                           ([0.2], "eta must be float")):
+        coeffs.write_text(json.dumps({"eta": value}), encoding="utf-8")
+        assert main(["simulate", "--type", "B", "--qin-lpm", "10",
+                     "--coeffs", str(coeffs)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("fit", ["input", "closures"])

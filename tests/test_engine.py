@@ -417,3 +417,24 @@ def test_curve_match_objective_zero_on_self():
     objective = curve_match_objective(DEFAULT_COEFFS, target)
     assert objective(_B) == pytest.approx(0.0, abs=1e-18)
     assert objective(catalog_device("H")) > 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: suction_objective(DEFAULT_COEFFS, math.nan),
+    lambda: suction_objective(DEFAULT_COEFFS, math.inf),
+    lambda: suction_objective(DEFAULT_COEFFS, -1.0e-4),
+    lambda: blowing_objective(DEFAULT_COEFFS, math.nan),
+    lambda: switching_objective(DEFAULT_COEFFS, target_p_in=math.nan),
+    lambda: switching_objective(DEFAULT_COEFFS, target_p_in=-math.inf),
+], ids=["suction-nan", "suction-inf", "suction-negative", "blowing-nan",
+        "switching-nan", "switching-inf"])
+def test_objective_factories_reject_non_finite(make):
+    # raised when the objective is built, not inside the guarded search
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("box", [(1.8e-3, math.inf), (-math.inf, 2.0e-3)])
+def test_optimize_rejects_non_finite_bounds(box):
+    with pytest.raises(ValueError, match="finite"):
+        optimize_geometry(lambda device: 0.0, {"h": box}, _B)

@@ -125,3 +125,23 @@ def test_friction_curve_rejects_empty():
     with pytest.raises(ValueError):
         friction_curve(_B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981,
                        q_list=[])
+
+
+@pytest.mark.parametrize("args", [
+    (float("nan"), 0.4, 1.0), (0.5, float("nan"), 1.0),
+    (0.5, float("inf"), 1.0), (0.5, 0.4, float("nan")),
+    (0.5, 0.4, float("inf")),
+])
+def test_prediction_rejects_non_finite(args):
+    mu0_s, mu0_k, weight = args
+    with pytest.raises(ValueError, match="finite"):
+        predict_coefficients(mu0_s, mu0_k, weight, -2000.0, 1.0e-4)
+
+
+@pytest.mark.parametrize("weight,a_eff", [
+    (float("nan"), 1.0e-4), (float("inf"), 1.0e-4),
+    (1.0, float("inf")), (1.0, float("nan")),
+])
+def test_effective_normal_rejects_non_finite(weight, a_eff):
+    with pytest.raises(ValueError, match="finite"):
+        effective_normal(weight, -2000.0, a_eff)
