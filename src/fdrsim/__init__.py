@@ -17,10 +17,7 @@ from .core import (AIR, CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, FluidProperties, Material, P_ATM,
                    catalog_device, shore_to_modulus, validate_geometry,
                    with_gate)
-from .flow import (FlowElement, FlowNode, Network, NetworkSolution,
-                   SolverError, assemble_network, bifurcation_pressure,
-                   bifurcation_pressure_dq,
-                   input_pressure, orifice_flow, solve_steady)
+from .flow import bifurcation_pressure, input_pressure
 from .gate import (GateComplianceModel, GateState, REFERENCE_STIFFNESS,
                    gate_stiffness, opening_area, opening_ratio)
 from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
@@ -47,10 +44,7 @@ __all__ = [
     "AIR", "CATALOG_TYPE_IDS", "Device", "DeviceGeometry",
     "FlapGateGeometry", "FluidProperties", "Material", "P_ATM",
     "catalog_device", "shore_to_modulus", "validate_geometry", "with_gate",
-    "FlowElement", "FlowNode", "Network", "NetworkSolution", "SolverError",
-    "assemble_network", "bifurcation_pressure",
-    "bifurcation_pressure_dq", "input_pressure",
-    "orifice_flow", "solve_steady",
+    "bifurcation_pressure", "input_pressure",
     "GateComplianceModel", "GateState", "REFERENCE_STIFFNESS",
     "gate_stiffness", "opening_area", "opening_ratio",
     "DEFAULT_COEFFS", "ModelCoefficients", "SupersonicJetWarning",

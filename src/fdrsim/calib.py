@@ -31,7 +31,7 @@ import numpy as np
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .engine import _chain, nelder_mead
+from .engine import _chain, _misfit, nelder_mead
 
 __all__ = [
     "FitError",
@@ -223,10 +223,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
         trial = replace(start, eta=float(clipped[0]), k0=float(clipped[1]),
                         p_c=float(clipped[2]))
-        total = 0.0
-        for p, p_ref in zip(_chain(qs, device, trial)[3].tolist(), ps):
-            total += ((p - p_ref) / scale) ** 2
-        return total + penalty
+        return _misfit(qs, ps, scale, device, trial) + penalty
 
     best_u, _, _ = nelder_mead(objective, np.ones(3), max_evals=max_evals,
                                diam_tol=diam_tol)

@@ -55,9 +55,9 @@ class ModelCoefficients:
     ``c1``/``c2`` define the supply law ``p_in = c1 q + c2 q^2`` fitted to
     bench data.  ``eta`` is the entrainment efficiency, ``c_recirc`` the
     wide-gate recirculation weight, ``k0``/``p_c`` the gate opening gain
-    and cracking pressure, ``cd_out``/``cd_gate`` discharge coefficients
-    of the output restriction and the gate path, and ``leak_fraction``
-    the assembly leak floor as a fraction of the exhaust window.
+    and cracking pressure, ``cd_out`` the discharge coefficient of the
+    output restriction, and ``leak_fraction`` the assembly leak floor as
+    a fraction of the exhaust window.
     """
 
     c1: float = 79528125.0              # [Pa s/m^3]
@@ -67,7 +67,6 @@ class ModelCoefficients:
     k0: float = 1.7e-10                 # [m^2/Pa], nominal gate gain
     p_c: float = 4500.0                 # [Pa]
     cd_out: float = 0.8
-    cd_gate: float = 0.8
     leak_fraction: float = 0.02
 
     def __post_init__(self) -> None:
@@ -84,9 +83,8 @@ class ModelCoefficients:
             raise ValueError("k0 must be positive")
         if self.p_c < 0.0:
             raise ValueError("p_c must be nonnegative")
-        for name in ("cd_out", "cd_gate"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
+        if not 0.0 < self.cd_out <= 1.0:
+            raise ValueError("cd_out must lie in (0, 1]")
         if not 0.0 <= self.leak_fraction < 1.0:
             raise ValueError("leak_fraction must lie in [0, 1)")
 

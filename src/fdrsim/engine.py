@@ -146,7 +146,8 @@ def solve_operating_point(q_in: float, device: Device,
         state = opening_area(max(0.0, p_chamber),
                              _compliance_for(device, coeffs),
                              g.gate, device.material)
-        # gate path area as flow.assemble_network floors it, same message
+        # the model needs an open gate path: the opening, floored at the
+        # assembly leak; a shut gate without a leak has no steady state
         if max(state.a_fg, coeffs.leak_fraction * g.a_ex) <= 0.0:
             raise ValueError("element area must be positive")
         p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
@@ -331,14 +332,19 @@ def compare_designs(type_ids: Sequence[str],
                     coeffs: ModelCoefficients = DEFAULT_COEFFS, *,
                     q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
                     step: float = DEFAULT_Q_STEP) -> dict[str, SweepResult]:
-    """One sweep per catalog type under a single shared coefficient set."""
+    """One sweep per catalog type under a single shared coefficient set.
+
+    Type ids match case-insensitively; one named twice raises
+    ``ValueError``, since the table holds one row per type."""
     if not type_ids:
         raise ValueError("type_ids must be non-empty")
-    table: dict[str, SweepResult] = {}
-    for tid in type_ids:
-        device = catalog_device(tid)
-        table[device.type_id] = sweep(device, coeffs, q_start, q_end, step)
-    return table
+    devices = [catalog_device(tid) for tid in type_ids]
+    ids = [device.type_id for device in devices]
+    repeated = sorted({tid for tid in ids if ids.count(tid) > 1})
+    if repeated:
+        raise ValueError(f"repeated type ids: {', '.join(repeated)}")
+    return {device.type_id: sweep(device, coeffs, q_start, q_end, step)
+            for device in devices}
 
 
 def design_orderings(table: Mapping[str, SweepResult]) -> dict[str, tuple[str, ...]]:
@@ -545,6 +551,16 @@ def _target_curve(target: SweepResult) -> tuple[np.ndarray, np.ndarray, float]:
     return qs, ps, scale if scale > 0.0 else 1.0
 
 
+def _misfit(qs: np.ndarray, ps: np.ndarray, scale: float, device: Device,
+            coeffs: ModelCoefficients) -> float:
+    """Sum over the grid ``qs`` of ``((p_out - p_ref) / scale) ** 2``, with
+    ``p_out`` from the chain and ``p_ref`` from ``ps``."""
+    total = 0.0
+    for p, p_ref in zip(_chain(qs, device, coeffs)[3].tolist(), ps):
+        total += ((p - p_ref) / scale) ** 2
+    return total
+
+
 def curve_match_objective(coeffs: ModelCoefficients,
                           target: SweepResult) -> Callable[[Device], float]:
     """Least-squares distance between a candidate's output-pressure curve
@@ -552,10 +568,7 @@ def curve_match_objective(coeffs: ModelCoefficients,
     qs, ps, scale = _target_curve(target)
 
     def objective(candidate: Device) -> float:
-        total = 0.0
-        for p, p_ref in zip(_chain(qs, candidate, coeffs)[3].tolist(), ps):
-            total += ((p - p_ref) / scale) ** 2
-        return total
+        return _misfit(qs, ps, scale, candidate, coeffs)
 
     return objective
 

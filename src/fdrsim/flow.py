@@ -1,80 +1,27 @@
-"""Steady compressible flow on a lumped element network.
+"""Supply law and junction pressure: the gas path up to the gate.
 
-Every element follows the square-root orifice law
-
-    q = sign(dp) * cd * A * sqrt(2 |dp| / rho)
-
-and a damped Newton iteration enforces mass conservation (net volumetric
-flow zero) at each interior node, with the supply flow injected at the
-input node and atmosphere nodes pinned to 0 Pa gauge.  Dead-end branches
-carry no steady flow, so they are peeled off analytically before the
-iteration and inherit their neighbor's pressure afterwards; this keeps the
-Jacobian away from the law's infinite slope at zero pressure drop.
-
-The junction feeding the inflatable chambers gets special treatment: its
-static pressure follows a compressible energy balance between the inlet
-and the branch (``bifurcation_pressure``), which collapses to the inlet
-pressure when the inlet area is exactly twice the branch area and the
-density is unchanged.  The inlet pressure itself follows the calibrated
-supply law ``p_in = c1 q + c2 q^2``.
+The inlet pressure follows the calibrated supply law
+``p_in = c1 q + c2 q^2``.  The junction feeding the inflatable chambers
+holds a static pressure given by a compressible energy balance between
+the inlet and one branch (``bifurcation_pressure``), which collapses to
+the inlet pressure when the inlet area is exactly twice the branch area
+and the density is unchanged.  The gate opens under that junction
+pressure alone; the chambers are dead ends and carry no steady flow.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import AIR, DeviceGeometry, FluidProperties
+from .core import DeviceGeometry, FluidProperties
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ejector import ModelCoefficients
 
 __all__ = [
-    "ELEMENT_KINDS",
-    "DEFAULT_DISCHARGE_COEFF",
-    "FlowNode",
-    "FlowElement",
-    "Network",
-    "NetworkSolution",
-    "SolverError",
-    "orifice_flow",
     "bifurcation_pressure",
-    "bifurcation_pressure_dq",
     "input_pressure",
-    "assemble_network",
-    "solve_steady",
 ]
-
-ELEMENT_KINDS = ("orifice", "nozzle", "channel", "bifurcation-branch")
-DEFAULT_DISCHARGE_COEFF = 0.8
-
-
-class SolverError(RuntimeError):
-    """Steady-state iteration failed; carries the last residual norm."""
-
-    def __init__(self, message: str, residual_norm: float = math.nan,
-                 iterations: int = 0):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
-
-def orifice_flow(dp: float, area: float, cd: float, rho: float) -> float:
-    """Volumetric flow [m^3/s] through a sharp-edged restriction.
-
-    Odd in ``dp`` and strictly increasing; positive flow runs from the
-    high-pressure side to the low-pressure side.
-    """
-    if area <= 0.0:
-        raise ValueError("area must be positive")
-    if not 0.0 < cd <= 1.0:
-        raise ValueError("discharge coefficient must lie in (0, 1]")
-    if rho <= 0.0:
-        raise ValueError("density must be positive")
-    return math.copysign(cd * area * math.sqrt(2.0 * abs(dp) / rho), dp)
 
 
 def bifurcation_pressure(q_in: float, p_in: float, fluid: FluidProperties,
@@ -101,301 +48,9 @@ def bifurcation_pressure(q_in: float, p_in: float, fluid: FluidProperties,
     return fluid.rho / fluid.rho_in * p_in + kinetic
 
 
-def bifurcation_pressure_dq(q_in: float, fluid: FluidProperties,
-                            geometry: DeviceGeometry) -> float:
-    """Analytic partial derivative of :func:`bifurcation_pressure` with
-    respect to ``q_in`` at fixed ``p_in`` [Pa/(m^3/s)]."""
-    a_in = geometry.a_in
-    a = geometry.a_branch
-    if a_in <= 0.0 or a <= 0.0:
-        raise ValueError("areas must be positive")
-    return ((fluid.gamma - 1.0) / fluid.gamma * fluid.rho
-            * q_in / a_in ** 2 * (1.0 - (a_in / (2.0 * a)) ** 2))
-
-
 def input_pressure(q_in: float, coeffs: "ModelCoefficients") -> float:
     """Supply gauge pressure [Pa] delivered at the inlet for a commanded flow,
     following the calibrated law ``p_in = c1 q_in + c2 q_in^2``."""
     if q_in < 0.0:
         raise ValueError("q_in must be nonnegative")
     return coeffs.c1 * q_in + coeffs.c2 * q_in * q_in
-
-
-@dataclass(frozen=True)
-class FlowNode:
-    node_id: str
-    is_boundary: bool = False   # atmosphere node, pinned to 0 Pa gauge
-    pressure: float = 0.0       # boundary value; solution overrides interiors
-
-    def __post_init__(self) -> None:
-        if self.is_boundary and self.pressure != 0.0:
-            raise ValueError("boundary nodes are fixed at 0 Pa gauge")
-
-
-@dataclass(frozen=True)
-class FlowElement:
-    kind: str
-    upstream: str
-    downstream: str
-    area: float                 # [m^2]
-    discharge_coeff: float = DEFAULT_DISCHARGE_COEFF
-
-    def __post_init__(self) -> None:
-        if self.kind not in ELEMENT_KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if self.area <= 0.0:
-            raise ValueError("element area must be positive")
-        if not 0.0 < self.discharge_coeff <= 1.0:
-            raise ValueError("discharge coefficient must lie in (0, 1]")
-        if self.upstream == self.downstream:
-            raise ValueError("element endpoints must differ")
-
-
-@dataclass(frozen=True)
-class Network:
-    nodes: tuple[FlowNode, ...]
-    elements: tuple[FlowElement, ...]
-    input_node: str
-    fluid: FluidProperties = AIR
-
-    def __post_init__(self) -> None:
-        ids = [n.node_id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("node ids must be unique")
-        known = set(ids)
-        touched: set[str] = set()
-        for e in self.elements:
-            if e.upstream not in known or e.downstream not in known:
-                raise ValueError(f"element {e.kind} references unknown node")
-            touched.add(e.upstream)
-            touched.add(e.downstream)
-        if self.input_node not in known:
-            raise ValueError("input_node is not in the network")
-        by_id = {n.node_id: n for n in self.nodes}
-        if by_id[self.input_node].is_boundary:
-            raise ValueError("input_node must be an interior node")
-        lonely = known - touched
-        if lonely:
-            raise ValueError(f"nodes without any element: {sorted(lonely)}")
-
-    def node(self, node_id: str) -> FlowNode:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
-
-
-@dataclass(frozen=True)
-class NetworkSolution:
-    pressures: dict[str, float]     # gauge [Pa], every node
-    flows: tuple[float, ...]        # [m^3/s], aligned with network.elements
-    residual_norm: float            # max node imbalance relative to q_in
-    iterations: int
-
-
-def assemble_network(geometry: DeviceGeometry, a_fg: float,
-                     coeffs: "ModelCoefficients",
-                     fluid: FluidProperties = AIR) -> Network:
-    """Wire the device's internal flow path for a given gate opening.
-
-    Topology: ``input -> bifurcation`` via the inlet channel; a dead-end
-    branch ``bifurcation -> chamber`` (the inflatable side chambers); the
-    nozzle bank ``bifurcation -> mixing`` (one element per nozzle); and the
-    gate path ``mixing -> exhaust`` whose area is the current gate opening,
-    floored at the assembly leak ``leak_fraction * a_ex``.  The output port
-    is not part of this graph: its pressure comes from the jet-entrainment
-    closure, not from a duct element.
-    """
-    if a_fg < 0.0:
-        raise ValueError("a_fg must be nonnegative")
-    gate_area = max(a_fg, coeffs.leak_fraction * geometry.a_ex)
-    nodes = (
-        FlowNode("input"),
-        FlowNode("bifurcation"),
-        FlowNode("chamber"),
-        FlowNode("mixing"),
-        FlowNode("exhaust", is_boundary=True),
-    )
-    elements = [
-        FlowElement("channel", "input", "bifurcation", geometry.a_in),
-        FlowElement("bifurcation-branch", "bifurcation", "chamber", geometry.a_branch),
-    ]
-    elements += [
-        FlowElement("nozzle", "bifurcation", "mixing", geometry.a_ne)
-        for _ in range(geometry.n_nozzles)
-    ]
-    elements.append(FlowElement("orifice", "mixing", "exhaust", gate_area,
-                                coeffs.cd_gate))
-    return Network(nodes=nodes, elements=tuple(elements), input_node="input",
-                   fluid=fluid)
-
-
-def _prune_dead_ends(network: Network):
-    """Strip interior leaf nodes that carry no injection.
-
-    Returns (active_interior_ids, element_active_flags, assignments) where
-    assignments is the prune order as (leaf_id, neighbor_id) pairs.
-    """
-    interior = [n.node_id for n in network.nodes if not n.is_boundary]
-    active_elem = [True] * len(network.elements)
-    incident: dict[str, list[int]] = {n.node_id: [] for n in network.nodes}
-    for idx, e in enumerate(network.elements):
-        incident[e.upstream].append(idx)
-        incident[e.downstream].append(idx)
-
-    active_interior = set(interior)
-    assignments: list[tuple[str, str]] = []
-    changed = True
-    while changed:
-        changed = False
-        for nid in sorted(active_interior):
-            if nid == network.input_node:
-                continue
-            live = [i for i in incident[nid] if active_elem[i]]
-            if len(live) == 1:
-                e = network.elements[live[0]]
-                neighbor = e.downstream if e.upstream == nid else e.upstream
-                assignments.append((nid, neighbor))
-                active_elem[live[0]] = False
-                active_interior.discard(nid)
-                changed = True
-    return active_interior, active_elem, assignments
-
-
-def solve_steady(network: Network, q_in: float, *, tol: float = 1.0e-9,
-                 max_iter: int = 200) -> NetworkSolution:
-    """Solve node pressures and element flows for a fixed injected flow.
-
-    Converges the maximum interior mass imbalance, relative to ``q_in``,
-    below ``tol`` (damped Newton, step halving up to 8 times when a full
-    step raises the residual).  Raises :class:`SolverError` when the
-    iteration budget runs out.
-    """
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-
-    rho = network.fluid.rho
-    active_interior, active_elem, assignments = _prune_dead_ends(network)
-
-    pressures: dict[str, float] = {n.node_id: 0.0 for n in network.nodes}
-    flows = [0.0] * len(network.elements)
-    if q_in == 0.0:
-        # zero flow, zero gauge everywhere: exact
-        return NetworkSolution(pressures=pressures, flows=tuple(flows),
-                               residual_norm=0.0, iterations=0)
-
-    unknown_ids = sorted(active_interior)
-    index = {nid: k for k, nid in enumerate(unknown_ids)}
-    boundary = {n.node_id for n in network.nodes if n.is_boundary}
-
-    # reachability of a boundary through active elements, else unsolvable
-    reached: set[str] = set(boundary)
-    frontier = list(boundary)
-    while frontier:
-        nid = frontier.pop()
-        for idx, e in enumerate(network.elements):
-            if not active_elem[idx]:
-                continue
-            if e.upstream == nid and e.downstream not in reached:
-                reached.add(e.downstream)
-                frontier.append(e.downstream)
-            elif e.downstream == nid and e.upstream not in reached:
-                reached.add(e.upstream)
-                frontier.append(e.upstream)
-    missing = active_interior - reached
-    if missing:
-        raise SolverError(f"no path from nodes {sorted(missing)} to a boundary")
-
-    injection = np.zeros(len(unknown_ids))
-    injection[index[network.input_node]] = q_in
-
-    live_elems = [(idx, e) for idx, e in enumerate(network.elements)
-                  if active_elem[idx]]
-
-    def node_pressure(p: np.ndarray, nid: str) -> float:
-        return 0.0 if nid in boundary else p[index[nid]]
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        r = injection.copy()
-        for _, e in live_elems:
-            dp = node_pressure(p, e.upstream) - node_pressure(p, e.downstream)
-            q = orifice_flow(dp, e.area, e.discharge_coeff, rho)
-            if e.upstream in index:
-                r[index[e.upstream]] -= q
-            if e.downstream in index:
-                r[index[e.downstream]] += q
-        return r
-
-    # initial guess: linearized conductances scaled so each element would
-    # pass q_in at its own reference drop, which is exact for pure series
-    # chains and graded (no zero inter-node drops) in general
-    n = len(unknown_ids)
-    lap = np.zeros((n, n))
-    for _, e in live_elems:
-        g = 2.0 * (e.discharge_coeff * e.area) ** 2 / (rho * q_in)
-        iu = index.get(e.upstream)
-        idn = index.get(e.downstream)
-        if iu is not None:
-            lap[iu, iu] += g
-        if idn is not None:
-            lap[idn, idn] += g
-        if iu is not None and idn is not None:
-            lap[iu, idn] -= g
-            lap[idn, iu] -= g
-    try:
-        p = np.linalg.solve(lap, injection)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SolverError(f"singular network: {exc}") from exc
-
-    r = residual(p)
-    rnorm = float(np.max(np.abs(r))) / q_in
-    iterations = 0
-    while rnorm > tol:
-        if iterations >= max_iter:
-            raise SolverError(
-                f"steady solve did not converge in {max_iter} iterations "
-                f"(residual {rnorm:.3e})", residual_norm=rnorm,
-                iterations=iterations)
-        iterations += 1
-        scale = max(1.0, float(np.max(np.abs(p))))
-        floor = 1.0e-12 * scale
-        jac = np.zeros((n, n))
-        for _, e in live_elems:
-            dp = node_pressure(p, e.upstream) - node_pressure(p, e.downstream)
-            slope = (e.discharge_coeff * e.area
-                     * math.sqrt(2.0 / (rho * max(abs(dp), floor))) / 2.0)
-            iu = index.get(e.upstream)
-            idn = index.get(e.downstream)
-            if iu is not None:
-                jac[iu, iu] -= slope
-            if idn is not None:
-                jac[idn, idn] -= slope
-            if iu is not None and idn is not None:
-                jac[iu, idn] += slope
-                jac[idn, iu] += slope
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Jacobian: {exc}",
-                              residual_norm=rnorm, iterations=iterations) from exc
-        lam = 1.0
-        for _ in range(9):  # full step plus up to 8 halvings
-            p_try = p + lam * step
-            r_try = residual(p_try)
-            rnorm_try = float(np.max(np.abs(r_try))) / q_in
-            if rnorm_try < rnorm:
-                break
-            lam *= 0.5
-        p, r, rnorm = p_try, r_try, rnorm_try
-
-    for k, nid in enumerate(unknown_ids):
-        pressures[nid] = float(p[k])
-    # dead ends inherit their neighbor pressure, most recently pruned first
-    for nid, neighbor in reversed(assignments):
-        pressures[nid] = pressures[neighbor]
-    for idx, e in enumerate(network.elements):
-        if active_elem[idx]:
-            dp = pressures[e.upstream] - pressures[e.downstream]
-            flows[idx] = orifice_flow(dp, e.area, e.discharge_coeff, rho)
-    return NetworkSolution(pressures=pressures, flows=tuple(flows),
-                           residual_norm=rnorm, iterations=iterations)

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from fdrsim.cli import main
+from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
+                    catalog_device, sweep)
+from fdrsim._units import AREA, FLOW, LENGTH
+from fdrsim.cli import _load_device_config, main
 
 _SWEEP_HEADER = ("q_in_lpm,p_in_kpa,p_chamber_kpa,a_fg_mm2,a_fg_over_a_ex,"
                  "p_out_kpa,mode")
@@ -62,14 +67,13 @@ def test_sweep_csv_contract(tmp_path):
         float(_comment_value(text, key))  # present and numeric
 
 
-def test_sweep_reruns_byte_identical(tmp_path, monkeypatch):
+def test_sweep_reruns_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     third = tmp_path / "c.csv"
     args = ["sweep", "--type", "B", "--step-lpm", "0.5"]
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
-    monkeypatch.setenv("FDR_WORKERS", "4")
     assert main(args + ["--out", str(third)]) == 0
     assert first.read_bytes() == second.read_bytes() == third.read_bytes()
 
@@ -122,6 +126,14 @@ def test_compare_orders_widths(tmp_path):
 def test_compare_rejects_unknown_type(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--types", "A,Q", "--out", str(out)]) == 2
+
+
+def test_compare_rejects_repeated_type(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["compare", "--types", "A,A,b", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "repeated type ids: A" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_calibrate_builtin(tmp_path):
@@ -289,16 +301,19 @@ def test_device_config_rejects_non_finite(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_coeffs_file_unknown_key(tmp_path):
+def test_coeffs_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"ETA": 0.1}), encoding="utf-8")
-    assert main(["simulate", "--type", "B", "--qin-lpm", "10",
-                 "--coeffs", str(cfg)]) == 2
+    # cd_gate is not a coefficient: the gate path has no discharge law
+    for raw in ({"ETA": 0.1}, {"cd_gate": 0.8}):
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["simulate", "--type", "B", "--qin-lpm", "10",
+                     "--coeffs", str(cfg)]) == 2
+        assert "unknown fields" in capsys.readouterr().err
 
 
 def test_sweep_solver_failure_exit_three(tmp_path):
     # sealed assembly (no leak) with a gate that never cracks: the gate
-    # element area collapses to zero and the network cannot be built
+    # path has no open area, so no row has a steady state
     coeffs = tmp_path / "sealed.json"
     coeffs.write_text(json.dumps({"leak_fraction": 0.0, "p_c": 1.0e9}),
                       encoding="utf-8")
@@ -390,3 +405,101 @@ def test_help_mentions_units(capsys):
         main(["sweep", "--help"])
     assert exc.value.code == 0
     assert "lpm" in capsys.readouterr().out
+
+
+# --- round trips: display units in, SI out ------------------------------------
+
+_ROUND_TRIP = settings(max_examples=50, deadline=None, derandomize=True,
+                       database=None)
+
+
+def _hex(values: dict) -> dict:
+    """Each float as ``float.hex``, so equality is bit for bit."""
+    return {key: float.hex(x) for key, x in values.items()}
+
+
+@_ROUND_TRIP
+@given(type_id=hs.sampled_from(CATALOG_TYPE_IDS),
+       start=hs.one_of(hs.just(0.0), hs.floats(0.0, 20.0)),
+       step=hs.floats(0.01, 2.0), count=hs.integers(1, 199))
+def test_sweep_json_si_rows_equal_engine_sweep(tmp_path_factory, type_id,
+                                               start, step, count):
+    end = start + count * step
+    out = tmp_path_factory.mktemp("sweep") / "s.json"
+    assert main(["sweep", "--type", type_id, "--qin-start-lpm", repr(start),
+                 "--qin-end-lpm", repr(end), "--step-lpm", repr(step),
+                 "--format", "json", "--out", str(out)]) == 0
+    res = sweep(catalog_device(type_id), DEFAULT_COEFFS, FLOW.to_si(start),
+                FLOW.to_si(end), FLOW.to_si(step))
+    rows = json.loads(out.read_text(encoding="utf-8"))["states"]
+    assert len(rows) == len(res.states) == count + 1
+    for row, state in zip(rows, res.states):
+        assert _hex(row["si"]) == _hex(
+            {key: getattr(state, key)
+             for key in ("q_in", "p_in", "p_chamber", "a_fg", "p_out")})
+
+
+# config key -> (geometry field, unit) and a display range that keeps the
+# geometry valid whatever the other keys hold (t stays below w and h)
+_CONFIG_RANGES = {
+    "a_ne_mm2": ("a_ne", AREA, 0.1, 1.0),
+    "a_ex_mm2": ("a_ex", AREA, 1.0, 20.0),
+    "a_out_mm2": ("a_out", AREA, 1.0, 20.0),
+    "channel_width_ref_mm": ("channel_width_ref", LENGTH, 3.0, 14.0),
+    "w_mm": ("w", LENGTH, 3.0, 14.0),
+    "t_mm": ("t", LENGTH, 0.2, 0.9),
+    "h_mm": ("h", LENGTH, 1.2, 3.0),
+}
+
+
+@hs.composite
+def device_configs(draw):
+    raw = {}
+    if draw(hs.booleans()):
+        raw["type"] = draw(hs.sampled_from(CATALOG_TYPE_IDS))
+    if draw(hs.booleans()):
+        raw["shore_a"] = draw(hs.floats(5.0, 60.0))
+    for key, (_, _, lo, hi) in _CONFIG_RANGES.items():
+        if draw(hs.booleans()):
+            raw[key] = draw(hs.floats(lo, hi))
+    if draw(hs.booleans()):
+        raw["n_nozzles"] = draw(hs.integers(1, 4))
+    split = draw(hs.sampled_from([None, True, False]))
+    if split is not None:
+        raw["split_design_rule"] = split
+    if draw(hs.booleans()):
+        raw["a_branch_mm2"] = draw(hs.floats(0.5, 5.0))
+        if split is not False:
+            # the catalog's split rule holds: the inlet is two branches
+            raw["a_in_mm2"] = 2.0 * raw["a_branch_mm2"]
+    if split is False and draw(hs.booleans()):
+        raw["a_in_mm2"] = draw(hs.floats(1.0, 10.0))
+    # a number may also come as its numeric string
+    for key, value in list(raw.items()):
+        if type(value) is float and draw(hs.booleans()):
+            raw[key] = repr(value)
+    return raw
+
+
+@_ROUND_TRIP
+@given(raw=device_configs())
+def test_device_config_loads_to_replaced_geometry(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("config") / "device.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    device = _load_device_config(str(path))
+
+    base = catalog_device(raw.get("type", "B"))
+    units = {**{key: (field, unit)
+                for key, (field, unit, _, _) in _CONFIG_RANGES.items()},
+             "a_in_mm2": ("a_in", AREA), "a_branch_mm2": ("a_branch", AREA)}
+    si = {field: unit.to_si(float(raw[key]))
+          for key, (field, unit) in units.items() if key in raw}
+    gate = dataclasses.replace(base.geometry.gate, **{
+        name: si.pop(name) for name in ("w", "t", "h") if name in si})
+    unitless = {key: raw[key] for key in ("n_nozzles", "split_design_rule")
+                if key in raw}
+    assert device.geometry == dataclasses.replace(
+        base.geometry, gate=gate, **si, **unitless)
+    assert device.material == (Material.from_shore_a(float(raw["shore_a"]))
+                               if "shore_a" in raw else base.material)
+    assert device.type_id == (None if set(raw) - {"type"} else base.type_id)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import fdrsim.engine as engine
-import fdrsim.flow as flow
 from fdrsim import (
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
@@ -69,20 +68,6 @@ def test_sealed_gate_without_leak_rejected():
     sealed = dataclasses.replace(DEFAULT_COEFFS, leak_fraction=0.0)
     with pytest.raises(ValueError, match="element area must be positive"):
         solve_operating_point(0.0, _B, sealed)
-
-
-def test_operating_point_path_skips_network_solver(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("network solver reached")
-
-    # every binding a module could call through, not only the definitions
-    for module in (flow, engine):
-        for name in ("solve_steady", "assemble_network"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
-    st = solve_operating_point(30.0 * M3S_PER_LPM, _B)
-    assert st.mode == MODE_SUCTION
-    res = sweep(_B, step=1.0 * M3S_PER_LPM)
-    assert res.switching_q is not None
 
 
 def test_gate_opening_evaluated_once_per_point(monkeypatch):
@@ -271,6 +256,12 @@ def test_compare_rejects_bad_input():
         compare_designs([])
     with pytest.raises(ValueError):
         compare_designs(["B", "Z"])
+
+
+def test_compare_rejects_repeated_type():
+    # ids match after strip/upper, so "a " repeats "A" and "B" repeats "b"
+    with pytest.raises(ValueError, match="repeated type ids: A, B"):
+        compare_designs(["A", "a ", "b", "C", "B"])
 
 
 def test_design_orderings_ranks_descending():
