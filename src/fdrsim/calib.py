@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
@@ -147,6 +145,7 @@ def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitRe
     Normal equations first; when the unconstrained optimum has a negative
     coefficient, clamped coordinate descent takes over.  Deterministic.
     """
+    import numpy as np
     rows = _input_fit_rows(data)
     q = np.array([r.q_in for r in rows])
     y = np.array([r.p_in for r in rows])
@@ -197,6 +196,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     unchanged: see the module docstring for why this data cannot move
     them.
     """
+    import numpy as np
     rows = [r for r in data.rows if r.p_out is not None]
     if not rows:
         raise FitError("no rows with p_out; cannot fit the output closure")

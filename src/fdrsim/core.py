@@ -55,10 +55,10 @@ class FluidProperties:
     gamma: float = 1.4      # cp/cv of the gas
 
     def __post_init__(self) -> None:
-        if self.rho_in <= 0.0 or self.rho <= 0.0:
-            raise ValueError("densities must be positive")
-        if self.gamma <= 1.0:
-            raise ValueError("heat-capacity ratio must exceed 1")
+        if not (0.0 < self.rho_in < math.inf and 0.0 < self.rho < math.inf):
+            raise ValueError("densities must be positive and finite")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("heat-capacity ratio must exceed 1 and be finite")
 
 
 AIR = FluidProperties()
@@ -87,8 +87,8 @@ class Material:
     def __post_init__(self) -> None:
         if not 0.0 < self.shore_a < 100.0:
             raise ValueError("shore_a must lie in (0, 100)")
-        if self.youngs_modulus <= 0.0:
-            raise ValueError("youngs_modulus must be positive")
+        if not 0.0 < self.youngs_modulus < math.inf:
+            raise ValueError("youngs_modulus must be positive and finite")
 
     @classmethod
     def from_shore_a(cls, shore_a: float) -> "Material":
@@ -177,8 +177,8 @@ def validate_geometry(g: DeviceGeometry) -> list[str]:
     for name in ("a_in", "a_branch", "a_ne", "a_ex", "a_out"):
         if not 0.0 < getattr(g, name) < math.inf:
             violations.append(f"{name} must be positive and finite")
-    if g.n_nozzles < 1:
-        violations.append("n_nozzles must be at least 1")
+    if not 1 <= g.n_nozzles < math.inf:
+        violations.append("n_nozzles must be at least 1 and finite")
     if not 0.0 < g.channel_width_ref < math.inf:
         violations.append("channel_width_ref must be positive and finite")
     for name in ("w", "t", "h"):

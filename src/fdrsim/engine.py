@@ -14,7 +14,9 @@ Every stage of the chain is elementwise in the flow, so a sweep (and a
 closure fit) evaluates its whole grid in one numpy pass whose rows equal
 the scalar chain bit for bit.  A sweep reports the switching point,
 where the output pressure crosses zero (blowing to suction), refined by
-scalar bisection between the bracketing grid points.
+scalar bisection between the bracketing grid points.  numpy is imported
+inside the grid, optimizer and fit functions only, so the scalar chain
+(one operating point, a friction curve) runs without loading it.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -27,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, with_gate
@@ -181,6 +181,7 @@ def _chain(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
     :class:`_RowError` at the first such row, with the scalar path's
     message; any sonic row before it warns once.
     """
+    import numpy as np
     g = device.geometry
     fluid = device.fluid
     try:
@@ -244,10 +245,14 @@ def _chain(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
 def _grid(q_start: float, q_end: float, step: float) -> np.ndarray:
     """The inclusive grid ``q_start + i * step`` up to ``q_end``.
 
-    The step must divide the range (to 1e-9 relative), so the last point
-    is ``q_end`` up to rounding, and the grid may hold at most
-    ``MAX_GRID_POINTS`` points; both are checked before any allocation.
+    The grid must start at a nonnegative flow, the step must divide the
+    range (to 1e-9 relative), so the last point is ``q_end`` up to
+    rounding, and the grid may hold at most ``MAX_GRID_POINTS`` points;
+    all are checked before any allocation.
     """
+    import numpy as np
+    if not q_start >= 0.0:
+        raise ValueError("q_start must be nonnegative")
     if not step > 0.0:
         raise ValueError("step must be positive")
     if not q_start < q_end:
@@ -382,6 +387,7 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], *,
     Deterministic for identical inputs; evaluation failures count as
     +infinity.
     """
+    import numpy as np
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if n == 0:
@@ -480,6 +486,7 @@ def optimize_geometry(objective: Callable[[Device], float],
     ``start`` optionally seeds the search (defaults to the box center).
     A failing objective evaluation counts as +infinity, not an error.
     """
+    import numpy as np
     unknown = set(bounds) - set(_DESIGN_KEYS)
     if unknown:
         raise ValueError(f"unknown bound keys: {sorted(unknown)}")
@@ -545,6 +552,7 @@ def optimize_geometry(objective: Callable[[Device], float],
 
 
 def _target_curve(target: SweepResult) -> tuple[np.ndarray, np.ndarray, float]:
+    import numpy as np
     qs = np.array([st.q_in for st in target.states])
     ps = np.array([st.p_out for st in target.states])
     scale = float(np.std(ps))

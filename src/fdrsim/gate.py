@@ -23,6 +23,7 @@ further at the same pressure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import FlapGateGeometry, Material
@@ -67,12 +68,12 @@ class GateComplianceModel:
     a_fg_max: float           # saturation opening [m^2]
 
     def __post_init__(self) -> None:
-        if self.compliance_scale <= 0.0:
-            raise ValueError("compliance_scale must be positive")
-        if self.crack_pressure < 0.0:
-            raise ValueError("crack_pressure must be nonnegative")
-        if self.a_fg_max <= 0.0:
-            raise ValueError("a_fg_max must be positive")
+        if not 0.0 < self.compliance_scale < math.inf:
+            raise ValueError("compliance_scale must be positive and finite")
+        if not 0.0 <= self.crack_pressure < math.inf:
+            raise ValueError("crack_pressure must be nonnegative and finite")
+        if not 0.0 < self.a_fg_max < math.inf:
+            raise ValueError("a_fg_max must be positive and finite")
 
     @classmethod
     def for_gate(cls, geom: FlapGateGeometry, compliance_scale: float,
@@ -89,8 +90,8 @@ class GateState:
     open_fraction: float    # a_fg / a_fg_max, in [0, 1]
 
     def __post_init__(self) -> None:
-        if self.a_fg < 0.0:
-            raise ValueError("a_fg must be nonnegative")
+        if not 0.0 <= self.a_fg < math.inf:
+            raise ValueError("a_fg must be nonnegative and finite")
         if not 0.0 <= self.open_fraction <= 1.0:
             raise ValueError("open_fraction must lie in [0, 1]")
 

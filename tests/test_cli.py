@@ -361,6 +361,16 @@ def test_sweep_rejected_grid_exit_config(tmp_path, end, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--type", "B"], ["compare", "--types", "A,B"]])
+def test_grid_below_zero_exit_config(tmp_path, capsys, command):
+    out = tmp_path / "g.csv"
+    assert main([*command, "--qin-start-lpm", "-5", "--qin-end-lpm", "5",
+                 "--step-lpm", "1", "--out", str(out)]) == 2
+    assert "q_start must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_blow_only_reports_positive_zero_suck(tmp_path):
     coeffs = tmp_path / "shut.json"
     coeffs.write_text(json.dumps({"p_c": 1.0e6}), encoding="utf-8")

@@ -1,0 +1,75 @@
+"""The numpy-free commands start without importing numpy.
+
+numpy is imported inside the grid, optimizer and fit functions only, so
+importing the package or the CLI, ``simulate``, ``friction``, ``--help``
+and a configuration error all run in a fresh interpreter without it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loads_numpy(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; whether numpy got imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print('numpy-loaded', 'numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "numpy-loaded True"
+
+
+def _main(argv: list, code: int = 0) -> str:
+    """Code that runs ``cli.main(argv)`` and checks its exit code."""
+    return ("from fdrsim.cli import main\n"
+            "try:\n"
+            f"    code = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            f"assert code == {code}, code\n")
+
+
+def test_import_package_without_numpy():
+    assert not _loads_numpy("import fdrsim")
+
+
+def test_build_parser_without_numpy():
+    assert not _loads_numpy("import fdrsim.cli as c; c.build_parser()")
+
+
+def test_simulate_without_numpy():
+    assert not _loads_numpy(_main(["simulate", "--type", "B",
+                                   "--qin-lpm", "30"]))
+
+
+def test_friction_without_numpy(tmp_path):
+    assert not _loads_numpy(_main(["friction", "--weight-n", "2",
+                                   "--out", str(tmp_path / "f.csv")]))
+    assert (tmp_path / "f.csv").exists()
+
+
+def test_help_without_numpy():
+    assert not _loads_numpy(_main(["--help"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--type", "Z", "--qin-lpm", "10"],
+    ["simulate", "--config", "no-such-config.json", "--qin-lpm", "10"],
+], ids=["unknown-type", "missing-config"])
+def test_config_error_without_numpy(argv):
+    assert not _loads_numpy(_main(argv, code=2))
+
+
+def test_sweep_loads_numpy(tmp_path):
+    # the positive control: a grid command does import it
+    assert _loads_numpy(_main(["sweep", "--type", "B", "--step-lpm", "10",
+                               "--out", str(tmp_path / "s.csv")]))

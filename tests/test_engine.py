@@ -167,6 +167,10 @@ def test_sweep_bad_grids_rejected():
         sweep(_B, step=-0.1 * M3S_PER_LPM)
     with pytest.raises(ValueError):
         sweep(_B, q_start=10.0 * M3S_PER_LPM, q_end=10.0 * M3S_PER_LPM)
+    # a grid starting below zero is a bad grid, not a failed row
+    with pytest.raises(ValueError, match="q_start must be nonnegative"):
+        sweep(_B, q_start=-5.0 * M3S_PER_LPM, q_end=5.0 * M3S_PER_LPM,
+              step=1.0 * M3S_PER_LPM)
     # a step that does not divide the range would overshoot q_end
     with pytest.raises(ValueError, match="divide"):
         sweep(_B, q_end=1.0 * M3S_PER_LPM, step=0.35 * M3S_PER_LPM)
