@@ -8,10 +8,9 @@ passes through the origin because gauge pressure vanishes at no flow.
 
 The output-port closure coefficients (entrainment efficiency, gate gain,
 cracking pressure) are fit by the derivative-free kernel from the engine
-module against measured output pressures.  Two declared coefficients are
-returned untouched: the assembly leak never enters the output pressure,
-and the recirculation weight acts through the one fixed gate width of
-the measured device, so single-device data cannot separate it from the
+module against measured output pressures.  The recirculation weight is
+returned untouched: it acts through the one fixed gate width of the
+measured device, so single-device data cannot separate it from the
 entrainment efficiency.
 
 Measurement files are CSV with header ``q_in_lpm,p_in_kpa,p_out_kpa,
@@ -192,9 +191,8 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     Minimizes the squared p_out residual over the measured flows with the
     engine's derivative-free kernel, searching multiplicative factors on
     the starting values (seed simplex fixed by ``start``, so the fit is
-    deterministic).  ``c_recirc`` and ``leak_fraction`` are reported
-    unchanged: see the module docstring for why this data cannot move
-    them.
+    deterministic).  ``c_recirc`` is reported unchanged: see the module
+    docstring for why this data cannot move it.
     """
     import numpy as np
     rows = [r for r in data.rows if r.p_out is not None]
@@ -237,8 +235,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,
-                      "k0": fitted.k0, "p_c": fitted.p_c,
-                      "leak_fraction": fitted.leak_fraction},
+                      "k0": fitted.k0, "p_c": fitted.p_c},
         rms_residual={"p_out": rms},
         residuals={"p_out": residuals},
         warnings=warnings)

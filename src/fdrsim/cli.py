@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from operator import attrgetter, itemgetter
@@ -46,7 +47,9 @@ def _fmt(x: float) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: a non-finite number raises ValueError (exit 2)
+    # instead of writing invalid JSON
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -357,6 +360,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         raise ValueError("give at least one of " + ", ".join(flags))
     result = engine.optimize_geometry(objective, bounds, device,
                                       max_evals=args.max_evals)
+    if not math.isfinite(result.value):
+        raise ValueError("no candidate in the bounds has a finite "
+                         "objective value")
     [payload] = _json_records(_OPTIMIZE_COLUMNS, [result])
     _write_text(args.out, _json_text(payload))
     return 0

@@ -55,9 +55,9 @@ class ModelCoefficients:
     ``c1``/``c2`` define the supply law ``p_in = c1 q + c2 q^2`` fitted to
     bench data.  ``eta`` is the entrainment efficiency, ``c_recirc`` the
     wide-gate recirculation weight, ``k0``/``p_c`` the gate opening gain
-    and cracking pressure, ``cd_out`` the discharge coefficient of the
-    output restriction, and ``leak_fraction`` the assembly leak floor as
-    a fraction of the exhaust window.
+    and cracking pressure, and ``cd_out`` the discharge coefficient of
+    the output restriction.  A gate shut below ``p_c`` blocks the air, so
+    the supply blows out of the port; no leak path is modelled.
     """
 
     c1: float = 79528125.0              # [Pa s/m^3]
@@ -67,7 +67,6 @@ class ModelCoefficients:
     k0: float = 1.7e-10                 # [m^2/Pa], nominal gate gain
     p_c: float = 4500.0                 # [Pa]
     cd_out: float = 0.8
-    leak_fraction: float = 0.02
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -85,8 +84,6 @@ class ModelCoefficients:
             raise ValueError("p_c must be nonnegative")
         if not 0.0 < self.cd_out <= 1.0:
             raise ValueError("cd_out must lie in (0, 1]")
-        if not 0.0 <= self.leak_fraction < 1.0:
-            raise ValueError("leak_fraction must lie in [0, 1)")
 
 
 DEFAULT_COEFFS = ModelCoefficients()

@@ -62,8 +62,10 @@ class FrictionPrediction:
     n_eff: float   # effective normal force [N]
 
     def __post_init__(self) -> None:
-        if self.mu_s < 0.0 or self.mu_k < 0.0 or self.n_eff < 0.0:
-            raise ValueError("prediction fields must be nonnegative")
+        if not all(0.0 <= x < math.inf
+                   for x in (self.mu_s, self.mu_k, self.n_eff)):
+            raise ValueError("prediction fields must be nonnegative and "
+                             "finite")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,8 @@ def predict_coefficients(mu0_s: float, mu0_k: float, weight_load: float,
     """Scale no-flow base coefficients by the normal-force change.
 
     Both coefficients share the factor n_eff / W, so their ratio never
-    moves; the relative change is (-p_out) a_eff / W above liftoff.
+    moves; the relative change is (-p_out) a_eff / W above liftoff.  A
+    prediction that overflows to a non-finite value raises ``ValueError``.
     """
     if not (0.0 < mu0_s < math.inf and 0.0 < mu0_k < math.inf):
         raise ValueError("base coefficients must be positive and finite")

@@ -178,7 +178,6 @@ def test_fit_closures_zero_residual_on_model_data():
     assert fitted.eta == pytest.approx(DEFAULT_COEFFS.eta, rel=1e-6)
     assert fitted.k0 == pytest.approx(DEFAULT_COEFFS.k0, rel=1e-6)
     assert fitted.c_recirc == DEFAULT_COEFFS.c_recirc
-    assert fitted.leak_fraction == DEFAULT_COEFFS.leak_fraction
     assert report.warnings == ()
 
 
@@ -197,5 +196,4 @@ def test_fit_closures_warns_on_single_signed_data():
 def test_fit_closures_coefficient_keys():
     data = _device_rows(_B, (5, 15, 25))
     _, report = fit_closures(data, _B, max_evals=40)
-    assert set(report.coefficients) == {
-        "eta", "c_recirc", "k0", "p_c", "leak_fraction"}
+    assert set(report.coefficients) == {"eta", "c_recirc", "k0", "p_c"}

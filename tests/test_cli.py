@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as hs
 from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
                     catalog_device, sweep)
 from fdrsim._units import AREA, FLOW, LENGTH
-from fdrsim.cli import _load_device_config, main
+from fdrsim.cli import _json_text, _load_device_config, main
 
 _SWEEP_HEADER = ("q_in_lpm,p_in_kpa,p_chamber_kpa,a_fg_mm2,a_fg_over_a_ex,"
                  "p_out_kpa,mode")
@@ -180,8 +180,7 @@ def test_calibrate_closures_from_file(tmp_path):
     assert main(["calibrate", "--data", str(data), "--fit", "closures",
                  "--max-evals", "60", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert set(payload["coefficients"]) == {
-        "eta", "c_recirc", "k0", "p_c", "leak_fraction"}
+    assert set(payload["coefficients"]) == {"eta", "c_recirc", "k0", "p_c"}
 
 
 def test_friction_table(tmp_path):
@@ -216,6 +215,50 @@ def test_friction_non_finite_flag_exit_config(tmp_path, capsys, flag, value):
     assert main(["friction", "--type", "B", "--weight-n", "1", flag, value,
                  "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                   float("nan")])
+def test_json_writer_rejects_non_finite(value):
+    # JSON has no Infinity or NaN: raise (exit 2) instead of writing them
+    with pytest.raises(ValueError):
+        _json_text({"states": [{"p_out_kpa": value}]})
+
+
+@pytest.mark.parametrize("flags", [
+    ["--weight-n", "1e308", "--a-eff-cm2", "1e308", "--format", "json"],
+    ["--weight-n", "1e-320"],
+])
+def test_friction_overflowing_prediction_exit_config(tmp_path, capsys,
+                                                     flags):
+    out = tmp_path / "mu.out"
+    assert main(["friction", "--type", "B", *flags, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a box whose narrowest or lowest gate is no thicker than its wall
+@pytest.mark.parametrize("bounds,violation", [
+    (["--bounds-w-mm", "0.1:0.4"], "gate.t must be smaller than gate.w"),
+    (["--bounds-t-mm", "5:6"], "gate.t must be smaller than gate.h"),
+])
+def test_optimize_invalid_geometry_bounds_exit_config(tmp_path, capsys,
+                                                      bounds, violation):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--objective", "suction", *bounds,
+                 "--max-evals", "10", "--out", str(out)]) == 2
+    assert violation in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_non_finite_objective_exit_config(tmp_path, capsys):
+    # every candidate overflows at this flow: no finite value to report
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--objective", "suction", "--at-qin-lpm",
+                 "1e200", "--bounds-h-mm", "1.8:2", "--max-evals", "10",
+                 "--out", str(out)]) == 2
+    assert "finite objective value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -303,23 +346,13 @@ def test_device_config_rejects_non_finite(tmp_path, capsys, key, value):
 
 def test_coeffs_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    # cd_gate is not a coefficient: the gate path has no discharge law
-    for raw in ({"ETA": 0.1}, {"cd_gate": 0.8}):
+    # cd_gate is not a coefficient: the gate path has no discharge law;
+    # leak_fraction is gone too: a shut gate blows, it needs no leak
+    for raw in ({"ETA": 0.1}, {"cd_gate": 0.8}, {"leak_fraction": 0.02}):
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["simulate", "--type", "B", "--qin-lpm", "10",
                      "--coeffs", str(cfg)]) == 2
         assert "unknown fields" in capsys.readouterr().err
-
-
-def test_sweep_solver_failure_exit_three(tmp_path):
-    # sealed assembly (no leak) with a gate that never cracks: the gate
-    # path has no open area, so no row has a steady state
-    coeffs = tmp_path / "sealed.json"
-    coeffs.write_text(json.dumps({"leak_fraction": 0.0, "p_c": 1.0e9}),
-                      encoding="utf-8")
-    out = tmp_path / "s.csv"
-    assert main(["sweep", "--type", "B", "--step-lpm", "10",
-                 "--coeffs", str(coeffs), "--out", str(out)]) == 3
 
 
 @pytest.mark.parametrize("flow", ["nan", "inf"])
@@ -328,14 +361,6 @@ def test_simulate_non_finite_flow_exit_config(flow, capsys):
     captured = capsys.readouterr()
     assert "q_in must be finite" in captured.err
     assert captured.out == ""
-
-
-def test_simulate_sealed_gate_exit_config(tmp_path, capsys):
-    coeffs = tmp_path / "sealed.json"
-    coeffs.write_text(json.dumps({"leak_fraction": 0.0}), encoding="utf-8")
-    assert main(["simulate", "--type", "B", "--qin-lpm", "0",
-                 "--coeffs", str(coeffs)]) == 2
-    assert "element area must be positive" in capsys.readouterr().err
 
 
 def test_simulate_overflowing_flow_exit_config(capsys):

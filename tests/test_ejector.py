@@ -32,13 +32,11 @@ def test_default_coefficients_pinned():
     assert c.k0 == 1.7e-10
     assert c.p_c == 4500.0
     assert c.cd_out == 0.8
-    assert c.leak_fraction == 0.02
 
 
 @pytest.mark.parametrize("field,bad", [
     ("c1", -1.0), ("c2", -1.0), ("eta", 0.0), ("c_recirc", -0.1),
     ("k0", 0.0), ("p_c", -1.0), ("cd_out", 0.0), ("cd_out", 1.5),
-    ("leak_fraction", -0.01), ("leak_fraction", 1.0),
     ("eta", float("nan")), ("c1", float("inf")), ("p_c", float("nan")),
     ("c_recirc", float("inf")),
 ])

@@ -38,7 +38,8 @@ _B = catalog_device("B")
 def test_rest_state_is_all_zero():
     st = solve_operating_point(0.0, _B)
     assert st == OperatingState(q_in=0.0, p_in=0.0, p_chamber=0.0,
-                                a_fg=0.0, p_out=0.0, mode=MODE_NEUTRAL)
+                                a_fg=0.0, p_out=0.0)
+    assert st.mode == MODE_NEUTRAL
 
 
 def test_type_b_blows_low_and_sucks_high():
@@ -63,11 +64,20 @@ def test_non_finite_flow_rejected(q_in):
         solve_operating_point(q_in, _B)
 
 
-def test_sealed_gate_without_leak_rejected():
-    # gate shut at rest and no assembly leak: the gate path has no area
-    sealed = dataclasses.replace(DEFAULT_COEFFS, leak_fraction=0.0)
-    with pytest.raises(ValueError, match="element area must be positive"):
-        solve_operating_point(0.0, _B, sealed)
+def test_shut_gate_blows_at_every_flow():
+    # a gate that never cracks blocks the air: every flow but zero blows
+    # through the output restriction, in the grid and the scalar path
+    shut = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e9)
+    res = sweep(_B, shut, step=1.0 * M3S_PER_LPM)
+    half_rho = 0.5 * _B.fluid.rho
+    for st in res.states:
+        assert st == solve_operating_point(st.q_in, _B, shut)
+        assert st.a_fg == 0.0
+        assert st.p_out == pytest.approx(
+            half_rho * (st.q_in / (shut.cd_out * _B.geometry.a_out)) ** 2,
+            rel=1e-12)
+        assert st.mode == (MODE_NEUTRAL if st.q_in == 0.0 else MODE_BLOWING)
+    assert res.states[0].p_out == 0.0
 
 
 def test_gate_opening_evaluated_once_per_point(monkeypatch):
@@ -204,7 +214,7 @@ def test_sweep_locates_stub_closure_root(monkeypatch):
     def stub_point(q_in, device, coeffs=DEFAULT_COEFFS):
         p_out = closure(q_in)
         return OperatingState(q_in=q_in, p_in=0.0, p_chamber=0.0, a_fg=0.0,
-                              p_out=p_out, mode=engine._mode_for(p_out))
+                              p_out=p_out)
 
     monkeypatch.setattr(engine, "_chain", stub_chain)
     monkeypatch.setattr(engine, "solve_operating_point", stub_point)
@@ -240,12 +250,6 @@ def test_sweep_result_validation():
     with pytest.raises(ValueError):
         SweepResult(states=(st0, st1), switching_q=1.0e-4,
                     switching_p_in=None, max_blow=0.0, max_suck=0.0)
-
-
-def test_operating_state_mode_consistency():
-    with pytest.raises(ValueError):
-        OperatingState(q_in=0.0, p_in=0.0, p_chamber=0.0, a_fg=0.0,
-                       p_out=500.0, mode=MODE_SUCTION)
 
 
 def test_compare_singleton_equals_sweep():

@@ -4,8 +4,9 @@ Each case runs one small CLI invocation and compares what it writes (the
 ``--out`` file, or stdout for ``simulate``) with the file of the same
 name under ``tests/golden/``.  The recorded files pin the exact bytes of
 every output format: CSV and JSON, ``--si`` columns, the ``none``/``null``
-summary of a device that never switches, friction, optimize and both
-calibrate fits.  Input files for the cases live in the same directory.
+summary of a device that never switches, friction, optimize, both
+calibrate fits, and ``simulate`` reading the closures fit report as its
+coefficients file.  Input files for the cases live in the same directory.
 """
 
 from pathlib import Path
@@ -69,6 +70,10 @@ STDOUT_CASES = {
     "simulate_B_30.txt": ["simulate", "--type", "B", "--qin-lpm", "30"],
     "simulate_config_12.txt": ["simulate", "--config", _DEVICE,
                                "--qin-lpm", "12.5"],
+    # the report written by the calibrate_closures.json case loads as-is
+    "simulate_B_30_fitted.txt": ["simulate", "--type", "B", "--qin-lpm",
+                                 "30", "--coeffs",
+                                 str(GOLDEN / "calibrate_closures.json")],
 }
 
 

@@ -63,8 +63,7 @@ _TYPES = {
     ModelCoefficients: {"c1": _NONNEGATIVE, "c2": _NONNEGATIVE,
                         "eta": _POSITIVE, "c_recirc": _NONNEGATIVE,
                         "k0": _POSITIVE, "p_c": _NONNEGATIVE,
-                        "cd_out": _Domain(0.0, 1.0, lo_open=True),
-                        "leak_fraction": _Domain(0.0, 1.0, hi_open=True)},
+                        "cd_out": _Domain(0.0, 1.0, lo_open=True)},
     MeasurementRow: {"q_in": _NONNEGATIVE,
                      "p_in": _Domain(None, optional=True),
                      "p_out": _Domain(None, optional=True),
