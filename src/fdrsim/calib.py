@@ -205,32 +205,37 @@ def fit_closures(data: MeasurementSet, device: Device, *,
                     "the switching point is unconstrained",)
 
     qs = np.array([r.q_in for r in rows])
-    ps = np.array([r.p_out for r in rows])
+    ps = [r.p_out for r in rows]
     scale = float(np.std(ps))
     if scale <= 0.0:
         scale = max(float(np.max(np.abs(ps))), 1.0)
 
-    ref = np.array([start.eta, start.k0, max(start.p_c, 1.0e3)])
-    lo = np.array([1.0e-6, 1.0e-16, 0.0])
-    hi = np.array([1.0, np.inf, np.inf])
+    ref = (start.eta, start.k0, max(start.p_c, 1.0e3))
+    lo = (1.0e-6, 1.0e-16, 0.0)
+    hi = (1.0, math.inf, math.inf)
 
-    def objective(u: np.ndarray) -> float:
-        params = u * ref
-        clipped = np.minimum(np.maximum(params, lo), hi)
-        violation = float(np.sum(((params - clipped) / ref) ** 2))
+    def clamp(u: list[float]) -> tuple[list[float], list[float]]:
+        """The trial coefficients ``u * ref`` and their clamp to the box."""
+        params = [ui * r for ui, r in zip(u, ref)]
+        return params, [min(max(p, a), b) for p, a, b in zip(params, lo, hi)]
+
+    def objective(u: list[float]) -> float:
+        params, clipped = clamp(u)
+        violation = 0.0
+        for p, c, r in zip(params, clipped, ref):
+            d = (p - c) / r
+            violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        trial = replace(start, eta=float(clipped[0]), k0=float(clipped[1]),
-                        p_c=float(clipped[2]))
+        trial = replace(start, eta=clipped[0], k0=clipped[1], p_c=clipped[2])
         return _misfit(qs, ps, scale, device, trial) + penalty
 
-    best_u, _, _ = nelder_mead(objective, np.ones(3), max_evals=max_evals,
-                               diam_tol=diam_tol)
-    params = np.minimum(np.maximum(best_u * ref, lo), hi)
-    fitted = replace(start, eta=float(params[0]), k0=float(params[1]),
-                     p_c=float(params[2]))
+    best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
+                               max_evals=max_evals, diam_tol=diam_tol)
+    eta, k0, p_c = clamp(best_u)[1]
+    fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
 
     residuals = tuple(
-        float(p_ref - p)
+        p_ref - p
         for p, p_ref in zip(_chain(qs, device, fitted)[3].tolist(), ps))
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(

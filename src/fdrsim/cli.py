@@ -32,7 +32,7 @@ from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .gate import opening_ratio
+from .gate import gate_stiffness, opening_ratio
 
 __all__ = ["main"]
 
@@ -217,6 +217,11 @@ def _load_device_config(path: str) -> Device:
                     _config_value(raw["shore_a"], float, "shore_a"))
                 if "shore_a" in raw else device.material)
     violations = validate_geometry(g)
+    if not violations:
+        try:
+            gate_stiffness(g.gate, material)
+        except ValueError as exc:
+            violations = [str(exc)]
     if violations:
         raise ValueError(f"config {path} invalid: " + "; ".join(violations))
     return replace(device, geometry=g, material=material,

@@ -15,13 +15,16 @@ closure fit) evaluates its whole grid in one numpy pass whose rows equal
 the scalar chain bit for bit.  A sweep reports the switching point,
 where the output pressure crosses zero (blowing to suction), refined by
 scalar bisection between the bracketing grid points.  numpy is imported
-inside the grid, optimizer and fit functions only, so the scalar chain
-(one operating point, a friction curve) runs without loading it.
+inside the grid and fit functions only (sweeps, the switching objective,
+curve and closure fits), so the scalar chain (one operating point, a
+friction curve) and the optimizer on a one-point objective run without
+loading it.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
 (w, t, h, a_ne), with out-of-box candidates evaluated at their clipped
-projection plus a dominating penalty.
+projection plus a dominating penalty.  The kernel and the box mapping
+work on plain Python floats; the kernel needs no numpy.
 """
 
 from __future__ import annotations
@@ -274,6 +277,34 @@ def _refine_switching(device: Device, coeffs: ModelCoefficients,
     return 0.5 * (lo + hi)
 
 
+def _sweep_columns(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_chain` on a sweep grid; the first row without a steady
+    state raises :class:`SweepError`."""
+    try:
+        return _chain(qs, device, coeffs)
+    except _RowError as exc:
+        q = float(qs[exc.index])
+        raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
+                         q_in=q) from exc
+
+
+def _switching_q(qs: Sequence[float], p_outs: Sequence[float],
+                 device: Device, coeffs: ModelCoefficients) -> float | None:
+    """The flow where ``p_out`` first changes sign along the grid (exact
+    zeros skipped), refined by bisection; ``None`` if it never does."""
+    last_sign = last_q = last_p = 0.0
+    for q, p_out in zip(qs, p_outs):
+        sign = 0.0 if p_out == 0.0 else math.copysign(1.0, p_out)
+        if sign != 0.0 and last_sign != 0.0 and sign != last_sign:
+            return _refine_switching(device, coeffs, last_q, q, last_p)
+        if sign != 0.0:
+            last_sign = sign
+            last_q = q
+            last_p = p_out
+    return None
+
+
 def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
           q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
           step: float = DEFAULT_Q_STEP) -> SweepResult:
@@ -284,35 +315,16 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
     an independent steady state, equal to ``solve_operating_point`` at
     its flow; the first point without one raises :class:`SweepError`.
     """
-    qs = _grid(q_start, q_end, step)
-    try:
-        columns = _chain(qs, device, coeffs)
-    except _RowError as exc:
-        q = float(qs[exc.index])
-        raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
-                         q_in=q) from exc
-    p_in, p_chamber, a_fg, p_outs = (c.tolist() for c in columns)
+    grid = _grid(q_start, q_end, step)
+    p_in, p_chamber, a_fg, p_outs = (
+        c.tolist() for c in _sweep_columns(grid, device, coeffs))
+    qs = grid.tolist()
     states = tuple(
         OperatingState(q_in=q, p_in=pi, p_chamber=pc, a_fg=a, p_out=po)
-        for q, pi, pc, a, po in zip(qs.tolist(), p_in, p_chamber, a_fg,
-                                    p_outs))
-
-    switching_q: float | None = None
-    switching_p_in: float | None = None
-    last_sign = 0.0
-    last_q = states[0].q_in
-    last_p = states[0].p_out
-    for st in states:
-        sign = 0.0 if st.p_out == 0.0 else math.copysign(1.0, st.p_out)
-        if sign != 0.0 and last_sign != 0.0 and sign != last_sign:
-            switching_q = _refine_switching(device, coeffs, last_q, st.q_in,
-                                            last_p)
-            switching_p_in = input_pressure(switching_q, coeffs)
-            break
-        if sign != 0.0:
-            last_sign = sign
-            last_q = st.q_in
-            last_p = st.p_out
+        for q, pi, pc, a, po in zip(qs, p_in, p_chamber, a_fg, p_outs))
+    switching_q = _switching_q(qs, p_outs, device, coeffs)
+    switching_p_in = (None if switching_q is None
+                      else input_pressure(switching_q, coeffs))
     # 0.0 - x, not -x: a grid whose least p_out is 0 sucks +0, not -0
     return SweepResult(states=states, switching_q=switching_q,
                        switching_p_in=switching_p_in,
@@ -360,30 +372,37 @@ def design_orderings(table: Mapping[str, SweepResult]) -> dict[str, tuple[str, .
 
 # --- derivative-free kernel -------------------------------------------------
 
-def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], *,
+def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
                 step: float = 0.1, max_evals: int = 400,
-                diam_tol: float = 1.0e-6) -> tuple[np.ndarray, float, int]:
+                diam_tol: float = 1.0e-6) -> tuple[list[float], float, int]:
     """Minimize ``f`` from ``x0`` with a fixed-coefficient Nelder-Mead.
 
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
     simplex offsets each coordinate by ``step`` (flipped downward when
     that would leave the unit box).  Stops when the simplex diameter
     falls below ``diam_tol`` or the evaluation budget is spent; the
-    budget is strict and never overrun.  Returns (best x, best f, evals).
-    Deterministic for identical inputs; evaluation failures count as
-    +infinity.
+    budget is strict and never overrun.  ``f`` receives a list of floats;
+    returns (best x as a list of floats, best f, evals).  Deterministic
+    for identical inputs; evaluation failures count as +infinity.
+
+    Plain Python floats throughout, no numpy: the simplex is ordered by a
+    stable sort, and the centroid is the sequential sum of the points
+    divided by their count, so each step rounds exactly as the kernel on
+    numpy arrays (``argsort(kind="stable")``, axis-0 ``mean``) does;
+    ``tests/test_nelder_mead_parity.py`` compares the two.
     """
-    import numpy as np
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
+    x0 = [float(v) for v in x0]
+    n = len(x0)
     if n == 0:
         raise ValueError("x0 must have at least one coordinate")
+    if not all(map(math.isfinite, x0)):
+        raise ValueError("x0 must be finite")
     if max_evals < n + 1:
         raise ValueError("max_evals too small for the initial simplex")
 
     evals = 0
 
-    def guarded(x: np.ndarray) -> float:
+    def guarded(x: list[float]) -> float:
         nonlocal evals
         evals += 1
         try:
@@ -392,26 +411,33 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], *,
             return math.inf
         return y if not math.isnan(y) else math.inf
 
-    pts = [x0.copy()]
+    pts = [x0]
     for i in range(n):
-        v = x0.copy()
+        v = list(x0)
         v[i] = v[i] + step if v[i] + step <= 1.0 else v[i] - step
         pts.append(v)
-    pts = np.array(pts)
-    vals = np.array([guarded(p) for p in pts])
+    vals = [guarded(p) for p in pts]
 
     while evals < max_evals:
-        order = np.argsort(vals, kind="stable")
-        pts, vals = pts[order], vals[order]
-        diam = max(float(np.max(np.abs(pts[i] - pts[0])))
-                   for i in range(1, n + 1))
+        order = sorted(range(n + 1), key=vals.__getitem__)
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        best = pts[0]
+        diam = max(max(abs(a - b) for a, b in zip(p, best))
+                   for p in pts[1:])
         if diam < diam_tol:
             break
-        centroid = pts[:-1].mean(axis=0)
-        reflected = centroid + (centroid - pts[-1])
+        centroid = []
+        for j in range(n):
+            total = pts[0][j]
+            for p in pts[1:n]:
+                total += p[j]
+            centroid.append(total / n)
+        worst = pts[-1]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_r = guarded(reflected)
         if f_r < vals[0] and evals < max_evals:
-            expanded = centroid + 2.0 * (centroid - pts[-1])
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_e = guarded(expanded)
             if f_e < f_r:
                 pts[-1], vals[-1] = expanded, f_e
@@ -422,7 +448,7 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], *,
         else:
             if evals >= max_evals:
                 break
-            contracted = centroid + 0.5 * (pts[-1] - centroid)
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             f_c = guarded(contracted)
             if f_c < vals[-1]:
                 pts[-1], vals[-1] = contracted, f_c
@@ -430,11 +456,11 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], *,
                 for i in range(1, n + 1):
                     if evals >= max_evals:
                         break
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                    pts[i] = [b + 0.5 * (a - b) for a, b in zip(pts[i], best)]
                     vals[i] = guarded(pts[i])
 
-    order = np.argsort(vals, kind="stable")
-    return pts[order][0].copy(), float(vals[order][0]), evals
+    i = min(range(n + 1), key=vals.__getitem__)   # first of the stable order
+    return list(pts[i]), vals[i], evals
 
 
 # --- geometry optimization ---------------------------------------------------
@@ -474,7 +500,6 @@ def optimize_geometry(objective: Callable[[Device], float],
     ``validate_geometry`` raises ``ValueError`` before any evaluation.
     A failing objective evaluation counts as +infinity, not an error.
     """
-    import numpy as np
     unknown = set(bounds) - set(_DESIGN_KEYS)
     if unknown:
         raise ValueError(f"unknown bound keys: {sorted(unknown)}")
@@ -502,19 +527,24 @@ def optimize_geometry(objective: Callable[[Device], float],
         raise ValueError("bounds admit an invalid geometry: "
                          + "; ".join(violations))
 
-    def params_at(x: np.ndarray) -> dict[str, float]:
-        clipped = np.clip(x, 0.0, 1.0)
+    def params_at(x: list[float]) -> dict[str, float]:
         p = dict(lows)
-        for i, k in enumerate(free):
-            p[k] = lows[k] + clipped[i] * widths[k]
+        for xi, k in zip(x, free):
+            p[k] = lows[k] + min(max(xi, 0.0), 1.0) * widths[k]
         return p
 
-    def value_at(x: np.ndarray) -> float:
-        over = np.maximum(0.0, x - 1.0)
-        under = np.maximum(0.0, -x)
-        penalty = 0.0
-        if over.any() or under.any():
-            penalty = 1.0e9 * (1.0 + float(np.sum(over ** 2 + under ** 2)))
+    def value_at(x: list[float]) -> float:
+        # squared distance outside the box, summed in coordinate order;
+        # ``outside`` is kept apart because a tiny excess squares to 0
+        excess = 0.0
+        outside = False
+        for xi in x:
+            over = max(0.0, xi - 1.0)
+            under = max(0.0, -xi)
+            if over or under:
+                outside = True
+            excess += over * over + under * under
+        penalty = 1.0e9 * (1.0 + excess) if outside else 0.0
         return objective(_candidate(device, params_at(x))) + penalty
 
     if not free:
@@ -529,11 +559,10 @@ def optimize_geometry(objective: Callable[[Device], float],
                                   evaluations=1, converged=True)
 
     if start is None:
-        x0 = np.full(len(free), 0.5)
+        x0 = [0.5] * len(free)
     else:
-        x0 = np.array([
-            (float(start[k]) - lows[k]) / widths[k] for k in free])
-        if np.any(x0 < 0.0) or np.any(x0 > 1.0):
+        x0 = [(float(start[k]) - lows[k]) / widths[k] for k in free]
+        if not all(0.0 <= xi <= 1.0 for xi in x0):
             raise ValueError("start must lie inside the bounds")
 
     best_x, best_f, evals = nelder_mead(value_at, x0, max_evals=max_evals,
@@ -545,18 +574,18 @@ def optimize_geometry(objective: Callable[[Device], float],
                               converged=evals < max_evals)
 
 
-def _target_curve(target: SweepResult) -> tuple[np.ndarray, np.ndarray, float]:
+def _target_curve(target: SweepResult) -> tuple[np.ndarray, list[float], float]:
     import numpy as np
     qs = np.array([st.q_in for st in target.states])
-    ps = np.array([st.p_out for st in target.states])
+    ps = [st.p_out for st in target.states]
     scale = float(np.std(ps))
     return qs, ps, scale if scale > 0.0 else 1.0
 
 
-def _misfit(qs: np.ndarray, ps: np.ndarray, scale: float, device: Device,
+def _misfit(qs: np.ndarray, ps: Sequence[float], scale: float, device: Device,
             coeffs: ModelCoefficients) -> float:
     """Sum over the grid ``qs`` of ``((p_out - p_ref) / scale) ** 2``, with
-    ``p_out`` from the chain and ``p_ref`` from ``ps``."""
+    ``p_out`` from the chain and ``p_ref`` from the floats ``ps``."""
     total = 0.0
     for p, p_ref in zip(_chain(qs, device, coeffs)[3].tolist(), ps):
         total += ((p - p_ref) / scale) ** 2
@@ -585,17 +614,27 @@ def switching_objective(coeffs: ModelCoefficients, *,
     """Objective on the switching supply pressure: its squared mismatch to
     ``target_p_in`` [Pa], or the pressure itself (to be minimized) when no
     target is given.  Candidates that never switch score a large flat
-    value."""
+    value.
+
+    The value is the one ``sweep`` over the same grid reports, found
+    without building its states.  The grid is checked and built once,
+    here, so a rejected grid raises ``ValueError`` before any candidate
+    is scored.
+    """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
+    grid = _grid(q_start, q_end, step)
+    qs = grid.tolist()
 
     def objective(candidate: Device) -> float:
-        result = sweep(candidate, coeffs, q_start, q_end, step)
-        if result.switching_p_in is None:
+        p_outs = _sweep_columns(grid, candidate, coeffs)[3].tolist()
+        switching_q = _switching_q(qs, p_outs, candidate, coeffs)
+        if switching_q is None:
             return _NO_SWITCHING_VALUE
+        switching_p_in = input_pressure(switching_q, coeffs)
         if target_p_in is None:
-            return result.switching_p_in
-        return ((result.switching_p_in - target_p_in)
+            return switching_p_in
+        return ((switching_p_in - target_p_in)
                 / max(abs(target_p_in), 1.0)) ** 2
 
     return objective

@@ -42,13 +42,22 @@ def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
     """Flexural-rigidity proxy D = E t^3 h / w [N m].
 
     Strictly increasing in modulus, thickness, and height; strictly
-    decreasing in width.
+    decreasing in width.  Raises ``ValueError`` when D is not positive
+    and finite, as when ``t ** 3`` underflows to zero for a gate far
+    thinner than any build.
     """
     if geom.w <= 0.0 or geom.t <= 0.0 or geom.h <= 0.0:
         raise ValueError("gate dimensions must be positive")
     if mat.youngs_modulus <= 0.0:
         raise ValueError("youngs_modulus must be positive")
-    return mat.youngs_modulus * geom.t ** 3 * geom.h / geom.w
+    try:
+        stiffness = mat.youngs_modulus * geom.t ** 3 * geom.h / geom.w
+    except OverflowError:   # a float ``**`` out of range
+        stiffness = math.inf
+    if not 0.0 < stiffness < math.inf:
+        raise ValueError("gate stiffness E t^3 h / w must be positive "
+                         "and finite")
+    return stiffness
 
 
 def _reference_stiffness() -> float:

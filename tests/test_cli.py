@@ -325,6 +325,27 @@ def test_device_config_rejects_invalid_geometry(tmp_path, capsys):
     assert "gate.t" in capsys.readouterr().err
 
 
+def test_simulate_thin_gate_config_exit_config(tmp_path, capsys):
+    # t ** 3 underflows: a gate with no stiffness is rejected at load
+    cfg = tmp_path / "thin.json"
+    cfg.write_text(json.dumps({"type": "B", "t_mm": 1e-105}),
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--qin-lpm", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "gate stiffness" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_thin_gate_config_exit_config(tmp_path, capsys):
+    cfg = tmp_path / "thin.json"
+    cfg.write_text(json.dumps({"type": "B", "t_mm": 1e-105}),
+                   encoding="utf-8")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "gate stiffness" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("w_mm", "nan"), ("a_ne_mm2", "inf"),
     # JSON values of the wrong type

@@ -1,8 +1,10 @@
 """The numpy-free commands start without importing numpy.
 
-numpy is imported inside the grid, optimizer and fit functions only, so
-importing the package or the CLI, ``simulate``, ``friction``, ``--help``
-and a configuration error all run in a fresh interpreter without it.
+numpy is imported inside the grid and fit functions only, so importing
+the package or the CLI, ``simulate``, ``friction``, ``--help``, a
+configuration error and the one-point optimizer objectives (``optimize
+--objective suction|blowing``) all run in a fresh interpreter without
+it.
 """
 
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
+_MEASUREMENTS = Path(__file__).resolve().parent / "golden" / "measurements.csv"
 
 
 def _loads_numpy(code: str) -> bool:
@@ -73,3 +76,25 @@ def test_sweep_loads_numpy(tmp_path):
     # the positive control: a grid command does import it
     assert _loads_numpy(_main(["sweep", "--type", "B", "--step-lpm", "10",
                                "--out", str(tmp_path / "s.csv")]))
+
+
+@pytest.mark.parametrize("objective", ["suction", "blowing"])
+def test_point_optimize_without_numpy(tmp_path, objective):
+    out = tmp_path / "o.json"
+    assert not _loads_numpy(_main(["optimize", "--objective", objective,
+                                   "--bounds-w-mm", "6:10",
+                                   "--at-qin-lpm", "20", "--max-evals", "20",
+                                   "--out", str(out)]))
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--objective", "switching", "--bounds-h-mm", "1.8:2.0",
+     "--max-evals", "10"],
+    ["calibrate", "--data", str(_MEASUREMENTS), "--fit", "closures",
+     "--max-evals", "10"],
+], ids=["optimize-switching", "calibrate-closures"])
+def test_grid_search_loads_numpy(tmp_path, argv):
+    # the positive controls: the switching objective sweeps a grid and
+    # the closure fit evaluates its measured flows as one
+    assert _loads_numpy(_main([*argv, "--out", str(tmp_path / "o.json")]))

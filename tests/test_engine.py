@@ -321,12 +321,18 @@ def test_nelder_mead_respects_eval_budget():
 
 def test_nelder_mead_deterministic():
     def bumpy(x):
-        return float(np.sum(x ** 2) + 0.1 * np.sin(5.0 * x[0]))
+        return sum(v * v for v in x) + 0.1 * math.sin(5.0 * x[0])
 
     a = nelder_mead(bumpy, [1.0, -1.0], max_evals=120)
     b = nelder_mead(bumpy, [1.0, -1.0], max_evals=120)
-    assert a[0].tolist() == b[0].tolist()
-    assert a[1] == b[1] and a[2] == b[2]
+    assert a == b
+    assert a[1] < 0.0 < a[2] <= 120
+
+
+@pytest.mark.parametrize("x0", [[math.nan], [0.5, math.inf]])
+def test_nelder_mead_rejects_non_finite_start(x0):
+    with pytest.raises(ValueError, match="finite"):
+        nelder_mead(lambda x: 0.0, x0)
 
 
 def test_nelder_mead_treats_failures_as_infinite():
@@ -365,9 +371,10 @@ def test_optimize_validation():
         optimize_geometry(obj, {"h": (2.0e-3, 1.8e-3)}, _B)
     with pytest.raises(ValueError):
         optimize_geometry(obj, {"h": (0.0, 1.8e-3)}, _B)
-    with pytest.raises(ValueError):
-        optimize_geometry(obj, {"h": (1.8e-3, 2.0e-3)}, _B,
-                          start={"h": 2.5e-3})
+    for h in (2.5e-3, math.nan):
+        with pytest.raises(ValueError, match="start"):
+            optimize_geometry(obj, {"h": (1.8e-3, 2.0e-3)}, _B,
+                              start={"h": h})
 
 
 def test_optimize_pushes_height_to_lower_bound():
@@ -425,8 +432,10 @@ def test_curve_match_objective_zero_on_self():
     lambda: blowing_objective(DEFAULT_COEFFS, math.nan),
     lambda: switching_objective(DEFAULT_COEFFS, target_p_in=math.nan),
     lambda: switching_objective(DEFAULT_COEFFS, target_p_in=-math.inf),
+    lambda: switching_objective(DEFAULT_COEFFS, q_end=1.0 * M3S_PER_LPM,
+                                step=0.35 * M3S_PER_LPM),
 ], ids=["suction-nan", "suction-inf", "suction-negative", "blowing-nan",
-        "switching-nan", "switching-inf"])
+        "switching-nan", "switching-inf", "switching-bad-grid"])
 def test_objective_factories_reject_non_finite(make):
     # raised when the objective is built, not inside the guarded search
     with pytest.raises(ValueError):

@@ -39,6 +39,15 @@ def test_stiffness_cubic_in_thickness():
     assert d2 == 8.0 * d1
 
 
+@pytest.mark.parametrize("w,t,h", [
+    (8.0e-3, 1.0e-108, 2.0e-3),     # t ** 3 underflows to zero
+    (1.0e160, 1.0e150, 1.0e160),    # t ** 3 overflows
+], ids=["underflow", "overflow"])
+def test_stiffness_rejects_non_positive_or_infinite(w, t, h):
+    with pytest.raises(ValueError, match="gate stiffness"):
+        gate_stiffness(FlapGateGeometry(w, t, h), _SOFT)
+
+
 def test_stiffness_orderings_across_catalog():
     def d(tid):
         dev = catalog_device(tid)

@@ -1,11 +1,12 @@
 """The grid kernel behind ``sweep``: every row equals the scalar chain."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fdrsim.engine as engine
 from fdrsim import (
@@ -17,6 +18,7 @@ from fdrsim import (
     catalog_device,
     solve_operating_point,
     sweep,
+    switching_objective,
     with_gate,
 )
 from fdrsim._units import M3S_PER_LPM
@@ -136,3 +138,37 @@ def test_sweep_warns_once_on_sonic_rows():
     with warnings.catch_warnings():
         warnings.simplefilter("error", SupersonicJetWarning)
         sweep(b, q_end=10.0 * M3S_PER_LPM, step=1.0 * M3S_PER_LPM)
+
+
+_SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)   # never switches
+
+
+@_PROPERTY
+@given(devices(), coefficients(),
+       st.one_of(st.none(), st.floats(-5.0e4, 5.0e4)))
+@example(catalog_device("B"), DEFAULT_COEFFS, None)
+@example(catalog_device("B"), DEFAULT_COEFFS, 2.0e4)
+@example(catalog_device("B"), _SHUT, None)
+@example(catalog_device("B"), _SHUT, 2.0e4)
+def test_switching_objective_equals_sweep(device, coeffs, target):
+    # the objective finds the switching point without building states;
+    # it must score exactly what the sweep over its grid reports
+    step = 1.0 * M3S_PER_LPM
+    objective = switching_objective(coeffs, target_p_in=target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        try:
+            ref = sweep(device, coeffs, 0.0, 30.0 * M3S_PER_LPM, step)
+        except SweepError as exc:
+            with pytest.raises(SweepError, match=re.escape(str(exc))):
+                objective(device)
+            return
+        value = objective(device)
+    if ref.switching_p_in is None:
+        expected = 1.0e6
+    elif target is None:
+        expected = ref.switching_p_in
+    else:
+        expected = ((ref.switching_p_in - target)
+                    / max(abs(target), 1.0)) ** 2
+    assert value.hex() == expected.hex()
