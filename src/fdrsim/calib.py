@@ -28,7 +28,7 @@ from pathlib import Path
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .engine import _chain, _misfit, nelder_mead
+from .engine import _misfit, _point_law, _warn_if_sonic, nelder_mead
 
 __all__ = [
     "FitError",
@@ -204,7 +204,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         warnings = ("p_out never changes sign; "
                     "the switching point is unconstrained",)
 
-    qs = np.array([r.q_in for r in rows])
+    qs = [r.q_in for r in rows]
     ps = [r.p_out for r in rows]
     scale = float(np.std(ps))
     if scale <= 0.0:
@@ -227,16 +227,16 @@ def fit_closures(data: MeasurementSet, device: Device, *,
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
         trial = replace(start, eta=clipped[0], k0=clipped[1], p_c=clipped[2])
-        return _misfit(qs, ps, scale, device, trial) + penalty
+        return _misfit(qs, ps, scale, _point_law(device, trial)) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
                                max_evals=max_evals, diam_tol=diam_tol)
     eta, k0, p_c = clamp(best_u)[1]
     fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
 
-    residuals = tuple(
-        p_ref - p
-        for p, p_ref in zip(_chain(qs, device, fitted)[3].tolist(), ps))
+    law = _point_law(device, fitted)
+    residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
+    _warn_if_sonic(max(qs), device)
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,

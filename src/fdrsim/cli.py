@@ -32,6 +32,7 @@ from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
+from .engine import _DESIGN_KEYS
 from .gate import gate_stiffness, opening_ratio
 
 __all__ = ["main"]
@@ -147,9 +148,6 @@ _DIMENSION_UNITS = {"a_in": AREA, "a_branch": AREA, "a_ne": AREA,
                     "channel_width_ref": LENGTH,
                     "split_design_rule": UNITLESS,
                     "w": LENGTH, "t": LENGTH, "h": LENGTH}
-
-# optimizable dimensions; each has a ``--bounds-<key>-<unit>`` flag
-_DESIGN_KEYS = ("w", "t", "h", "a_ne")
 
 # one ``engine.OptimizationResult``
 _OPTIMIZE_COLUMNS = tuple(

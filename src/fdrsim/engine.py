@@ -8,23 +8,24 @@ opening depends on the chamber pressure alone and nothing downstream
 feeds back into it, so each step runs once and the chain has a closed
 form.
 
+One point law, built once per device and coefficient set, runs that
+chain on plain Python floats for one point, every sweep row, the
+switching bisection and every optimizer or fit objective, and rounds
+exactly as the public stage functions of ``flow``, ``gate`` and
+``ejector`` composed.  numpy is left to the fits in ``calib`` and the
+spread of a curve-match reference.
+
 Ramps are quasi-static: each grid point is an independent steady state,
-so sweeping up and sweeping down give pointwise identical results.
-Every stage of the chain is elementwise in the flow, so a sweep (and a
-closure fit) evaluates its whole grid in one numpy pass whose rows equal
-the scalar chain bit for bit.  A sweep reports the switching point,
-where the output pressure crosses zero (blowing to suction), refined by
-scalar bisection between the bracketing grid points.  numpy is imported
-inside the grid and fit functions only (sweeps, the switching objective,
-curve and closure fits), so the scalar chain (one operating point, a
-friction curve) and the optimizer on a one-point objective run without
-loading it.
+so sweeping up and sweeping down give pointwise identical results.  A
+sweep reports the switching point, where the output pressure crosses
+zero (blowing to suction), refined by bisection between the bracketing
+grid points.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
 (w, t, h, a_ne), with out-of-box candidates evaluated at their clipped
 projection plus a dominating penalty.  The kernel and the box mapping
-work on plain Python floats; the kernel needs no numpy.
+work on plain Python floats too.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from typing import Callable, Mapping, Sequence
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
 from .ejector import (DEFAULT_COEFFS, ModelCoefficients, _sonic_speed,
-                      _warn_supersonic, output_pressure,
-                      recirculation_penalty)
-from .flow import bifurcation_pressure, input_pressure
-from .gate import (REFERENCE_STIFFNESS, GateComplianceModel, gate_stiffness,
-                   opening_area)
+                      _warn_supersonic, jet_velocity, recirculation_penalty)
+from .flow import input_pressure
+from .gate import REFERENCE_STIFFNESS, GateComplianceModel, gate_stiffness
 
 __all__ = [
     "MODE_BLOWING",
@@ -119,9 +118,96 @@ class SweepResult:
             raise ValueError("switching fields must be present together")
 
 
-def _compliance_for(device: Device, coeffs: ModelCoefficients) -> GateComplianceModel:
-    return GateComplianceModel.for_gate(device.geometry.gate, coeffs.k0,
-                                        coeffs.p_c)
+def _check_flow(q_in: float) -> None:
+    if not math.isfinite(q_in):
+        raise ValueError("q_in must be finite")
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+
+
+_Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
+_Law = Callable[[float], _Point]
+
+
+def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
+    """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out).
+
+    Bit for bit ``input_pressure`` -> ``bifurcation_pressure`` ->
+    ``opening_area`` -> ``output_pressure``: the device's own terms are
+    computed once, here, and the rest runs the stage functions'
+    operations in their order (``**`` squares, which round as libm
+    ``pow``, not always as ``u * u``).  A bad flow, a device without a
+    steady state, or pressures beyond the float range raise the stage
+    functions' ``ValueError``.  No warning: callers use
+    :func:`_warn_if_sonic`.
+    """
+    g = device.geometry
+    fluid = device.fluid
+    try:
+        if g.a_in <= 0.0 or g.a_branch <= 0.0:
+            raise ValueError("areas must be positive")
+        try:
+            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        model = GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c)
+        gain = (model.compliance_scale * REFERENCE_STIFFNESS
+                / gate_stiffness(g.gate, device.material))
+        if g.a_ex <= 0.0:
+            raise ValueError("a_ex must be positive")
+        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
+    except ValueError as exc:
+        message = str(exc)
+
+        def failing(q_in: float) -> _Point:
+            _check_flow(q_in)
+            raise ValueError(message)
+
+        return failing
+
+    c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
+    a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
+    density_ratio = fluid.rho / fluid.rho_in
+    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
+    crack, a_max = model.crack_pressure, model.a_fg_max
+    half_rho = 0.5 * fluid.rho
+    out_area = coeffs.cd_out * g.a_out
+    inf = math.inf
+
+    # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
+    # else hi``: the builtins' own comparison, without their call cost
+    def law(q_in: float) -> _Point:
+        if not 0.0 <= q_in < inf:
+            _check_flow(q_in)
+        try:
+            p_in = c1 * q_in + c2 * q_in * q_in
+            p_chamber = (density_ratio * p_in
+                         + kinetic_scale * (q_in / a_in) ** 2 * split)
+            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+            opening = gain * (excess if excess > 0.0 else 0.0)
+            a_fg = opening if opening < a_max else a_max
+            s = a_fg / a_max
+            p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        v = (q_in / n_nozzles) / a_ne
+        vent = a_fg / a_ex
+        p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
+                  * penalty)
+        p_out = (1.0 - s) * p_blow - s * p_suck
+        # a_fg lies in [0, a_fg_max] by construction
+        if not (-inf < p_in < inf and -inf < p_chamber < inf
+                and -inf < p_out < inf):
+            raise ValueError(_NOT_FINITE)
+        return p_in, p_chamber, a_fg, p_out
+
+    return law
+
+
+def _warn_if_sonic(q_in: float, device: Device) -> None:
+    """Warn if the jet at ``q_in``, a call's largest flow, passes sonic."""
+    if jet_velocity(q_in, device.geometry) > _sonic_speed(device.fluid):
+        _warn_supersonic()
 
 
 def solve_operating_point(q_in: float, device: Device,
@@ -134,105 +220,12 @@ def solve_operating_point(q_in: float, device: Device,
     A flow so large that a pressure overflows to a non-finite value
     raises ``ValueError``.
     """
-    if not math.isfinite(q_in):
-        raise ValueError("q_in must be finite")
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-    g = device.geometry
-    try:
-        p_in = input_pressure(q_in, coeffs)
-        p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
-        state = opening_area(max(0.0, p_chamber),
-                             _compliance_for(device, coeffs),
-                             g.gate, device.material)
-        p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
-    except OverflowError as exc:   # a float ``**`` out of range
-        raise ValueError(_NOT_FINITE) from exc
-    if not all(map(math.isfinite, (p_in, p_chamber, state.a_fg, p_out))):
-        raise ValueError(_NOT_FINITE)
-    return OperatingState(q_in=q_in, p_in=p_in, p_chamber=p_chamber,
-                          a_fg=state.a_fg, p_out=p_out)
+    state = OperatingState(q_in, *_point_law(device, coeffs)(q_in))
+    _warn_if_sonic(q_in, device)
+    return state
 
 
-class _RowError(ValueError):
-    """A grid row has no steady state; ``index`` is the first such row."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
-def _chain(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Grid form of :func:`solve_operating_point` over a float64 array of
-    flows: returns the arrays (p_in, p_chamber, a_fg, p_out).
-
-    Row ``i`` equals ``solve_operating_point(qs[i], device, coeffs)`` bit
-    for bit.  The operations run in the scalar order, with Python's
-    ``max``/``min`` spelled as ``np.where`` on the same comparison, and
-    the two squares are libm ``pow`` through ``np.float_power``, as
-    Python's ``**`` on floats is (``u * u`` and numpy's ``u ** 2`` round
-    differently on some inputs).  A row without a steady state raises
-    :class:`_RowError` at the first such row, with the scalar path's
-    message; any sonic row before it warns once.
-    """
-    import numpy as np
-    g = device.geometry
-    fluid = device.fluid
-    try:
-        if g.a_in <= 0.0 or g.a_branch <= 0.0:
-            raise ValueError("areas must be positive")
-        if g.a_ex <= 0.0:
-            raise ValueError("a_ex must be positive")
-        model = _compliance_for(device, coeffs)
-        gain = (model.compliance_scale * REFERENCE_STIFFNESS
-                / gate_stiffness(g.gate, device.material))
-        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
-    except ValueError as exc:
-        raise _RowError(str(exc), 0) from exc
-    a_max = model.a_fg_max
-    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
-    split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
-    half_rho = 0.5 * fluid.rho
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        p_in = coeffs.c1 * qs + coeffs.c2 * qs * qs
-        u_in_sq = np.float_power(qs / g.a_in, 2.0)
-        p_chamber = (fluid.rho / fluid.rho_in * p_in
-                     + kinetic_scale * u_in_sq * split)
-        p = np.where(p_chamber > 0.0, p_chamber, 0.0)
-        excess = p - model.crack_pressure
-        opening = gain * np.where(excess > 0.0, excess, 0.0)
-        a_fg = np.where(opening < a_max, opening, a_max)
-        s = a_fg / a_max
-        blocked = (1.0 - s) * qs
-        p_blow = half_rho * np.float_power(blocked / (coeffs.cd_out * g.a_out),
-                                           2.0)
-        v = (qs / g.n_nozzles) / g.a_ne
-        q_jet = half_rho * v * v
-        ratio = a_fg / g.a_ex
-        vent = np.where(ratio < 1.0, ratio, 1.0)
-        p_suck = coeffs.eta * q_jet * vent * penalty
-        p_out = (1.0 - s) * p_blow - s * p_suck
-
-    # the scalar path's checks, in the order it meets them on one row; a
-    # square that overflows there leaves p_chamber or p_out non-finite here
-    checks = (
-        (~np.isfinite(qs), "q_in must be finite"),
-        (qs < 0.0, "q_in must be nonnegative"),
-        (~(np.isfinite(p_in) & np.isfinite(p_chamber) & np.isfinite(a_fg)
-           & np.isfinite(p_out)), _NOT_FINITE),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    end = int(np.argmax(bad)) if bad.any() else len(qs)
-    if np.any(v[:end] > _sonic_speed(fluid)):
-        _warn_supersonic()
-    if end < len(qs):
-        raise _RowError(next(msg for mask, msg in checks if mask[end]), end)
-    return p_in, p_chamber, a_fg, p_out
-
-
-def _grid(q_start: float, q_end: float, step: float) -> np.ndarray:
+def _grid(q_start: float, q_end: float, step: float) -> list[float]:
     """The inclusive grid ``q_start + i * step`` up to ``q_end``.
 
     The grid must start at a nonnegative flow, the step must divide the
@@ -240,7 +233,6 @@ def _grid(q_start: float, q_end: float, step: float) -> np.ndarray:
     rounding, and the grid may hold at most ``MAX_GRID_POINTS`` points;
     all are checked before any allocation.
     """
-    import numpy as np
     if not q_start >= 0.0:
         raise ValueError("q_start must be nonnegative")
     if not step > 0.0:
@@ -257,17 +249,30 @@ def _grid(q_start: float, q_end: float, step: float) -> np.ndarray:
         raise ValueError("step larger than the sweep range")
     if abs(n * step - span) > 1.0e-9 * span:
         raise ValueError("step must divide the sweep range")
-    return q_start + np.arange(n + 1) * step
+    return [q_start + i * step for i in range(n + 1)]
 
 
-def _refine_switching(device: Device, coeffs: ModelCoefficients,
-                      q_lo: float, q_hi: float, p_lo: float) -> float:
+def _ramp(law: _Law, qs: Sequence[float]) -> list[_Point]:
+    """The law at every flow of a sweep grid; the first flow without a
+    steady state raises :class:`SweepError`."""
+    rows = []
+    for q in qs:
+        try:
+            rows.append(law(q))
+        except ValueError as exc:
+            raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
+                             q_in=q) from exc
+    return rows
+
+
+def _refine_switching(law: _Law, q_lo: float, q_hi: float, p_lo: float
+                      ) -> float:
     """Bisect a sign-change bracket until |p_out| < the mode deadband."""
     lo, hi = q_lo, q_hi
     sign_lo = math.copysign(1.0, p_lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        p_mid = solve_operating_point(mid, device, coeffs).p_out
+        p_mid = law(mid)[3]
         if abs(p_mid) < MODE_DEADBAND or hi - lo < 1.0e-18:
             return mid
         if math.copysign(1.0, p_mid) == sign_lo:
@@ -277,27 +282,15 @@ def _refine_switching(device: Device, coeffs: ModelCoefficients,
     return 0.5 * (lo + hi)
 
 
-def _sweep_columns(qs: np.ndarray, device: Device, coeffs: ModelCoefficients
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_chain` on a sweep grid; the first row without a steady
-    state raises :class:`SweepError`."""
-    try:
-        return _chain(qs, device, coeffs)
-    except _RowError as exc:
-        q = float(qs[exc.index])
-        raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
-                         q_in=q) from exc
-
-
-def _switching_q(qs: Sequence[float], p_outs: Sequence[float],
-                 device: Device, coeffs: ModelCoefficients) -> float | None:
+def _switching_q(qs: Sequence[float], p_outs: Sequence[float], law: _Law
+                 ) -> float | None:
     """The flow where ``p_out`` first changes sign along the grid (exact
     zeros skipped), refined by bisection; ``None`` if it never does."""
     last_sign = last_q = last_p = 0.0
     for q, p_out in zip(qs, p_outs):
         sign = 0.0 if p_out == 0.0 else math.copysign(1.0, p_out)
         if sign != 0.0 and last_sign != 0.0 and sign != last_sign:
-            return _refine_switching(device, coeffs, last_q, q, last_p)
+            return _refine_switching(law, last_q, q, last_p)
         if sign != 0.0:
             last_sign = sign
             last_q = q
@@ -315,14 +308,13 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
     an independent steady state, equal to ``solve_operating_point`` at
     its flow; the first point without one raises :class:`SweepError`.
     """
-    grid = _grid(q_start, q_end, step)
-    p_in, p_chamber, a_fg, p_outs = (
-        c.tolist() for c in _sweep_columns(grid, device, coeffs))
-    qs = grid.tolist()
-    states = tuple(
-        OperatingState(q_in=q, p_in=pi, p_chamber=pc, a_fg=a, p_out=po)
-        for q, pi, pc, a, po in zip(qs, p_in, p_chamber, a_fg, p_outs))
-    switching_q = _switching_q(qs, p_outs, device, coeffs)
+    qs = _grid(q_start, q_end, step)
+    law = _point_law(device, coeffs)
+    states = tuple(OperatingState(q, *row)
+                   for q, row in zip(qs, _ramp(law, qs)))
+    _warn_if_sonic(qs[-1], device)
+    p_outs = [st.p_out for st in states]
+    switching_q = _switching_q(qs, p_outs, law)
     switching_p_in = (None if switching_q is None
                       else input_pressure(switching_q, coeffs))
     # 0.0 - x, not -x: a grid whose least p_out is 0 sucks +0, not -0
@@ -465,6 +457,7 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
 
 # --- geometry optimization ---------------------------------------------------
 
+# optimizable dimensions; the CLI has a ``--bounds-<key>-<unit>`` flag for each
 _DESIGN_KEYS = ("w", "t", "h", "a_ne")
 
 
@@ -574,21 +567,21 @@ def optimize_geometry(objective: Callable[[Device], float],
                               converged=evals < max_evals)
 
 
-def _target_curve(target: SweepResult) -> tuple[np.ndarray, list[float], float]:
+def _target_curve(target: SweepResult) -> tuple[list[float], list[float], float]:
     import numpy as np
-    qs = np.array([st.q_in for st in target.states])
+    qs = [st.q_in for st in target.states]
     ps = [st.p_out for st in target.states]
     scale = float(np.std(ps))
     return qs, ps, scale if scale > 0.0 else 1.0
 
 
-def _misfit(qs: np.ndarray, ps: Sequence[float], scale: float, device: Device,
-            coeffs: ModelCoefficients) -> float:
-    """Sum over the grid ``qs`` of ``((p_out - p_ref) / scale) ** 2``, with
-    ``p_out`` from the chain and ``p_ref`` from the floats ``ps``."""
+def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
+            law: _Law) -> float:
+    """Sum over the flows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
+    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``."""
     total = 0.0
-    for p, p_ref in zip(_chain(qs, device, coeffs)[3].tolist(), ps):
-        total += ((p - p_ref) / scale) ** 2
+    for q, p_ref in zip(qs, ps):
+        total += ((law(q)[3] - p_ref) / scale) ** 2
     return total
 
 
@@ -599,7 +592,9 @@ def curve_match_objective(coeffs: ModelCoefficients,
     qs, ps, scale = _target_curve(target)
 
     def objective(candidate: Device) -> float:
-        return _misfit(qs, ps, scale, candidate, coeffs)
+        value = _misfit(qs, ps, scale, _point_law(candidate, coeffs))
+        _warn_if_sonic(qs[-1], candidate)
+        return value
 
     return objective
 
@@ -623,12 +618,13 @@ def switching_objective(coeffs: ModelCoefficients, *,
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
-    grid = _grid(q_start, q_end, step)
-    qs = grid.tolist()
+    qs = _grid(q_start, q_end, step)
 
     def objective(candidate: Device) -> float:
-        p_outs = _sweep_columns(grid, candidate, coeffs)[3].tolist()
-        switching_q = _switching_q(qs, p_outs, candidate, coeffs)
+        law = _point_law(candidate, coeffs)
+        p_outs = [row[3] for row in _ramp(law, qs)]
+        _warn_if_sonic(qs[-1], candidate)
+        switching_q = _switching_q(qs, p_outs, law)
         if switching_q is None:
             return _NO_SWITCHING_VALUE
         switching_p_in = input_pressure(switching_q, coeffs)

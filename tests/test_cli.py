@@ -399,6 +399,35 @@ def test_sweep_non_finite_rows_exit_solver(tmp_path, capsys):
     assert not out.exists()
 
 
+def _split_overflow_config(tmp_path):
+    # (a_in / (2 a_branch)) ** 2 overflows: no flow has a steady state
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({"split_design_rule": False,
+                               "a_branch_mm2": 1e-300}), encoding="utf-8")
+    return cfg
+
+
+def test_sweep_split_overflow_exit_solver(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(_split_overflow_config(tmp_path)),
+                 "--out", str(out)]) == 3
+    assert ("sweep failed at q_in=0 m^3/s: operating point is not finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_calibrate_closures_split_overflow_exit_config(tmp_path, capsys):
+    data = tmp_path / "meas.csv"
+    data.write_text("q_in_lpm,p_out_kpa\n5,0.08\n25,-15.0\n",
+                    encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", str(data), "--fit", "closures",
+                 "--config", str(_split_overflow_config(tmp_path)),
+                 "--max-evals", "10", "--out", str(out)]) == 2
+    assert "operating point is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("end,step", [("1", "0.35"), ("30", "1e-9")])
 def test_sweep_rejected_grid_exit_config(tmp_path, end, step):
     out = tmp_path / "s.csv"

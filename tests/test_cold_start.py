@@ -1,10 +1,10 @@
-"""The numpy-free commands start without importing numpy.
+"""The commands that fit no data start without importing numpy.
 
-numpy is imported inside the grid and fit functions only, so importing
-the package or the CLI, ``simulate``, ``friction``, ``--help``, a
-configuration error and the one-point optimizer objectives (``optimize
---objective suction|blowing``) all run in a fresh interpreter without
-it.
+numpy is imported only inside the fits (``calibrate``) and for the
+spread of a curve-match reference, so importing the package or the CLI,
+``simulate``, ``sweep``, ``compare``, ``friction``, ``--help``, a
+configuration error and every optimizer objective all run in a fresh
+interpreter without it.
 """
 
 import os
@@ -72,12 +72,6 @@ def test_config_error_without_numpy(argv):
     assert not _loads_numpy(_main(argv, code=2))
 
 
-def test_sweep_loads_numpy(tmp_path):
-    # the positive control: a grid command does import it
-    assert _loads_numpy(_main(["sweep", "--type", "B", "--step-lpm", "10",
-                               "--out", str(tmp_path / "s.csv")]))
-
-
 @pytest.mark.parametrize("objective", ["suction", "blowing"])
 def test_point_optimize_without_numpy(tmp_path, objective):
     out = tmp_path / "o.json"
@@ -89,12 +83,24 @@ def test_point_optimize_without_numpy(tmp_path, objective):
 
 
 @pytest.mark.parametrize("argv", [
+    ["sweep", "--type", "B", "--step-lpm", "10"],
+    ["compare", "--types", "A,B,C", "--step-lpm", "10"],
     ["optimize", "--objective", "switching", "--bounds-h-mm", "1.8:2.0",
      "--max-evals", "10"],
+], ids=["sweep", "compare", "optimize-switching"])
+def test_grid_commands_without_numpy(tmp_path, argv):
+    # every grid row, the switching bisection and the switching objective
+    # run through the pure-Python point law
+    out = tmp_path / "o.out"
+    assert not _loads_numpy(_main([*argv, "--out", str(out)]))
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["calibrate", "--data", str(_MEASUREMENTS), "--fit", "closures",
      "--max-evals", "10"],
-], ids=["optimize-switching", "calibrate-closures"])
-def test_grid_search_loads_numpy(tmp_path, argv):
-    # the positive controls: the switching objective sweeps a grid and
-    # the closure fit evaluates its measured flows as one
+    ["calibrate", "--data", str(_MEASUREMENTS), "--fit", "input"],
+], ids=["calibrate-closures", "calibrate-input"])
+def test_fit_loads_numpy(tmp_path, argv):
+    # the positive controls: the fits do import it
     assert _loads_numpy(_main([*argv, "--out", str(tmp_path / "o.json")]))

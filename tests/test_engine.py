@@ -80,21 +80,6 @@ def test_shut_gate_blows_at_every_flow():
     assert res.states[0].p_out == 0.0
 
 
-def test_gate_opening_evaluated_once_per_point(monkeypatch):
-    calls = []
-    original = engine.opening_area
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "opening_area", counting)
-    for q in (0.0, 15.0, 30.0):
-        calls.clear()
-        solve_operating_point(q * M3S_PER_LPM, _B)
-        assert len(calls) == 1
-
-
 def test_fixed_point_matches_closed_form():
     # unequal split, linear supply law, zero cracking pressure: the
     # self-consistent opening has a hand-computable closed form
@@ -194,7 +179,7 @@ def test_sweep_bad_grids_rejected():
 def test_grid_points_and_cap():
     step = 0.1 * M3S_PER_LPM
     qs = engine._grid(0.0, 30.0 * M3S_PER_LPM, step)
-    assert qs.tolist() == [0.0 + i * step for i in range(301)]
+    assert qs == [0.0 + i * step for i in range(301)]
     top = (engine.MAX_GRID_POINTS - 1) * 1.0e-6
     assert len(engine._grid(0.0, top, 1.0e-6)) == engine.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="points"):
@@ -203,21 +188,13 @@ def test_grid_points_and_cap():
 
 def test_sweep_locates_stub_closure_root(monkeypatch):
     # synthetic closure crossing zero at exactly 15 L/min, for the grid
-    # (kernel) and for the bisection (scalar path) alike
-    def closure(q_in):
-        return 1.0e3 * (q_in / M3S_PER_LPM - 15.0)
+    # rows and for the bisection alike: both evaluate the one point law
+    def stub_law(device, coeffs):
+        def law(q_in):
+            return 0.0, 0.0, 0.0, 1.0e3 * (q_in / M3S_PER_LPM - 15.0)
+        return law
 
-    def stub_chain(qs, device, coeffs):
-        zeros = np.zeros_like(qs)
-        return zeros, zeros, zeros, closure(qs)
-
-    def stub_point(q_in, device, coeffs=DEFAULT_COEFFS):
-        p_out = closure(q_in)
-        return OperatingState(q_in=q_in, p_in=0.0, p_chamber=0.0, a_fg=0.0,
-                              p_out=p_out)
-
-    monkeypatch.setattr(engine, "_chain", stub_chain)
-    monkeypatch.setattr(engine, "solve_operating_point", stub_point)
+    monkeypatch.setattr(engine, "_point_law", stub_law)
     res = engine.sweep(_B, step=1.0 * M3S_PER_LPM)
     assert res.switching_q == pytest.approx(15.0 * M3S_PER_LPM,
                                             abs=0.01 * M3S_PER_LPM)

@@ -1,6 +1,13 @@
-"""The grid kernel behind ``sweep``: every row equals the scalar chain."""
+"""The point law behind every command equals the stage functions.
+
+The reference is the public stage functions composed one flow at a time:
+``input_pressure`` -> ``bifurcation_pressure`` -> ``opening_area`` ->
+``output_pressure``.  The law, and each row of a sweep, must give the
+same bits, and fail at the same flow with the same message.
+"""
 
 import dataclasses
+import math
 import re
 import warnings
 
@@ -12,10 +19,15 @@ import fdrsim.engine as engine
 from fdrsim import (
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
+    GateComplianceModel,
     Material,
     SupersonicJetWarning,
     SweepError,
+    bifurcation_pressure,
     catalog_device,
+    input_pressure,
+    opening_area,
+    output_pressure,
     solve_operating_point,
     sweep,
     switching_objective,
@@ -36,11 +48,12 @@ def devices(draw):
         t=draw(st.floats(0.2e-3, 0.9e-3)),
         h=draw(st.floats(1.2e-3, 3.0e-3)),
         a_ne=draw(st.floats(0.1e-6, 1.0e-6)))
-    # an unequal inlet split switches on the junction's kinetic term
+    # an unequal inlet split switches on the junction's kinetic term;
+    # (a_in / (2 a_branch)) ** 2 at 2.148 mm^2 rounds apart from the product
     geometry = dataclasses.replace(
         device.geometry, split_design_rule=False,
         a_branch=draw(st.sampled_from([device.geometry.a_branch, 1.5e-6,
-                                       2.5e-6])))
+                                       2.148e-6, 2.5e-6])))
     return dataclasses.replace(
         device, geometry=geometry,
         material=Material.from_shore_a(draw(st.floats(5.0, 60.0))))
@@ -68,16 +81,44 @@ def grids(draw):
     return q_start, q_start + count * step, step
 
 
+def _composed(q_in, device, coeffs):
+    """Reference: the stage functions composed at one flow, as the
+    operating point's (p_in, p_chamber, a_fg, p_out)."""
+    if not math.isfinite(q_in):
+        raise ValueError("q_in must be finite")
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    g = device.geometry
+    try:
+        p_in = input_pressure(q_in, coeffs)
+        p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
+        model = GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c)
+        state = opening_area(max(0.0, p_chamber), model, g.gate,
+                             device.material)
+        p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
+    except OverflowError as exc:   # a float ``**`` out of range
+        raise ValueError(engine._NOT_FINITE) from exc
+    point = (p_in, p_chamber, state.a_fg, p_out)
+    if not all(map(math.isfinite, point)):
+        raise ValueError(engine._NOT_FINITE)
+    return point
+
+
+def _bits(values):
+    """Exact identity of a row of floats, sign of zero included."""
+    return [v.hex() for v in values]
+
+
 def _scalar_sweep(qs, device, coeffs):
-    """Reference: the grid solved one scalar call at a time, or the
-    (q_in, message) of the first point that fails."""
-    states = []
+    """Reference: the grid composed one flow at a time, or the
+    (q_in, message) of the first flow that fails."""
+    rows = []
     for q in qs:
         try:
-            states.append(solve_operating_point(q, device, coeffs))
+            rows.append(_bits((q, *_composed(q, device, coeffs))))
         except ValueError as exc:
             return None, (q, str(exc))
-    return tuple(states), None
+    return rows, None
 
 
 @_PROPERTY
@@ -85,7 +126,7 @@ def _scalar_sweep(qs, device, coeffs):
 def test_sweep_rows_equal_scalar_path(device, coeffs, grid):
     q_start, q_end, step = grid
     try:
-        qs = engine._grid(q_start, q_end, step).tolist()
+        qs = engine._grid(q_start, q_end, step)
     except ValueError:
         return      # the drawn range is not a whole number of steps
     with warnings.catch_warnings():
@@ -98,8 +139,8 @@ def test_sweep_rows_equal_scalar_path(device, coeffs, grid):
             assert str(exc.value).endswith(failure[1])
             return
         res = sweep(device, coeffs, q_start, q_end, step)
-    # OperatingState equality covers every field and the mode
-    assert res.states == expected
+    assert [_bits((st.q_in, st.p_in, st.p_chamber, st.a_fg, st.p_out))
+            for st in res.states] == expected
 
 
 @_PROPERTY
@@ -107,28 +148,44 @@ def test_sweep_rows_equal_scalar_path(device, coeffs, grid):
        st.integers(1, 400), st.booleans())
 def test_kernel_rows_equal_scalar_path_in_any_order(device, coeffs, seed,
                                                     count, overflow):
-    # hundreds of unsorted flows per example: the rows where a square
-    # rounds differently from Python's are rare; flows up to 1e160 L/min
-    # overflow the squares, so the first failing row and its message
-    # must match too
+    # hundreds of unsorted flows per example: the rows where ``**`` rounds
+    # differently from ``u * u`` are rare; flows up to 1e160 L/min
+    # overflow the squares, so every failing flow (the first one too)
+    # must fail with the same message
     rng = np.random.default_rng(seed)
     if overflow:
         qs = 10.0 ** rng.uniform(-6.0, 160.0, count) * M3S_PER_LPM
     else:
         qs = rng.uniform(0.0, 40.0, count) * M3S_PER_LPM
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SupersonicJetWarning)
-        expected, failure = _scalar_sweep(qs.tolist(), device, coeffs)
-        if failure is not None:
-            with pytest.raises(ValueError) as exc:
-                engine._chain(qs, device, coeffs)
-            assert qs[exc.value.index] == failure[0]
-            assert str(exc.value) == failure[1]
-            return
-        columns = engine._chain(qs, device, coeffs)
-    for i, state in enumerate(expected):
-        assert tuple(c[i] for c in columns) == (
-            state.p_in, state.p_chamber, state.a_fg, state.p_out)
+    law = engine._point_law(device, coeffs)
+    for q in qs.tolist():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SupersonicJetWarning)
+                expected = _composed(q, device, coeffs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                law(q)
+            assert str(got.value) == str(exc)
+        else:
+            assert _bits(law(q)) == _bits(expected)
+
+
+@pytest.mark.parametrize("q_in", [math.nan, math.inf, -math.inf, -1.0e-4,
+                                  1.0e160 * M3S_PER_LPM])
+@pytest.mark.parametrize("a_branch", [2.0e-6, 1.0e-300])
+def test_law_failures_match_stage_functions(q_in, a_branch):
+    # bad flows fail before the device; a junction split whose square
+    # overflows leaves no steady state at any flow
+    device = catalog_device("B")
+    device = dataclasses.replace(device, geometry=dataclasses.replace(
+        device.geometry, split_design_rule=False, a_branch=a_branch))
+    with pytest.raises(ValueError) as ref:
+        _composed(q_in, device, DEFAULT_COEFFS)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        engine._point_law(device, DEFAULT_COEFFS)(q_in)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        solve_operating_point(q_in, device)
 
 
 def test_sweep_warns_once_on_sonic_rows():
