@@ -11,6 +11,11 @@ with ``#``, so identical invocations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
 would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error.
+
+Each invocation builds only its own command's flags (``_COMMANDS``): the
+other commands get bare subparsers, so the usage line, ``fdr --help`` and
+every argparse error read as from the full parser, which ``main`` builds
+when the first argument names no command.
 """
 
 from __future__ import annotations
@@ -424,105 +429,135 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
 
+def _simulate_flags(sub: argparse.ArgumentParser) -> None:
+    _add_device_flags(sub)
+    sub.add_argument("--qin-lpm", type=float, required=True,
+                     help="supply flow rate in L/min")
+    sub.set_defaults(func=_cmd_simulate)
 
-def build_parser() -> argparse.ArgumentParser:
+
+def _sweep_flags(sub: argparse.ArgumentParser) -> None:
+    _add_device_flags(sub)
+    _add_grid_flags(sub)
+    _add_output_flags(sub)
+    sub.add_argument("--si", action="store_true",
+                     help="append SI columns (m^3/s, Pa, m^2) to the CSV")
+    sub.set_defaults(func=_cmd_sweep)
+
+
+def _compare_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--types", required=True,
+                     help="comma-separated catalog letters, e.g. A,B,C")
+    sub.add_argument("--coeffs", metavar="PATH", default=None,
+                     help="closure coefficients JSON in SI units")
+    _add_grid_flags(sub)
+    _add_output_flags(sub)
+    sub.set_defaults(func=_cmd_compare)
+
+
+def _calibrate_flags(sub: argparse.ArgumentParser) -> None:
+    _add_device_flags(sub)
+    sub.add_argument("--data", required=True, metavar="SOURCE",
+                     help="'builtin' for the built-in supply points, or a "
+                          "measurement CSV path (q_in_lpm,p_in_kpa,"
+                          "p_out_kpa,a_fg_mm2)")
+    sub.add_argument("--fit", choices=("input", "closures"), default="input",
+                     help="which coefficients to fit (default input)")
+    sub.add_argument("--max-evals", type=int, default=400,
+                     help="evaluation budget for the closures fit "
+                          "(default 400)")
+    sub.add_argument("--out", required=True, metavar="PATH",
+                     help="fit report JSON path")
+    sub.set_defaults(func=_cmd_calibrate)
+
+
+def _optimize_flags(sub: argparse.ArgumentParser) -> None:
+    _add_device_flags(sub)
+    sub.add_argument("--objective", choices=("switching", "suction",
+                                             "blowing"), required=True,
+                     help="switching: target/minimize the switching supply "
+                          "pressure; suction/blowing: extremize p_out at "
+                          "--at-qin-lpm")
+    sub.add_argument("--target-p-in-kpa", type=float, default=None,
+                     help="switching-pressure target in kPa "
+                          "(omit to minimize it)")
+    sub.add_argument("--at-qin-lpm", type=float, default=30.0,
+                     help="flow in L/min for suction/blowing objectives "
+                          "(default 30)")
+    sub.add_argument("--bounds-w-mm", metavar="LO:HI", default=None,
+                     help="gate width bounds in mm")
+    sub.add_argument("--bounds-t-mm", metavar="LO:HI", default=None,
+                     help="gate thickness bounds in mm")
+    sub.add_argument("--bounds-h-mm", metavar="LO:HI", default=None,
+                     help="gate height bounds in mm")
+    sub.add_argument("--bounds-ane-mm2", metavar="LO:HI", default=None,
+                     help="per-nozzle exit area bounds in mm^2")
+    sub.add_argument("--max-evals", type=int, default=400,
+                     help="objective evaluation budget (default 400)")
+    sub.add_argument("--out", required=True, metavar="PATH",
+                     help="result JSON path")
+    sub.set_defaults(func=_cmd_optimize)
+
+
+def _friction_flags(sub: argparse.ArgumentParser) -> None:
+    _add_device_flags(sub)
+    sub.add_argument("--weight-n", type=float, required=True,
+                     help="pad weight in N")
+    sub.add_argument("--mu0-s", type=float, default=0.5,
+                     help="no-flow static coefficient (default 0.5)")
+    sub.add_argument("--mu0-k", type=float, default=0.4,
+                     help="no-flow kinetic coefficient (default 0.4)")
+    sub.add_argument("--a-eff-cm2", type=float, default=1.0,
+                     help="contact area the port pressure acts on, in cm^2 "
+                          "(default 1)")
+    sub.add_argument("--qin-lpm", default="0,10,20,30",
+                     help="comma-separated flows in L/min "
+                          "(default 0,10,20,30)")
+    _add_output_flags(sub)
+    sub.set_defaults(func=_cmd_friction)
+
+
+# name -> (help line, function that adds the command's flags and its
+# ``func``); the order is the order ``fdr --help`` lists them in
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "simulate": ("solve one operating point and print it", _simulate_flags),
+    "sweep": ("quasi-static ramp to a CSV/JSON file", _sweep_flags),
+    "compare": ("sweep several catalog types side by side", _compare_flags),
+    "calibrate": ("fit coefficients to measurements", _calibrate_flags),
+    "optimize": ("search gate/nozzle dimensions", _optimize_flags),
+    "friction": ("predict friction coefficients under flow",
+                 _friction_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``fdr`` parser.  Every command gets its subparser, so usage,
+    ``fdr --help`` and errors read the same; only ``command`` (all of
+    them when ``None``) gets its flags."""
+    if command is not None and command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
     parser = argparse.ArgumentParser(
         prog="fdr",
         description="Lumped-parameter simulator for a single-input "
                     "blow/suck flow-reversal device.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate",
-                          help="solve one operating point and print it")
-    _add_device_flags(sim)
-    sim.add_argument("--qin-lpm", type=float, required=True,
-                     help="supply flow rate in L/min")
-    sim.set_defaults(func=_cmd_simulate)
-
-    sw = subs.add_parser("sweep", help="quasi-static ramp to a CSV/JSON file")
-    _add_device_flags(sw)
-    _add_grid_flags(sw)
-    _add_output_flags(sw)
-    sw.add_argument("--si", action="store_true",
-                    help="append SI columns (m^3/s, Pa, m^2) to the CSV")
-    sw.set_defaults(func=_cmd_sweep)
-
-    cmp_ = subs.add_parser("compare",
-                           help="sweep several catalog types side by side")
-    cmp_.add_argument("--types", required=True,
-                      help="comma-separated catalog letters, e.g. A,B,C")
-    cmp_.add_argument("--coeffs", metavar="PATH", default=None,
-                      help="closure coefficients JSON in SI units")
-    _add_grid_flags(cmp_)
-    _add_output_flags(cmp_)
-    cmp_.set_defaults(func=_cmd_compare)
-
-    cal = subs.add_parser("calibrate", help="fit coefficients to measurements")
-    _add_device_flags(cal)
-    cal.add_argument("--data", required=True, metavar="SOURCE",
-                     help="'builtin' for the built-in supply points, or a "
-                          "measurement CSV path (q_in_lpm,p_in_kpa,"
-                          "p_out_kpa,a_fg_mm2)")
-    cal.add_argument("--fit", choices=("input", "closures"), default="input",
-                     help="which coefficients to fit (default input)")
-    cal.add_argument("--max-evals", type=int, default=400,
-                     help="evaluation budget for the closures fit "
-                          "(default 400)")
-    cal.add_argument("--out", required=True, metavar="PATH",
-                     help="fit report JSON path")
-    cal.set_defaults(func=_cmd_calibrate)
-
-    opt = subs.add_parser("optimize", help="search gate/nozzle dimensions")
-    _add_device_flags(opt)
-    opt.add_argument("--objective", choices=("switching", "suction",
-                                             "blowing"), required=True,
-                     help="switching: target/minimize the switching supply "
-                          "pressure; suction/blowing: extremize p_out at "
-                          "--at-qin-lpm")
-    opt.add_argument("--target-p-in-kpa", type=float, default=None,
-                     help="switching-pressure target in kPa "
-                          "(omit to minimize it)")
-    opt.add_argument("--at-qin-lpm", type=float, default=30.0,
-                     help="flow in L/min for suction/blowing objectives "
-                          "(default 30)")
-    opt.add_argument("--bounds-w-mm", metavar="LO:HI", default=None,
-                     help="gate width bounds in mm")
-    opt.add_argument("--bounds-t-mm", metavar="LO:HI", default=None,
-                     help="gate thickness bounds in mm")
-    opt.add_argument("--bounds-h-mm", metavar="LO:HI", default=None,
-                     help="gate height bounds in mm")
-    opt.add_argument("--bounds-ane-mm2", metavar="LO:HI", default=None,
-                     help="per-nozzle exit area bounds in mm^2")
-    opt.add_argument("--max-evals", type=int, default=400,
-                     help="objective evaluation budget (default 400)")
-    opt.add_argument("--out", required=True, metavar="PATH",
-                     help="result JSON path")
-    opt.set_defaults(func=_cmd_optimize)
-
-    fr = subs.add_parser("friction",
-                         help="predict friction coefficients under flow")
-    _add_device_flags(fr)
-    fr.add_argument("--weight-n", type=float, required=True,
-                    help="pad weight in N")
-    fr.add_argument("--mu0-s", type=float, default=0.5,
-                    help="no-flow static coefficient (default 0.5)")
-    fr.add_argument("--mu0-k", type=float, default=0.4,
-                    help="no-flow kinetic coefficient (default 0.4)")
-    fr.add_argument("--a-eff-cm2", type=float, default=1.0,
-                    help="contact area the port pressure acts on, in cm^2 "
-                         "(default 1)")
-    fr.add_argument("--qin-lpm", default="0,10,20,30",
-                    help="comma-separated flows in L/min "
-                         "(default 0,10,20,30)")
-    _add_output_flags(fr)
-    fr.set_defaults(func=_cmd_friction)
-
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(sub)
     return parser
 
 
+def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser ``main`` uses for ``argv``: only the named command's
+    flags when ``argv`` starts with a command, the full parser otherwise
+    (no arguments, ``-h``, an unknown command)."""
+    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser_for(argv).parse_args(argv)
     try:
         return args.func(args)
     except calib.FitError as exc:

@@ -1,15 +1,19 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
-                    catalog_device, sweep)
+                    catalog_device, cli, sweep)
 from fdrsim._units import AREA, FLOW, LENGTH
-from fdrsim.cli import _json_text, _load_device_config, main
+from fdrsim.cli import (_COMMANDS, _json_text, _load_device_config,
+                        _parser_for, build_parser, main)
 
 _SWEEP_HEADER = ("q_in_lpm,p_in_kpa,p_chamber_kpa,a_fg_mm2,a_fg_over_a_ex,"
                  "p_out_kpa,mode")
@@ -490,6 +494,120 @@ def test_help_mentions_units(capsys):
         main(["sweep", "--help"])
     assert exc.value.code == 0
     assert "lpm" in capsys.readouterr().out
+
+
+# --- parser: only the invoked command's flags are built -----------------------
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """Command name -> subparser."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_build_parser_adds_only_the_named_commands_flags():
+    for name in _COMMANDS:
+        subs = _subparsers(build_parser(name))
+        assert list(subs) == list(_COMMANDS)
+        for other, sub in subs.items():
+            dests = [action.dest for action in sub._actions]
+            if other == name:
+                assert len(dests) > 1
+                assert sub.get_default("func") is not None
+            else:
+                assert dests == ["help"]
+    for sub in _subparsers(build_parser()).values():
+        assert len(sub._actions) > 1
+        assert sub.get_default("func") is not None
+
+
+def test_build_parser_rejects_unknown_command():
+    with pytest.raises(ValueError, match="unknown command 'bogus'"):
+        build_parser("bogus")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["simulate", "--type", "B", "--qin-lpm", "10"], ["simulate"]),
+    ([], [None]),
+    (["-h", "simulate"], [None]),
+    (["bogus"], [None]),
+])
+def test_main_builds_only_the_invoked_command(monkeypatch, argv, built):
+    calls = []
+    full = cli.build_parser
+
+    def recording(command=None):
+        calls.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert calls == built
+
+
+def _parse_outcome(parser: argparse.ArgumentParser, argv: list) -> tuple:
+    """(namespace or None, exit code or None, stdout, stderr) of a parse."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_as_full_parser(argv: list) -> tuple:
+    outcome = _parse_outcome(_parser_for(argv), argv)
+    assert outcome == _parse_outcome(build_parser(), argv)
+    return outcome
+
+
+_FLAGS = sorted({flag for sub in _subparsers(build_parser()).values()
+                 for flag in sub._option_string_actions})
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2),
+    (["-h", "simulate"], 0),
+    *[([name, "-h"], 0) for name in _COMMANDS],
+    (["simulate", "--type", "B"], 2),
+    (["sweep", "--type", "B"], 2),
+    (["simulate", "--qin-lpm", "1", "extra"], 2),
+    (["sweep", "--format", "xml", "--out", "s.csv"], 2),
+    (["simulate", "--qin-lpm", "abc"], 2),
+    (["simulate", "--type", "C", "--config", "x", "--qin-lpm", "1"], 2),
+    # argparse tells a flag that repeats its default apart by identity,
+    # and a one-letter "B" is the default object itself: no conflict
+    # in-process (a shell's argv gives exit 2); either way, the same
+    (["simulate", "--type", "B", "--config", "x", "--qin-lpm", "1"], ...),
+    (["simulate", "--qin", "3"], None),
+    (["simulate", "sweep"], 2),
+])
+def test_command_parser_matches_full_parser(monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    namespace, exit_code, _, _ = _assert_parses_as_full_parser(argv)
+    if code is not ...:
+        assert exit_code == code
+    if code is None:
+        assert namespace.qin_lpm == 3.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=hs.data())
+def test_command_parser_matches_full_parser_on_drawn_argv(tmp_path_factory,
+                                                          data):
+    out = str(tmp_path_factory.getbasetemp() / "parse" / "o.csv")
+    tokens = hs.sampled_from([*_COMMANDS, *_FLAGS, "--qin", "-h", "--", "1",
+                              "abc", "B", "xml", "json", "1.8:2.0", out])
+    head = data.draw(hs.lists(hs.sampled_from(list(_COMMANDS)), max_size=1))
+    argv = head + data.draw(hs.lists(tokens, max_size=8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        _assert_parses_as_full_parser(argv)
 
 
 # --- round trips: display units in, SI out ------------------------------------

@@ -4,7 +4,8 @@ numpy is imported only inside the fits (``calibrate``) and for the
 spread of a curve-match reference, so importing the package or the CLI,
 ``simulate``, ``sweep``, ``compare``, ``friction``, ``--help``, a
 configuration error and every optimizer objective all run in a fresh
-interpreter without it.
+interpreter without it.  The console-script path, ``main()`` reading
+``sys.argv`` itself, runs here too, as ``python -m fdrsim.cli``.
 """
 
 import os
@@ -15,18 +16,23 @@ from pathlib import Path
 import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-_MEASUREMENTS = Path(__file__).resolve().parent / "golden" / "measurements.csv"
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_MEASUREMENTS = _GOLDEN / "measurements.csv"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the sources under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def _loads_numpy(code: str) -> bool:
     """Run ``code`` in a fresh interpreter; whether numpy got imported."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(_SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\n"
-         "print('numpy-loaded', 'numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _python("-c", code + "\nimport sys\n"
+                   "print('numpy-loaded', 'numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "numpy-loaded True"
 
@@ -104,3 +110,23 @@ def test_grid_commands_without_numpy(tmp_path, argv):
 def test_fit_loads_numpy(tmp_path, argv):
     # the positive controls: the fits do import it
     assert _loads_numpy(_main([*argv, "--out", str(tmp_path / "o.json")]))
+
+
+def test_console_script_simulate_matches_golden():
+    proc = _python("-m", "fdrsim.cli", "simulate", "--type", "B",
+                   "--qin-lpm", "30")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (_GOLDEN / "simulate_B_30.txt").read_text(
+        encoding="utf-8")
+
+
+def test_console_script_without_arguments_exit_usage():
+    proc = _python("-m", "fdrsim.cli")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: fdr")
+
+
+def test_console_script_command_help():
+    proc = _python("-m", "fdrsim.cli", "sweep", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fdr sweep")
