@@ -17,12 +17,11 @@ from .core import (AIR, CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, FluidProperties, Material, P_ATM,
                    catalog_device, shore_to_modulus, validate_geometry,
                    with_gate)
-from .flow import bifurcation_pressure, input_pressure
-from .gate import (GateComplianceModel, GateState, REFERENCE_STIFFNESS,
-                   gate_stiffness, opening_area, opening_ratio)
+from .flow import input_pressure
+from .gate import REFERENCE_STIFFNESS, gate_stiffness, opening_ratio
 from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
-                      SupersonicJetWarning, jet_dynamic_pressure,
-                      jet_velocity, output_pressure, recirculation_penalty)
+                      SupersonicJetWarning, jet_velocity,
+                      recirculation_penalty)
 from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
                      OperatingState, OptimizationResult,
                      SweepError, SweepResult, blowing_objective,
@@ -44,12 +43,10 @@ __all__ = [
     "AIR", "CATALOG_TYPE_IDS", "Device", "DeviceGeometry",
     "FlapGateGeometry", "FluidProperties", "Material", "P_ATM",
     "catalog_device", "shore_to_modulus", "validate_geometry", "with_gate",
-    "bifurcation_pressure", "input_pressure",
-    "GateComplianceModel", "GateState", "REFERENCE_STIFFNESS",
-    "gate_stiffness", "opening_area", "opening_ratio",
+    "input_pressure",
+    "REFERENCE_STIFFNESS", "gate_stiffness", "opening_ratio",
     "DEFAULT_COEFFS", "ModelCoefficients", "SupersonicJetWarning",
-    "jet_dynamic_pressure", "jet_velocity", "output_pressure",
-    "recirculation_penalty",
+    "jet_velocity", "recirculation_penalty",
     "MODE_BLOWING", "MODE_NEUTRAL", "MODE_SUCTION",
     "OperatingState", "OptimizationResult", "SweepError",
     "SweepResult", "blowing_objective", "compare_designs",

@@ -253,7 +253,7 @@ def _load_coeffs(path: str | None) -> ModelCoefficients:
 def _device_from_args(args: argparse.Namespace) -> Device:
     if args.config is not None:
         return _load_device_config(args.config)
-    return catalog_device(args.type)
+    return catalog_device("B" if args.type is None else args.type)
 
 
 # --- commands -----------------------------------------------------------------
@@ -403,7 +403,10 @@ def _cmd_friction(args: argparse.Namespace) -> int:
 
 def _add_device_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--type", default="B", metavar="LETTER",
+    # default None, not "B": argparse counts a flag as given only when its
+    # value is not the default object, and an in-process "B" can be that
+    # very (interned) string
+    group.add_argument("--type", default=None, metavar="LETTER",
                        help="catalog device type, one of "
                             f"{'/'.join(CATALOG_TYPE_IDS)} (default B)")
     group.add_argument("--config", metavar="PATH", default=None,

@@ -19,27 +19,24 @@ channel (recirculation in the oversized cavity):
     penalty = 1 / (1 + c_recirc max(0, (w - w_ref)/w_ref)^2)
 
 Sign convention throughout: positive ``p_out`` means blowing (air pushed
-out of the port), negative means suction.
+out of the port), negative means suction.  The closure is computed in one
+place, the point law in ``engine``; this module holds its coefficients,
+the jet velocity and the recirculation penalty.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
-from .core import (DEFAULT_CHANNEL_WIDTH_REF, P_ATM, AIR, DeviceGeometry,
-                   FluidProperties)
-from .gate import GateState, opening_ratio
+from .core import DEFAULT_CHANNEL_WIDTH_REF, DeviceGeometry
 
 __all__ = [
     "SupersonicJetWarning",
     "ModelCoefficients",
     "DEFAULT_COEFFS",
     "jet_velocity",
-    "jet_dynamic_pressure",
     "recirculation_penalty",
-    "output_pressure",
 ]
 
 
@@ -97,34 +94,6 @@ def jet_velocity(q_in: float, geometry: DeviceGeometry) -> float:
     return (q_in / geometry.n_nozzles) / geometry.a_ne
 
 
-def jet_dynamic_pressure(q_in: float, geometry: DeviceGeometry,
-                         fluid: FluidProperties = AIR) -> float:
-    """Per-nozzle jet dynamic pressure rho/2 v^2 [Pa].
-
-    Warns with :class:`SupersonicJetWarning` when the exit velocity tops
-    the ambient speed of sound sqrt(gamma P_atm / rho); the model keeps
-    evaluating but its incompressible closure is out of its depth there.
-    """
-    v = jet_velocity(q_in, geometry)
-    if v > _sonic_speed(fluid):
-        _warn_supersonic()
-    return 0.5 * fluid.rho * v * v
-
-
-def _sonic_speed(fluid: FluidProperties) -> float:
-    """Ambient speed of sound sqrt(gamma P_atm / rho) [m/s]."""
-    return math.sqrt(fluid.gamma * P_ATM / fluid.rho)
-
-
-def _warn_supersonic() -> None:
-    """Issue :class:`SupersonicJetWarning`, attributed to the line that
-    called this function's caller."""
-    # static message so repeated sweep points collapse to one report
-    warnings.warn("jet velocity exceeds the ambient speed of sound; "
-                  "the incompressible jet closure is extrapolating",
-                  SupersonicJetWarning, stacklevel=3)
-
-
 def recirculation_penalty(w: float, coeffs: ModelCoefficients,
                           w_ref: float = DEFAULT_CHANNEL_WIDTH_REF) -> float:
     """Entrainment knockdown for gates wider than the reference channel,
@@ -135,20 +104,3 @@ def recirculation_penalty(w: float, coeffs: ModelCoefficients,
         raise ValueError("w_ref must be positive")
     excess = max(0.0, (w - w_ref) / w_ref)
     return 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
-
-
-def output_pressure(q_in: float, state: GateState, geometry: DeviceGeometry,
-                    fluid: FluidProperties = AIR,
-                    coeffs: ModelCoefficients = DEFAULT_COEFFS) -> float:
-    """Output port gauge pressure [Pa]; positive blows, negative sucks."""
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-    s = state.open_fraction
-    blocked = (1.0 - s) * q_in
-    p_blow = 0.5 * fluid.rho * (blocked / (coeffs.cd_out * geometry.a_out)) ** 2
-    q_jet = jet_dynamic_pressure(q_in, geometry, fluid)
-    vent = min(1.0, opening_ratio(state.a_fg, geometry.a_ex))
-    penalty = recirculation_penalty(geometry.gate.w, coeffs,
-                                    geometry.channel_width_ref)
-    p_suck = coeffs.eta * q_jet * vent * penalty
-    return (1.0 - s) * p_blow - s * p_suck

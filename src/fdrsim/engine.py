@@ -8,12 +8,13 @@ opening depends on the chamber pressure alone and nothing downstream
 feeds back into it, so each step runs once and the chain has a closed
 form.
 
-One point law, built once per device and coefficient set, runs that
-chain on plain Python floats for one point, every sweep row, the
-switching bisection and every optimizer or fit objective, and rounds
-exactly as the public stage functions of ``flow``, ``gate`` and
-``ejector`` composed.  numpy is left to the fits in ``calib`` and the
-spread of a curve-match reference.
+One point law, built once per device and coefficient set, is the one
+place that chain is computed: it runs on plain Python floats for one
+point, every sweep row, the switching bisection and every optimizer or
+fit objective.  The stage modules ``flow``, ``gate`` and ``ejector`` hold
+the device-term helpers it calls and the physics notes behind each
+formula.  numpy is left to the fits in ``calib`` and the spread of a
+curve-match reference.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -31,15 +32,17 @@ work on plain Python floats too.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
-from .core import Device, catalog_device, validate_geometry, with_gate
-from .ejector import (DEFAULT_COEFFS, ModelCoefficients, _sonic_speed,
-                      _warn_supersonic, jet_velocity, recirculation_penalty)
+from .core import P_ATM, Device, catalog_device, validate_geometry, with_gate
+from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
+                      SupersonicJetWarning, jet_velocity,
+                      recirculation_penalty)
 from .flow import input_pressure
-from .gate import REFERENCE_STIFFNESS, GateComplianceModel, gate_stiffness
+from .gate import REFERENCE_STIFFNESS, gate_stiffness
 
 __all__ = [
     "MODE_BLOWING",
@@ -132,14 +135,27 @@ _Law = Callable[[float], _Point]
 def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out).
 
-    Bit for bit ``input_pressure`` -> ``bifurcation_pressure`` ->
-    ``opening_area`` -> ``output_pressure``: the device's own terms are
-    computed once, here, and the rest runs the stage functions'
-    operations in their order (``**`` squares, which round as libm
-    ``pow``, not always as ``u * u``).  A bad flow, a device without a
-    steady state, or pressures beyond the float range raise the stage
-    functions' ``ValueError``.  No warning: callers use
-    :func:`_warn_if_sonic`.
+    The chain, one stage after another (the physics notes are in the
+    docstrings of ``flow``, ``gate`` and ``ejector``):
+
+        p_in      = c1 q + c2 q^2
+        p_chamber = (rho / rho_in) p_in
+                    + (gamma - 1)/(2 gamma) rho (q / a_in)^2
+                      (1 - (a_in / (2 a_branch))^2)
+        a_fg      = min(a_fg_max, gain max(0, max(0, p_chamber) - p_c)),
+                    a_fg_max = w h, gain = k0 D_ref / D
+        s         = a_fg / a_fg_max
+        p_out     = (1 - s) p_blow - s p_suck
+        p_blow    = rho/2 ((1 - s) q / (cd_out a_out))^2
+        p_suck    = eta rho/2 v^2 min(1, a_fg / a_ex) penalty(w),
+                    v = (q / n_nozzles) / a_ne
+
+    The device's own terms are computed once, here; each flow then runs
+    the rest in the order written (``**`` squares, which round as libm
+    ``pow``, not always as ``u * u``).  A bad flow, a device whose
+    derived terms (``split``, ``a_fg_max``, ``gain``, ``cd_out a_out``)
+    leave no steady state, or pressures beyond the float range raise
+    ``ValueError``.  No warning: callers use :func:`_warn_if_sonic`.
     """
     g = device.geometry
     fluid = device.fluid
@@ -150,12 +166,22 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
             split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
         except OverflowError as exc:   # a float ``**`` out of range
             raise ValueError(_NOT_FINITE) from exc
-        model = GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c)
-        gain = (model.compliance_scale * REFERENCE_STIFFNESS
+        # each derived divisor or scale positive and finite: a zero or
+        # infinite one turns rows into a division by zero or inf * 0 = nan
+        a_max = g.gate.w * g.gate.h
+        if not 0.0 < a_max < math.inf:
+            raise ValueError("a_fg_max must be positive and finite")
+        gain = (coeffs.k0 * REFERENCE_STIFFNESS
                 / gate_stiffness(g.gate, device.material))
+        if not 0.0 < gain < math.inf:
+            raise ValueError("gate gain k0 D_ref / D must be positive "
+                             "and finite")
         if g.a_ex <= 0.0:
             raise ValueError("a_ex must be positive")
         penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
+        out_area = coeffs.cd_out * g.a_out
+        if not 0.0 < out_area < math.inf:
+            raise ValueError("cd_out * a_out must be positive and finite")
     except ValueError as exc:
         message = str(exc)
 
@@ -169,9 +195,8 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
     density_ratio = fluid.rho / fluid.rho_in
     kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
-    crack, a_max = model.crack_pressure, model.a_fg_max
+    crack = coeffs.p_c
     half_rho = 0.5 * fluid.rho
-    out_area = coeffs.cd_out * g.a_out
     inf = math.inf
 
     # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
@@ -205,9 +230,16 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
 
 
 def _warn_if_sonic(q_in: float, device: Device) -> None:
-    """Warn if the jet at ``q_in``, a call's largest flow, passes sonic."""
-    if jet_velocity(q_in, device.geometry) > _sonic_speed(device.fluid):
-        _warn_supersonic()
+    """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
+    line, if the jet at ``q_in``, a call's largest flow, tops the ambient
+    speed of sound sqrt(gamma P_atm / rho)."""
+    fluid = device.fluid
+    if (jet_velocity(q_in, device.geometry)
+            > math.sqrt(fluid.gamma * P_ATM / fluid.rho)):
+        # static message so repeated sweep points collapse to one report
+        warnings.warn("jet velocity exceeds the ambient speed of sound; "
+                      "the incompressible jet closure is extrapolating",
+                      SupersonicJetWarning, stacklevel=2)
 
 
 def solve_operating_point(q_in: float, device: Device,

@@ -3,49 +3,29 @@
 The inlet pressure follows the calibrated supply law
 ``p_in = c1 q + c2 q^2``.  The junction feeding the inflatable chambers
 holds a static pressure given by a compressible energy balance between
-the inlet and one branch (``bifurcation_pressure``), which collapses to
-the inlet pressure when the inlet area is exactly twice the branch area
-and the density is unchanged.  The gate opens under that junction
-pressure alone; the chambers are dead ends and carry no steady flow.
+the inlet (area ``a_in``) and one of the two downstream branches (area
+``a_branch``):
+
+    p = (rho / rho_in) p_in
+        + (gamma - 1)/(2 gamma) rho (q_in / a_in)^2 (1 - (a_in / (2 a_branch))^2)
+
+With ``a_in == 2 a_branch`` the kinetic term vanishes identically, and
+with ``rho == rho_in`` the junction simply holds the inlet pressure.  The
+gate opens under that junction pressure alone; the chambers are dead ends
+and carry no steady flow.  The junction balance is computed in one place,
+the point law in ``engine``; this module holds the supply law.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import DeviceGeometry, FluidProperties
-
 if TYPE_CHECKING:  # pragma: no cover
     from .ejector import ModelCoefficients
 
 __all__ = [
-    "bifurcation_pressure",
     "input_pressure",
 ]
-
-
-def bifurcation_pressure(q_in: float, p_in: float, fluid: FluidProperties,
-                         geometry: DeviceGeometry) -> float:
-    """Static gauge pressure [Pa] at the junction where the inlet stream splits.
-
-    Energy balance between the inlet (area ``a_in``) and one of the two
-    downstream branches (area ``a_branch``):
-
-        p = (rho / rho_in) p_in
-            + (gamma - 1)/(2 gamma) rho (q_in / a_in)^2 (1 - (a_in / (2 a))^2)
-
-    With ``a_in == 2 a_branch`` the kinetic term vanishes identically, and
-    with ``rho == rho_in`` the junction simply holds the inlet pressure.
-    """
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-    a_in = geometry.a_in
-    a = geometry.a_branch
-    if a_in <= 0.0 or a <= 0.0:
-        raise ValueError("areas must be positive")
-    kinetic = ((fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
-               * (q_in / a_in) ** 2 * (1.0 - (a_in / (2.0 * a)) ** 2))
-    return fluid.rho / fluid.rho_in * p_in + kinetic
 
 
 def input_pressure(q_in: float, coeffs: "ModelCoefficients") -> float:

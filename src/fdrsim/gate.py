@@ -1,4 +1,4 @@
-"""Pressure-operated flap gate: stiffness ranking and opening area.
+"""Pressure-operated flap gate: stiffness ranking and the opening law.
 
 The gate is a pair of cantilevered elastomer walls (width ``w``,
 thickness ``t``, height ``h``) spanning the exhaust channel.  Chamber
@@ -15,25 +15,23 @@ designs, so the model reduces to two ingredients:
   where ``k0`` [m^2/Pa] is the opening gain quoted for the nominal gate
   (whose stiffness is ``D_ref``), ``p_c`` [Pa] is the cracking pressure
   below which the walls stay sealed, and ``a_fg_max`` caps the opening at
-  the physical window, by default ``w h``.
+  the physical window ``w h``.
 
 Softer, thinner, or wider gates have smaller ``D`` and therefore open
-further at the same pressure.
+further at the same pressure.  The opening itself is computed in one
+place, the point law in ``engine``; this module holds the stiffness
+proxy, its nominal value ``REFERENCE_STIFFNESS`` and the vent ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import FlapGateGeometry, Material
 
 __all__ = [
     "REFERENCE_STIFFNESS",
-    "GateComplianceModel",
-    "GateState",
     "gate_stiffness",
-    "opening_area",
     "opening_ratio",
 ]
 
@@ -68,56 +66,6 @@ def _reference_stiffness() -> float:
 # stiffness of the nominal gate; anchors the opening gain k0 so that the
 # same k0 means the same compliance on the nominal build
 REFERENCE_STIFFNESS = _reference_stiffness()
-
-
-@dataclass(frozen=True)
-class GateComplianceModel:
-    compliance_scale: float   # k0, opening gain of the nominal gate [m^2/Pa]
-    crack_pressure: float     # p_c, sealing threshold [Pa]
-    a_fg_max: float           # saturation opening [m^2]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.compliance_scale < math.inf:
-            raise ValueError("compliance_scale must be positive and finite")
-        if not 0.0 <= self.crack_pressure < math.inf:
-            raise ValueError("crack_pressure must be nonnegative and finite")
-        if not 0.0 < self.a_fg_max < math.inf:
-            raise ValueError("a_fg_max must be positive and finite")
-
-    @classmethod
-    def for_gate(cls, geom: FlapGateGeometry, compliance_scale: float,
-                 crack_pressure: float) -> "GateComplianceModel":
-        """Model saturating at the gate's own window ``w h``."""
-        return cls(compliance_scale=compliance_scale,
-                   crack_pressure=crack_pressure,
-                   a_fg_max=geom.w * geom.h)
-
-
-@dataclass(frozen=True)
-class GateState:
-    a_fg: float             # opened flow area [m^2]
-    open_fraction: float    # a_fg / a_fg_max, in [0, 1]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.a_fg < math.inf:
-            raise ValueError("a_fg must be nonnegative and finite")
-        if not 0.0 <= self.open_fraction <= 1.0:
-            raise ValueError("open_fraction must lie in [0, 1]")
-
-
-def opening_area(p: float, model: GateComplianceModel,
-                 geom: FlapGateGeometry, mat: Material) -> GateState:
-    """Gate opening at chamber gauge pressure ``p`` [Pa].
-
-    Continuous and nondecreasing in ``p``; at fixed ``p`` above the
-    cracking pressure, stiffer gates open less.
-    """
-    if p < 0.0:
-        raise ValueError("p must be nonnegative (gauge)")
-    stiffness = gate_stiffness(geom, mat)
-    gain = model.compliance_scale * REFERENCE_STIFFNESS / stiffness
-    a_fg = min(model.a_fg_max, gain * max(0.0, p - model.crack_pressure))
-    return GateState(a_fg=a_fg, open_fraction=a_fg / model.a_fg_max)
 
 
 def opening_ratio(a_fg: float, a_ex: float) -> float:

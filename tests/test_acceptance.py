@@ -20,7 +20,6 @@ from fdrsim import (
     Material,
     MODE_BLOWING,
     MODE_SUCTION,
-    bifurcation_pressure,
     builtin_calibration_points,
     catalog_device,
     compare_designs,
@@ -34,6 +33,7 @@ from fdrsim import (
     sweep,
 )
 from fdrsim.cli import main as cli_main
+from fdrsim.engine import _point_law
 from fdrsim._units import M3S_PER_LPM, N_PER_GF
 
 _B = catalog_device("B")
@@ -43,14 +43,19 @@ def test_criterion_01_junction_identity():
     # equal supply/cavity densities and an exactly split inlet keep the
     # junction pressure equal to the supply pressure to round-off
     t0 = time.perf_counter()
+    # junction pressure through the point law, the supply tuned to give
+    # the drawn p_in at the drawn flow
     rng = np.random.default_rng(20260819)
     for _ in range(1000):
         a_in = rng.uniform(1.0e-6, 1.0e-5)
         geom = dataclasses.replace(DeviceGeometry(), a_in=a_in,
                                    a_branch=a_in / 2.0)
         q = rng.uniform(0.0, 1.0e-3)
-        p_in = rng.uniform(0.0, 6.0e4)
-        p = bifurcation_pressure(q, p_in, AIR, geom)
+        coeffs = dataclasses.replace(DEFAULT_COEFFS,
+                                     c1=rng.uniform(0.0, 6.0e4) / q, c2=0.0)
+        law = _point_law(Device(geometry=geom, material=_B.material,
+                                fluid=AIR), coeffs)
+        p_in, p, _, _ = law(q)
         assert abs(p - p_in) <= 1.0e-12 * max(1.0, p_in)
     assert time.perf_counter() - t0 < 1.0
     print("criterion 1: PASS")

@@ -5,12 +5,16 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import re
+import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
-                    catalog_device, cli, sweep)
+                    SupersonicJetWarning, catalog_device, cli, sweep)
 from fdrsim._units import AREA, FLOW, LENGTH
 from fdrsim.cli import (_COMMANDS, _json_text, _load_device_config,
                         _parser_for, build_parser, main)
@@ -432,6 +436,44 @@ def test_calibrate_closures_split_overflow_exit_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def _config_files(directory, device, coeffs):
+    """``--config`` and ``--coeffs`` flags for JSON files holding the two
+    objects."""
+    cfg, cof = directory / "device.json", directory / "coeffs.json"
+    cfg.write_text(json.dumps(device), encoding="utf-8")
+    cof.write_text(json.dumps(coeffs), encoding="utf-8")
+    return ["--config", str(cfg), "--coeffs", str(cof)]
+
+
+# cd_out * a_out underflows to 0: a blowing row would divide by zero
+_ZERO_OUTLET = ({"type": "B", "a_out_mm2": 1e-300}, {"cd_out": 1e-300})
+# k0 D_ref / D overflows: below p_c, inf * 0 = nan would pick the
+# saturated gate
+_INFINITE_GAIN = ({"type": "B", "t_mm": 1e-4}, {"k0": 1e300})
+
+
+def test_simulate_zero_outlet_area_exit_config(tmp_path, capsys):
+    assert main(["simulate", *_config_files(tmp_path, *_ZERO_OUTLET),
+                 "--qin-lpm", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "cd_out * a_out must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+def test_infinite_gate_gain_exit_config(tmp_path, capsys):
+    files = _config_files(tmp_path, *_INFINITE_GAIN)
+    assert main(["simulate", *files, "--qin-lpm", "1"]) == 2
+    captured = capsys.readouterr()
+    assert ("gate gain k0 D_ref / D must be positive and finite"
+            in captured.err)
+    assert captured.out == ""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *files, "--out", str(out)]) == 3
+    assert ("sweep failed at q_in=0 m^3/s: gate gain"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("end,step", [("1", "0.35"), ("30", "1e-9")])
 def test_sweep_rejected_grid_exit_config(tmp_path, end, step):
     out = tmp_path / "s.csv"
@@ -580,9 +622,8 @@ _FLAGS = sorted({flag for sub in _subparsers(build_parser()).values()
     (["sweep", "--format", "xml", "--out", "s.csv"], 2),
     (["simulate", "--qin-lpm", "abc"], 2),
     (["simulate", "--type", "C", "--config", "x", "--qin-lpm", "1"], 2),
-    # argparse tells a flag that repeats its default apart by identity,
-    # and a one-letter "B" is the default object itself: no conflict
-    # in-process (a shell's argv gives exit 2); either way, the same
+    # the same from both parsers; the exit code is pinned by
+    # test_type_b_with_config_exit_config
     (["simulate", "--type", "B", "--config", "x", "--qin-lpm", "1"], ...),
     (["simulate", "--qin", "3"], None),
     (["simulate", "sweep"], 2),
@@ -594,6 +635,25 @@ def test_command_parser_matches_full_parser(monkeypatch, argv, code):
         assert exit_code == code
     if code is None:
         assert namespace.qin_lpm == 3.0
+
+
+def test_type_b_with_config_exit_config(tmp_path, capsys):
+    # argparse counts a flag as given when its value is not the default
+    # object; with a "B" default, an in-process "B" (the same cached
+    # string) would slip past the --type/--config conflict
+    cfg = tmp_path / "device.json"
+    cfg.write_text(json.dumps({"type": "B"}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--type", "B", "--config", str(cfg),
+              "--qin-lpm", "10"])
+    assert exc.value.code == 2
+    assert ("argument --config: not allowed with argument --type"
+            in capsys.readouterr().err)
+    # no --type and no --config is still type B
+    assert main(["simulate", "--qin-lpm", "10"]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["simulate", "--type", "B", "--qin-lpm", "10"]) == 0
+    assert capsys.readouterr().out == implicit
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -706,3 +766,116 @@ def test_device_config_loads_to_replaced_geometry(tmp_path_factory, raw):
     assert device.material == (Material.from_shore_a(float(raw["shore_a"]))
                                if "shore_a" in raw else base.material)
     assert device.type_id == (None if set(raw) - {"type"} else base.type_id)
+
+
+# --- any input: a documented exit code, no traceback, finite output ----------
+
+_MEASUREMENTS = Path(__file__).parent / "golden" / "measurements.csv"
+
+# finite floats of every magnitude, the ends of the float range among them
+_ANY_FLOAT = hs.one_of(
+    hs.floats(allow_nan=False, allow_infinity=False),
+    hs.sampled_from([0.0, -1.0, 1e-300, 1e-150, 1e150, 1e300]))
+
+
+def _scaled(value):
+    """``value`` moved by up to 300 decades, or any finite float."""
+    return hs.one_of(hs.integers(-300, 300).map(lambda e: value * 10.0 ** e),
+                     _ANY_FLOAT)
+
+
+@hs.composite
+def wild_configs(draw):
+    """A valid device config with up to two dimensions pushed anywhere."""
+    raw = draw(device_configs())
+    for key in draw(hs.lists(hs.sampled_from(sorted(_CONFIG_RANGES)),
+                             max_size=2, unique=True)):
+        raw[key] = draw(_scaled(_CONFIG_RANGES[key][2]))
+    return raw
+
+
+_COEFF_FIELDS = sorted(f.name for f in dataclasses.fields(DEFAULT_COEFFS))
+
+
+@hs.composite
+def wild_coeffs(draw):
+    """Up to three coefficients pushed anywhere from their defaults."""
+    names = draw(hs.lists(hs.sampled_from(_COEFF_FIELDS), max_size=3,
+                          unique=True))
+    return {name: draw(_scaled(getattr(DEFAULT_COEFFS, name)))
+            for name in names}
+
+
+def _command_argv(command, files, flow, fmt, out):
+    if command == "simulate":
+        return ["simulate", *files, "--qin-lpm", repr(flow)]
+    if command == "sweep":
+        return ["sweep", *files, "--qin-end-lpm", repr(flow),
+                "--step-lpm", repr(flow / 10.0), "--format", fmt,
+                "--out", out]
+    if command == "friction":
+        return ["friction", *files, "--weight-n", "1",
+                "--qin-lpm", f"0,{flow!r}", "--format", fmt, "--out", out]
+    return ["calibrate", *files, "--data", str(_MEASUREMENTS),
+            "--fit", "closures", "--max-evals", "20", "--out", out]
+
+
+def _finite(token):
+    value = float(token)
+    assert math.isfinite(value), token
+    return value
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite JSON number {token}")
+
+
+def _assert_finite_text(text):
+    """Every number in a printed report or CSV (cells, ``# key=value``
+    comments) is finite; words like ``none`` or ``suction`` are not
+    numbers."""
+    for token in re.split(r"[\s,()=]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert math.isfinite(value), token
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=hs.sampled_from(["simulate", "sweep", "friction",
+                                "calibrate"]),
+       device=wild_configs(), coeffs=wild_coeffs(),
+       flow=hs.one_of(hs.floats(0.0, 40.0), _scaled(1.0),
+                      hs.sampled_from([math.nan, math.inf])),
+       fmt=hs.sampled_from(["csv", "json"]))
+@example(command="simulate", device=_ZERO_OUTLET[0],
+         coeffs=_ZERO_OUTLET[1], flow=10.0, fmt="csv")
+@example(command="simulate", device=_INFINITE_GAIN[0],
+         coeffs=_INFINITE_GAIN[1], flow=1.0, fmt="csv")
+@example(command="sweep", device=_INFINITE_GAIN[0],
+         coeffs=_INFINITE_GAIN[1], flow=30.0, fmt="csv")
+def test_any_input_exits_documented_code(tmp_path_factory, command, device,
+                                         coeffs, flow, fmt):
+    work = tmp_path_factory.mktemp("cli")
+    out = work / ("out.json" if command == "calibrate" else f"out.{fmt}")
+    argv = _command_argv(command, _config_files(work, device, coeffs), flow,
+                         fmt, str(out))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # an argparse error
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    _assert_finite_text(stdout.getvalue())
+    if out.exists():
+        text = out.read_text(encoding="utf-8")
+        if out.suffix == ".json":
+            json.loads(text, parse_float=_finite,
+                       parse_constant=_reject_constant)
+        else:
+            _assert_finite_text(text)

@@ -1,4 +1,5 @@
-"""Jet closure, recirculation penalty, and output-port pressure."""
+"""Jet closure, recirculation penalty, and the output-port pressure through
+the point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
 import warnings
@@ -8,19 +9,30 @@ import pytest
 
 from fdrsim import (
     DEFAULT_COEFFS,
-    DeviceGeometry,
-    GateState,
     ModelCoefficients,
     SupersonicJetWarning,
     catalog_device,
-    jet_dynamic_pressure,
     jet_velocity,
-    output_pressure,
     recirculation_penalty,
+    solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
+from fdrsim.engine import _point_law
 
-_GEOM_B = catalog_device("B").geometry
+_B = catalog_device("B")
+_GEOM_B = _B.geometry
+# a gate sealed at every flow here, and one saturated open (s = 1) above
+# 0.02 L/min; the open gate's window w h = 16 mm^2 tops a_ex, so it vents
+# fully
+_SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)
+_OPEN = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-6, p_c=0.0)
+
+
+def _p_out(q, coeffs, device=_B, **geometry):
+    if geometry:
+        device = dataclasses.replace(device, geometry=dataclasses.replace(
+            device.geometry, **geometry))
+    return _point_law(device, coeffs)(q)[3]
 
 
 def test_default_coefficients_pinned():
@@ -54,23 +66,25 @@ def test_jet_velocity_frozen():
 
 
 def test_jet_dynamic_pressure_frozen_and_warns():
+    # fully open and venting with eta = 1, the port sucks the jet's whole
+    # dynamic pressure rho/2 v^2
+    coeffs = dataclasses.replace(_OPEN, eta=1.0)
     with pytest.warns(SupersonicJetWarning):
-        q_jet = jet_dynamic_pressure(30.0 * M3S_PER_LPM, _GEOM_B)
-    assert q_jet == pytest.approx(235156.25, rel=1e-12)
+        state = solve_operating_point(30.0 * M3S_PER_LPM, _B, coeffs)
+    assert state.p_out == pytest.approx(-235156.25, rel=1e-12)
 
 
 def test_jet_subsonic_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q_jet = jet_dynamic_pressure(10.0 * M3S_PER_LPM, _GEOM_B)
-    assert q_jet > 0.0
+        state = solve_operating_point(10.0 * M3S_PER_LPM, _B, _OPEN)
+    assert state.p_out < 0.0
 
 
 def test_halving_nozzle_area_quadruples_jet_pressure():
-    geom_half = dataclasses.replace(_GEOM_B, a_ne=_GEOM_B.a_ne / 2.0)
     q = 10.0 * M3S_PER_LPM
-    assert jet_dynamic_pressure(q, geom_half) == \
-        4.0 * jet_dynamic_pressure(q, _GEOM_B)
+    assert _p_out(q, _OPEN, a_ne=_GEOM_B.a_ne / 2.0) == \
+        4.0 * _p_out(q, _OPEN)
 
 
 def test_recirculation_penalty_reference_and_below():
@@ -94,79 +108,65 @@ def test_recirculation_penalty_decreasing_above_reference():
 
 
 def test_output_rest_is_neutral():
-    for frac in (0.0, 0.5, 1.0):
-        state = GateState(a_fg=frac * 6.0e-6, open_fraction=frac)
-        assert output_pressure(0.0, state, _GEOM_B) == 0.0
+    for coeffs in (_SHUT, DEFAULT_COEFFS, _OPEN):
+        assert _p_out(0.0, coeffs) == 0.0
 
 
 def test_output_suction_frozen_example():
     # gate fully open and venting, quiet entrainment efficiency
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, eta=0.02)
-    state = GateState(a_fg=6.0e-6, open_fraction=1.0)
+    coeffs = dataclasses.replace(_OPEN, eta=0.02)
     with pytest.warns(SupersonicJetWarning):
-        p = output_pressure(30.0 * M3S_PER_LPM, state, _GEOM_B,
-                            coeffs=coeffs)
+        p = solve_operating_point(30.0 * M3S_PER_LPM, _B, coeffs).p_out
     assert p == pytest.approx(-4703.125, rel=1e-12)
 
 
 def test_output_sign_tracks_open_fraction():
     q = 10.0 * M3S_PER_LPM
-    closed = GateState(a_fg=0.0, open_fraction=0.0)
-    opened = GateState(a_fg=6.0e-6, open_fraction=1.0)
-    assert output_pressure(q, closed, _GEOM_B) > 0.0
-    assert output_pressure(q, opened, _GEOM_B) < 0.0
+    assert _p_out(q, _SHUT) > 0.0
+    assert _p_out(q, _OPEN) < 0.0
 
 
 def test_output_blow_grows_with_flow_when_closed():
-    closed = GateState(a_fg=0.0, open_fraction=0.0)
     qs = np.linspace(0.0, 12.0, 25) * M3S_PER_LPM
-    ps = [output_pressure(q, closed, _GEOM_B) for q in qs]
+    ps = [_p_out(q, _SHUT) for q in qs.tolist()]
     assert all(b > a for a, b in zip(ps, ps[1:]))
 
 
 def test_output_suction_grows_with_flow_when_open():
-    opened = GateState(a_fg=6.0e-6, open_fraction=1.0)
     qs = np.linspace(1.0, 12.0, 25) * M3S_PER_LPM
-    ps = [output_pressure(q, opened, _GEOM_B) for q in qs]
+    ps = [_p_out(q, _OPEN) for q in qs.tolist()]
     assert all(b < a for a, b in zip(ps, ps[1:]))
 
 
 def test_output_suction_grows_with_vent_opening():
-    # same open fraction, larger vent ratio pulls harder (until capped)
+    # same open fraction, larger vent ratio a_fg / a_ex pulls harder
+    # (until capped): the 16 mm^2 opening against a shrinking exhaust
     q = 10.0 * M3S_PER_LPM
-    ps = []
-    for a_fg in (1.0e-6, 3.0e-6, 6.0e-6):
-        state = GateState(a_fg=a_fg, open_fraction=1.0)
-        ps.append(output_pressure(q, state, _GEOM_B))
+    ps = [_p_out(q, _OPEN, a_ex=a_ex) for a_ex in (96.0e-6, 32.0e-6, 16.0e-6)]
     assert ps[0] > ps[1] > ps[2]
-    capped = output_pressure(q, GateState(a_fg=9.0e-6, open_fraction=1.0),
-                             _GEOM_B)
+    capped = _p_out(q, _OPEN, a_ex=16.0e-6 / 1.5)
     assert capped == ps[2]  # vent ratio caps at 1
 
 
 def test_output_blow_shrinks_with_bigger_outlet():
     q = 10.0 * M3S_PER_LPM
-    closed = GateState(a_fg=0.0, open_fraction=0.0)
-    small = output_pressure(q, closed, _GEOM_B)
-    wide = output_pressure(
-        q, closed, dataclasses.replace(_GEOM_B, a_out=12.0e-6))
+    small = _p_out(q, _SHUT)
+    wide = _p_out(q, _SHUT, a_out=12.0e-6)
     assert 0.0 < wide < small
 
 
 def test_output_wide_gate_penalized():
-    # identical state and flow; the wider gate entrains less
+    # identical state (open, vent capped) and flow; the wider gate
+    # entrains less
     q = 10.0 * M3S_PER_LPM
-    state = GateState(a_fg=6.0e-6, open_fraction=1.0)
-    p_b = output_pressure(q, state, _GEOM_B)
-    geom_c = catalog_device("C").geometry
-    p_c = output_pressure(q, state, geom_c)
+    p_b = _p_out(q, _OPEN)
+    p_c = _p_out(q, _OPEN, catalog_device("C"))
     assert p_b < p_c < 0.0
 
 
 def test_output_rejects_negative_flow():
-    state = GateState(a_fg=0.0, open_fraction=0.0)
     with pytest.raises(ValueError):
-        output_pressure(-1.0e-4, state, _GEOM_B)
+        _point_law(_B, _SHUT)(-1.0e-4)
 
 
 def test_coefficients_are_immutable():

@@ -1,4 +1,5 @@
-"""Supply law and junction pressure."""
+"""Supply law and junction pressure, the latter through the point law's
+(p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
 
@@ -6,14 +7,26 @@ import numpy as np
 import pytest
 
 from fdrsim import (
-    AIR,
     DEFAULT_COEFFS,
+    Device,
     DeviceGeometry,
     FluidProperties,
-    bifurcation_pressure,
+    Material,
     input_pressure,
 )
 from fdrsim._units import M3S_PER_LPM
+from fdrsim.engine import _point_law
+
+_SOFT = Material.from_shore_a(10.0)
+
+
+def _junction(q, p_in, geometry, fluid=FluidProperties()):
+    """The law's (p_in, p_chamber) at flow ``q`` under a linear supply law
+    tuned to deliver ``p_in`` there."""
+    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=p_in / q, c2=0.0)
+    law = _point_law(Device(geometry=geometry, material=_SOFT, fluid=fluid),
+                     coeffs)
+    return law(q)[:2]
 
 
 def test_junction_identity_under_split_rule():
@@ -22,8 +35,7 @@ def test_junction_identity_under_split_rule():
     rng = np.random.default_rng(77)
     for _ in range(200):
         q = rng.uniform(0.0, 1.0e-3)
-        p_in = rng.uniform(0.0, 6.0e4)
-        p = bifurcation_pressure(q, p_in, AIR, geom)
+        p_in, p = _junction(q, rng.uniform(0.0, 6.0e4), geom)
         assert abs(p - p_in) <= 1.0e-12 * max(1.0, p_in)
 
 
@@ -31,22 +43,26 @@ def test_junction_kinetic_correction():
     # frozen: inlet 4 mm2 into a 1.5 mm2 branch at 0.5 L/s, 47.1 kPa supply
     geom = dataclasses.replace(DeviceGeometry(), a_branch=1.5e-6,
                                split_design_rule=False)
-    p = bifurcation_pressure(5.0e-4, 47.1e3, AIR, geom)
+    p_in, p = _junction(5.0e-4, 47.1e3, geom)
+    assert p_in == 47.1e3
     assert p == pytest.approx(45009.72222222222, rel=1e-12)
-    assert p - 47.1e3 == pytest.approx(-2090.2777777777783, rel=1e-12)
+    assert p - p_in == pytest.approx(-2090.2777777777783, rel=1e-12)
 
 
 def test_junction_at_rest_matches_inlet():
-    geom = DeviceGeometry()
-    assert bifurcation_pressure(0.0, 1234.5, AIR, geom) == 1234.5
+    # no flow: the kinetic term vanishes even across an unequal split, so
+    # the junction holds the inlet's (zero) supply pressure
+    geom = dataclasses.replace(DeviceGeometry(), a_branch=1.5e-6,
+                               split_design_rule=False)
+    law = _point_law(Device(geometry=geom, material=_SOFT), DEFAULT_COEFFS)
+    assert law(0.0)[:2] == (0.0, 0.0)
 
 
 def test_junction_density_scaling():
     # denser cavity gas scales the carried-over inlet pressure
     fluid = FluidProperties(rho_in=1.204, rho=2.408)
-    geom = DeviceGeometry()
-    p = bifurcation_pressure(0.0, 1000.0, fluid, geom)
-    assert p == pytest.approx(2000.0, rel=1e-12)
+    p_in, p = _junction(1.0e-4, 1000.0, DeviceGeometry(), fluid)
+    assert p == pytest.approx(2.0 * p_in, rel=1e-12)
 
 
 def test_input_pressure_examples():

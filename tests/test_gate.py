@@ -1,23 +1,28 @@
-"""Flap-gate stiffness and pressure-driven opening behavior."""
+"""Flap-gate stiffness, and the pressure-driven opening through the point
+law's (p_in, p_chamber, a_fg, p_out)."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from fdrsim import (
     CATALOG_TYPE_IDS,
+    DEFAULT_COEFFS,
     FlapGateGeometry,
-    GateComplianceModel,
-    GateState,
     Material,
     REFERENCE_STIFFNESS,
     catalog_device,
     gate_stiffness,
-    opening_area,
     opening_ratio,
 )
+from fdrsim._units import M3S_PER_LPM
+from fdrsim.engine import _point_law
 
 _NOMINAL_GATE = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
 _SOFT = Material.from_shore_a(10.0)
+_NOMINAL = catalog_device("B")   # the nominal gate in the soft material
 
 
 def test_stiffness_frozen_value():
@@ -60,97 +65,92 @@ def test_stiffness_orderings_across_catalog():
     assert d("H") == d("B") == d("I")    # nozzle size leaves the wall alone
 
 
+def _law(device, **coeffs):
+    return _point_law(device, dataclasses.replace(DEFAULT_COEFFS, **coeffs))
+
+
+def _opening_at(p, device=_NOMINAL, **coeffs):
+    """The law's gate opening with the chamber held at exactly ``p``: with
+    ``c1 = p`` and ``c2 = 0`` the supply gives ``p`` at ``q = 1 m^3/s``,
+    and a split inlet carries it unchanged to the junction."""
+    _, p_chamber, a_fg, _ = _law(device, c1=p, c2=0.0, **coeffs)(1.0)
+    assert p_chamber == p
+    return a_fg
+
+
 def test_compliance_model_validation():
-    with pytest.raises(ValueError):
-        GateComplianceModel(compliance_scale=0.0, crack_pressure=1.0e3,
-                            a_fg_max=1.0e-5)
-    with pytest.raises(ValueError):
-        GateComplianceModel(compliance_scale=1.0e-10, crack_pressure=-1.0,
-                            a_fg_max=1.0e-5)
-    with pytest.raises(ValueError):
-        GateComplianceModel(compliance_scale=1.0e-10, crack_pressure=1.0e3,
-                            a_fg_max=0.0)
+    # the law's set-up rejects a gate window w h or an opening gain
+    # k0 D_ref / D that is not positive and finite
+    cases = [
+        (FlapGateGeometry(1.0e-200, 1.0e-201, 1.0e-200), 1.7e-10,
+         "a_fg_max must be positive and finite"),     # w h underflows
+        (FlapGateGeometry(1.0e200, 1.0e-3, 1.0e200), 1.7e-10,
+         "a_fg_max must be positive and finite"),     # w h overflows
+        (FlapGateGeometry(8.0e-3, 1.0e-7, 2.0e-3), 1.0e300,
+         "gate gain k0 D_ref / D must be positive and finite"),   # inf
+        (_NOMINAL_GATE, 1.0e-320,
+         "gate gain k0 D_ref / D must be positive and finite"),   # 0
+    ]
+    for gate, k0, message in cases:
+        device = dataclasses.replace(_NOMINAL, geometry=dataclasses.replace(
+            _NOMINAL.geometry, gate=gate))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _law(device, k0=k0)(1.0e-4)
 
 
 def test_for_gate_saturates_at_wall_window():
-    model = GateComplianceModel.for_gate(_NOMINAL_GATE, 1.0e-10, 5.0e3)
-    assert model.a_fg_max == _NOMINAL_GATE.w * _NOMINAL_GATE.h
-
-
-def test_gate_state_validation():
-    GateState(a_fg=0.0, open_fraction=0.0)
-    with pytest.raises(ValueError):
-        GateState(a_fg=-1.0e-9, open_fraction=0.0)
-    with pytest.raises(ValueError):
-        GateState(a_fg=1.0e-6, open_fraction=1.5)
+    # narrow, wide and short gates each saturate at their own window w h
+    for tid in ("A", "C", "F"):
+        device = catalog_device(tid)
+        gate = device.geometry.gate
+        a_fg = _opening_at(1.0e9, device, k0=1.0e-10, p_c=5.0e3)
+        assert a_fg == gate.w * gate.h, tid
 
 
 def test_opening_frozen_example():
     # nominal wall, so gain equals the raw compliance scale; 20 kPa over crack
-    model = GateComplianceModel(compliance_scale=1.0e-10,
-                                crack_pressure=5.0e3, a_fg_max=1.0)
-    state = opening_area(25.0e3, model, _NOMINAL_GATE, _SOFT)
-    assert state.a_fg == pytest.approx(2.0e-6, rel=1e-12)
+    a_fg = _opening_at(25.0e3, k0=1.0e-10, p_c=5.0e3)
+    assert a_fg == pytest.approx(2.0e-6, rel=1e-12)
 
 
 def test_opening_closed_below_crack():
-    model = GateComplianceModel.for_gate(_NOMINAL_GATE, 1.0e-10, 5.0e3)
     for p in (0.0, 2.5e3, 5.0e3):
-        state = opening_area(p, model, _NOMINAL_GATE, _SOFT)
-        assert state.a_fg == 0.0
-        assert state.open_fraction == 0.0
+        assert _opening_at(p, k0=1.0e-10, p_c=5.0e3) == 0.0
 
 
 def test_opening_saturates():
-    model = GateComplianceModel.for_gate(_NOMINAL_GATE, 1.0e-10, 0.0)
-    state = opening_area(1.0e9, model, _NOMINAL_GATE, _SOFT)
-    assert state.a_fg == model.a_fg_max
-    assert state.open_fraction == 1.0
+    a_fg = _opening_at(1.0e9, k0=1.0e-10, p_c=0.0)
+    assert a_fg == _NOMINAL_GATE.w * _NOMINAL_GATE.h
 
 
-def test_opening_rejects_negative_pressure():
-    model = GateComplianceModel.for_gate(_NOMINAL_GATE, 1.0e-10, 5.0e3)
-    with pytest.raises(ValueError):
-        opening_area(-1.0, model, _NOMINAL_GATE, _SOFT)
+# flows whose supply pressure spans 0..60 kPa under the default coefficients
+_FLOWS = np.linspace(0.0, 36.0, 500) * M3S_PER_LPM
+
+
+def _openings(tid, flows=_FLOWS):
+    law = _law(catalog_device(tid))
+    return np.array([law(q)[2] for q in flows.tolist()])
 
 
 def test_opening_nondecreasing_all_catalog_types():
-    ps = np.linspace(0.0, 60.0e3, 500)
     for tid in CATALOG_TYPE_IDS:
-        dev = catalog_device(tid)
-        model = GateComplianceModel.for_gate(dev.geometry.gate,
-                                             1.7e-10, 4.5e3)
-        a = [opening_area(p, model, dev.geometry.gate, dev.material).a_fg
-             for p in ps]
-        diffs = np.diff(a)
+        diffs = np.diff(_openings(tid))
         assert np.all(diffs >= 0.0), tid
 
 
 def test_stiffer_gate_opens_pointwise_less():
-    ps = np.linspace(0.0, 60.0e3, 200)
-
-    def curve(tid):
-        dev = catalog_device(tid)
-        model = GateComplianceModel.for_gate(dev.geometry.gate,
-                                             1.7e-10, 4.5e3)
-        return np.array([
-            opening_area(p, model, dev.geometry.gate, dev.material).a_fg
-            for p in ps])
-
-    base = curve("B")
-    assert np.all(curve("E") <= base)   # thicker
-    assert np.all(curve("K") <= base)   # harder
-    assert np.all(curve("C") >= base)   # wider
+    flows = _FLOWS[::2]
+    base = _openings("B", flows)
+    assert np.all(_openings("E", flows) <= base)   # thicker
+    assert np.all(_openings("K", flows) <= base)   # harder
+    assert np.all(_openings("C", flows) >= base)   # wider
 
 
 def test_open_fraction_bounded():
     rng = np.random.default_rng(909)
-    model = GateComplianceModel.for_gate(_NOMINAL_GATE, 1.7e-10, 4.5e3)
-    for p in rng.uniform(0.0, 2.0e5, 300):
-        state = opening_area(p, model, _NOMINAL_GATE, _SOFT)
-        assert 0.0 <= state.open_fraction <= 1.0
-        assert state.a_fg == pytest.approx(
-            state.open_fraction * model.a_fg_max, rel=1e-12, abs=1e-18)
+    a_fg_max = _NOMINAL_GATE.w * _NOMINAL_GATE.h
+    for p in rng.uniform(0.0, 2.0e5, 300).tolist():
+        assert 0.0 <= _opening_at(p, k0=1.7e-10, p_c=4.5e3) <= a_fg_max
 
 
 def test_opening_ratio():

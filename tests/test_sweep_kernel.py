@@ -1,15 +1,17 @@
-"""The point law behind every command equals the stage functions.
+"""The point law behind every command equals the stage arithmetic.
 
-The reference is the public stage functions composed one flow at a time:
-``input_pressure`` -> ``bifurcation_pressure`` -> ``opening_area`` ->
-``output_pressure``.  The law, and each row of a sweep, must give the
-same bits, and fail at the same flow with the same message.
+The reference is a frozen copy of the per-stage functions the package
+once exported, composed one flow at a time: ``input_pressure`` ->
+``bifurcation_pressure`` -> ``opening_area`` -> ``output_pressure``.  The
+law, and each row of a sweep, must give the same bits, and fail at the
+same flow with the same message.
 """
 
 import dataclasses
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,23 +19,108 @@ from hypothesis import example, given, settings, strategies as st
 
 import fdrsim.engine as engine
 from fdrsim import (
+    AIR,
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
-    GateComplianceModel,
+    REFERENCE_STIFFNESS,
     Material,
     SupersonicJetWarning,
     SweepError,
-    bifurcation_pressure,
     catalog_device,
+    gate_stiffness,
     input_pressure,
-    opening_area,
-    output_pressure,
+    jet_velocity,
+    opening_ratio,
+    recirculation_penalty,
     solve_operating_point,
     sweep,
     switching_objective,
     with_gate,
 )
 from fdrsim._units import M3S_PER_LPM
+
+
+# --- frozen oracle ------------------------------------------------------------
+# The stage functions of ``flow``, ``gate`` and ``ejector`` as they stood
+# when the point law replaced them, kept verbatim as the law's reference;
+# only the sonic warning is left out (the law leaves it to its callers).
+# Do not edit these to follow the law.
+
+def _bifurcation_pressure(q_in, p_in, fluid, geometry):
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    a_in = geometry.a_in
+    a = geometry.a_branch
+    if a_in <= 0.0 or a <= 0.0:
+        raise ValueError("areas must be positive")
+    kinetic = ((fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
+               * (q_in / a_in) ** 2 * (1.0 - (a_in / (2.0 * a)) ** 2))
+    return fluid.rho / fluid.rho_in * p_in + kinetic
+
+
+@dataclass(frozen=True)
+class _GateComplianceModel:
+    compliance_scale: float   # k0, opening gain of the nominal gate [m^2/Pa]
+    crack_pressure: float     # p_c, sealing threshold [Pa]
+    a_fg_max: float           # saturation opening [m^2]
+
+    def __post_init__(self):
+        if not 0.0 < self.compliance_scale < math.inf:
+            raise ValueError("compliance_scale must be positive and finite")
+        if not 0.0 <= self.crack_pressure < math.inf:
+            raise ValueError("crack_pressure must be nonnegative and finite")
+        if not 0.0 < self.a_fg_max < math.inf:
+            raise ValueError("a_fg_max must be positive and finite")
+
+    @classmethod
+    def for_gate(cls, geom, compliance_scale, crack_pressure):
+        return cls(compliance_scale=compliance_scale,
+                   crack_pressure=crack_pressure,
+                   a_fg_max=geom.w * geom.h)
+
+
+@dataclass(frozen=True)
+class _GateState:
+    a_fg: float             # opened flow area [m^2]
+    open_fraction: float    # a_fg / a_fg_max, in [0, 1]
+
+    def __post_init__(self):
+        if not 0.0 <= self.a_fg < math.inf:
+            raise ValueError("a_fg must be nonnegative and finite")
+        if not 0.0 <= self.open_fraction <= 1.0:
+            raise ValueError("open_fraction must lie in [0, 1]")
+
+
+def _opening_area(p, model, geom, mat):
+    if p < 0.0:
+        raise ValueError("p must be nonnegative (gauge)")
+    stiffness = gate_stiffness(geom, mat)
+    gain = model.compliance_scale * REFERENCE_STIFFNESS / stiffness
+    a_fg = min(model.a_fg_max, gain * max(0.0, p - model.crack_pressure))
+    return _GateState(a_fg=a_fg, open_fraction=a_fg / model.a_fg_max)
+
+
+def _jet_dynamic_pressure(q_in, geometry, fluid=AIR):
+    v = jet_velocity(q_in, geometry)
+    return 0.5 * fluid.rho * v * v
+
+
+def _output_pressure(q_in, state, geometry, fluid=AIR,
+                     coeffs=DEFAULT_COEFFS):
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    s = state.open_fraction
+    blocked = (1.0 - s) * q_in
+    p_blow = 0.5 * fluid.rho * (blocked / (coeffs.cd_out * geometry.a_out)) ** 2
+    q_jet = _jet_dynamic_pressure(q_in, geometry, fluid)
+    vent = min(1.0, opening_ratio(state.a_fg, geometry.a_ex))
+    penalty = recirculation_penalty(geometry.gate.w, coeffs,
+                                    geometry.channel_width_ref)
+    p_suck = coeffs.eta * q_jet * vent * penalty
+    return (1.0 - s) * p_blow - s * p_suck
+
+
+# --- properties ---------------------------------------------------------------
 
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                      database=None)
@@ -82,7 +169,7 @@ def grids(draw):
 
 
 def _composed(q_in, device, coeffs):
-    """Reference: the stage functions composed at one flow, as the
+    """Reference: the frozen stage functions composed at one flow, as the
     operating point's (p_in, p_chamber, a_fg, p_out)."""
     if not math.isfinite(q_in):
         raise ValueError("q_in must be finite")
@@ -91,11 +178,11 @@ def _composed(q_in, device, coeffs):
     g = device.geometry
     try:
         p_in = input_pressure(q_in, coeffs)
-        p_chamber = bifurcation_pressure(q_in, p_in, device.fluid, g)
-        model = GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c)
-        state = opening_area(max(0.0, p_chamber), model, g.gate,
-                             device.material)
-        p_out = output_pressure(q_in, state, g, device.fluid, coeffs)
+        p_chamber = _bifurcation_pressure(q_in, p_in, device.fluid, g)
+        model = _GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c)
+        state = _opening_area(max(0.0, p_chamber), model, g.gate,
+                              device.material)
+        p_out = _output_pressure(q_in, state, g, device.fluid, coeffs)
     except OverflowError as exc:   # a float ``**`` out of range
         raise ValueError(engine._NOT_FINITE) from exc
     point = (p_in, p_chamber, state.a_fg, p_out)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from fdrsim import (DeviceGeometry, FlapGateGeometry, FluidProperties,
-                    GateComplianceModel, GateState, Material,
-                    MeasurementRow, ModelCoefficients, validate_geometry)
+                    Material, MeasurementRow, ModelCoefficients,
+                    validate_geometry)
 
 _PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                      database=None)
@@ -56,10 +56,6 @@ _TYPES = {
                       "gamma": _Domain(1.0, lo_open=True)},
     Material: {"shore_a": _Domain(0.0, 100.0, lo_open=True, hi_open=True),
                "youngs_modulus": _POSITIVE},
-    GateComplianceModel: {"compliance_scale": _POSITIVE,
-                          "crack_pressure": _NONNEGATIVE,
-                          "a_fg_max": _POSITIVE},
-    GateState: {"a_fg": _NONNEGATIVE, "open_fraction": _Domain(0.0, 1.0)},
     ModelCoefficients: {"c1": _NONNEGATIVE, "c2": _NONNEGATIVE,
                         "eta": _POSITIVE, "c_recirc": _NONNEGATIVE,
                         "k0": _POSITIVE, "p_c": _NONNEGATIVE,
