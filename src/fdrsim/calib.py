@@ -28,7 +28,7 @@ from pathlib import Path
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .engine import _misfit, _point_law, _warn_if_sonic, nelder_mead
+from .engine import _misfit, _point_law, _spread, _warn_if_sonic, nelder_mead
 
 __all__ = [
     "FitError",
@@ -144,37 +144,41 @@ def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitRe
     Normal equations first; when the unconstrained optimum has a negative
     coefficient, clamped coordinate descent takes over.  Deterministic.
     """
-    import numpy as np
     rows = _input_fit_rows(data)
-    q = np.array([r.q_in for r in rows])
-    y = np.array([r.p_in for r in rows])
-    design = np.column_stack([q, q * q])
-    a = design.T @ design
-    b = design.T @ y
+    q = [r.q_in for r in rows]
+    y = [r.p_in for r in rows]
+    q2 = [qi * qi for qi in q]
+    # normal equations of the design [q, q^2]; each sum is correctly
+    # rounded, so the fit does not depend on the order of the rows
+    try:
+        a00 = math.fsum(q2)
+        a01 = math.fsum(s * qi for s, qi in zip(q2, q))
+        a11 = math.fsum(s * s for s in q2)
+        b0 = math.fsum(qi * yi for qi, yi in zip(q, y))
+        b1 = math.fsum(s * yi for s, yi in zip(q2, y))
+    except (OverflowError, ValueError) as exc:  # overflow, or inf - inf
+        raise FitError("measurements overflow the normal equations") from exc
     # the two columns are parallel when only one distinct nonzero q exists;
     # the relative determinant is O((dq/q)^2) for informative data, so a
     # 1e-12 floor only rejects genuinely degenerate sets
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if not det > 1.0e-12 * max(a[0, 0] * a[1, 1], 1.0e-300):
+    det = a00 * a11 - a01 * a01
+    if not det > 1.0e-12 * max(a00 * a11, 1.0e-300):
         raise FitError("flow values do not span a quadratic fit "
                        "(need two distinct nonzero q_in)")
-    try:
-        c = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("flow values do not span a quadratic fit "
-                       "(need two distinct nonzero q_in)") from exc
-    if c[0] < 0.0 or c[1] < 0.0:
-        c = np.maximum(c, 0.0)
+    c1 = (b0 * a11 - a01 * b1) / det
+    c2 = (a00 * b1 - a01 * b0) / det
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise FitError("measurements overflow the normal equations")
+    if c1 < 0.0 or c2 < 0.0:
+        c1, c2 = max(c1, 0.0), max(c2, 0.0)
         for _ in range(500):
-            prev = c.copy()
-            c[0] = max(0.0, (b[0] - a[0, 1] * c[1]) / a[0, 0])
-            c[1] = max(0.0, (b[1] - a[1, 0] * c[0]) / a[1, 1])
-            if np.max(np.abs(c - prev)) <= 1.0e-16 * max(1.0, np.max(np.abs(c))):
+            p1, p2 = c1, c2
+            c1 = max(0.0, (b0 - a01 * c2) / a00)
+            c2 = max(0.0, (b1 - a01 * c1) / a11)
+            if max(map(abs, (c1 - p1, c2 - p2))) <= 1.0e-16 * max(1.0, c1, c2):
                 break
-    c1, c2 = float(c[0]), float(c[1])
     assert c1 >= 0.0 and c2 >= 0.0  # fitted curve monotone on q >= 0
-    residuals = tuple(float(yi - (c1 * qi + c2 * qi * qi))
-                      for qi, yi in zip(q, y))
+    residuals = tuple(yi - (c1 * qi + c2 * qi * qi) for qi, yi in zip(q, y))
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(coefficients={"c1": c1, "c2": c2},
                        rms_residual={"p_in": rms},
@@ -194,7 +198,6 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     deterministic).  ``c_recirc`` is reported unchanged: see the module
     docstring for why this data cannot move it.
     """
-    import numpy as np
     rows = [r for r in data.rows if r.p_out is not None]
     if not rows:
         raise FitError("no rows with p_out; cannot fit the output closure")
@@ -206,9 +209,9 @@ def fit_closures(data: MeasurementSet, device: Device, *,
 
     qs = [r.q_in for r in rows]
     ps = [r.p_out for r in rows]
-    scale = float(np.std(ps))
+    scale = _spread(ps)
     if scale <= 0.0:
-        scale = max(float(np.max(np.abs(ps))), 1.0)
+        scale = max(max(map(abs, ps)), 1.0)
 
     ref = (start.eta, start.k0, max(start.p_c, 1.0e3))
     lo = (1.0e-6, 1.0e-16, 0.0)

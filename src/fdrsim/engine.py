@@ -13,8 +13,8 @@ place that chain is computed: it runs on plain Python floats for one
 point, every sweep row, the switching bisection and every optimizer or
 fit objective.  The stage modules ``flow``, ``gate`` and ``ejector`` hold
 the device-term helpers it calls and the physics notes behind each
-formula.  numpy is left to the fits in ``calib`` and the spread of a
-curve-match reference.
+formula.  No module imports numpy: the fits in ``calib`` and the spread
+of a curve-match reference run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -600,11 +600,22 @@ def optimize_geometry(objective: Callable[[Device], float],
 
 
 def _target_curve(target: SweepResult) -> tuple[list[float], list[float], float]:
-    import numpy as np
     qs = [st.q_in for st in target.states]
     ps = [st.p_out for st in target.states]
-    scale = float(np.std(ps))
+    scale = _spread(ps)
     return qs, ps, scale if scale > 0.0 else 1.0
+
+
+def _spread(values: Sequence[float]) -> float:
+    """Population standard deviation of ``values`` from correctly rounded
+    sums, so it does not depend on their order (``inf`` when a sum leaves
+    the float range)."""
+    try:
+        mean = math.fsum(values) / len(values)
+        return math.sqrt(math.fsum((v - mean) * (v - mean) for v in values)
+                         / len(values))
+    except OverflowError:
+        return math.inf
 
 
 def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,

@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from fdrsim import (
     DEFAULT_COEFFS,
@@ -135,6 +137,18 @@ def test_fit_needs_two_informative_rows():
         fit_input_pressure(MeasurementSet(rows=_rows([(0, 0), (10, 13.5)])))
 
 
+@pytest.mark.parametrize("pairs", [
+    # finite squares of the flow whose sum overflows
+    [(1.0e154, 1.0), (1.2e154, 1.0)],
+    # an infinite right-hand side: the solution is not a number
+    [(1.0e50, 1.0e259), (2.0e50, 1.0)],
+], ids=["sum", "solution"])
+def test_fit_rejects_overflowing_measurements(pairs):
+    rows = tuple(MeasurementRow(q_in=q, p_in=p) for q, p in pairs)
+    with pytest.raises(FitError, match="overflow"):
+        fit_input_pressure(MeasurementSet(rows=rows))
+
+
 def test_fit_ignores_rows_without_supply_pressure():
     rows = _rows([(5, 5.4), (10, 13.5), (20, 32.2)])
     rows += (MeasurementRow(q_in=15.0 * M3S_PER_LPM, p_out=-1.0e3),)
@@ -142,13 +156,61 @@ def test_fit_ignores_rows_without_supply_pressure():
     assert len(report.residuals["p_in"]) == 3
 
 
+def _exact_least_squares(rows):
+    """The unconstrained least-squares ``(c1, c2)`` of ``rows`` in exact
+    rational arithmetic."""
+    q = [Fraction(r.q_in) for r in rows]
+    y = [Fraction(r.p_in) for r in rows]
+    a00 = sum(x ** 2 for x in q)
+    a01 = sum(x ** 3 for x in q)
+    a11 = sum(x ** 4 for x in q)
+    b0 = sum(x * v for x, v in zip(q, y))
+    b1 = sum(x ** 2 * v for x, v in zip(q, y))
+    det = a00 * a11 - a01 * a01
+    return (b0 * a11 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det
+
+
 def test_fit_builtin_matches_default_coefficients():
-    (c1, c2), report = fit_input_pressure(builtin_calibration_points())
+    data = builtin_calibration_points()
+    (c1, c2), report = fit_input_pressure(data)
     assert c1 == pytest.approx(DEFAULT_COEFFS.c1, rel=1e-9)
     assert c2 == pytest.approx(DEFAULT_COEFFS.c2, rel=1e-9)
     rms = report.rms_residual["p_in"]
     assert rms == pytest.approx(1436.0512886284491, rel=1e-9)
     assert rms <= 2.5e3
+    for fitted, exact in zip((c1, c2), _exact_least_squares(data.rows)):
+        assert abs(Fraction(fitted) - exact) <= Fraction(1e-14) * exact
+
+
+def _fit_bits(rows):
+    """The fitted coefficients' bit patterns, or the fit error's text."""
+    try:
+        (c1, c2), _ = fit_input_pressure(MeasurementSet(rows=tuple(rows)))
+    except FitError as exc:
+        return str(exc)
+    return c1.hex(), c2.hex()
+
+
+@hs.composite
+def shuffled_rows(draw):
+    """Supply-pressure rows at distinct flows, and the same rows shuffled."""
+    qs = draw(hs.lists(hs.floats(0.0, 40.0), min_size=2, max_size=12,
+                       unique_by=lambda q: q * M3S_PER_LPM))
+    rows = [MeasurementRow(q_in=q * M3S_PER_LPM,
+                           p_in=draw(hs.floats(-10.0, 100.0)) * PA_PER_KPA)
+            for q in qs]
+    return rows, draw(hs.permutations(rows))
+
+
+_BUILTIN_ROWS = list(builtin_calibration_points().rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=shuffled_rows())
+@example(pair=(_BUILTIN_ROWS, _BUILTIN_ROWS[::-1]))
+def test_fit_independent_of_row_order(pair):
+    rows, shuffled = pair
+    assert _fit_bits(shuffled) == _fit_bits(rows)
 
 
 def test_fit_report_self_consistency():

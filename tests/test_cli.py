@@ -861,6 +861,12 @@ def test_any_input_exits_documented_code(tmp_path_factory, command, device,
     out = work / ("out.json" if command == "calibrate" else f"out.{fmt}")
     argv = _command_argv(command, _config_files(work, device, coeffs), flow,
                          fmt, str(out))
+    _assert_documented_exit(argv, out)
+
+
+def _assert_documented_exit(argv, out):
+    """``main(argv)`` exits 0, 2, 3 or 4 without a traceback, and every
+    number it prints or writes to ``out`` is finite."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr), warnings.catch_warnings():
@@ -879,3 +885,76 @@ def test_any_input_exits_documented_code(tmp_path_factory, command, device,
                        parse_constant=_reject_constant)
         else:
             _assert_finite_text(text)
+
+
+# flag values at the edges of the float range, and past them
+_WILD_NUMBER = hs.sampled_from([math.nan, math.inf, -math.inf, 5e-324,
+                                1e308, -1e308, -1.0, 0.0])
+
+
+def _flag_number(draw, typical):
+    """A value drawn from ``typical``, or one time in four a wild one."""
+    return draw(typical if draw(hs.integers(0, 3)) else _WILD_NUMBER)
+
+
+def _flag(name, value):
+    # ``--flag=-x``: a negative value must not read as a flag
+    return f"{name}={value!r}"
+
+
+_BOUNDS_FLAGS = {"--bounds-w-mm": (3.0, 8.0, 14.0),
+                 "--bounds-t-mm": (0.2, 0.5, 0.9),
+                 "--bounds-h-mm": (1.2, 1.9, 3.0),
+                 "--bounds-ane-mm2": (0.1, 0.4, 1.0)}
+
+
+@hs.composite
+def compare_argv(draw):
+    types = draw(hs.lists(hs.sampled_from([*CATALOG_TYPE_IDS, "Z"]),
+                          min_size=1, max_size=3, unique=True))
+    argv = ["compare", "--types", ",".join(types)]
+    # whole-number ends, so that a typical step divides the range
+    for name, typical in (("--qin-start-lpm", hs.integers(0, 10)),
+                          ("--qin-end-lpm", hs.integers(10, 40)),
+                          ("--step-lpm", hs.sampled_from([0.5, 1.0, 2.0]))):
+        if draw(hs.booleans()):
+            argv.append(_flag(name, float(_flag_number(draw, typical))))
+    return argv
+
+
+@hs.composite
+def optimize_argv(draw):
+    argv = ["optimize", "--type", draw(hs.sampled_from(CATALOG_TYPE_IDS)),
+            "--objective", draw(hs.sampled_from(["switching", "suction",
+                                                 "blowing"]))]
+    for name, (lo, mid, hi) in _BOUNDS_FLAGS.items():
+        if draw(hs.booleans()):
+            ends = (_flag_number(draw, hs.floats(lo, mid)),
+                    _flag_number(draw, hs.floats(mid, hi)))
+            argv.append(f"{name}=" + ":".join(map(repr, ends)))
+    if draw(hs.booleans()):
+        argv.append(_flag("--at-qin-lpm",
+                          _flag_number(draw, hs.floats(0.0, 40.0))))
+    if draw(hs.booleans()):
+        argv.append(_flag("--target-p-in-kpa",
+                          _flag_number(draw, hs.floats(0.0, 60.0))))
+    argv.append(_flag("--max-evals", draw(hs.integers(-2, 30))))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=hs.one_of(compare_argv(), optimize_argv()),
+       fmt=hs.sampled_from(["csv", "json"]))
+@example(argv=["optimize", "--type", "B", "--objective", "switching",
+               "--bounds-h-mm=5e-324:1e308", "--target-p-in-kpa=nan",
+               "--max-evals=-1"], fmt="json")
+@example(argv=["compare", "--types", "B", "--qin-start-lpm=-1.0",
+               "--step-lpm=inf"], fmt="csv")
+def test_compare_and_optimize_exit_documented_code(tmp_path_factory, argv,
+                                                   fmt):
+    out = tmp_path_factory.mktemp("cli") / f"out.{fmt}"
+    if argv[0] == "compare":
+        argv = [*argv, "--format", fmt]
+    else:
+        out = out.with_suffix(".json")
+    _assert_documented_exit([*argv, "--out", str(out)], out)

@@ -1,11 +1,11 @@
-"""The commands that fit no data start without importing numpy.
+"""No command imports numpy.
 
-numpy is imported only inside the fits (``calibrate``) and for the
-spread of a curve-match reference, so importing the package or the CLI,
+The package has no runtime dependency: importing the package or the CLI,
 ``simulate``, ``sweep``, ``compare``, ``friction``, ``--help``, a
-configuration error and every optimizer objective all run in a fresh
-interpreter without it.  The console-script path, ``main()`` reading
-``sys.argv`` itself, runs here too, as ``python -m fdrsim.cli``.
+configuration error, every optimizer objective and both ``calibrate``
+fits run in a fresh interpreter without numpy.  A control shows the
+detector sees ``import numpy``.  The console-script path, ``main()``
+reading ``sys.argv`` itself, runs here too, as ``python -m fdrsim.cli``.
 """
 
 import os
@@ -102,14 +102,21 @@ def test_grid_commands_without_numpy(tmp_path, argv):
     assert out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["calibrate", "--data", str(_MEASUREMENTS), "--fit", "closures",
-     "--max-evals", "10"],
-    ["calibrate", "--data", str(_MEASUREMENTS), "--fit", "input"],
+@pytest.mark.parametrize("argv, golden", [
+    (["calibrate", "--data", str(_MEASUREMENTS), "--fit", "closures",
+      "--max-evals", "60"], "calibrate_closures.json"),
+    (["calibrate", "--data", str(_MEASUREMENTS), "--fit", "input"],
+     "calibrate_input_csv.json"),
 ], ids=["calibrate-closures", "calibrate-input"])
-def test_fit_loads_numpy(tmp_path, argv):
-    # the positive controls: the fits do import it
-    assert _loads_numpy(_main([*argv, "--out", str(tmp_path / "o.json")]))
+def test_fit_without_numpy(tmp_path, argv, golden):
+    out = tmp_path / "o.json"
+    assert not _loads_numpy(_main([*argv, "--out", str(out)]))
+    assert out.read_bytes() == (_GOLDEN / golden).read_bytes()
+
+
+def test_detector_sees_numpy():
+    # the control: numpy is a test extra, and importing it is seen
+    assert _loads_numpy("import numpy")
 
 
 def test_console_script_simulate_matches_golden():

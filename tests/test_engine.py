@@ -402,6 +402,17 @@ def test_curve_match_objective_zero_on_self():
     assert objective(catalog_device("H")) > 1.0
 
 
+def test_spread_is_population_std_independent_of_order():
+    rng = np.random.default_rng(12)
+    values = rng.normal(-3.0e3, 2.0e4, size=31).tolist()
+    assert engine._spread(values) == pytest.approx(float(np.std(values)),
+                                                   rel=1e-14)
+    assert engine._spread(values[::-1]) == engine._spread(values)
+    assert engine._spread([5.0, 5.0]) == 0.0
+    # the squared deviations overflow: an infinite spread, not an error
+    assert engine._spread([1.0e300, -1.0e300]) == math.inf
+
+
 @pytest.mark.parametrize("make", [
     lambda: suction_objective(DEFAULT_COEFFS, math.nan),
     lambda: suction_objective(DEFAULT_COEFFS, math.inf),
