@@ -17,11 +17,9 @@ from .core import (AIR, CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, FluidProperties, Material, P_ATM,
                    catalog_device, shore_to_modulus, validate_geometry,
                    with_gate)
-from .flow import input_pressure
-from .gate import REFERENCE_STIFFNESS, gate_stiffness, opening_ratio
-from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
-                      SupersonicJetWarning, jet_velocity,
-                      recirculation_penalty)
+from .model import (DEFAULT_COEFFS, REFERENCE_STIFFNESS, ModelCoefficients,
+                    SupersonicJetWarning, gate_stiffness, input_pressure,
+                    jet_velocity, opening_ratio, recirculation_penalty)
 from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
                      OperatingState, OptimizationResult,
                      SweepError, SweepResult, blowing_objective,

@@ -27,8 +27,9 @@ from pathlib import Path
 
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
-from .ejector import DEFAULT_COEFFS, ModelCoefficients
-from .engine import _misfit, _point_law, _spread, _warn_if_sonic, nelder_mead
+from .engine import _misfit, _spread, nelder_mead
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _point_law,
+                    _warn_if_sonic)
 
 __all__ = [
     "FitError",
@@ -212,6 +213,9 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     scale = _spread(ps)
     if scale <= 0.0:
         scale = max(max(map(abs, ps)), 1.0)
+    # an infinite scale would score every candidate 0
+    if not scale < math.inf:
+        raise FitError("p_out measurements overflow the closure fit")
 
     ref = (start.eta, start.k0, max(start.p_c, 1.0e3))
     lo = (1.0e-6, 1.0e-16, 0.0)
@@ -241,6 +245,8 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
     _warn_if_sonic(max(qs), device)
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
+    if not rms < math.inf:
+        raise FitError("p_out residuals overflow the closure fit")
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,
                       "k0": fitted.k0, "p_c": fitted.p_c},

@@ -36,9 +36,9 @@ from . import calib, engine, friction
 from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
-from .ejector import DEFAULT_COEFFS, ModelCoefficients
 from .engine import _DESIGN_KEYS
-from .gate import gate_stiffness, opening_ratio
+from .model import (DEFAULT_COEFFS, ModelCoefficients, gate_stiffness,
+                    opening_ratio)
 
 __all__ = ["main"]
 

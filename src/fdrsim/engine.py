@@ -1,20 +1,12 @@
 """Coupled operating points, ramp sweeps, design comparison, optimization.
 
-One operating point is a straight chain of the calibrated pieces: the
-supply law gives the inlet pressure at a commanded flow, the junction
-balance gives the chamber pressure, the gate compliance turns that into
-an opening area, and the jet closure prices the output port.  The gate
-opening depends on the chamber pressure alone and nothing downstream
-feeds back into it, so each step runs once and the chain has a closed
-form.
-
-One point law, built once per device and coefficient set, is the one
-place that chain is computed: it runs on plain Python floats for one
-point, every sweep row, the switching bisection and every optimizer or
-fit objective.  The stage modules ``flow``, ``gate`` and ``ejector`` hold
-the device-term helpers it calls and the physics notes behind each
-formula.  No module imports numpy: the fits in ``calib`` and the spread
-of a curve-match reference run on plain floats as well.
+One operating point is the closed-form chain of ``model``: supply law,
+junction pressure, gate opening, jet closure.  Its point law, built once
+per device and coefficient set, is the one place that chain is computed:
+it runs on plain Python floats for one point, every sweep row, the
+switching bisection and every optimizer or fit objective.  No module
+imports numpy: the fits in ``calib`` and the spread of a curve-match
+reference run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -32,17 +24,13 @@ work on plain Python floats too.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
-from .core import P_ATM, Device, catalog_device, validate_geometry, with_gate
-from .ejector import (DEFAULT_COEFFS, ModelCoefficients,
-                      SupersonicJetWarning, jet_velocity,
-                      recirculation_penalty)
-from .flow import input_pressure
-from .gate import REFERENCE_STIFFNESS, gate_stiffness
+from .core import Device, catalog_device, validate_geometry, with_gate
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point,
+                    _point_law, _warn_if_sonic, input_pressure)
 
 __all__ = [
     "MODE_BLOWING",
@@ -77,7 +65,6 @@ DEFAULT_Q_END = 30.0 * M3S_PER_LPM   # canonical ramp top [m^3/s]
 DEFAULT_Q_STEP = 0.1 * M3S_PER_LPM   # canonical ramp step [m^3/s]
 MAX_GRID_POINTS = 1_000_000          # largest sweep grid accepted
 
-_NOT_FINITE = "operating point is not finite (flow beyond the model's range)"
 
 class SweepError(RuntimeError):
     """A grid point inside a sweep failed; carries the offending q_in."""
@@ -119,127 +106,6 @@ class SweepResult:
                 raise ValueError("states must be strictly ordered by q_in")
         if (self.switching_q is None) != (self.switching_p_in is None):
             raise ValueError("switching fields must be present together")
-
-
-def _check_flow(q_in: float) -> None:
-    if not math.isfinite(q_in):
-        raise ValueError("q_in must be finite")
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-
-
-_Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
-_Law = Callable[[float], _Point]
-
-
-def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
-    """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out).
-
-    The chain, one stage after another (the physics notes are in the
-    docstrings of ``flow``, ``gate`` and ``ejector``):
-
-        p_in      = c1 q + c2 q^2
-        p_chamber = (rho / rho_in) p_in
-                    + (gamma - 1)/(2 gamma) rho (q / a_in)^2
-                      (1 - (a_in / (2 a_branch))^2)
-        a_fg      = min(a_fg_max, gain max(0, max(0, p_chamber) - p_c)),
-                    a_fg_max = w h, gain = k0 D_ref / D
-        s         = a_fg / a_fg_max
-        p_out     = (1 - s) p_blow - s p_suck
-        p_blow    = rho/2 ((1 - s) q / (cd_out a_out))^2
-        p_suck    = eta rho/2 v^2 min(1, a_fg / a_ex) penalty(w),
-                    v = (q / n_nozzles) / a_ne
-
-    The device's own terms are computed once, here; each flow then runs
-    the rest in the order written (``**`` squares, which round as libm
-    ``pow``, not always as ``u * u``).  A bad flow, a device whose
-    derived terms (``split``, ``a_fg_max``, ``gain``, ``cd_out a_out``)
-    leave no steady state, or pressures beyond the float range raise
-    ``ValueError``.  No warning: callers use :func:`_warn_if_sonic`.
-    """
-    g = device.geometry
-    fluid = device.fluid
-    try:
-        if g.a_in <= 0.0 or g.a_branch <= 0.0:
-            raise ValueError("areas must be positive")
-        try:
-            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
-        # each derived divisor or scale positive and finite: a zero or
-        # infinite one turns rows into a division by zero or inf * 0 = nan
-        a_max = g.gate.w * g.gate.h
-        if not 0.0 < a_max < math.inf:
-            raise ValueError("a_fg_max must be positive and finite")
-        gain = (coeffs.k0 * REFERENCE_STIFFNESS
-                / gate_stiffness(g.gate, device.material))
-        if not 0.0 < gain < math.inf:
-            raise ValueError("gate gain k0 D_ref / D must be positive "
-                             "and finite")
-        if g.a_ex <= 0.0:
-            raise ValueError("a_ex must be positive")
-        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
-        out_area = coeffs.cd_out * g.a_out
-        if not 0.0 < out_area < math.inf:
-            raise ValueError("cd_out * a_out must be positive and finite")
-    except ValueError as exc:
-        message = str(exc)
-
-        def failing(q_in: float) -> _Point:
-            _check_flow(q_in)
-            raise ValueError(message)
-
-        return failing
-
-    c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
-    a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
-    density_ratio = fluid.rho / fluid.rho_in
-    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
-    crack = coeffs.p_c
-    half_rho = 0.5 * fluid.rho
-    inf = math.inf
-
-    # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
-    # else hi``: the builtins' own comparison, without their call cost
-    def law(q_in: float) -> _Point:
-        if not 0.0 <= q_in < inf:
-            _check_flow(q_in)
-        try:
-            p_in = c1 * q_in + c2 * q_in * q_in
-            p_chamber = (density_ratio * p_in
-                         + kinetic_scale * (q_in / a_in) ** 2 * split)
-            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
-            opening = gain * (excess if excess > 0.0 else 0.0)
-            a_fg = opening if opening < a_max else a_max
-            s = a_fg / a_max
-            p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
-        v = (q_in / n_nozzles) / a_ne
-        vent = a_fg / a_ex
-        p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
-                  * penalty)
-        p_out = (1.0 - s) * p_blow - s * p_suck
-        # a_fg lies in [0, a_fg_max] by construction
-        if not (-inf < p_in < inf and -inf < p_chamber < inf
-                and -inf < p_out < inf):
-            raise ValueError(_NOT_FINITE)
-        return p_in, p_chamber, a_fg, p_out
-
-    return law
-
-
-def _warn_if_sonic(q_in: float, device: Device) -> None:
-    """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
-    line, if the jet at ``q_in``, a call's largest flow, tops the ambient
-    speed of sound sqrt(gamma P_atm / rho)."""
-    fluid = device.fluid
-    if (jet_velocity(q_in, device.geometry)
-            > math.sqrt(fluid.gamma * P_ATM / fluid.rho)):
-        # static message so repeated sweep points collapse to one report
-        warnings.warn("jet velocity exceeds the ambient speed of sound; "
-                      "the incompressible jet closure is extrapolating",
-                      SupersonicJetWarning, stacklevel=2)
 
 
 def solve_operating_point(q_in: float, device: Device,
@@ -502,11 +368,6 @@ class OptimizationResult:
     converged: bool             # simplex collapsed before the budget ran out
 
 
-def _candidate(template: Device, params: Mapping[str, float]) -> Device:
-    return with_gate(template, w=params["w"], t=params["t"], h=params["h"],
-                     a_ne=params["a_ne"])
-
-
 def optimize_geometry(objective: Callable[[Device], float],
                       bounds: Mapping[str, tuple[float, float]],
                       device: Device, *,
@@ -538,15 +399,15 @@ def optimize_geometry(objective: Callable[[Device], float],
     widths: dict[str, float] = {}
     for key in _DESIGN_KEYS:
         lo, hi = bounds.get(key, (base[key], base[key]))
-        if not lo <= hi:
-            raise ValueError(f"bounds for {key} must satisfy lo <= hi")
         if not (0.0 < lo and hi < math.inf):
             raise ValueError(f"bounds for {key} must be positive and finite")
+        if not lo <= hi:
+            raise ValueError(f"bounds for {key} must satisfy lo <= hi")
         lows[key] = lo
         widths[key] = hi - lo
     free = [k for k in _DESIGN_KEYS if widths[k] > 0.0]
     # t < w and t < h bind hardest at the box corner with the largest t
-    corner = _candidate(device, {**lows, "t": lows["t"] + widths["t"]})
+    corner = with_gate(device, **{**lows, "t": lows["t"] + widths["t"]})
     violations = validate_geometry(corner.geometry)
     if violations:
         raise ValueError("bounds admit an invalid geometry: "
@@ -570,12 +431,12 @@ def optimize_geometry(objective: Callable[[Device], float],
                 outside = True
             excess += over * over + under * under
         penalty = 1.0e9 * (1.0 + excess) if outside else 0.0
-        return objective(_candidate(device, params_at(x))) + penalty
+        return objective(with_gate(device, **params_at(x))) + penalty
 
     if not free:
         # zero-volume box: the single admissible point is the answer
         params = dict(lows)
-        cand = _candidate(device, params)
+        cand = with_gate(device, **params)
         try:
             value = float(objective(cand))
         except Exception:
@@ -593,17 +454,10 @@ def optimize_geometry(objective: Callable[[Device], float],
     best_x, best_f, evals = nelder_mead(value_at, x0, max_evals=max_evals,
                                         diam_tol=diam_tol)
     params = params_at(best_x)
-    return OptimizationResult(device=_candidate(device, params),
+    return OptimizationResult(device=with_gate(device, **params),
                               params=params, value=best_f,
                               evaluations=evals,
                               converged=evals < max_evals)
-
-
-def _target_curve(target: SweepResult) -> tuple[list[float], list[float], float]:
-    qs = [st.q_in for st in target.states]
-    ps = [st.p_out for st in target.states]
-    scale = _spread(ps)
-    return qs, ps, scale if scale > 0.0 else 1.0
 
 
 def _spread(values: Sequence[float]) -> float:
@@ -632,7 +486,11 @@ def curve_match_objective(coeffs: ModelCoefficients,
                           target: SweepResult) -> Callable[[Device], float]:
     """Least-squares distance between a candidate's output-pressure curve
     and a reference curve, evaluated on the reference's own grid."""
-    qs, ps, scale = _target_curve(target)
+    qs = [st.q_in for st in target.states]
+    ps = [st.p_out for st in target.states]
+    scale = _spread(ps)
+    if not scale > 0.0:
+        scale = 1.0
 
     def objective(candidate: Device) -> float:
         value = _misfit(qs, ps, scale, _point_law(candidate, coeffs))

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Device
-from .ejector import DEFAULT_COEFFS, ModelCoefficients
 from .engine import OperatingState, solve_operating_point
+from .model import DEFAULT_COEFFS, ModelCoefficients
 
 __all__ = [
     "DEFAULT_A_EFF",

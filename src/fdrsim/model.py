@@ -1,0 +1,303 @@
+"""The device law: one commanded flow to one steady operating point.
+
+One operating point is a straight chain of four calibrated pieces.  The
+gate opening depends on the chamber pressure alone and nothing
+downstream feeds back into it, so each step runs once and the chain has
+a closed form:
+
+    p_in      = c1 q + c2 q^2
+    p_chamber = (rho / rho_in) p_in
+                + (gamma - 1)/(2 gamma) rho (q / a_in)^2
+                  (1 - (a_in / (2 a_branch))^2)
+    a_fg      = min(a_fg_max, gain max(0, max(0, p_chamber) - p_c)),
+                a_fg_max = w h, gain = k0 D_ref / D, D = E t^3 h / w
+    s         = a_fg / a_fg_max
+    p_out     = (1 - s) p_blow - s p_suck
+    p_blow    = rho/2 ((1 - s) q / (cd_out a_out))^2
+    p_suck    = eta rho/2 v^2 min(1, a_fg / a_ex) penalty(w),
+                v = (q / n_nozzles) / a_ne
+    penalty   = 1 / (1 + c_recirc max(0, (w - w_ref)/w_ref)^2)
+
+*Supply law.*  The inlet gauge pressure, quadratic in flow, with
+``c1``/``c2`` fitted to bench data.
+
+*Junction balance.*  The junction feeding the inflatable chambers holds
+a static pressure given by a compressible energy balance between the
+inlet (area ``a_in``) and one of the two downstream branches (area
+``a_branch``).  With ``a_in == 2 a_branch`` the kinetic term vanishes
+identically, and with ``rho == rho_in`` the junction simply holds the
+inlet pressure.  The chambers are dead ends and carry no steady flow.
+
+*Gate compliance.*  The gate is a pair of cantilevered elastomer walls
+(width ``w``, thickness ``t``, height ``h``) spanning the exhaust
+channel; chamber pressure inflates the side chambers, presses the walls
+apart and opens a flow area ``a_fg``.  A full plate solution is overkill
+for ranking designs, so the model reduces to a flexural-rigidity proxy
+``D = E t^3 h / w`` [N m] that orders gates by how hard they are to push
+open, and a saturating linear compliance.  ``k0`` [m^2/Pa] is the
+opening gain quoted for the nominal gate (whose stiffness is
+``D_ref = REFERENCE_STIFFNESS``), ``p_c`` [Pa] the cracking pressure
+below which the walls stay sealed, and ``a_fg_max`` caps the opening at
+the physical window.  Softer, thinner or wider gates have smaller ``D``
+and therefore open further at the same pressure.
+
+*Jet closure.*  The nozzle bank turns supply flow into a high-speed jet
+across the exhaust window.  Whatever fraction ``s`` of the gate window
+is open vents that jet and lets it entrain air from the output port
+(suction); the sealed fraction forces the flow out through the output
+restriction instead (blowing).  The port pressure blends the two
+single-mode limits.  ``rho/2 v^2`` is the per-nozzle jet dynamic
+pressure, and the recirculation ``penalty`` knocks down entrainment for
+gates wider than the reference channel (recirculation in the oversized
+cavity).  A gate shut below ``p_c`` blocks the air, so the supply blows
+out of the port; no leak path is modelled.
+
+Sign convention throughout: positive ``p_out`` means blowing (air pushed
+out of the port), negative means suction.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, fields
+from typing import Callable
+
+from .core import (DEFAULT_CHANNEL_WIDTH_REF, P_ATM, Device, DeviceGeometry,
+                   FlapGateGeometry, Material)
+
+__all__ = [
+    "SupersonicJetWarning",
+    "ModelCoefficients",
+    "DEFAULT_COEFFS",
+    "input_pressure",
+    "REFERENCE_STIFFNESS",
+    "gate_stiffness",
+    "opening_ratio",
+    "jet_velocity",
+    "recirculation_penalty",
+]
+
+
+class SupersonicJetWarning(UserWarning):
+    """Nozzle exit velocity exceeds the ambient speed of sound; the
+    incompressible jet closure is extrapolating."""
+
+
+@dataclass(frozen=True)
+class ModelCoefficients:
+    """Calibrated closure coefficients, SI units.
+
+    ``c1``/``c2`` define the supply law ``p_in = c1 q + c2 q^2`` fitted to
+    bench data.  ``eta`` is the entrainment efficiency, ``c_recirc`` the
+    wide-gate recirculation weight, ``k0``/``p_c`` the gate opening gain
+    and cracking pressure, and ``cd_out`` the discharge coefficient of
+    the output restriction.
+    """
+
+    c1: float = 79528125.0              # [Pa s/m^3]
+    c2: float = 35758928571.428566      # [Pa s^2/m^6]
+    eta: float = 0.25
+    c_recirc: float = 2.5
+    k0: float = 1.7e-10                 # [m^2/Pa], nominal gate gain
+    p_c: float = 4500.0                 # [Pa]
+    cd_out: float = 0.8
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if self.c1 < 0.0 or self.c2 < 0.0:
+            raise ValueError("supply law coefficients must be nonnegative")
+        if self.eta <= 0.0:
+            raise ValueError("eta must be positive")
+        if self.c_recirc < 0.0:
+            raise ValueError("c_recirc must be nonnegative")
+        if self.k0 <= 0.0:
+            raise ValueError("k0 must be positive")
+        if self.p_c < 0.0:
+            raise ValueError("p_c must be nonnegative")
+        if not 0.0 < self.cd_out <= 1.0:
+            raise ValueError("cd_out must lie in (0, 1]")
+
+
+DEFAULT_COEFFS = ModelCoefficients()
+
+
+def input_pressure(q_in: float, coeffs: ModelCoefficients) -> float:
+    """Supply gauge pressure [Pa] delivered at the inlet for a commanded flow,
+    following the calibrated law ``p_in = c1 q_in + c2 q_in^2``."""
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    return coeffs.c1 * q_in + coeffs.c2 * q_in * q_in
+
+
+def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
+    """Flexural-rigidity proxy D = E t^3 h / w [N m].
+
+    Strictly increasing in modulus, thickness, and height; strictly
+    decreasing in width.  Raises ``ValueError`` when D is not positive
+    and finite, as when ``t ** 3`` underflows to zero for a gate far
+    thinner than any build.
+    """
+    if geom.w <= 0.0 or geom.t <= 0.0 or geom.h <= 0.0:
+        raise ValueError("gate dimensions must be positive")
+    if mat.youngs_modulus <= 0.0:
+        raise ValueError("youngs_modulus must be positive")
+    try:
+        stiffness = mat.youngs_modulus * geom.t ** 3 * geom.h / geom.w
+    except OverflowError:   # a float ``**`` out of range
+        stiffness = math.inf
+    if not 0.0 < stiffness < math.inf:
+        raise ValueError("gate stiffness E t^3 h / w must be positive "
+                         "and finite")
+    return stiffness
+
+
+def _reference_stiffness() -> float:
+    nominal = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
+    return gate_stiffness(nominal, Material.from_shore_a(10.0))
+
+
+# stiffness of the nominal gate; anchors the opening gain k0 so that the
+# same k0 means the same compliance on the nominal build
+REFERENCE_STIFFNESS = _reference_stiffness()
+
+
+def opening_ratio(a_fg: float, a_ex: float) -> float:
+    """Opening area relative to the exhaust window, a_fg / a_ex."""
+    if a_ex <= 0.0:
+        raise ValueError("a_ex must be positive")
+    if a_fg < 0.0:
+        raise ValueError("a_fg must be nonnegative")
+    return a_fg / a_ex
+
+
+def jet_velocity(q_in: float, geometry: DeviceGeometry) -> float:
+    """Nozzle exit velocity [m/s] with the supply split evenly over the
+    nozzle bank."""
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    return (q_in / geometry.n_nozzles) / geometry.a_ne
+
+
+def recirculation_penalty(w: float, coeffs: ModelCoefficients,
+                          w_ref: float = DEFAULT_CHANNEL_WIDTH_REF) -> float:
+    """Entrainment knockdown for gates wider than the reference channel,
+    1 at or below the reference width and falling off quadratically above."""
+    if w <= 0.0:
+        raise ValueError("w must be positive")
+    if w_ref <= 0.0:
+        raise ValueError("w_ref must be positive")
+    excess = max(0.0, (w - w_ref) / w_ref)
+    return 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
+
+
+_NOT_FINITE = "operating point is not finite (flow beyond the model's range)"
+
+
+def _check_flow(q_in: float) -> None:
+    if not math.isfinite(q_in):
+        raise ValueError("q_in must be finite")
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+
+
+_Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
+_Law = Callable[[float], _Point]
+
+
+def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
+    """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out),
+    the chain in this module's docstring.
+
+    The device's own terms are computed once, here; each flow then runs
+    the rest in the order written (``**`` squares, which round as libm
+    ``pow``, not always as ``u * u``).  A bad flow, a device whose
+    derived terms (``split``, ``a_fg_max``, ``gain``, ``cd_out a_out``)
+    leave no steady state, or pressures beyond the float range raise
+    ``ValueError``.  No warning: callers use :func:`_warn_if_sonic`.
+    """
+    g = device.geometry
+    fluid = device.fluid
+    try:
+        if g.a_in <= 0.0 or g.a_branch <= 0.0:
+            raise ValueError("areas must be positive")
+        try:
+            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        # each derived divisor or scale positive and finite: a zero or
+        # infinite one turns rows into a division by zero or inf * 0 = nan
+        a_max = g.gate.w * g.gate.h
+        if not 0.0 < a_max < math.inf:
+            raise ValueError("a_fg_max must be positive and finite")
+        gain = (coeffs.k0 * REFERENCE_STIFFNESS
+                / gate_stiffness(g.gate, device.material))
+        if not 0.0 < gain < math.inf:
+            raise ValueError("gate gain k0 D_ref / D must be positive "
+                             "and finite")
+        if g.a_ex <= 0.0:
+            raise ValueError("a_ex must be positive")
+        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
+        out_area = coeffs.cd_out * g.a_out
+        if not 0.0 < out_area < math.inf:
+            raise ValueError("cd_out * a_out must be positive and finite")
+    except ValueError as exc:
+        message = str(exc)
+
+        def failing(q_in: float) -> _Point:
+            _check_flow(q_in)
+            raise ValueError(message)
+
+        return failing
+
+    c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
+    a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
+    density_ratio = fluid.rho / fluid.rho_in
+    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
+    crack = coeffs.p_c
+    half_rho = 0.5 * fluid.rho
+    inf = math.inf
+
+    # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
+    # else hi``: the builtins' own comparison, without their call cost
+    def law(q_in: float) -> _Point:
+        if not 0.0 <= q_in < inf:
+            _check_flow(q_in)
+        try:
+            p_in = c1 * q_in + c2 * q_in * q_in
+            p_chamber = (density_ratio * p_in
+                         + kinetic_scale * (q_in / a_in) ** 2 * split)
+            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+            opening = gain * (excess if excess > 0.0 else 0.0)
+            a_fg = opening if opening < a_max else a_max
+            s = a_fg / a_max
+            p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        v = (q_in / n_nozzles) / a_ne
+        vent = a_fg / a_ex
+        p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
+                  * penalty)
+        p_out = (1.0 - s) * p_blow - s * p_suck
+        # a_fg lies in [0, a_fg_max] by construction
+        if not (-inf < p_in < inf and -inf < p_chamber < inf
+                and -inf < p_out < inf):
+            raise ValueError(_NOT_FINITE)
+        return p_in, p_chamber, a_fg, p_out
+
+    return law
+
+
+def _warn_if_sonic(q_in: float, device: Device) -> None:
+    """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
+    line, if the jet at ``q_in``, a call's largest flow, tops the ambient
+    speed of sound sqrt(gamma P_atm / rho)."""
+    fluid = device.fluid
+    if (jet_velocity(q_in, device.geometry)
+            > math.sqrt(fluid.gamma * P_ATM / fluid.rho)):
+        # static message so repeated sweep points collapse to one report
+        warnings.warn("jet velocity exceeds the ambient speed of sound; "
+                      "the incompressible jet closure is extrapolating",
+                      SupersonicJetWarning, stacklevel=2)

@@ -33,7 +33,7 @@ from fdrsim import (
     sweep,
 )
 from fdrsim.cli import main as cli_main
-from fdrsim.engine import _point_law
+from fdrsim.model import _point_law
 from fdrsim._units import M3S_PER_LPM, N_PER_GF
 
 _B = catalog_device("B")

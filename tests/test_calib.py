@@ -255,6 +255,18 @@ def test_fit_closures_warns_on_single_signed_data():
     assert any("sign" in w for w in report.warnings)
 
 
+def test_fit_closures_rejects_overflowing_p_out():
+    # a spread past the float range scores every candidate 0; one lone
+    # value whose residual squares past it leaves an infinite rms residual
+    for p_outs, match in (((1.0e308, -1.0e308), "p_out measurements"),
+                          ((1.0e200,), "p_out residuals")):
+        rows = tuple(MeasurementRow(q_in=(5.0 + 10.0 * i) * M3S_PER_LPM,
+                                    p_out=p)
+                     for i, p in enumerate(p_outs))
+        with pytest.raises(FitError, match=match):
+            fit_closures(MeasurementSet(rows=rows), _B, max_evals=20)
+
+
 def test_fit_closures_coefficient_keys():
     data = _device_rows(_B, (5, 15, 25))
     _, report = fit_closures(data, _B, max_evals=40)

@@ -424,6 +424,17 @@ def test_sweep_split_overflow_exit_solver(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_closures_overflowing_p_out_exit_fit(tmp_path, capsys):
+    data = tmp_path / "meas.csv"
+    data.write_text("q_in_lpm,p_out_kpa\n5,1e305\n25,-1e305\n",
+                    encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", str(data), "--fit", "closures",
+                 "--max-evals", "20", "--out", str(out)]) == 4
+    assert "p_out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_closures_split_overflow_exit_config(tmp_path, capsys):
     data = tmp_path / "meas.csv"
     data.write_text("q_in_lpm,p_out_kpa\n5,0.08\n25,-15.0\n",

@@ -1,5 +1,5 @@
-"""Jet closure, recirculation penalty, and the output-port pressure through
-the point law's (p_in, p_chamber, a_fg, p_out)."""
+"""Jet closure and recirculation penalty of ``model``, and the output-port
+pressure through the point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
 import warnings
@@ -17,7 +17,7 @@ from fdrsim import (
     solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.engine import _point_law
+from fdrsim.model import _point_law
 
 _B = catalog_device("B")
 _GEOM_B = _B.geometry

@@ -348,6 +348,10 @@ def test_optimize_validation():
         optimize_geometry(obj, {"h": (2.0e-3, 1.8e-3)}, _B)
     with pytest.raises(ValueError):
         optimize_geometry(obj, {"h": (0.0, 1.8e-3)}, _B)
+    # a non-finite bound is named as such, not as an unordered pair
+    for bounds in ((math.nan, 8.0e-3), (1.8e-3, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            optimize_geometry(obj, {"w": bounds}, _B)
     for h in (2.5e-3, math.nan):
         with pytest.raises(ValueError, match="start"):
             optimize_geometry(obj, {"h": (1.8e-3, 2.0e-3)}, _B,

@@ -1,5 +1,5 @@
-"""Supply law and junction pressure, the latter through the point law's
-(p_in, p_chamber, a_fg, p_out)."""
+"""Supply law and junction pressure of ``model``, the latter through the
+point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
 
@@ -15,7 +15,7 @@ from fdrsim import (
     input_pressure,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.engine import _point_law
+from fdrsim.model import _point_law
 
 _SOFT = Material.from_shore_a(10.0)
 

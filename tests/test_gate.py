@@ -1,5 +1,5 @@
-"""Flap-gate stiffness, and the pressure-driven opening through the point
-law's (p_in, p_chamber, a_fg, p_out)."""
+"""Flap-gate stiffness of ``model``, and the pressure-driven opening
+through the point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
 import re
@@ -18,7 +18,7 @@ from fdrsim import (
     opening_ratio,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.engine import _point_law
+from fdrsim.model import _point_law
 
 _NOMINAL_GATE = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
 _SOFT = Material.from_shore_a(10.0)

@@ -38,12 +38,14 @@ from fdrsim import (
     with_gate,
 )
 from fdrsim._units import M3S_PER_LPM
+from fdrsim.model import _NOT_FINITE, _point_law
 
 
 # --- frozen oracle ------------------------------------------------------------
-# The stage functions of ``flow``, ``gate`` and ``ejector`` as they stood
-# when the point law replaced them, kept verbatim as the law's reference;
-# only the sonic warning is left out (the law leaves it to its callers).
+# The stage functions of the former modules ``flow``, ``gate`` and
+# ``ejector`` as they stood when the point law replaced them, kept
+# verbatim as the law's reference; only the sonic warning is left out
+# (the law leaves it to its callers).
 # Do not edit these to follow the law.
 
 def _bifurcation_pressure(q_in, p_in, fluid, geometry):
@@ -184,10 +186,10 @@ def _composed(q_in, device, coeffs):
                               device.material)
         p_out = _output_pressure(q_in, state, g, device.fluid, coeffs)
     except OverflowError as exc:   # a float ``**`` out of range
-        raise ValueError(engine._NOT_FINITE) from exc
+        raise ValueError(_NOT_FINITE) from exc
     point = (p_in, p_chamber, state.a_fg, p_out)
     if not all(map(math.isfinite, point)):
-        raise ValueError(engine._NOT_FINITE)
+        raise ValueError(_NOT_FINITE)
     return point
 
 
@@ -244,7 +246,7 @@ def test_kernel_rows_equal_scalar_path_in_any_order(device, coeffs, seed,
         qs = 10.0 ** rng.uniform(-6.0, 160.0, count) * M3S_PER_LPM
     else:
         qs = rng.uniform(0.0, 40.0, count) * M3S_PER_LPM
-    law = engine._point_law(device, coeffs)
+    law = _point_law(device, coeffs)
     for q in qs.tolist():
         try:
             with warnings.catch_warnings():
@@ -270,7 +272,7 @@ def test_law_failures_match_stage_functions(q_in, a_branch):
     with pytest.raises(ValueError) as ref:
         _composed(q_in, device, DEFAULT_COEFFS)
     with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
-        engine._point_law(device, DEFAULT_COEFFS)(q_in)
+        _point_law(device, DEFAULT_COEFFS)(q_in)
     with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
         solve_operating_point(q_in, device)
 
