@@ -57,6 +57,12 @@ CASES = {
     "optimize_blowing.json": ["optimize", "--objective", "blowing",
                               "--bounds-t-mm", "0.4:0.6",
                               "--at-qin-lpm", "10", "--max-evals", "40"],
+    # a config-file template: every candidate is a non-catalog device
+    "optimize_config.json": ["optimize", "--config", _DEVICE,
+                             "--objective", "suction",
+                             "--bounds-w-mm", "8:11", "--bounds-h-mm",
+                             "1.6:2.0", "--at-qin-lpm", "20",
+                             "--max-evals", "40"],
     "calibrate_input.json": ["calibrate", "--data", "builtin",
                              "--fit", "input"],
     "calibrate_input_csv.json": ["calibrate", "--data", _DATA,
