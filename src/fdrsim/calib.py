@@ -233,7 +233,11 @@ def fit_closures(data: MeasurementSet, device: Device, *,
             d = (p - c) / r
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        trial = replace(start, eta=clipped[0], k0=clipped[1], p_c=clipped[2])
+        # the constructor, cheaper per evaluation than ``replace``;
+        # ``__post_init__`` still checks the trial
+        trial = ModelCoefficients(c1=start.c1, c2=start.c2, eta=clipped[0],
+                                  c_recirc=start.c_recirc, k0=clipped[1],
+                                  p_c=clipped[2], cd_out=start.cd_out)
         return _misfit(qs, ps, scale, _point_law(device, trial)) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],

@@ -262,6 +262,29 @@ def design_orderings(table: Mapping[str, SweepResult]) -> dict[str, tuple[str, .
 
 # --- derivative-free kernel -------------------------------------------------
 
+def _diameter(pts: list[list[float]]) -> float:
+    """The largest coordinate distance of ``pts[1:]`` from ``pts[0]``.
+
+    Picks what ``max(max(abs(a - b) for a, b in zip(p, pts[0])) for p in
+    pts[1:])`` picks, nans included, without its generators: each maximum
+    starts from its first distance and takes a later one only when that
+    compares greater, so a nan first distance sticks and a later nan is
+    skipped.
+    """
+    best = pts[0]
+    n = len(best)
+    diam = abs(pts[1][0] - best[0])
+    for p in pts[1:]:
+        d = abs(p[0] - best[0])
+        for j in range(1, n):
+            e = abs(p[j] - best[j])
+            if e > d:
+                d = e
+        if d > diam:
+            diam = d
+    return diam
+
+
 def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
                 step: float = 0.1, max_evals: int = 400,
                 diam_tol: float = 1.0e-6) -> tuple[list[float], float, int]:
@@ -275,6 +298,10 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     returns (best x as a list of floats, best f, evals).  Deterministic
     for identical inputs; evaluation failures count as +infinity.
 
+    ``step`` must be nonzero and finite and ``diam_tol`` not nan
+    (``ValueError``): either would spend the budget on a simplex that
+    cannot move or cannot converge.
+
     Plain Python floats throughout, no numpy: the simplex is ordered by a
     stable sort, and the centroid is the sequential sum of the points
     divided by their count, so each step rounds exactly as the kernel on
@@ -287,6 +314,10 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         raise ValueError("x0 must have at least one coordinate")
     if not all(map(math.isfinite, x0)):
         raise ValueError("x0 must be finite")
+    if not (math.isfinite(step) and step != 0.0):
+        raise ValueError("step must be nonzero and finite")
+    if math.isnan(diam_tol):
+        raise ValueError("diam_tol must not be nan")
     if max_evals < n + 1:
         raise ValueError("max_evals too small for the initial simplex")
 
@@ -312,17 +343,14 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         order = sorted(range(n + 1), key=vals.__getitem__)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        best = pts[0]
-        diam = max(max(abs(a - b) for a, b in zip(p, best))
-                   for p in pts[1:])
-        if diam < diam_tol:
+        if _diameter(pts) < diam_tol:
             break
-        centroid = []
-        for j in range(n):
-            total = pts[0][j]
-            for p in pts[1:n]:
-                total += p[j]
-            centroid.append(total / n)
+        best = pts[0]
+        total = list(best)
+        for p in pts[1:n]:
+            for j in range(n):
+                total[j] += p[j]
+        centroid = [t / n for t in total]
         worst = pts[-1]
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         f_r = guarded(reflected)
@@ -381,7 +409,9 @@ def optimize_geometry(objective: Callable[[Device], float],
     with lo == hi is likewise frozen.  The search runs in box-normalized
     coordinates; candidates outside the box are evaluated at their
     clipped projection plus a penalty that dominates any in-box value.
-    ``start`` optionally seeds the search (defaults to the box center).
+    ``start`` optionally seeds the search (defaults to the box center);
+    it must map every free key to a number inside its bounds, and keys
+    that are frozen are ignored.
     A box whose thickest, narrowest and lowest gate fails
     ``validate_geometry`` raises ``ValueError`` before any evaluation.
     A failing objective evaluation counts as +infinity, not an error.
@@ -413,25 +443,38 @@ def optimize_geometry(objective: Callable[[Device], float],
         raise ValueError("bounds admit an invalid geometry: "
                          + "; ".join(violations))
 
-    def params_at(x: list[float]) -> dict[str, float]:
-        p = dict(lows)
-        for xi, k in zip(x, free):
-            p[k] = lows[k] + min(max(xi, 0.0), 1.0) * widths[k]
+    # each free key's (position in _DESIGN_KEYS, lo, width)
+    scales = [(_DESIGN_KEYS.index(k), lows[k], widths[k]) for k in free]
+    low_values = list(lows.values())
+
+    def params_at(x: list[float]) -> list[float]:
+        """The (w, t, h, a_ne) at ``x``, clipped to the box; the inline
+        clip is ``min(max(xi, 0.0), 1.0)`` without the builtins' calls."""
+        p = list(low_values)
+        for xi, (i, lo, width) in zip(x, scales):
+            p[i] = lo + (0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi) * width
         return p
 
     def value_at(x: list[float]) -> float:
         # squared distance outside the box, summed in coordinate order;
-        # ``outside`` is kept apart because a tiny excess squares to 0
+        # ``outside`` is kept apart because a tiny excess squares to 0.
+        # A coordinate is over or under the box, not both, and the other
+        # side's 0.0 would add nothing, so each adds one square.
         excess = 0.0
         outside = False
         for xi in x:
-            over = max(0.0, xi - 1.0)
-            under = max(0.0, -xi)
-            if over or under:
+            over = xi - 1.0
+            under = -xi
+            if over > 0.0:
                 outside = True
-            excess += over * over + under * under
+                excess += over * over
+            elif under > 0.0:
+                outside = True
+                excess += under * under
         penalty = 1.0e9 * (1.0 + excess) if outside else 0.0
-        return objective(with_gate(device, **params_at(x))) + penalty
+        w, t, h, a_ne = params_at(x)
+        candidate = with_gate(device, w=w, t=t, h=h, a_ne=a_ne)
+        return objective(candidate) + penalty
 
     if not free:
         # zero-volume box: the single admissible point is the answer
@@ -447,13 +490,22 @@ def optimize_geometry(objective: Callable[[Device], float],
     if start is None:
         x0 = [0.5] * len(free)
     else:
-        x0 = [(float(start[k]) - lows[k]) / widths[k] for k in free]
+        x0 = []
+        for k in free:
+            if k not in start:
+                raise ValueError(f"start must give a value for {k}")
+            try:
+                value = float(start[k])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"start value for {k} must be a number, "
+                                 f"got {start[k]!r}") from exc
+            x0.append((value - lows[k]) / widths[k])
         if not all(0.0 <= xi <= 1.0 for xi in x0):
             raise ValueError("start must lie inside the bounds")
 
     best_x, best_f, evals = nelder_mead(value_at, x0, max_evals=max_evals,
                                         diam_tol=diam_tol)
-    params = params_at(best_x)
+    params = dict(zip(_DESIGN_KEYS, params_at(best_x)))
     return OptimizationResult(device=with_gate(device, **params),
                               params=params, value=best_f,
                               evaluations=evals,
@@ -544,7 +596,9 @@ def suction_objective(coeffs: ModelCoefficients,
         raise ValueError("q_star must be nonnegative and finite")
 
     def objective(candidate: Device) -> float:
-        return solve_operating_point(q_star, candidate, coeffs).p_out
+        p_out = _point_law(candidate, coeffs)(q_star)[3]
+        _warn_if_sonic(q_star, candidate)
+        return p_out
 
     return objective
 
@@ -552,9 +606,12 @@ def suction_objective(coeffs: ModelCoefficients,
 def blowing_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
-    suction = suction_objective(coeffs, q_star)
+    if not 0.0 <= q_star < math.inf:
+        raise ValueError("q_star must be nonnegative and finite")
 
     def objective(candidate: Device) -> float:
-        return -suction(candidate)
+        p_out = _point_law(candidate, coeffs)(q_star)[3]
+        _warn_if_sonic(q_star, candidate)
+        return -p_out
 
     return objective

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
+import fdrsim.calib as calib
 from fdrsim import (
     DEFAULT_COEFFS,
     FitError,
     FitReport,
     MeasurementRow,
     MeasurementSet,
+    ModelCoefficients,
     builtin_calibration_points,
     catalog_device,
     fit_closures,
@@ -241,6 +243,28 @@ def test_fit_closures_zero_residual_on_model_data():
     assert fitted.k0 == pytest.approx(DEFAULT_COEFFS.k0, rel=1e-6)
     assert fitted.c_recirc == DEFAULT_COEFFS.c_recirc
     assert report.warnings == ()
+
+
+def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
+    # every field away from its default, so a trial built without one
+    # (and so at its default) shows
+    start = ModelCoefficients(**{
+        f.name: getattr(DEFAULT_COEFFS, f.name) * 0.9
+        for f in dataclasses.fields(ModelCoefficients)})
+    trials = []
+    law = calib._point_law
+
+    def recording_law(device, coeffs):
+        trials.append(coeffs)
+        return law(device, coeffs)
+
+    monkeypatch.setattr(calib, "_point_law", recording_law)
+    fitted, _ = fit_closures(_device_rows(_B, (5, 15, 25)), _B, start=start,
+                             max_evals=40)
+    assert len(trials) > 40     # each evaluation, then the final residuals
+    for trial in trials + [fitted]:
+        assert trial == dataclasses.replace(start, eta=trial.eta,
+                                            k0=trial.k0, p_c=trial.p_c)
 
 
 def test_fit_closures_requires_output_rows():

@@ -3,6 +3,7 @@ public names."""
 
 import dataclasses
 import importlib
+import itertools
 import math
 import re
 from pathlib import Path
@@ -14,6 +15,7 @@ import fdrsim
 from fdrsim import (
     AIR,
     CATALOG_TYPE_IDS,
+    Device,
     DeviceGeometry,
     FlapGateGeometry,
     FluidProperties,
@@ -129,6 +131,62 @@ def test_with_gate_overrides_and_clears_type_id():
     assert dev.material == base.material
     # the original is untouched
     assert base.geometry.gate.t == 0.5e-3
+
+
+def _away_from_default(f: dataclasses.Field):
+    """A value for DeviceGeometry field ``f`` that is not its default."""
+    default = (f.default if f.default is not dataclasses.MISSING
+               else f.default_factory())
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default * 1.25
+    if isinstance(default, FlapGateGeometry):
+        return FlapGateGeometry(w=9.5e-3, t=0.45e-3, h=1.9e-3)
+    raise AssertionError(f"no test value for DeviceGeometry.{f.name}")
+
+
+def _with_gate_by_replace(device, **dims):
+    gate_dims = {k: v for k, v in dims.items() if k != "a_ne"}
+    gate = dataclasses.replace(device.geometry.gate, **gate_dims)
+    geometry = dataclasses.replace(
+        device.geometry, gate=gate,
+        **{k: v for k, v in dims.items() if k == "a_ne"})
+    return dataclasses.replace(device, geometry=geometry, type_id=None)
+
+
+_GATE_DIMS = {"w": 7.0e-3, "t": 0.35e-3, "h": 2.2e-3, "a_ne": 0.45e-6}
+
+
+@pytest.mark.parametrize("keys", [
+    keys for r in range(len(_GATE_DIMS) + 1)
+    for keys in itertools.combinations(_GATE_DIMS, r)], ids=repr)
+def test_with_gate_matches_replace_on_every_field(keys):
+    # every field away from its default, so a field the constructor drops
+    # (and so resets to its default) shows; a field added later of a new
+    # type must be given a value in _away_from_default
+    fields = dataclasses.fields(DeviceGeometry)
+    odd = Device(
+        geometry=DeviceGeometry(**{f.name: _away_from_default(f)
+                                   for f in fields}),
+        material=Material.from_shore_a(20.0),
+        fluid=FluidProperties(rho_in=1.1, rho=1.3, gamma=1.3), type_id="odd")
+    dims = {k: _GATE_DIMS[k] for k in keys}
+    for base in (catalog_device("C"), odd):
+        got = with_gate(base, **dims)
+        want = _with_gate_by_replace(base, **dims)
+        assert got == want
+        assert got.type_id is None
+        assert got.material is base.material and got.fluid is base.fluid
+        for f in fields:
+            value = getattr(got.geometry, f.name)
+            assert value == getattr(want.geometry, f.name), f.name
+            assert type(value) is type(getattr(want.geometry, f.name))
+    for f in fields:
+        assert (getattr(odd.geometry, f.name)
+                != getattr(DeviceGeometry(), f.name)), f.name
 
 
 def test_validate_geometry_accepts_catalog():

@@ -312,6 +312,20 @@ def test_nelder_mead_rejects_non_finite_start(x0):
         nelder_mead(lambda x: 0.0, x0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"step": math.nan}, {"step": math.inf}, {"step": -math.inf},
+    {"step": 0.0}, {"step": -0.0}, {"diam_tol": math.nan},
+], ids=["step-nan", "step-inf", "step-minus-inf", "step-zero",
+        "step-minus-zero", "diam-tol-nan"])
+def test_nelder_mead_rejects_degenerate_step_or_tolerance(kwargs):
+    # each would spend the budget on a simplex that cannot move or
+    # converge, and return x0 as if it had searched
+    calls = []
+    with pytest.raises(ValueError, match="step|diam_tol"):
+        nelder_mead(lambda x: calls.append(x) or 0.0, [0.5, 0.5], **kwargs)
+    assert calls == []
+
+
 def test_nelder_mead_treats_failures_as_infinite():
     def sometimes(x):
         if x[0] < 0.0:
@@ -356,6 +370,64 @@ def test_optimize_validation():
         with pytest.raises(ValueError, match="start"):
             optimize_geometry(obj, {"h": (1.8e-3, 2.0e-3)}, _B,
                               start={"h": h})
+
+
+@pytest.mark.parametrize("start", [{}, {"w": 8.0e-3}, {"h": None},
+                                   {"h": "tall"}, {"h": [1.9e-3]},
+                                   {"h": 10 ** 400}],
+                         ids=["empty", "frozen-key-only", "none", "text",
+                              "list", "huge-int"])
+def test_optimize_start_must_give_every_free_key_a_number(start):
+    calls = []
+
+    def objective(device):
+        calls.append(device)
+        return 0.0
+
+    with pytest.raises(ValueError, match="start.*h"):
+        optimize_geometry(objective, {"h": (1.8e-3, 2.0e-3)}, _B, start=start)
+    assert calls == []
+
+
+def test_optimize_start_ignores_frozen_keys():
+    box = {"h": (1.8e-3, 2.0e-3)}
+    seeded = optimize_geometry(lambda d: d.geometry.gate.h, box, _B,
+                               start={"h": 1.9e-3, "w": 1.0}, max_evals=30)
+    plain = optimize_geometry(lambda d: d.geometry.gate.h, box, _B,
+                              start={"h": 1.9e-3}, max_evals=30)
+    assert seeded == plain
+
+
+def test_optimize_scores_out_of_box_candidates_clipped_plus_penalty(
+        monkeypatch):
+    # the kernel replaced by a probe that scores chosen box coordinates:
+    # a candidate outside the box is the clipped one plus
+    # 1e9 * (1 + squared distance outside, summed over coordinates)
+    probes = ([0.5, 0.5], [1.5, 0.5], [-0.25, 0.5], [1.5, -0.25],
+              [-0.0, 1.0], [1.0 + 2.0 ** -52, 0.5])
+    values = []
+    seen = []
+
+    def probe_kernel(f, x0, **kwargs):
+        values.extend(f(list(x)) for x in probes)
+        return list(x0), values[0], len(probes)
+
+    def objective(device):
+        seen.append((device.geometry.gate.w, device.geometry.gate.h))
+        return 0.0
+
+    monkeypatch.setattr(engine, "nelder_mead", probe_kernel)
+    box = {"w": (6.0e-3, 10.0e-3), "h": (1.8e-3, 2.0e-3)}
+    optimize_geometry(objective, box, _B)
+    assert values == [0.0, 1.0e9 * 1.25, 1.0e9 * 1.0625,
+                      1.0e9 * (1.0 + 0.25 + 0.0625), 0.0,
+                      # 2 ** -104 is lost next to 1, but the candidate
+                      # is still outside
+                      1.0e9]
+    (w_lo, w_hi), (h_lo, h_hi) = box["w"], box["h"]
+    w_mid, h_mid = w_lo + 0.5 * (w_hi - w_lo), h_lo + 0.5 * (h_hi - h_lo)
+    assert seen == [(w_mid, h_mid), (w_hi, h_mid), (w_lo, h_mid),
+                    (w_hi, h_lo), (w_lo, h_hi), (w_hi, h_mid)]
 
 
 def test_optimize_pushes_height_to_lower_bound():
