@@ -63,6 +63,12 @@ CASES = {
                              "--bounds-w-mm", "8:11", "--bounds-h-mm",
                              "1.6:2.0", "--at-qin-lpm", "20",
                              "--max-evals", "40"],
+    # the switching search on the same config template
+    "optimize_switching_config.json": ["optimize", "--config", _DEVICE,
+                                       "--objective", "switching",
+                                       "--bounds-w-mm", "8:11",
+                                       "--bounds-h-mm", "1.6:2.0",
+                                       "--max-evals", "40"],
     "calibrate_input.json": ["calibrate", "--data", "builtin",
                              "--fit", "input"],
     "calibrate_input_csv.json": ["calibrate", "--data", _DATA,
