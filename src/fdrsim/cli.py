@@ -11,6 +11,8 @@ with ``#``, so identical invocations produce byte-identical files.
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
 would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error.
+A ``SupersonicJetWarning`` reaches stderr as one ``warning: <message>``
+line per distinct message and call.
 
 Each invocation builds only its own command's flags (``_COMMANDS``): the
 other commands get bare subparsers, so the usage line, ``fdr --help`` and
@@ -24,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -37,8 +40,8 @@ from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
 from .engine import _DESIGN_KEYS
-from .model import (DEFAULT_COEFFS, ModelCoefficients, gate_stiffness,
-                    opening_ratio)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, SupersonicJetWarning,
+                    gate_stiffness, opening_ratio)
 
 __all__ = ["main"]
 
@@ -558,11 +561,32 @@ def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
     return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
 
 
+def _run(args: argparse.Namespace) -> int:
+    """``args.func(args)``, then each distinct jet warning it raised as one
+    ``warning: <message>`` line on stderr, without the library's source
+    line.  The warnings are recorded under the caller's filters, so
+    ``error`` still raises and ``ignore`` prints nothing; any other
+    warning is shown as Python shows it."""
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return args.func(args)
+    finally:
+        reported = set()
+        for w in caught:
+            if not issubclass(w.category, SupersonicJetWarning):
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno, w.file, w.line)
+            elif str(w.message) not in reported:
+                reported.add(str(w.message))
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser_for(argv).parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except calib.FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return _EXIT_FIT

@@ -12,7 +12,11 @@ Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
 sweep reports the switching point, where the output pressure crosses
 zero (blowing to suction), refined by bisection between the bracketing
-grid points.
+grid points.  The optimizer's switching objective computes the grid only
+up to that first bracket: later rows cannot move the answer, and they
+are skipped only when ``model._no_row_fails`` shows that none of them
+could fail, so a candidate scores exactly what its sweep reports,
+failure included.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -25,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point,
-                    _point_law, _warn_if_sonic, input_pressure)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _no_row_fails,
+                    _Point, _point_law, _warn_if_sonic, input_pressure)
 
 __all__ = [
     "MODE_BLOWING",
@@ -180,10 +184,11 @@ def _refine_switching(law: _Law, q_lo: float, q_hi: float, p_lo: float
     return 0.5 * (lo + hi)
 
 
-def _switching_q(qs: Sequence[float], p_outs: Sequence[float], law: _Law
+def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
                  ) -> float | None:
     """The flow where ``p_out`` first changes sign along the grid (exact
-    zeros skipped), refined by bisection; ``None`` if it never does."""
+    zeros skipped), refined by bisection; ``None`` if it never does.
+    Reads ``p_outs`` only up to that first bracket."""
     last_sign = last_q = last_p = 0.0
     for q, p_out in zip(qs, p_outs):
         sign = 0.0 if p_out == 0.0 else math.copysign(1.0, p_out)
@@ -568,15 +573,27 @@ def switching_objective(coeffs: ModelCoefficients, *,
     without building its states.  The grid is checked and built once,
     here, so a rejected grid raises ``ValueError`` before any candidate
     is scored.
+
+    The scan stops at the first sign change: rows past it cannot move the
+    bracket or the bisection inside it.  What they could do is fail, and
+    then ``sweep`` raises :class:`SweepError`; so the scan stops early
+    only when ``model._no_row_fails`` proves that no flow up to the
+    grid's top fails.  Otherwise every row runs first, as in ``sweep``,
+    and the first failing one raises the same error.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
     qs = _grid(q_start, q_end, step)
+    q_top = qs[-1]
 
     def objective(candidate: Device) -> float:
         law = _point_law(candidate, coeffs)
-        p_outs = [row[3] for row in _ramp(law, qs)]
-        _warn_if_sonic(qs[-1], candidate)
+        if _no_row_fails(law, candidate, coeffs, q_top):
+            # lazy: _switching_q reads it up to the first bracket
+            p_outs = (law(q)[3] for q in qs)
+        else:
+            p_outs = [row[3] for row in _ramp(law, qs)]
+        _warn_if_sonic(q_top, candidate)
         switching_q = _switching_q(qs, p_outs, law)
         if switching_q is None:
             return _NO_SWITCHING_VALUE

@@ -290,6 +290,38 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     return law
 
 
+def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
+                  q_top: float) -> bool:
+    """True only if ``law``, the device's :func:`_point_law`, returns at
+    every flow in ``[0, q_top]``, so a scan may stop early without
+    skipping a ``ValueError``; calls the law once, at ``q_top``.
+
+    Every operation of the law rounds monotonically, and with ``c1, c2 >=
+    0`` the magnitudes of ``p_in``, of both terms of ``p_chamber``, of the
+    blocked flow ``(1 - s) q`` and of the jet velocity ``v`` never fall as
+    the flow grows.  So a finite ``law(q_top)`` keeps ``p_in`` and
+    ``p_chamber`` finite at every lower flow, and ``s = a_fg / a_fg_max``
+    lies in [0, 1] whatever the gate does.  The blowing term is at most
+    its value with the gate shut, ``rho/2 (q_top / (cd_out a_out))^2``,
+    and the suction term at most its value with the gate fully open,
+    ``eta rho/2 v_top^2 penalty``.  When both bounds are finite, ``p_out``
+    is the difference of two finite nonnegative terms, so no row is inf
+    or nan.  A bound that overflows (``OverflowError`` from ``**``, or an
+    infinite product) only means the check cannot rule a failure out.
+    """
+    try:
+        law(q_top)
+        g = device.geometry
+        half_rho = 0.5 * device.fluid.rho
+        blow = half_rho * (q_top / (coeffs.cd_out * g.a_out)) ** 2
+    except (ValueError, OverflowError):
+        return False
+    v = (q_top / g.n_nozzles) / g.a_ne
+    suck = (coeffs.eta * (half_rho * v * v)
+            * recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref))
+    return blow < math.inf and suck < math.inf
+
+
 def _warn_if_sonic(q_in: float, device: Device) -> None:
     """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient

@@ -969,3 +969,61 @@ def test_compare_and_optimize_exit_documented_code(tmp_path_factory, argv,
     else:
         out = out.with_suffix(".json")
     _assert_documented_exit([*argv, "--out", str(out)], out)
+
+
+# --- warnings on stderr -----------------------------------------------------------
+
+_JET_LINE = ("warning: jet velocity exceeds the ambient speed of sound; "
+             "the incompressible jet closure is extrapolating\n")
+_SONIC_SIMULATE = ["simulate", "--type", "B", "--qin-lpm", "30"]
+
+
+def test_jet_warning_is_one_stderr_line(capsys):
+    # no source path or line of the library; stdout as without a warning,
+    # and a second call in the same process reports it again
+    expected = (Path(__file__).resolve().parent / "golden"
+                / "simulate_B_30.txt").read_text(encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        for _ in range(2):
+            assert main(_SONIC_SIMULATE) == 0
+            captured = capsys.readouterr()
+            assert captured.err == _JET_LINE
+            assert captured.out == expected
+
+
+def test_jet_warning_reported_once_per_call(tmp_path, capsys):
+    # every candidate of a switching search warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["optimize", "--objective", "switching",
+                     "--bounds-h-mm", "1.8:2.0", "--max-evals", "10",
+                     "--out", str(tmp_path / "o.json")]) == 0
+    assert capsys.readouterr().err == _JET_LINE
+
+
+def test_jet_warning_follows_the_callers_filters(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        assert main(_SONIC_SIMULATE) == 0
+    assert capsys.readouterr().err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SupersonicJetWarning)
+        with pytest.raises(SupersonicJetWarning):
+            main(_SONIC_SIMULATE)
+
+
+def test_other_warnings_pass_through(monkeypatch, capsys):
+    solve = cli.engine.solve_operating_point
+
+    def warning_solve(*args):
+        warnings.warn("other", DeprecationWarning)
+        return solve(*args)
+
+    monkeypatch.setattr(cli.engine, "solve_operating_point", warning_solve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_SONIC_SIMULATE) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (DeprecationWarning, "other")]
+    assert capsys.readouterr().err == _JET_LINE

@@ -288,17 +288,26 @@ def test_sweep_warns_once_on_sonic_rows():
 
 _SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)   # never switches
 
+# devices that switch low on the 1 L/min grid and fail further up: a jet
+# so fast its dynamic pressure overflows at 21 and 11 L/min, and an
+# output restriction whose blowing term overflows at 16 L/min, once a
+# narrow branch's junction term has shut the gate again
+_TINY_NOZZLE = with_gate(catalog_device("B"), a_ne=1.0e-158)
+_TINIER_NOZZLE = with_gate(catalog_device("B"), a_ne=5.0e-159)
+_RECLOSING = dataclasses.replace(
+    catalog_device("B"), geometry=dataclasses.replace(
+        catalog_device("B").geometry, split_design_rule=False,
+        a_branch=4.0e-7))
+_TINY_OUTLET = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-8, cd_out=1.0e-153)
+# a shut gate's blowing term overflows at 2 L/min, while at the grid's
+# top the gate is fully open and the law returns
+_TINIER_OUTLET = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-8,
+                                     cd_out=2.5e-154)
 
-@_PROPERTY
-@given(devices(), coefficients(),
-       st.one_of(st.none(), st.floats(-5.0e4, 5.0e4)))
-@example(catalog_device("B"), DEFAULT_COEFFS, None)
-@example(catalog_device("B"), DEFAULT_COEFFS, 2.0e4)
-@example(catalog_device("B"), _SHUT, None)
-@example(catalog_device("B"), _SHUT, 2.0e4)
-def test_switching_objective_equals_sweep(device, coeffs, target):
-    # the objective finds the switching point without building states;
-    # it must score exactly what the sweep over its grid reports
+
+def _assert_objective_equals_sweep(device, coeffs, target):
+    """The switching objective scores exactly what the sweep over its
+    grid reports, and raises the same error where the sweep fails."""
     step = 1.0 * M3S_PER_LPM
     objective = switching_objective(coeffs, target_p_in=target)
     with warnings.catch_warnings():
@@ -318,3 +327,60 @@ def test_switching_objective_equals_sweep(device, coeffs, target):
         expected = ((ref.switching_p_in - target)
                     / max(abs(target), 1.0)) ** 2
     assert value.hex() == expected.hex()
+
+
+@_PROPERTY
+@given(devices(), coefficients(),
+       st.one_of(st.none(), st.floats(-5.0e4, 5.0e4)))
+@example(catalog_device("B"), DEFAULT_COEFFS, None)
+@example(catalog_device("B"), DEFAULT_COEFFS, 2.0e4)
+@example(catalog_device("B"), _SHUT, None)
+@example(catalog_device("B"), _SHUT, 2.0e4)
+@example(_TINY_NOZZLE, DEFAULT_COEFFS, None)
+@example(_TINIER_NOZZLE, DEFAULT_COEFFS, 2.0e4)
+@example(_RECLOSING, _TINY_OUTLET, None)
+@example(catalog_device("B"), _TINIER_OUTLET, None)
+def test_switching_objective_equals_sweep(device, coeffs, target):
+    # the objective finds the switching point without building states;
+    # it must score exactly what the sweep over its grid reports
+    _assert_objective_equals_sweep(device, coeffs, target)
+
+
+@_PROPERTY
+@given(devices(), coefficients(),
+       st.one_of(st.none(), st.floats(-5.0e4, 5.0e4)),
+       st.floats(-159.0, -6.0))
+def test_switching_objective_equals_sweep_on_tiny_nozzles(device, coeffs,
+                                                          target, exponent):
+    # nozzles down to 1e-159 m^2: below about 1e-158 m^2 the jet's
+    # dynamic pressure overflows somewhere on the grid, often only after
+    # the switch, where the objective must still fail as the sweep does
+    _assert_objective_equals_sweep(with_gate(device, a_ne=10.0 ** exponent),
+                                   coeffs, target)
+
+
+def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
+    # type B first changes sign between 13 and 14 L/min: the objective
+    # runs the law once at the grid's top (the no-failure check), on rows
+    # 0..14 and on the bisection inside that bracket, and no further row
+    qs = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)
+    b = catalog_device("B")
+    law = _point_law(b, DEFAULT_COEFFS)
+    bisection = []
+    engine._refine_switching(lambda q: bisection.append(q) or law(q),
+                             qs[13], qs[14], law(qs[13])[3])
+    calls = []
+
+    def counted(device, coeffs):
+        device_law = _point_law(device, coeffs)
+        return lambda q_in: calls.append(q_in) or device_law(q_in)
+
+    monkeypatch.setattr(engine, "_point_law", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        switching_objective(DEFAULT_COEFFS)(b)
+        assert calls == [qs[-1], *qs[:15], *bisection]
+        # a device that never switches still reads every row
+        calls.clear()
+        switching_objective(_SHUT)(b)
+        assert calls == [qs[-1], *qs]
