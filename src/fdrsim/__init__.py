@@ -17,20 +17,16 @@ from .core import (AIR, CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, FluidProperties, Material, P_ATM,
                    catalog_device, shore_to_modulus, validate_geometry,
                    with_gate)
-from .model import (DEFAULT_COEFFS, REFERENCE_STIFFNESS, ModelCoefficients,
-                    SupersonicJetWarning, gate_stiffness, input_pressure,
-                    jet_velocity, opening_ratio, recirculation_penalty)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, SupersonicJetWarning,
+                    gate_stiffness, input_pressure)
 from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
                      OperatingState, OptimizationResult,
                      SweepError, SweepResult, blowing_objective,
-                     compare_designs, curve_match_objective,
-                     design_orderings, nelder_mead, optimize_geometry,
-                     solve_operating_point, suction_objective, sweep,
-                     switching_objective)
+                     compare_designs, design_orderings, nelder_mead,
+                     optimize_geometry, solve_operating_point,
+                     suction_objective, sweep, switching_objective)
 from .friction import (FrictionCurvePoint, FrictionPrediction,
-                       FrictionSample, coefficients_from_sample,
-                       effective_normal, friction_curve,
-                       predict_coefficients)
+                       effective_normal, friction_curve, predict_coefficients)
 from .calib import (FitError, FitReport, MeasurementRow, MeasurementSet,
                     builtin_calibration_points, fit_closures,
                     fit_input_pressure, load_measurements)
@@ -41,19 +37,16 @@ __all__ = [
     "AIR", "CATALOG_TYPE_IDS", "Device", "DeviceGeometry",
     "FlapGateGeometry", "FluidProperties", "Material", "P_ATM",
     "catalog_device", "shore_to_modulus", "validate_geometry", "with_gate",
-    "input_pressure",
-    "REFERENCE_STIFFNESS", "gate_stiffness", "opening_ratio",
+    "input_pressure", "gate_stiffness",
     "DEFAULT_COEFFS", "ModelCoefficients", "SupersonicJetWarning",
-    "jet_velocity", "recirculation_penalty",
     "MODE_BLOWING", "MODE_NEUTRAL", "MODE_SUCTION",
     "OperatingState", "OptimizationResult", "SweepError",
     "SweepResult", "blowing_objective", "compare_designs",
-    "curve_match_objective", "design_orderings", "nelder_mead",
-    "optimize_geometry", "solve_operating_point", "suction_objective",
-    "sweep", "switching_objective",
-    "FrictionCurvePoint", "FrictionPrediction", "FrictionSample",
-    "coefficients_from_sample", "effective_normal", "friction_curve",
-    "predict_coefficients",
+    "design_orderings", "nelder_mead", "optimize_geometry",
+    "solve_operating_point", "suction_objective", "sweep",
+    "switching_objective",
+    "FrictionCurvePoint", "FrictionPrediction", "effective_normal",
+    "friction_curve", "predict_coefficients",
     "FitError", "FitReport", "MeasurementRow", "MeasurementSet",
     "builtin_calibration_points", "fit_closures", "fit_input_pressure",
     "load_measurements",

@@ -24,11 +24,12 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
-from .engine import _misfit, _spread, nelder_mead
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _point_law,
+from .engine import nelder_mead
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _point_law,
                     _warn_if_sonic)
 
 __all__ = [
@@ -185,6 +186,28 @@ def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitRe
                        rms_residual={"p_in": rms},
                        residuals={"p_in": residuals})
     return (c1, c2), report
+
+
+def _spread(values: Sequence[float]) -> float:
+    """Population standard deviation of ``values`` from correctly rounded
+    sums, so it does not depend on their order (``inf`` when a sum leaves
+    the float range)."""
+    try:
+        mean = math.fsum(values) / len(values)
+        return math.sqrt(math.fsum((v - mean) * (v - mean) for v in values)
+                         / len(values))
+    except OverflowError:
+        return math.inf
+
+
+def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
+            law: _Law) -> float:
+    """Sum over the flows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
+    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``."""
+    total = 0.0
+    for q, p_ref in zip(qs, ps):
+        total += ((law(q)[3] - p_ref) / scale) ** 2
+    return total
 
 
 def fit_closures(data: MeasurementSet, device: Device, *,

@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
 would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error.
 A ``SupersonicJetWarning`` reaches stderr as one ``warning: <message>``
-line per distinct message and call.
+line per distinct message and call; under an ``error`` warning filter
+(``python -W error``, ``PYTHONWARNINGS=error``) it is a solver failure
+instead, exit 3 with one ``solver error: <message>`` line.
 
 Each invocation builds only its own command's flags (``_COMMANDS``): the
 other commands get bare subparsers, so the usage line, ``fdr --help`` and
@@ -41,7 +43,7 @@ from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    validate_geometry)
 from .engine import _DESIGN_KEYS
 from .model import (DEFAULT_COEFFS, ModelCoefficients, SupersonicJetWarning,
-                    gate_stiffness, opening_ratio)
+                    gate_stiffness)
 
 __all__ = ["main"]
 
@@ -120,8 +122,7 @@ def _state_columns(a_ex: float) -> tuple[_Column, ...]:
         _Column("p_in", PRESSURE, attrgetter("p_in")),
         _Column("p_chamber", PRESSURE, attrgetter("p_chamber")),
         _Column("a_fg", AREA, attrgetter("a_fg")),
-        _Column("a_fg_over_a_ex", UNITLESS,
-                lambda st: opening_ratio(st.a_fg, a_ex)),
+        _Column("a_fg_over_a_ex", UNITLESS, lambda st: st.a_fg / a_ex),
         _Column("p_out", PRESSURE, attrgetter("p_out")),
         _Column("mode", UNITLESS, attrgetter("mode")),
     )
@@ -272,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"p_chamber = {_fmt(kpa(st.p_chamber))} kPa "
           f"({_fmt(st.p_chamber)} Pa)")
     print(f"a_fg      = {_fmt(mm2(st.a_fg))} mm^2 ({_fmt(st.a_fg)} m^2)"
-          f", a_fg/a_ex = {_fmt(opening_ratio(st.a_fg, a_ex))}")
+          f", a_fg/a_ex = {_fmt(st.a_fg / a_ex)}")
     print(f"p_out     = {_fmt(kpa(st.p_out))} kPa ({_fmt(st.p_out)} Pa)")
     print(f"mode      = {st.mode}")
     return 0
@@ -590,7 +591,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except calib.FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return _EXIT_FIT
-    except engine.SweepError as exc:
+    except (engine.SweepError, SupersonicJetWarning) as exc:
+        # the warning escapes only under an ``error`` filter (``-W error``)
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except (ValueError, OSError) as exc:

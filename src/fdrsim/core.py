@@ -33,6 +33,7 @@ __all__ = [
     "shore_to_modulus",
     "catalog_device",
     "validate_geometry",
+    "with_gate",
 ]
 
 P_ATM = 101325.0  # absolute ambient pressure [Pa]; gauge zero everywhere else

@@ -5,8 +5,7 @@ junction pressure, gate opening, jet closure.  Its point law, built once
 per device and coefficient set, is the one place that chain is computed:
 it runs on plain Python floats for one point, every sweep row, the
 switching bisection and every optimizer or fit objective.  No module
-imports numpy: the fits in ``calib`` and the spread of a curve-match
-reference run on plain floats as well.
+imports numpy: the fits in ``calib`` run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -54,7 +53,6 @@ __all__ = [
     "nelder_mead",
     "OptimizationResult",
     "optimize_geometry",
-    "curve_match_objective",
     "switching_objective",
     "suction_objective",
     "blowing_objective",
@@ -301,7 +299,8 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     falls below ``diam_tol`` or the evaluation budget is spent; the
     budget is strict and never overrun.  ``f`` receives a list of floats;
     returns (best x as a list of floats, best f, evals).  Deterministic
-    for identical inputs; evaluation failures count as +infinity.
+    for identical inputs; evaluation failures count as +infinity, except
+    a ``Warning`` raised under an ``error`` filter, which propagates.
 
     ``step`` must be nonzero and finite and ``diam_tol`` not nan
     (``ValueError``): either would spend the budget on a simplex that
@@ -333,6 +332,8 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         evals += 1
         try:
             y = float(f(x))
+        except Warning:   # a warning the caller's filter made an error
+            raise
         except Exception:
             return math.inf
         return y if not math.isnan(y) else math.inf
@@ -419,7 +420,8 @@ def optimize_geometry(objective: Callable[[Device], float],
     that are frozen are ignored.
     A box whose thickest, narrowest and lowest gate fails
     ``validate_geometry`` raises ``ValueError`` before any evaluation.
-    A failing objective evaluation counts as +infinity, not an error.
+    A failing objective evaluation counts as +infinity, not an error,
+    except a ``Warning`` raised under an ``error`` filter.
     """
     unknown = set(bounds) - set(_DESIGN_KEYS)
     if unknown:
@@ -487,6 +489,8 @@ def optimize_geometry(objective: Callable[[Device], float],
         cand = with_gate(device, **params)
         try:
             value = float(objective(cand))
+        except Warning:
+            raise
         except Exception:
             value = math.inf
         return OptimizationResult(device=cand, params=params, value=value,
@@ -515,46 +519,6 @@ def optimize_geometry(objective: Callable[[Device], float],
                               params=params, value=best_f,
                               evaluations=evals,
                               converged=evals < max_evals)
-
-
-def _spread(values: Sequence[float]) -> float:
-    """Population standard deviation of ``values`` from correctly rounded
-    sums, so it does not depend on their order (``inf`` when a sum leaves
-    the float range)."""
-    try:
-        mean = math.fsum(values) / len(values)
-        return math.sqrt(math.fsum((v - mean) * (v - mean) for v in values)
-                         / len(values))
-    except OverflowError:
-        return math.inf
-
-
-def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
-            law: _Law) -> float:
-    """Sum over the flows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
-    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``."""
-    total = 0.0
-    for q, p_ref in zip(qs, ps):
-        total += ((law(q)[3] - p_ref) / scale) ** 2
-    return total
-
-
-def curve_match_objective(coeffs: ModelCoefficients,
-                          target: SweepResult) -> Callable[[Device], float]:
-    """Least-squares distance between a candidate's output-pressure curve
-    and a reference curve, evaluated on the reference's own grid."""
-    qs = [st.q_in for st in target.states]
-    ps = [st.p_out for st in target.states]
-    scale = _spread(ps)
-    if not scale > 0.0:
-        scale = 1.0
-
-    def objective(candidate: Device) -> float:
-        value = _misfit(qs, ps, scale, _point_law(candidate, coeffs))
-        _warn_if_sonic(qs[-1], candidate)
-        return value
-
-    return objective
 
 
 _NO_SWITCHING_VALUE = 1.0e6

@@ -25,34 +25,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Device
-from .engine import OperatingState, solve_operating_point
-from .model import DEFAULT_COEFFS, ModelCoefficients
+from .engine import OperatingState
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _point_law,
+                    _warn_if_sonic)
 
 __all__ = [
     "DEFAULT_A_EFF",
-    "FrictionSample",
     "FrictionPrediction",
     "FrictionCurvePoint",
-    "coefficients_from_sample",
     "effective_normal",
     "predict_coefficients",
     "friction_curve",
 ]
 
 DEFAULT_A_EFF = 1.0e-4  # [m^2] pad contact area the port pressure acts on
-
-
-@dataclass(frozen=True)
-class FrictionSample:
-    weight_load: float   # W [N]
-    f_slip: float        # force at slip onset [N]
-    f_mean: float        # mean sliding force [N]
-
-    def __post_init__(self) -> None:
-        if self.weight_load <= 0.0:
-            raise ValueError("weight_load must be positive")
-        if self.f_slip < 0.0 or self.f_mean < 0.0:
-            raise ValueError("forces must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,11 +59,6 @@ class FrictionCurvePoint:
     q_in: float                    # [m^3/s]
     state: OperatingState          # solved device state at q_in
     prediction: FrictionPrediction
-
-
-def coefficients_from_sample(s: FrictionSample) -> tuple[float, float]:
-    """(mu_s, mu_k) measured from one weighted-pad trial."""
-    return s.f_slip / s.weight_load, s.f_mean / s.weight_load
 
 
 def effective_normal(weight_load: float, p_out: float, a_eff: float) -> float:
@@ -116,12 +97,16 @@ def friction_curve(device: Device,
                    mu0_s: float, mu0_k: float, weight_load: float,
                    a_eff: float = DEFAULT_A_EFF,
                    q_list: Sequence[float]) -> tuple[FrictionCurvePoint, ...]:
-    """Predicted coefficients at each supply flow in ``q_list``."""
+    """Predicted coefficients at each supply flow in ``q_list``; each
+    state equals ``solve_operating_point`` at its flow, warning
+    included."""
     if not q_list:
         raise ValueError("q_list must be non-empty")
+    law = _point_law(device, coeffs)
     points = []
     for q in q_list:
-        state = solve_operating_point(q, device, coeffs)
+        state = OperatingState(q, *law(q))
+        _warn_if_sonic(q, device)
         prediction = predict_coefficients(mu0_s, mu0_k, weight_load,
                                           state.p_out, a_eff)
         points.append(FrictionCurvePoint(q_in=q, state=state,

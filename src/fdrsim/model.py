@@ -36,10 +36,10 @@ for ranking designs, so the model reduces to a flexural-rigidity proxy
 ``D = E t^3 h / w`` [N m] that orders gates by how hard they are to push
 open, and a saturating linear compliance.  ``k0`` [m^2/Pa] is the
 opening gain quoted for the nominal gate (whose stiffness is
-``D_ref = REFERENCE_STIFFNESS``), ``p_c`` [Pa] the cracking pressure
-below which the walls stay sealed, and ``a_fg_max`` caps the opening at
-the physical window.  Softer, thinner or wider gates have smaller ``D``
-and therefore open further at the same pressure.
+``D_ref``), ``p_c`` [Pa] the cracking pressure below which the walls
+stay sealed, and ``a_fg_max`` caps the opening at the physical window.
+Softer, thinner or wider gates have smaller ``D`` and therefore open
+further at the same pressure.
 
 *Jet closure.*  The nozzle bank turns supply flow into a high-speed jet
 across the exhaust window.  Whatever fraction ``s`` of the gate window
@@ -63,19 +63,14 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .core import (DEFAULT_CHANNEL_WIDTH_REF, P_ATM, Device, DeviceGeometry,
-                   FlapGateGeometry, Material)
+from .core import P_ATM, Device, DeviceGeometry, FlapGateGeometry, Material
 
 __all__ = [
     "SupersonicJetWarning",
     "ModelCoefficients",
     "DEFAULT_COEFFS",
     "input_pressure",
-    "REFERENCE_STIFFNESS",
     "gate_stiffness",
-    "opening_ratio",
-    "jet_velocity",
-    "recirculation_penalty",
 ]
 
 
@@ -154,39 +149,18 @@ def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
     return stiffness
 
 
-def _reference_stiffness() -> float:
-    nominal = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
-    return gate_stiffness(nominal, Material.from_shore_a(10.0))
-
-
 # stiffness of the nominal gate; anchors the opening gain k0 so that the
 # same k0 means the same compliance on the nominal build
-REFERENCE_STIFFNESS = _reference_stiffness()
+_REFERENCE_STIFFNESS = gate_stiffness(FlapGateGeometry(w=8.0e-3, t=0.5e-3,
+                                                       h=2.0e-3),
+                                      Material.from_shore_a(10.0))
 
 
-def opening_ratio(a_fg: float, a_ex: float) -> float:
-    """Opening area relative to the exhaust window, a_fg / a_ex."""
-    if a_ex <= 0.0:
-        raise ValueError("a_ex must be positive")
-    if a_fg < 0.0:
-        raise ValueError("a_fg must be nonnegative")
-    return a_fg / a_ex
-
-
-def jet_velocity(q_in: float, geometry: DeviceGeometry) -> float:
-    """Nozzle exit velocity [m/s] with the supply split evenly over the
-    nozzle bank."""
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
-    return (q_in / geometry.n_nozzles) / geometry.a_ne
-
-
-def recirculation_penalty(w: float, coeffs: ModelCoefficients,
-                          w_ref: float = DEFAULT_CHANNEL_WIDTH_REF) -> float:
-    """Entrainment knockdown for gates wider than the reference channel,
-    1 at or below the reference width and falling off quadratically above."""
-    if w <= 0.0:
-        raise ValueError("w must be positive")
+def _recirculation_penalty(geometry: DeviceGeometry,
+                           coeffs: ModelCoefficients) -> float:
+    """The law's ``penalty(w)``: 1 at or below the reference channel width
+    ``w_ref``, falling off quadratically above it."""
+    w, w_ref = geometry.gate.w, geometry.channel_width_ref
     if w_ref <= 0.0:
         raise ValueError("w_ref must be positive")
     excess = max(0.0, (w - w_ref) / w_ref)
@@ -232,14 +206,14 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
         a_max = g.gate.w * g.gate.h
         if not 0.0 < a_max < math.inf:
             raise ValueError("a_fg_max must be positive and finite")
-        gain = (coeffs.k0 * REFERENCE_STIFFNESS
+        gain = (coeffs.k0 * _REFERENCE_STIFFNESS
                 / gate_stiffness(g.gate, device.material))
         if not 0.0 < gain < math.inf:
             raise ValueError("gate gain k0 D_ref / D must be positive "
                              "and finite")
         if g.a_ex <= 0.0:
             raise ValueError("a_ex must be positive")
-        penalty = recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref)
+        penalty = _recirculation_penalty(g, coeffs)
         out_area = coeffs.cd_out * g.a_out
         if not 0.0 < out_area < math.inf:
             raise ValueError("cd_out * a_out must be positive and finite")
@@ -317,8 +291,7 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
     except (ValueError, OverflowError):
         return False
     v = (q_top / g.n_nozzles) / g.a_ne
-    suck = (coeffs.eta * (half_rho * v * v)
-            * recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref))
+    suck = coeffs.eta * (half_rho * v * v) * _recirculation_penalty(g, coeffs)
     return blow < math.inf and suck < math.inf
 
 
@@ -326,9 +299,9 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
-    fluid = device.fluid
-    if (jet_velocity(q_in, device.geometry)
-            > math.sqrt(fluid.gamma * P_ATM / fluid.rho)):
+    g, fluid = device.geometry, device.fluid
+    if (q_in / g.n_nozzles) / g.a_ne > math.sqrt(fluid.gamma * P_ATM
+                                                 / fluid.rho):
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",

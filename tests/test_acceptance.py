@@ -23,7 +23,6 @@ from fdrsim import (
     builtin_calibration_points,
     catalog_device,
     compare_designs,
-    curve_match_objective,
     fit_closures,
     fit_input_pressure,
     friction_curve,
@@ -32,6 +31,7 @@ from fdrsim import (
     solve_operating_point,
     sweep,
 )
+from fdrsim.calib import _misfit, _spread
 from fdrsim.cli import main as cli_main
 from fdrsim.model import _point_law
 from fdrsim._units import M3S_PER_LPM, N_PER_GF
@@ -178,7 +178,15 @@ def test_criterion_08_numerical_checks():
 def test_criterion_09_geometry_recovery():
     t0 = time.perf_counter()
     target = sweep(_B, step=1.0 * M3S_PER_LPM)
-    objective = curve_match_objective(DEFAULT_COEFFS, target)
+    # least-squares distance of a candidate's p_out curve from the
+    # target's, on the target's grid, scaled by the target's spread
+    qs = [st.q_in for st in target.states]
+    ps = [st.p_out for st in target.states]
+    scale = _spread(ps)
+
+    def objective(candidate):
+        return _misfit(qs, ps, scale, _point_law(candidate, DEFAULT_COEFFS))
+
     bounds = {"w": (6.0e-3, 10.0e-3), "t": (0.4e-3, 0.6e-3),
               "h": (1.8e-3, 2.0e-3)}
     truth = {"w": 8.0e-3, "t": 0.5e-3, "h": 2.0e-3}

@@ -877,25 +877,30 @@ def test_any_input_exits_documented_code(tmp_path_factory, command, device,
 
 def _assert_documented_exit(argv, out):
     """``main(argv)`` exits 0, 2, 3 or 4 without a traceback, and every
-    number it prints or writes to ``out`` is finite."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-        warnings.simplefilter("ignore", SupersonicJetWarning)
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # an argparse error
-            code = exc.code
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in stderr.getvalue()
-    _assert_finite_text(stdout.getvalue())
-    if out.exists():
-        text = out.read_text(encoding="utf-8")
-        if out.suffix == ".json":
-            json.loads(text, parse_float=_finite,
-                       parse_constant=_reject_constant)
-        else:
-            _assert_finite_text(text)
+    number it prints or writes to ``out`` is finite, with the jet warning
+    ignored and with every warning an error (``python -W error``)."""
+    for action, category in (("ignore", SupersonicJetWarning),
+                             ("error", Warning)):
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter(action, category)
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # an argparse error
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        _assert_finite_text(stdout.getvalue())
+        if out.exists():
+            text = out.read_text(encoding="utf-8")
+            if out.suffix == ".json":
+                json.loads(text, parse_float=_finite,
+                           parse_constant=_reject_constant)
+            else:
+                _assert_finite_text(text)
 
 
 # flag values at the edges of the float range, and past them
@@ -973,8 +978,9 @@ def test_compare_and_optimize_exit_documented_code(tmp_path_factory, argv,
 
 # --- warnings on stderr -----------------------------------------------------------
 
-_JET_LINE = ("warning: jet velocity exceeds the ambient speed of sound; "
-             "the incompressible jet closure is extrapolating\n")
+_JET_MESSAGE = ("jet velocity exceeds the ambient speed of sound; "
+                "the incompressible jet closure is extrapolating")
+_JET_LINE = f"warning: {_JET_MESSAGE}\n"
 _SONIC_SIMULATE = ["simulate", "--type", "B", "--qin-lpm", "30"]
 
 
@@ -1002,15 +1008,28 @@ def test_jet_warning_reported_once_per_call(tmp_path, capsys):
     assert capsys.readouterr().err == _JET_LINE
 
 
-def test_jet_warning_follows_the_callers_filters(capsys):
+def test_jet_warning_follows_the_callers_filters(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
         assert main(_SONIC_SIMULATE) == 0
     assert capsys.readouterr().err == ""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SupersonicJetWarning)
-        with pytest.raises(SupersonicJetWarning):
-            main(_SONIC_SIMULATE)
+    # an error filter (``python -W error``) makes the warning a solver
+    # failure: exit 3, one line, nothing printed or written.  The
+    # optimizer's guards pass it on instead of scoring +inf, in a search
+    # and in a zero-volume box alike.
+    out = tmp_path / "o.json"
+    suction = ["optimize", "--objective", "suction", "--at-qin-lpm", "25",
+               "--out", str(out)]
+    for argv in (_SONIC_SIMULATE, [*suction, "--bounds-w-mm", "6:10"],
+                 [*suction, "--bounds-w-mm", "8:8"]):
+        for category in (SupersonicJetWarning, Warning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", category)
+                assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.err == f"solver error: {_JET_MESSAGE}\n"
+            assert captured.out == ""
+            assert not out.exists()
 
 
 def test_other_warnings_pass_through(monkeypatch, capsys):

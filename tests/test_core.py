@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -232,20 +233,18 @@ def test_validate_geometry_thin_plate():
 _PUBLIC_NAMES = [
     "AIR", "CATALOG_TYPE_IDS", "DEFAULT_COEFFS", "Device", "DeviceGeometry",
     "FitError", "FitReport", "FlapGateGeometry", "FluidProperties",
-    "FrictionCurvePoint", "FrictionPrediction", "FrictionSample",
+    "FrictionCurvePoint", "FrictionPrediction",
     "MODE_BLOWING", "MODE_NEUTRAL", "MODE_SUCTION", "Material",
     "MeasurementRow", "MeasurementSet", "ModelCoefficients",
-    "OperatingState", "OptimizationResult", "P_ATM", "REFERENCE_STIFFNESS",
+    "OperatingState", "OptimizationResult", "P_ATM",
     "SupersonicJetWarning", "SweepError", "SweepResult", "__version__",
     "blowing_objective", "builtin_calibration_points", "catalog_device",
-    "coefficients_from_sample", "compare_designs", "curve_match_objective",
-    "design_orderings", "effective_normal", "fit_closures",
-    "fit_input_pressure", "friction_curve", "gate_stiffness",
-    "input_pressure", "jet_velocity", "load_measurements", "nelder_mead",
-    "opening_ratio", "optimize_geometry", "predict_coefficients",
-    "recirculation_penalty", "shore_to_modulus", "solve_operating_point",
-    "suction_objective", "sweep", "switching_objective",
-    "validate_geometry", "with_gate",
+    "compare_designs", "design_orderings", "effective_normal",
+    "fit_closures", "fit_input_pressure", "friction_curve",
+    "gate_stiffness", "input_pressure", "load_measurements", "nelder_mead",
+    "optimize_geometry", "predict_coefficients", "shore_to_modulus",
+    "solve_operating_point", "suction_objective", "sweep",
+    "switching_objective", "validate_geometry", "with_gate",
 ]
 
 
@@ -253,6 +252,19 @@ def test_public_names_pinned_and_resolve():
     assert sorted(fdrsim.__all__) == _PUBLIC_NAMES
     for name in fdrsim.__all__:
         assert getattr(fdrsim, name) is not None
+
+
+def test_each_public_name_has_one_home_module():
+    # every package-level name is exported by exactly one submodule, and
+    # is that module's own object
+    modules = [importlib.import_module(f"fdrsim.{info.name}")
+               for info in pkgutil.iter_modules(fdrsim.__path__)]
+    for name in fdrsim.__all__:
+        if name == "__version__":
+            continue
+        homes = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(homes) == 1, (name, [m.__name__ for m in homes])
+        assert getattr(homes[0], name) is getattr(fdrsim, name)
 
 
 def test_warning_filter_names_the_public_class():

@@ -2,22 +2,23 @@
 pressure through the point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from fdrsim import (
+    AIR,
     DEFAULT_COEFFS,
+    P_ATM,
     ModelCoefficients,
     SupersonicJetWarning,
     catalog_device,
-    jet_velocity,
-    recirculation_penalty,
     solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.model import _point_law
+from fdrsim.model import _point_law, _recirculation_penalty, _warn_if_sonic
 
 _B = catalog_device("B")
 _GEOM_B = _B.geometry
@@ -28,11 +29,13 @@ _SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)
 _OPEN = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-6, p_c=0.0)
 
 
+def _device(device=_B, **geometry):
+    return dataclasses.replace(device, geometry=dataclasses.replace(
+        device.geometry, **geometry))
+
+
 def _p_out(q, coeffs, device=_B, **geometry):
-    if geometry:
-        device = dataclasses.replace(device, geometry=dataclasses.replace(
-            device.geometry, **geometry))
-    return _point_law(device, coeffs)(q)[3]
+    return _point_law(_device(device, **geometry), coeffs)(q)[3]
 
 
 def test_default_coefficients_pinned():
@@ -58,11 +61,19 @@ def test_coefficient_validation(field, bad):
 
 
 def test_jet_velocity_frozen():
-    # 30 L/min split over two 0.4 mm2 nozzles
-    assert jet_velocity(30.0 * M3S_PER_LPM, _GEOM_B) == 625.0
-    assert jet_velocity(0.0, _GEOM_B) == 0.0
-    with pytest.raises(ValueError):
-        jet_velocity(-1.0e-4, _GEOM_B)
+    # 30 L/min split over two 0.4 mm2 nozzles leaves at 625 m/s: fully
+    # open and venting with eta = 1, the port sucks all of rho/2 v^2
+    coeffs = dataclasses.replace(_OPEN, eta=1.0)
+    assert _p_out(30.0 * M3S_PER_LPM, coeffs) == \
+        -(0.5 * AIR.rho * 625.0 * 625.0)
+    # the same velocity, against the speed of sound, sets off the warning
+    q_sonic = (math.sqrt(AIR.gamma * P_ATM / AIR.rho)
+               * _GEOM_B.n_nozzles * _GEOM_B.a_ne)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _warn_if_sonic(q_sonic * (1.0 - 1.0e-9), _B)
+    with pytest.warns(SupersonicJetWarning):
+        _warn_if_sonic(q_sonic * (1.0 + 1.0e-9), _B)
 
 
 def test_jet_dynamic_pressure_frozen_and_warns():
@@ -87,24 +98,37 @@ def test_halving_nozzle_area_quadruples_jet_pressure():
         4.0 * _p_out(q, _OPEN)
 
 
+def _penalty(w, coeffs=DEFAULT_COEFFS, w_ref=_GEOM_B.channel_width_ref):
+    gate = dataclasses.replace(_GEOM_B.gate, w=w)
+    return _recirculation_penalty(_device(gate=gate, channel_width_ref=w_ref)
+                                  .geometry, coeffs)
+
+
 def test_recirculation_penalty_reference_and_below():
-    assert recirculation_penalty(8.0e-3, DEFAULT_COEFFS) == 1.0
-    assert recirculation_penalty(6.0e-3, DEFAULT_COEFFS) == 1.0
+    assert _GEOM_B.channel_width_ref == 8.0e-3
+    assert _penalty(8.0e-3) == 1.0
+    assert _penalty(6.0e-3) == 1.0
 
 
 def test_recirculation_penalty_frozen_example():
     coeffs = dataclasses.replace(DEFAULT_COEFFS, c_recirc=8.0)
-    pen = recirculation_penalty(10.0e-3, coeffs, w_ref=8.0e-3)
+    pen = _penalty(10.0e-3, coeffs, w_ref=8.0e-3)
     assert pen == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_recirculation_penalty_decreasing_above_reference():
     ws = np.linspace(8.0e-3, 16.0e-3, 50)
-    pens = [recirculation_penalty(w, DEFAULT_COEFFS) for w in ws]
+    pens = [_penalty(w) for w in ws.tolist()]
     assert all(b < a for a, b in zip(pens[1:], pens[2:]))
     assert all(0.0 < p <= 1.0 for p in pens)
-    with pytest.raises(ValueError):
-        recirculation_penalty(0.0, DEFAULT_COEFFS)
+    # a Python caller can still pass a zero reference width or gate width
+    with pytest.raises(ValueError, match="^w_ref must be positive$"):
+        _penalty(8.0e-3, w_ref=0.0)
+    with pytest.raises(ValueError, match="^w_ref must be positive$"):
+        _point_law(_device(channel_width_ref=0.0), DEFAULT_COEFFS)(1.0e-4)
+    gate = dataclasses.replace(_GEOM_B.gate, w=0.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        _point_law(_device(gate=gate), DEFAULT_COEFFS)(1.0e-4)
 
 
 def test_output_rest_is_neutral():

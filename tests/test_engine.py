@@ -27,10 +27,11 @@ from fdrsim import (
     suction_objective,
     blowing_objective,
     switching_objective,
-    curve_match_objective,
     sweep,
 )
 from fdrsim._units import M3S_PER_LPM
+from fdrsim.calib import _misfit, _spread
+from fdrsim.model import _point_law
 
 _B = catalog_device("B")
 
@@ -472,8 +473,15 @@ def test_switching_objective_modes():
 
 
 def test_curve_match_objective_zero_on_self():
+    # the closure fit's misfit, on a sweep's own p_out curve
     target = sweep(_B, step=1.0 * M3S_PER_LPM)
-    objective = curve_match_objective(DEFAULT_COEFFS, target)
+    qs = [st.q_in for st in target.states]
+    ps = [st.p_out for st in target.states]
+    scale = _spread(ps)
+
+    def objective(candidate):
+        return _misfit(qs, ps, scale, _point_law(candidate, DEFAULT_COEFFS))
+
     assert objective(_B) == pytest.approx(0.0, abs=1e-18)
     assert objective(catalog_device("H")) > 1.0
 
@@ -481,12 +489,11 @@ def test_curve_match_objective_zero_on_self():
 def test_spread_is_population_std_independent_of_order():
     rng = np.random.default_rng(12)
     values = rng.normal(-3.0e3, 2.0e4, size=31).tolist()
-    assert engine._spread(values) == pytest.approx(float(np.std(values)),
-                                                   rel=1e-14)
-    assert engine._spread(values[::-1]) == engine._spread(values)
-    assert engine._spread([5.0, 5.0]) == 0.0
+    assert _spread(values) == pytest.approx(float(np.std(values)), rel=1e-14)
+    assert _spread(values[::-1]) == _spread(values)
+    assert _spread([5.0, 5.0]) == 0.0
     # the squared deviations overflow: an infinite spread, not an error
-    assert engine._spread([1.0e300, -1.0e300]) == math.inf
+    assert _spread([1.0e300, -1.0e300]) == math.inf
 
 
 @pytest.mark.parametrize("make", [

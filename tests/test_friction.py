@@ -1,39 +1,22 @@
 """Pad friction scaling with output-port pressure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fdrsim import (
     FrictionPrediction,
-    FrictionSample,
+    SupersonicJetWarning,
     catalog_device,
-    coefficients_from_sample,
     effective_normal,
     friction_curve,
     predict_coefficients,
+    solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
 
 _B = catalog_device("B")
-
-
-def test_sample_to_coefficients_frozen():
-    s = FrictionSample(weight_load=0.981, f_slip=0.49, f_mean=0.40)
-    mu_s, mu_k = coefficients_from_sample(s)
-    assert mu_s == pytest.approx(0.49949031600407745, rel=1e-12)
-    assert mu_k == pytest.approx(0.40 / 0.981, rel=1e-12)
-
-
-def test_sample_zero_force_gives_zero():
-    s = FrictionSample(weight_load=0.981, f_slip=0.0, f_mean=0.0)
-    assert coefficients_from_sample(s) == (0.0, 0.0)
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        FrictionSample(weight_load=0.0, f_slip=0.1, f_mean=0.1)
-    with pytest.raises(ValueError):
-        FrictionSample(weight_load=1.0, f_slip=-0.1, f_mean=0.1)
 
 
 def test_effective_normal_frozen():
@@ -119,6 +102,25 @@ def test_friction_curve_identical_flows_identical_predictions():
                          q_list=[q, q])
     assert pts[0].prediction == pts[1].prediction
     assert pts[0].state == pts[1].state
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [w.category for w in caught]
+
+
+def test_friction_curve_states_equal_operating_points():
+    # one law for the whole curve: each state and each sonic warning as
+    # solve_operating_point gives them at its flow
+    qs = [q * M3S_PER_LPM for q in (30.0, 0.0, 12.5, 30.0)]
+    points, curve_warnings = _recorded(lambda: friction_curve(
+        _B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981, q_list=qs))
+    states, point_warnings = _recorded(
+        lambda: [solve_operating_point(q, _B) for q in qs])
+    assert [p.state for p in points] == states
+    assert curve_warnings == point_warnings == [SupersonicJetWarning] * 2
 
 
 def test_friction_curve_rejects_empty():

@@ -12,13 +12,13 @@ from fdrsim import (
     DEFAULT_COEFFS,
     FlapGateGeometry,
     Material,
-    REFERENCE_STIFFNESS,
+    OperatingState,
     catalog_device,
     gate_stiffness,
-    opening_ratio,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.model import _point_law
+from fdrsim.cli import _state_columns
+from fdrsim.model import _REFERENCE_STIFFNESS, _point_law
 
 _NOMINAL_GATE = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
 _SOFT = Material.from_shore_a(10.0)
@@ -33,9 +33,9 @@ def test_stiffness_frozen_value():
 
 
 def test_reference_stiffness_matches_nominal_build():
-    assert REFERENCE_STIFFNESS == gate_stiffness(_NOMINAL_GATE, _SOFT)
-    assert REFERENCE_STIFFNESS == pytest.approx(1.2932063744568203e-05,
-                                                rel=1e-12)
+    assert _REFERENCE_STIFFNESS == gate_stiffness(_NOMINAL_GATE, _SOFT)
+    assert _REFERENCE_STIFFNESS == pytest.approx(1.2932063744568203e-05,
+                                                 rel=1e-12)
 
 
 def test_stiffness_cubic_in_thickness():
@@ -154,8 +154,13 @@ def test_open_fraction_bounded():
 
 
 def test_opening_ratio():
-    assert opening_ratio(3.0e-6, 6.0e-6) == 0.5
-    assert opening_ratio(0.0, 6.0e-6) == 0.0
-    assert opening_ratio(9.0e-6, 6.0e-6) == 1.5  # not capped here
-    with pytest.raises(ValueError):
-        opening_ratio(1.0e-6, 0.0)
+    # the a_fg_over_a_ex column of a sweep row, not capped at 1
+    [ratio] = [c.get for c in _state_columns(6.0e-6)
+               if c.name == "a_fg_over_a_ex"]
+    for a_fg, expected in ((3.0e-6, 0.5), (0.0, 0.0), (9.0e-6, 1.5)):
+        assert ratio(OperatingState(1.0e-4, 0.0, 0.0, a_fg, 0.0)) == expected
+    # the law never returns a state against a closed exhaust window
+    device = dataclasses.replace(_NOMINAL, geometry=dataclasses.replace(
+        _NOMINAL.geometry, a_ex=0.0))
+    with pytest.raises(ValueError, match="^a_ex must be positive$"):
+        _law(device)(1.0e-4)

@@ -22,22 +22,20 @@ from fdrsim import (
     AIR,
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
-    REFERENCE_STIFFNESS,
+    FlapGateGeometry,
     Material,
     SupersonicJetWarning,
     SweepError,
     catalog_device,
     gate_stiffness,
     input_pressure,
-    jet_velocity,
-    opening_ratio,
-    recirculation_penalty,
     solve_operating_point,
     sweep,
     switching_objective,
     with_gate,
 )
 from fdrsim._units import M3S_PER_LPM
+from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
 from fdrsim.model import _NOT_FINITE, _point_law
 
 
@@ -45,8 +43,42 @@ from fdrsim.model import _NOT_FINITE, _point_law
 # The stage functions of the former modules ``flow``, ``gate`` and
 # ``ejector`` as they stood when the point law replaced them, kept
 # verbatim as the law's reference; only the sonic warning is left out
-# (the law leaves it to its callers).
+# (the law leaves it to its callers).  The device-term helpers they
+# called, once public in ``model``, are copied here too, so the oracle
+# calls no ``model`` function but ``input_pressure`` and
+# ``gate_stiffness``.
 # Do not edit these to follow the law.
+
+def _reference_stiffness():
+    nominal = FlapGateGeometry(w=8.0e-3, t=0.5e-3, h=2.0e-3)
+    return gate_stiffness(nominal, Material.from_shore_a(10.0))
+
+
+REFERENCE_STIFFNESS = _reference_stiffness()
+
+
+def opening_ratio(a_fg, a_ex):
+    if a_ex <= 0.0:
+        raise ValueError("a_ex must be positive")
+    if a_fg < 0.0:
+        raise ValueError("a_fg must be nonnegative")
+    return a_fg / a_ex
+
+
+def jet_velocity(q_in, geometry):
+    if q_in < 0.0:
+        raise ValueError("q_in must be nonnegative")
+    return (q_in / geometry.n_nozzles) / geometry.a_ne
+
+
+def recirculation_penalty(w, coeffs, w_ref=DEFAULT_CHANNEL_WIDTH_REF):
+    if w <= 0.0:
+        raise ValueError("w must be positive")
+    if w_ref <= 0.0:
+        raise ValueError("w_ref must be positive")
+    excess = max(0.0, (w - w_ref) / w_ref)
+    return 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
+
 
 def _bifurcation_pressure(q_in, p_in, fluid, geometry):
     if q_in < 0.0:
