@@ -13,10 +13,9 @@ All public APIs are strict SI; the command-line layer owns every unit
 conversion.
 """
 
-from .core import (AIR, CATALOG_TYPE_IDS, Device, DeviceGeometry,
-                   FlapGateGeometry, FluidProperties, Material, P_ATM,
-                   catalog_device, shore_to_modulus, validate_geometry,
-                   with_gate)
+from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
+                   FlapGateGeometry, Material, P_ATM, catalog_device,
+                   shore_to_modulus, validate_geometry, with_gate)
 from .model import (DEFAULT_COEFFS, ModelCoefficients, SupersonicJetWarning,
                     gate_stiffness, input_pressure)
 from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
@@ -34,8 +33,8 @@ from .calib import (FitError, FitReport, MeasurementRow, MeasurementSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AIR", "CATALOG_TYPE_IDS", "Device", "DeviceGeometry",
-    "FlapGateGeometry", "FluidProperties", "Material", "P_ATM",
+    "CATALOG_TYPE_IDS", "Device", "DeviceGeometry",
+    "FlapGateGeometry", "Material", "P_ATM",
     "catalog_device", "shore_to_modulus", "validate_geometry", "with_gate",
     "input_pressure", "gate_stiffness",
     "DEFAULT_COEFFS", "ModelCoefficients", "SupersonicJetWarning",

@@ -72,7 +72,6 @@ class MeasurementRow:
 @dataclass(frozen=True)
 class MeasurementSet:
     rows: tuple[MeasurementRow, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         # exact duplicate rows carry no new information: collapse them so
@@ -111,7 +110,7 @@ def builtin_calibration_points() -> MeasurementSet:
                       (20.0, 32.2), (25.0, 41.1), (30.0, 47.1))
     rows = tuple(MeasurementRow(q_in=FLOW.to_si(q), p_in=PRESSURE.to_si(p))
                  for q, p in points_lpm_kpa)
-    return MeasurementSet(rows=rows, label="builtin")
+    return MeasurementSet(rows=rows)
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
@@ -130,7 +129,7 @@ def load_measurements(path: str | Path) -> MeasurementSet:
                 rows.append(MeasurementRow(**{
                     name: _MEASUREMENT_UNITS[name].to_si(float(cell))
                     if cell else None for name, cell in cells.items()}))
-    return MeasurementSet(rows=tuple(rows), label=path.name)
+    return MeasurementSet(rows=tuple(rows))
 
 
 def _input_fit_rows(data: MeasurementSet) -> list[MeasurementRow]:
@@ -212,15 +211,15 @@ def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
 
 def fit_closures(data: MeasurementSet, device: Device, *,
                  start: ModelCoefficients = DEFAULT_COEFFS,
-                 max_evals: int = 400,
-                 diam_tol: float = 1.0e-9) -> tuple[ModelCoefficients, FitReport]:
+                 max_evals: int = 400) -> tuple[ModelCoefficients, FitReport]:
     """Fit (eta, k0, p_c) to measured output pressures on one device.
 
     Minimizes the squared p_out residual over the measured flows with the
     engine's derivative-free kernel, searching multiplicative factors on
     the starting values (seed simplex fixed by ``start``, so the fit is
-    deterministic).  ``c_recirc`` is reported unchanged: see the module
-    docstring for why this data cannot move it.
+    deterministic) until the simplex diameter falls below 1e-9 or
+    ``max_evals`` is spent.  ``c_recirc`` is reported unchanged: see the
+    module docstring for why this data cannot move it.
     """
     rows = [r for r in data.rows if r.p_out is not None]
     if not rows:
@@ -264,7 +263,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         return _misfit(qs, ps, scale, _point_law(device, trial)) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
-                               max_evals=max_evals, diam_tol=diam_tol)
+                               max_evals=max_evals, diam_tol=1.0e-9)
     eta, k0, p_c = clamp(best_u)[1]
     fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
 

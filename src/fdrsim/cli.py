@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import asdict, fields, replace
@@ -537,13 +538,28 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 }
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a negative number with an exponent
+    (``-1e-5``, ``-.5e3``, ``-1.e2``) is a value, not a flag: argparse
+    sorts flags from values before any ``type=`` runs, and its own
+    pattern knows no exponent.  ``add_subparsers`` builds the subparsers
+    with the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``fdr`` parser.  Every command gets its subparser, so usage,
     ``fdr --help`` and errors read the same; only ``command`` (all of
     them when ``None``) gets its flags."""
     if command is not None and command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdr",
         description="Lumped-parameter simulator for a single-input "
                     "blow/suck flow-reversal device.")

@@ -1,4 +1,4 @@
-"""Device description layer: working fluid, elastomer material, and geometry.
+"""Device description layer: elastomer material and geometry.
 
 The simulated device is a palm-sized pneumatic block with a single air
 inlet.  Inside, the inlet stream splits at a junction: one branch dead-ends
@@ -13,7 +13,7 @@ and the port switches to suction.
 This module holds the value types every other module consumes, the catalog
 of the eleven manufactured device variants (types ``A``..``K``, ``B`` being
 the nominal build), and the hardness-to-modulus conversion used for the cast
-elastomer.  All quantities are SI: m, m^2, Pa, kg/m^3.
+elastomer.  All quantities are SI: m, m^2, Pa.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "P_ATM",
-    "FluidProperties",
-    "AIR",
     "Material",
     "FlapGateGeometry",
     "DeviceGeometry",
@@ -45,24 +43,6 @@ DEFAULT_A_EX = 6.0e-6           # exhaust opening behind the flap gate
 DEFAULT_A_OUT = 6.0e-6          # output port area
 DEFAULT_N_NOZZLES = 2           # jets feeding the ejector cavity
 DEFAULT_CHANNEL_WIDTH_REF = 8.0e-3  # gate channel width of the nominal build
-
-
-@dataclass(frozen=True)
-class FluidProperties:
-    """Working-gas state: supply density, cavity density, heat-capacity ratio."""
-
-    rho_in: float = 1.204   # density at the inlet [kg/m^3]
-    rho: float = 1.204      # density past the junction [kg/m^3]
-    gamma: float = 1.4      # cp/cv of the gas
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rho_in < math.inf and 0.0 < self.rho < math.inf):
-            raise ValueError("densities must be positive and finite")
-        if not 1.0 < self.gamma < math.inf:
-            raise ValueError("heat-capacity ratio must exceed 1 and be finite")
-
-
-AIR = FluidProperties()
 
 
 def shore_to_modulus(shore_a: float) -> float:
@@ -111,8 +91,8 @@ class DeviceGeometry:
     """Port and channel areas plus the gate dimensions.
 
     ``split_design_rule`` declares that the inlet feeds two equal branches,
-    i.e. ``a_in == 2 * a_branch``; with equal supply/cavity densities this
-    makes the junction pressure track the inlet pressure exactly.
+    i.e. ``a_in == 2 * a_branch``, which makes the junction pressure track
+    the inlet pressure exactly.
     """
 
     a_in: float = DEFAULT_A_IN               # inlet port [m^2]
@@ -128,11 +108,10 @@ class DeviceGeometry:
 
 @dataclass(frozen=True)
 class Device:
-    """A complete simulated unit: geometry, gate material, working fluid."""
+    """A complete simulated unit: geometry and gate material."""
 
     geometry: DeviceGeometry
     material: Material
-    fluid: FluidProperties = AIR
     type_id: str | None = None
 
 
@@ -156,7 +135,7 @@ _CATALOG: dict[str, tuple[float, float, float, float, float]] = {
 CATALOG_TYPE_IDS: tuple[str, ...] = tuple(_CATALOG)
 
 
-def catalog_device(type_id: str, fluid: FluidProperties = AIR) -> Device:
+def catalog_device(type_id: str) -> Device:
     """Build one of the cataloged variants ``A``..``K``."""
     key = type_id.strip().upper()
     if key not in _CATALOG:
@@ -164,12 +143,8 @@ def catalog_device(type_id: str, fluid: FluidProperties = AIR) -> Device:
         raise ValueError(f"unknown device type {type_id!r}; valid types: {valid}")
     shore_a, a_ne, w, t, h = _CATALOG[key]
     geometry = DeviceGeometry(a_ne=a_ne, gate=FlapGateGeometry(w=w, t=t, h=h))
-    return Device(
-        geometry=geometry,
-        material=Material.from_shore_a(shore_a),
-        fluid=fluid,
-        type_id=key,
-    )
+    return Device(geometry=geometry, material=Material.from_shore_a(shore_a),
+                  type_id=key)
 
 
 def validate_geometry(g: DeviceGeometry) -> list[str]:
@@ -217,5 +192,4 @@ def with_gate(device: Device, *, w: float | None = None, t: float | None = None,
                               t=gate.t if t is None else t,
                               h=gate.h if h is None else h),
         split_design_rule=g.split_design_rule)
-    return Device(geometry=geometry, material=device.material,
-                  fluid=device.fluid)
+    return Device(geometry=geometry, material=device.material)

@@ -288,23 +288,35 @@ def _diameter(pts: list[list[float]]) -> float:
     return diam
 
 
+def _score(f: Callable, x) -> float:
+    """``f(x)`` as a float, with a failing evaluation or a nan scored
+    +infinity; a ``Warning`` raised under an ``error`` filter propagates."""
+    try:
+        y = float(f(x))
+    except Warning:   # a warning the caller's filter made an error
+        raise
+    except Exception:
+        return math.inf
+    return y if not math.isnan(y) else math.inf
+
+
 def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
-                step: float = 0.1, max_evals: int = 400,
+                max_evals: int = 400,
                 diam_tol: float = 1.0e-6) -> tuple[list[float], float, int]:
     """Minimize ``f`` from ``x0`` with a fixed-coefficient Nelder-Mead.
 
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
-    simplex offsets each coordinate by ``step`` (flipped downward when
-    that would leave the unit box).  Stops when the simplex diameter
+    simplex offsets each coordinate by 0.1 (flipped downward when that
+    would leave the unit box).  Stops when the simplex diameter
     falls below ``diam_tol`` or the evaluation budget is spent; the
     budget is strict and never overrun.  ``f`` receives a list of floats;
     returns (best x as a list of floats, best f, evals).  Deterministic
-    for identical inputs; evaluation failures count as +infinity, except
-    a ``Warning`` raised under an ``error`` filter, which propagates.
+    for identical inputs; evaluation failures and nan values count as
+    +infinity, except a ``Warning`` raised under an ``error`` filter,
+    which propagates.
 
-    ``step`` must be nonzero and finite and ``diam_tol`` not nan
-    (``ValueError``): either would spend the budget on a simplex that
-    cannot move or cannot converge.
+    ``diam_tol`` must not be nan (``ValueError``): the simplex could
+    never converge, and the search would spend its whole budget.
 
     Plain Python floats throughout, no numpy: the simplex is ordered by a
     stable sort, and the centroid is the sequential sum of the points
@@ -318,8 +330,6 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         raise ValueError("x0 must have at least one coordinate")
     if not all(map(math.isfinite, x0)):
         raise ValueError("x0 must be finite")
-    if not (math.isfinite(step) and step != 0.0):
-        raise ValueError("step must be nonzero and finite")
     if math.isnan(diam_tol):
         raise ValueError("diam_tol must not be nan")
     if max_evals < n + 1:
@@ -330,18 +340,12 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     def guarded(x: list[float]) -> float:
         nonlocal evals
         evals += 1
-        try:
-            y = float(f(x))
-        except Warning:   # a warning the caller's filter made an error
-            raise
-        except Exception:
-            return math.inf
-        return y if not math.isnan(y) else math.inf
+        return _score(f, x)
 
     pts = [x0]
     for i in range(n):
         v = list(x0)
-        v[i] = v[i] + step if v[i] + step <= 1.0 else v[i] - step
+        v[i] = v[i] + 0.1 if v[i] + 0.1 <= 1.0 else v[i] - 0.1
         pts.append(v)
     vals = [guarded(p) for p in pts]
 
@@ -406,8 +410,7 @@ def optimize_geometry(objective: Callable[[Device], float],
                       bounds: Mapping[str, tuple[float, float]],
                       device: Device, *,
                       start: Mapping[str, float] | None = None,
-                      max_evals: int = 400,
-                      diam_tol: float = 1.0e-6) -> OptimizationResult:
+                      max_evals: int = 400) -> OptimizationResult:
     """Search gate/nozzle dimensions minimizing ``objective(candidate)``.
 
     ``bounds`` maps any of ``w, t, h, a_ne`` (SI) to a (lo, hi) box;
@@ -420,8 +423,10 @@ def optimize_geometry(objective: Callable[[Device], float],
     that are frozen are ignored.
     A box whose thickest, narrowest and lowest gate fails
     ``validate_geometry`` raises ``ValueError`` before any evaluation.
-    A failing objective evaluation counts as +infinity, not an error,
-    except a ``Warning`` raised under an ``error`` filter.
+    A failing objective evaluation or a nan value counts as +infinity,
+    not an error, except a ``Warning`` raised under an ``error`` filter.
+    The search stops when the simplex diameter in box coordinates falls
+    below 1e-6 or ``max_evals`` is spent.
     """
     unknown = set(bounds) - set(_DESIGN_KEYS)
     if unknown:
@@ -487,13 +492,8 @@ def optimize_geometry(objective: Callable[[Device], float],
         # zero-volume box: the single admissible point is the answer
         params = dict(lows)
         cand = with_gate(device, **params)
-        try:
-            value = float(objective(cand))
-        except Warning:
-            raise
-        except Exception:
-            value = math.inf
-        return OptimizationResult(device=cand, params=params, value=value,
+        return OptimizationResult(device=cand, params=params,
+                                  value=_score(objective, cand),
                                   evaluations=1, converged=True)
 
     if start is None:
@@ -513,7 +513,7 @@ def optimize_geometry(objective: Callable[[Device], float],
             raise ValueError("start must lie inside the bounds")
 
     best_x, best_f, evals = nelder_mead(value_at, x0, max_evals=max_evals,
-                                        diam_tol=diam_tol)
+                                        diam_tol=1.0e-6)
     params = dict(zip(_DESIGN_KEYS, params_at(best_x)))
     return OptimizationResult(device=with_gate(device, **params),
                               params=params, value=best_f,
@@ -525,18 +525,15 @@ _NO_SWITCHING_VALUE = 1.0e6
 
 
 def switching_objective(coeffs: ModelCoefficients, *,
-                        target_p_in: float | None = None,
-                        q_start: float = 0.0, q_end: float = DEFAULT_Q_END,
-                        step: float = 1.0 * M3S_PER_LPM) -> Callable[[Device], float]:
+                        target_p_in: float | None = None
+                        ) -> Callable[[Device], float]:
     """Objective on the switching supply pressure: its squared mismatch to
     ``target_p_in`` [Pa], or the pressure itself (to be minimized) when no
     target is given.  Candidates that never switch score a large flat
     value.
 
-    The value is the one ``sweep`` over the same grid reports, found
-    without building its states.  The grid is checked and built once,
-    here, so a rejected grid raises ``ValueError`` before any candidate
-    is scored.
+    The value is the one ``sweep`` reports over the grid 0, 1, .., 30
+    L/min, found without building its states.
 
     The scan stops at the first sign change: rows past it cannot move the
     bracket or the bisection inside it.  What they could do is fail, and
@@ -547,7 +544,7 @@ def switching_objective(coeffs: ModelCoefficients, *,
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
-    qs = _grid(q_start, q_end, step)
+    qs = _grid(0.0, DEFAULT_Q_END, 1.0 * M3S_PER_LPM)
     q_top = qs[-1]
 
     def objective(candidate: Device) -> float:

@@ -30,16 +30,12 @@ from .model import (DEFAULT_COEFFS, ModelCoefficients, _point_law,
                     _warn_if_sonic)
 
 __all__ = [
-    "DEFAULT_A_EFF",
     "FrictionPrediction",
     "FrictionCurvePoint",
     "effective_normal",
     "predict_coefficients",
     "friction_curve",
 ]
-
-DEFAULT_A_EFF = 1.0e-4  # [m^2] pad contact area the port pressure acts on
-
 
 @dataclass(frozen=True)
 class FrictionPrediction:
@@ -95,11 +91,12 @@ def predict_coefficients(mu0_s: float, mu0_k: float, weight_load: float,
 def friction_curve(device: Device,
                    coeffs: ModelCoefficients = DEFAULT_COEFFS, *,
                    mu0_s: float, mu0_k: float, weight_load: float,
-                   a_eff: float = DEFAULT_A_EFF,
+                   a_eff: float,
                    q_list: Sequence[float]) -> tuple[FrictionCurvePoint, ...]:
-    """Predicted coefficients at each supply flow in ``q_list``; each
-    state equals ``solve_operating_point`` at its flow, warning
-    included."""
+    """Predicted coefficients at each supply flow in ``q_list`` for a pad
+    of weight ``weight_load`` [N] whose contact area ``a_eff`` [m^2] the
+    port pressure acts on; each state equals ``solve_operating_point`` at
+    its flow, warning included."""
     if not q_list:
         raise ValueError("q_list must be non-empty")
     law = _point_law(device, coeffs)

@@ -6,9 +6,8 @@ downstream feeds back into it, so each step runs once and the chain has
 a closed form:
 
     p_in      = c1 q + c2 q^2
-    p_chamber = (rho / rho_in) p_in
-                + (gamma - 1)/(2 gamma) rho (q / a_in)^2
-                  (1 - (a_in / (2 a_branch))^2)
+    p_chamber = p_in + (gamma - 1)/(2 gamma) rho (q / a_in)^2
+                       (1 - (a_in / (2 a_branch))^2)
     a_fg      = min(a_fg_max, gain max(0, max(0, p_chamber) - p_c)),
                 a_fg_max = w h, gain = k0 D_ref / D, D = E t^3 h / w
     s         = a_fg / a_fg_max
@@ -18,6 +17,10 @@ a closed form:
                 v = (q / n_nozzles) / a_ne
     penalty   = 1 / (1 + c_recirc max(0, (w - w_ref)/w_ref)^2)
 
+The working gas is ambient air throughout: density ``rho = 1.204``
+kg/m^3 and heat-capacity ratio ``gamma = 1.4``, the same on both sides
+of the junction.
+
 *Supply law.*  The inlet gauge pressure, quadratic in flow, with
 ``c1``/``c2`` fitted to bench data.
 
@@ -25,8 +28,8 @@ a closed form:
 a static pressure given by a compressible energy balance between the
 inlet (area ``a_in``) and one of the two downstream branches (area
 ``a_branch``).  With ``a_in == 2 a_branch`` the kinetic term vanishes
-identically, and with ``rho == rho_in`` the junction simply holds the
-inlet pressure.  The chambers are dead ends and carry no steady flow.
+identically and the junction simply holds the inlet pressure.  The
+chambers are dead ends and carry no steady flow.
 
 *Gate compliance.*  The gate is a pair of cantilevered elastomer walls
 (width ``w``, thickness ``t``, height ``h``) spanning the exhaust
@@ -72,6 +75,13 @@ __all__ = [
     "input_pressure",
     "gate_stiffness",
 ]
+
+
+_RHO = 1.204     # air density [kg/m^3]
+_GAMMA = 1.4     # air's heat-capacity ratio cp/cv
+_HALF_RHO = 0.5 * _RHO
+_KINETIC_SCALE = (_GAMMA - 1.0) / (2.0 * _GAMMA) * _RHO   # junction term
+_SONIC_SPEED = math.sqrt(_GAMMA * P_ATM / _RHO)          # ambient [m/s]
 
 
 class SupersonicJetWarning(UserWarning):
@@ -193,7 +203,6 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     ``ValueError``.  No warning: callers use :func:`_warn_if_sonic`.
     """
     g = device.geometry
-    fluid = device.fluid
     try:
         if g.a_in <= 0.0 or g.a_branch <= 0.0:
             raise ValueError("areas must be positive")
@@ -228,11 +237,8 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
 
     c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
     a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
-    density_ratio = fluid.rho / fluid.rho_in
-    kinetic_scale = (fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
     crack = coeffs.p_c
-    half_rho = 0.5 * fluid.rho
-    inf = math.inf
+    kinetic_scale, half_rho, inf = _KINETIC_SCALE, _HALF_RHO, math.inf
 
     # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
     # else hi``: the builtins' own comparison, without their call cost
@@ -241,8 +247,7 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
             _check_flow(q_in)
         try:
             p_in = c1 * q_in + c2 * q_in * q_in
-            p_chamber = (density_ratio * p_in
-                         + kinetic_scale * (q_in / a_in) ** 2 * split)
+            p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
             excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
             opening = gain * (excess if excess > 0.0 else 0.0)
             a_fg = opening if opening < a_max else a_max
@@ -286,12 +291,11 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
     try:
         law(q_top)
         g = device.geometry
-        half_rho = 0.5 * device.fluid.rho
-        blow = half_rho * (q_top / (coeffs.cd_out * g.a_out)) ** 2
+        blow = _HALF_RHO * (q_top / (coeffs.cd_out * g.a_out)) ** 2
     except (ValueError, OverflowError):
         return False
     v = (q_top / g.n_nozzles) / g.a_ne
-    suck = coeffs.eta * (half_rho * v * v) * _recirculation_penalty(g, coeffs)
+    suck = coeffs.eta * (_HALF_RHO * v * v) * _recirculation_penalty(g, coeffs)
     return blow < math.inf and suck < math.inf
 
 
@@ -299,9 +303,8 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
-    g, fluid = device.geometry, device.fluid
-    if (q_in / g.n_nozzles) / g.a_ne > math.sqrt(fluid.gamma * P_ATM
-                                                 / fluid.rho):
+    g = device.geometry
+    if (q_in / g.n_nozzles) / g.a_ne > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fdrsim import (
-    AIR,
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
     Device,
@@ -40,8 +39,8 @@ _B = catalog_device("B")
 
 
 def test_criterion_01_junction_identity():
-    # equal supply/cavity densities and an exactly split inlet keep the
-    # junction pressure equal to the supply pressure to round-off
+    # an exactly split inlet keeps the junction pressure equal to the
+    # supply pressure to round-off
     t0 = time.perf_counter()
     # junction pressure through the point law, the supply tuned to give
     # the drawn p_in at the drawn flow
@@ -53,8 +52,8 @@ def test_criterion_01_junction_identity():
         q = rng.uniform(0.0, 1.0e-3)
         coeffs = dataclasses.replace(DEFAULT_COEFFS,
                                      c1=rng.uniform(0.0, 6.0e4) / q, c2=0.0)
-        law = _point_law(Device(geometry=geom, material=_B.material,
-                                fluid=AIR), coeffs)
+        law = _point_law(Device(geometry=geom, material=_B.material),
+                         coeffs)
         p_in, p, _, _ = law(q)
         assert abs(p - p_in) <= 1.0e-12 * max(1.0, p_in)
     assert time.perf_counter() - t0 < 1.0
@@ -137,7 +136,7 @@ def test_criterion_06_friction_scaling():
     for grams in (16.0, 100.0, 200.0):
         w = grams * N_PER_GF
         pts = friction_curve(_B, mu0_s=0.5, mu0_k=0.4, weight_load=w,
-                             q_list=qs)
+                             a_eff=1.0e-4, q_list=qs)
         mu = [p.prediction.mu_s for p in pts]
         assert mu[1] < mu[0] < mu[2] < mu[3], grams
         rel[grams] = mu[3] / mu[0] - 1.0
@@ -208,7 +207,7 @@ def test_criterion_10_coefficient_recovery():
         st = solve_operating_point(q_lpm * M3S_PER_LPM, _B)
         rows.append(MeasurementRow(q_in=st.q_in, p_in=st.p_in,
                                    p_out=st.p_out, a_fg=st.a_fg))
-    data = MeasurementSet(rows=tuple(rows), label="synthetic")
+    data = MeasurementSet(rows=tuple(rows))
 
     start = dataclasses.replace(DEFAULT_COEFFS,
                                 eta=DEFAULT_COEFFS.eta * 1.15,

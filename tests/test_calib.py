@@ -35,7 +35,6 @@ def _rows(pairs_lpm_kpa):
 
 def test_builtin_points_shape():
     data = builtin_calibration_points()
-    assert data.label == "builtin"
     assert len(data.rows) == 6
     first = data.rows[0]
     assert first.q_in == pytest.approx(5.0 * M3S_PER_LPM, rel=1e-12)
@@ -78,7 +77,6 @@ def test_load_measurements_roundtrip(tmp_path):
         "30,47.1,-26.6,\n",
         encoding="utf-8")
     data = load_measurements(path)
-    assert data.label == "meas.csv"
     assert len(data.rows) == 3
     assert data.rows[0].q_in == pytest.approx(5.0 * M3S_PER_LPM)
     assert data.rows[0].p_out is None
@@ -232,7 +230,7 @@ def _device_rows(device, qs_lpm, coeffs=DEFAULT_COEFFS):
         st = solve_operating_point(q * M3S_PER_LPM, device, coeffs)
         rows.append(MeasurementRow(q_in=st.q_in, p_in=st.p_in,
                                    p_out=st.p_out, a_fg=st.a_fg))
-    return MeasurementSet(rows=tuple(rows), label="synthetic")
+    return MeasurementSet(rows=tuple(rows))
 
 
 def test_fit_closures_zero_residual_on_model_data():

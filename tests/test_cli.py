@@ -503,6 +503,24 @@ def test_grid_below_zero_exit_config(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--qin-lpm", "-0.5"], "q_in must be nonnegative"),
+    (["simulate", "--qin-lpm", "-1e-5"], "q_in must be nonnegative"),
+    (["simulate", "--qin-lpm", "-.5e3"], "q_in must be nonnegative"),
+    (["simulate", "--qin-lpm", "-1.e2"], "q_in must be nonnegative"),
+    (["sweep", "--qin-end-lpm", "-1e-300"], "q_start must be less than q_end"),
+    (["sweep", "--qin-start-lpm", "-2E+1"], "q_start must be nonnegative"),
+], ids=["decimal", "exponent", "leading-dot", "trailing-dot", "sweep-end",
+        "sweep-start"])
+def test_negative_number_is_a_value_not_a_flag(tmp_path, capsys, argv,
+                                               message):
+    # argparse tells flags from values before any type= runs; a negative
+    # number with an exponent must reach the domain check too
+    out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
+    assert main([*argv, *out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_blow_only_reports_positive_zero_suck(tmp_path):
     coeffs = tmp_path / "shut.json"
     coeffs.write_text(json.dumps({"p_c": 1.0e6}), encoding="utf-8")

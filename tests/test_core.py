@@ -3,6 +3,7 @@ public names."""
 
 import dataclasses
 import importlib
+import inspect
 import itertools
 import math
 import pkgutil
@@ -13,13 +14,12 @@ import numpy as np
 import pytest
 
 import fdrsim
+from fdrsim import model
 from fdrsim import (
-    AIR,
     CATALOG_TYPE_IDS,
     Device,
     DeviceGeometry,
     FlapGateGeometry,
-    FluidProperties,
     Material,
     catalog_device,
     shore_to_modulus,
@@ -60,11 +60,8 @@ def test_material_rejects_nonpositive_modulus():
 
 
 def test_fluid_validation():
-    assert AIR.rho == 1.204 and AIR.rho_in == 1.204 and AIR.gamma == 1.4
-    with pytest.raises(ValueError):
-        FluidProperties(rho=-1.0)
-    with pytest.raises(ValueError):
-        FluidProperties(gamma=1.0)
+    # the working gas is air, on both sides of the junction
+    assert model._RHO == 1.204 and model._GAMMA == 1.4
 
 
 def test_catalog_nominal_type_b():
@@ -172,15 +169,14 @@ def test_with_gate_matches_replace_on_every_field(keys):
     odd = Device(
         geometry=DeviceGeometry(**{f.name: _away_from_default(f)
                                    for f in fields}),
-        material=Material.from_shore_a(20.0),
-        fluid=FluidProperties(rho_in=1.1, rho=1.3, gamma=1.3), type_id="odd")
+        material=Material.from_shore_a(20.0), type_id="odd")
     dims = {k: _GATE_DIMS[k] for k in keys}
     for base in (catalog_device("C"), odd):
         got = with_gate(base, **dims)
         want = _with_gate_by_replace(base, **dims)
         assert got == want
         assert got.type_id is None
-        assert got.material is base.material and got.fluid is base.fluid
+        assert got.material is base.material
         for f in fields:
             value = getattr(got.geometry, f.name)
             assert value == getattr(want.geometry, f.name), f.name
@@ -231,9 +227,9 @@ def test_validate_geometry_thin_plate():
 
 
 _PUBLIC_NAMES = [
-    "AIR", "CATALOG_TYPE_IDS", "DEFAULT_COEFFS", "Device", "DeviceGeometry",
-    "FitError", "FitReport", "FlapGateGeometry", "FluidProperties",
-    "FrictionCurvePoint", "FrictionPrediction",
+    "CATALOG_TYPE_IDS", "DEFAULT_COEFFS", "Device", "DeviceGeometry",
+    "FitError", "FitReport", "FlapGateGeometry", "FrictionCurvePoint",
+    "FrictionPrediction",
     "MODE_BLOWING", "MODE_NEUTRAL", "MODE_SUCTION", "Material",
     "MeasurementRow", "MeasurementSet", "ModelCoefficients",
     "OperatingState", "OptimizationResult", "P_ATM",
@@ -252,6 +248,67 @@ def test_public_names_pinned_and_resolve():
     assert sorted(fdrsim.__all__) == _PUBLIC_NAMES
     for name in fdrsim.__all__:
         assert getattr(fdrsim, name) is not None
+
+
+# each public function's parameters and each public class's constructor
+# parameters (a dataclass's fields), so a new setting is a test change
+_PUBLIC_SETTINGS = {
+    "Device": ("geometry", "material", "type_id"),
+    "DeviceGeometry": ("a_in", "a_branch", "a_ne", "n_nozzles", "a_ex",
+                       "a_out", "channel_width_ref", "gate",
+                       "split_design_rule"),
+    "FitReport": ("coefficients", "rms_residual", "residuals", "warnings"),
+    "FlapGateGeometry": ("w", "t", "h"),
+    "FrictionCurvePoint": ("q_in", "state", "prediction"),
+    "FrictionPrediction": ("mu_s", "mu_k", "n_eff"),
+    "Material": ("shore_a", "youngs_modulus"),
+    "MeasurementRow": ("q_in", "p_in", "p_out", "a_fg"),
+    "MeasurementSet": ("rows",),
+    "ModelCoefficients": ("c1", "c2", "eta", "c_recirc", "k0", "p_c",
+                          "cd_out"),
+    "OperatingState": ("q_in", "p_in", "p_chamber", "a_fg", "p_out"),
+    "OptimizationResult": ("device", "params", "value", "evaluations",
+                           "converged"),
+    "SweepError": ("message", "q_in"),
+    "SweepResult": ("states", "switching_q", "switching_p_in", "max_blow",
+                    "max_suck"),
+    "blowing_objective": ("coeffs", "q_star"),
+    "builtin_calibration_points": (),
+    "catalog_device": ("type_id",),
+    "compare_designs": ("type_ids", "coeffs", "q_start", "q_end", "step"),
+    "design_orderings": ("table",),
+    "effective_normal": ("weight_load", "p_out", "a_eff"),
+    "fit_closures": ("data", "device", "start", "max_evals"),
+    "fit_input_pressure": ("data",),
+    "friction_curve": ("device", "coeffs", "mu0_s", "mu0_k", "weight_load",
+                       "a_eff", "q_list"),
+    "gate_stiffness": ("geom", "mat"),
+    "input_pressure": ("q_in", "coeffs"),
+    "load_measurements": ("path",),
+    "nelder_mead": ("f", "x0", "max_evals", "diam_tol"),
+    "optimize_geometry": ("objective", "bounds", "device", "start",
+                          "max_evals"),
+    "predict_coefficients": ("mu0_s", "mu0_k", "weight_load", "p_out",
+                             "a_eff"),
+    "shore_to_modulus": ("shore_a",),
+    "solve_operating_point": ("q_in", "device", "coeffs"),
+    "suction_objective": ("coeffs", "q_star"),
+    "sweep": ("device", "coeffs", "q_start", "q_end", "step"),
+    "switching_objective": ("coeffs", "target_p_in"),
+    "validate_geometry": ("g",),
+    "with_gate": ("device", "w", "t", "h", "a_ne"),
+}
+
+
+def test_public_settings_pinned():
+    # the exceptions without a constructor of their own take what
+    # Exception takes, and inspect finds no signature for a builtin
+    settings = {}
+    for name in fdrsim.__all__:
+        obj = getattr(fdrsim, name)
+        if callable(obj) and name not in ("FitError", "SupersonicJetWarning"):
+            settings[name] = tuple(inspect.signature(obj).parameters)
+    assert settings == _PUBLIC_SETTINGS
 
 
 def test_each_public_name_has_one_home_module():

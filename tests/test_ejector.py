@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fdrsim import (
-    AIR,
     DEFAULT_COEFFS,
     P_ATM,
     ModelCoefficients,
@@ -18,7 +17,8 @@ from fdrsim import (
     solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.model import _point_law, _recirculation_penalty, _warn_if_sonic
+from fdrsim.model import (_GAMMA, _RHO, _point_law, _recirculation_penalty,
+                          _warn_if_sonic)
 
 _B = catalog_device("B")
 _GEOM_B = _B.geometry
@@ -65,9 +65,9 @@ def test_jet_velocity_frozen():
     # open and venting with eta = 1, the port sucks all of rho/2 v^2
     coeffs = dataclasses.replace(_OPEN, eta=1.0)
     assert _p_out(30.0 * M3S_PER_LPM, coeffs) == \
-        -(0.5 * AIR.rho * 625.0 * 625.0)
+        -(0.5 * _RHO * 625.0 * 625.0)
     # the same velocity, against the speed of sound, sets off the warning
-    q_sonic = (math.sqrt(AIR.gamma * P_ATM / AIR.rho)
+    q_sonic = (math.sqrt(_GAMMA * P_ATM / _RHO)
                * _GEOM_B.n_nozzles * _GEOM_B.a_ne)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

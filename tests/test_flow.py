@@ -10,7 +10,6 @@ from fdrsim import (
     DEFAULT_COEFFS,
     Device,
     DeviceGeometry,
-    FluidProperties,
     Material,
     input_pressure,
 )
@@ -20,17 +19,16 @@ from fdrsim.model import _point_law
 _SOFT = Material.from_shore_a(10.0)
 
 
-def _junction(q, p_in, geometry, fluid=FluidProperties()):
+def _junction(q, p_in, geometry):
     """The law's (p_in, p_chamber) at flow ``q`` under a linear supply law
     tuned to deliver ``p_in`` there."""
     coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=p_in / q, c2=0.0)
-    law = _point_law(Device(geometry=geometry, material=_SOFT, fluid=fluid),
-                     coeffs)
+    law = _point_law(Device(geometry=geometry, material=_SOFT), coeffs)
     return law(q)[:2]
 
 
 def test_junction_identity_under_split_rule():
-    # equal densities and a_in = 2a make the junction track the inlet
+    # a_in = 2a makes the junction track the inlet
     geom = DeviceGeometry()  # a_in = 4e-6, branches 2e-6
     rng = np.random.default_rng(77)
     for _ in range(200):
@@ -56,13 +54,6 @@ def test_junction_at_rest_matches_inlet():
                                split_design_rule=False)
     law = _point_law(Device(geometry=geom, material=_SOFT), DEFAULT_COEFFS)
     assert law(0.0)[:2] == (0.0, 0.0)
-
-
-def test_junction_density_scaling():
-    # denser cavity gas scales the carried-over inlet pressure
-    fluid = FluidProperties(rho_in=1.204, rho=2.408)
-    p_in, p = _junction(1.0e-4, 1000.0, DeviceGeometry(), fluid)
-    assert p == pytest.approx(2.0 * p_in, rel=1e-12)
 
 
 def test_input_pressure_examples():

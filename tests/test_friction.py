@@ -89,7 +89,7 @@ def test_relative_increase_halves_with_doubled_weight():
 def test_friction_curve_mode_ordering():
     qs = [0.0, 10.0 * M3S_PER_LPM, 20.0 * M3S_PER_LPM, 30.0 * M3S_PER_LPM]
     pts = friction_curve(_B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981,
-                         q_list=qs)
+                         a_eff=1.0e-4, q_list=qs)
     mus = {round(p.q_in / M3S_PER_LPM): p.prediction.mu_s for p in pts}
     # blowing at 10 drops friction below rest; suction piles it on
     assert mus[10] < mus[0] < mus[20] < mus[30]
@@ -99,7 +99,7 @@ def test_friction_curve_mode_ordering():
 def test_friction_curve_identical_flows_identical_predictions():
     q = 10.0 * M3S_PER_LPM
     pts = friction_curve(_B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981,
-                         q_list=[q, q])
+                         a_eff=1.0e-4, q_list=[q, q])
     assert pts[0].prediction == pts[1].prediction
     assert pts[0].state == pts[1].state
 
@@ -116,7 +116,8 @@ def test_friction_curve_states_equal_operating_points():
     # solve_operating_point gives them at its flow
     qs = [q * M3S_PER_LPM for q in (30.0, 0.0, 12.5, 30.0)]
     points, curve_warnings = _recorded(lambda: friction_curve(
-        _B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981, q_list=qs))
+        _B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981, a_eff=1.0e-4,
+        q_list=qs))
     states, point_warnings = _recorded(
         lambda: [solve_operating_point(q, _B) for q in qs])
     assert [p.state for p in points] == states
@@ -126,7 +127,7 @@ def test_friction_curve_states_equal_operating_points():
 def test_friction_curve_rejects_empty():
     with pytest.raises(ValueError):
         friction_curve(_B, mu0_s=0.5, mu0_k=0.4, weight_load=0.981,
-                       q_list=[])
+                       a_eff=1.0e-4, q_list=[])
 
 
 @pytest.mark.parametrize("args", [

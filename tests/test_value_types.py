@@ -8,9 +8,8 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from fdrsim import (DeviceGeometry, FlapGateGeometry, FluidProperties,
-                    Material, MeasurementRow, ModelCoefficients,
-                    validate_geometry)
+from fdrsim import (DeviceGeometry, FlapGateGeometry, Material,
+                    MeasurementRow, ModelCoefficients, validate_geometry)
 
 _PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                      database=None)
@@ -52,8 +51,6 @@ _NONNEGATIVE = _Domain(0.0)
 
 # value type -> its fields' domains
 _TYPES = {
-    FluidProperties: {"rho_in": _POSITIVE, "rho": _POSITIVE,
-                      "gamma": _Domain(1.0, lo_open=True)},
     Material: {"shore_a": _Domain(0.0, 100.0, lo_open=True, hi_open=True),
                "youngs_modulus": _POSITIVE},
     ModelCoefficients: {"c1": _NONNEGATIVE, "c2": _NONNEGATIVE,
