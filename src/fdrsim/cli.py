@@ -16,10 +16,12 @@ line per distinct message and call; under an ``error`` warning filter
 (``python -W error``, ``PYTHONWARNINGS=error``) it is a solver failure
 instead, exit 3 with one ``solver error: <message>`` line.
 
-Each invocation builds only its own command's flags (``_COMMANDS``): the
-other commands get bare subparsers, so the usage line, ``fdr --help`` and
-every argparse error read as from the full parser, which ``main`` builds
-when the first argument names no command.
+Each invocation builds only its own command's parser (``_COMMANDS``)
+under a root parser whose usage line lists every command, so
+``fdr <command> --help`` and every argparse error read as from the full
+parser.  ``main`` builds the full parser, with every command's flags,
+when the first argument names no command, so ``fdr --help`` and the
+errors for a missing or unknown command come from it.
 """
 
 from __future__ import annotations
@@ -538,15 +540,18 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
 }
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+# a token that starts like a negative number: ``-`` then a digit, ``.`` and
+# a digit, or inf/infinity/nan in any case (``-1e-5``, ``-.5``, ``-inf``,
+# ``-NaN``, a list ``-1,2``, bounds ``-1:2``); no flag starts so
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that a negative number with an exponent
-    (``-1e-5``, ``-.5e3``, ``-1.e2``) is a value, not a flag: argparse
-    sorts flags from values before any ``type=`` runs, and its own
-    pattern knows no exponent.  ``add_subparsers`` builds the subparsers
-    with the same class."""
+    """argparse's parser, except that every token that starts like a
+    negative number is a value, not a flag, so ``--qin-lpm -inf`` reads as
+    ``--qin-lpm=-inf``: argparse sorts flags from values before any
+    ``type=`` runs, and its own pattern takes only plain decimals.
+    ``add_subparsers`` builds the subparsers with the same class."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -554,27 +559,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``fdr`` parser.  Every command gets its subparser, so usage,
-    ``fdr --help`` and errors read the same; only ``command`` (all of
-    them when ``None``) gets its flags."""
+    """The ``fdr`` parser: every command's subparser when ``command`` is
+    ``None``, otherwise only ``command``'s, under a root whose usage line
+    and errors read the same as the full parser's."""
     if command is not None and command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     parser = _Parser(
         prog="fdr",
         description="Lumped-parameter simulator for a single-input "
                     "blow/suck flow-reversal device.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_flags(sub)
+    # a named command's usage line lists every command from a metavar, the
+    # string argparse makes from the full parser's choices.  Not on the full
+    # parser: there argparse would also name the argument by the metavar in
+    # its "required" and "invalid choice" errors, which only it can raise
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_flags = _COMMANDS[name]
+        add_flags(subs.add_parser(name, help=help_text))
     return parser
 
 
 def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The parser ``main`` uses for ``argv``: only the named command's
-    flags when ``argv`` starts with a command, the full parser otherwise
-    (no arguments, ``-h``, an unknown command)."""
+    subparser when ``argv`` starts with a command, the full parser
+    otherwise (no arguments, ``-h``, an unknown command)."""
     return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
 
 

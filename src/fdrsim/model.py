@@ -269,6 +269,12 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     return law
 
 
+def _jet_velocity(q_in: float, geometry: DeviceGeometry) -> float:
+    """The law's jet velocity ``v = (q / n_nozzles) / a_ne``; the law's row
+    keeps its own copy, where a call per row would cost."""
+    return (q_in / geometry.n_nozzles) / geometry.a_ne
+
+
 def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
                   q_top: float) -> bool:
     """True only if ``law``, the device's :func:`_point_law`, returns at
@@ -294,7 +300,7 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
         blow = _HALF_RHO * (q_top / (coeffs.cd_out * g.a_out)) ** 2
     except (ValueError, OverflowError):
         return False
-    v = (q_top / g.n_nozzles) / g.a_ne
+    v = _jet_velocity(q_top, g)
     suck = coeffs.eta * (_HALF_RHO * v * v) * _recirculation_penalty(g, coeffs)
     return blow < math.inf and suck < math.inf
 
@@ -303,8 +309,7 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
-    g = device.geometry
-    if (q_in / g.n_nozzles) / g.a_ne > _SONIC_SPEED:
+    if _jet_velocity(q_in, device.geometry) > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",

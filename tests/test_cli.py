@@ -510,15 +510,31 @@ def test_grid_below_zero_exit_config(tmp_path, capsys, command):
     (["simulate", "--qin-lpm", "-1.e2"], "q_in must be nonnegative"),
     (["sweep", "--qin-end-lpm", "-1e-300"], "q_start must be less than q_end"),
     (["sweep", "--qin-start-lpm", "-2E+1"], "q_start must be nonnegative"),
+    (["simulate", "--qin-lpm", "-inf"], "q_in must be finite"),
+    (["simulate", "--qin-lpm", "-Infinity"], "q_in must be finite"),
+    (["simulate", "--qin-lpm", "-NaN"], "q_in must be finite"),
+    (["sweep", "--qin-start-lpm", "-nan"], "q_start must be nonnegative"),
+    (["friction", "--weight-n", "1", "--qin-lpm", "-1,2"],
+     "q_in must be nonnegative"),
+    (["friction", "--weight-n", "1", "--qin-lpm", "-inf,2"],
+     "q_in must be finite"),
+    (["optimize", "--objective", "switching", "--bounds-w-mm", "-1:2"],
+     "bounds for w must be positive and finite"),
 ], ids=["decimal", "exponent", "leading-dot", "trailing-dot", "sweep-end",
-        "sweep-start"])
+        "sweep-start", "minus-inf", "minus-infinity", "minus-nan",
+        "sweep-start-nan", "friction-list", "friction-list-inf",
+        "optimize-bounds"])
 def test_negative_number_is_a_value_not_a_flag(tmp_path, capsys, argv,
                                                message):
-    # argparse tells flags from values before any type= runs; a negative
-    # number with an exponent must reach the domain check too
-    out = ["--out", str(tmp_path / "s.csv")] if argv[0] == "sweep" else []
-    assert main([*argv, *out]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # argparse tells flags from values before any type= runs; every value
+    # that starts like a negative number must reach the domain check, as
+    # its --flag=value form does
+    out = [] if argv[0] == "simulate" else ["--out", str(tmp_path / "o")]
+    *head, flag, value = argv
+    for form in ([*head, flag, value], [*head, f"{flag}={value}"]):
+        assert main([*form, *out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_blow_only_reports_positive_zero_suck(tmp_path):
@@ -577,17 +593,18 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
 
 
 def test_build_parser_adds_only_the_named_commands_flags():
+    full = build_parser()
+    full_subs = _subparsers(full)
     for name in _COMMANDS:
-        subs = _subparsers(build_parser(name))
-        assert list(subs) == list(_COMMANDS)
-        for other, sub in subs.items():
-            dests = [action.dest for action in sub._actions]
-            if other == name:
-                assert len(dests) > 1
-                assert sub.get_default("func") is not None
-            else:
-                assert dests == ["help"]
-    for sub in _subparsers(build_parser()).values():
+        parser = build_parser(name)
+        subs = _subparsers(parser)
+        assert list(subs) == [name]
+        assert ([a.dest for a in subs[name]._actions]
+                == [a.dest for a in full_subs[name]._actions])
+        assert subs[name].get_default("func") is not None
+        assert parser.format_usage() == full.format_usage()
+    assert list(full_subs) == list(_COMMANDS)
+    for sub in full_subs.values():
         assert len(sub._actions) > 1
         assert sub.get_default("func") is not None
 
@@ -617,6 +634,33 @@ def test_main_builds_only_the_invoked_command(monkeypatch, argv, built):
     except SystemExit:
         pass
     assert calls == built
+
+
+@pytest.mark.parametrize("argv, built", [
+    *[([name, "-h"], 2) for name in _COMMANDS],
+    (["simulate", "--type", "B", "--qin-lpm", "10"], 2),
+    ([], 7),
+    (["-h"], 7),
+    (["bogus"], 7),
+])
+def test_main_builds_two_parsers_for_a_named_command(monkeypatch, argv,
+                                                     built):
+    # a named command costs its root and its own subparser; the other
+    # commands' subparsers are built only for the full parser
+    inits = 0
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal inits
+        inits += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert inits == built
 
 
 def _parse_outcome(parser: argparse.ArgumentParser, argv: list) -> tuple:
