@@ -181,6 +181,7 @@ _CONFIG_FIELDS = {unit.key(name): (name, unit)
 _CONFIG_KEYS = {"type", "shore_a", *_CONFIG_FIELDS}
 
 _COEFF_NAMES = frozenset(f.name for f in fields(ModelCoefficients))
+_REPORT_FIELDS = frozenset(f.name for f in fields(calib.FitReport))
 
 
 def _config_value(value, kind: type, key: str):
@@ -242,15 +243,16 @@ def _load_coeffs(path: str | None) -> ModelCoefficients:
     if path is None:
         return DEFAULT_COEFFS
     raw = _read_json_object(path, "coefficients")
-    if "coefficients" in raw and isinstance(raw["coefficients"], dict):
-        raw = raw["coefficients"]  # accept a calibrate-command report
-    unknown = set(raw) - _COEFF_NAMES - {"rms_residual", "residuals",
-                                         "warnings"}
+    unknown = set()
+    if isinstance(raw.get("coefficients"), dict):
+        # a calibrate-command report: its fields, coefficients among them
+        unknown = set(raw) - _REPORT_FIELDS
+        raw = raw["coefficients"]
+    unknown |= set(raw) - _COEFF_NAMES
     if unknown:
         raise ValueError(
             f"coefficients {path}: unknown fields {sorted(unknown)}")
-    values = {k: _config_value(v, float, k)
-              for k, v in raw.items() if k in _COEFF_NAMES}
+    values = {k: _config_value(v, float, k) for k, v in raw.items()}
     try:
         return replace(DEFAULT_COEFFS, **values)
     except ValueError as exc:

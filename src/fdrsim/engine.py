@@ -128,11 +128,14 @@ def solve_operating_point(q_in: float, device: Device,
 def _grid(q_start: float, q_end: float, step: float) -> list[float]:
     """The inclusive grid ``q_start + i * step`` up to ``q_end``.
 
-    The grid must start at a nonnegative flow, the step must divide the
-    range (to 1e-9 relative), so the last point is ``q_end`` up to
-    rounding, and the grid may hold at most ``MAX_GRID_POINTS`` points;
-    all are checked before any allocation.
+    All three must be finite, the grid must start at a nonnegative flow,
+    the step must divide the range (to 1e-9 relative), so the last point
+    is ``q_end`` up to rounding, and the grid may hold at most
+    ``MAX_GRID_POINTS`` points; all are checked before any allocation.
     """
+    for name, value in (("q_start", q_start), ("q_end", q_end), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if not q_start >= 0.0:
         raise ValueError("q_start must be nonnegative")
     if not step > 0.0:
@@ -266,7 +269,8 @@ def design_orderings(table: Mapping[str, SweepResult]) -> dict[str, tuple[str, .
 # --- derivative-free kernel -------------------------------------------------
 
 def _diameter(pts: list[list[float]]) -> float:
-    """The largest coordinate distance of ``pts[1:]`` from ``pts[0]``.
+    """The largest coordinate distance of ``pts[1:]`` from ``pts[0]``,
+    0.0 for the one point of an empty ``x0``.
 
     Picks what ``max(max(abs(a - b) for a, b in zip(p, pts[0])) for p in
     pts[1:])`` picks, nans included, without its generators: each maximum
@@ -276,7 +280,7 @@ def _diameter(pts: list[list[float]]) -> float:
     """
     best = pts[0]
     n = len(best)
-    diam = abs(pts[1][0] - best[0])
+    diam = abs(pts[1][0] - best[0]) if n else 0.0
     for p in pts[1:]:
         d = abs(p[0] - best[0])
         for j in range(1, n):
@@ -307,13 +311,13 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
 
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
     simplex offsets each coordinate by 0.1 (flipped downward when that
-    would leave the unit box).  Stops when the simplex diameter
-    falls below ``diam_tol`` or the evaluation budget is spent; the
-    budget is strict and never overrun.  ``f`` receives a list of floats;
-    returns (best x as a list of floats, best f, evals).  Deterministic
-    for identical inputs; evaluation failures and nan values count as
-    +infinity, except a ``Warning`` raised under an ``error`` filter,
-    which propagates.
+    would leave the unit box); an empty ``x0`` is a one-point simplex.
+    Stops when the simplex diameter falls below ``diam_tol`` or the
+    evaluation budget is spent; the budget is strict and never overrun.
+    ``f`` receives a list of floats; returns (best x as a list of floats,
+    best f, evals).  Deterministic for identical inputs; evaluation
+    failures and nan values count as +infinity, except a ``Warning``
+    raised under an ``error`` filter, which propagates.
 
     ``diam_tol`` must not be nan (``ValueError``): the simplex could
     never converge, and the search would spend its whole budget.
@@ -326,8 +330,6 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     """
     x0 = [float(v) for v in x0]
     n = len(x0)
-    if n == 0:
-        raise ValueError("x0 must have at least one coordinate")
     if not all(map(math.isfinite, x0)):
         raise ValueError("x0 must be finite")
     if math.isnan(diam_tol):
@@ -415,9 +417,11 @@ def optimize_geometry(objective: Callable[[Device], float],
 
     ``bounds`` maps any of ``w, t, h, a_ne`` (SI) to a (lo, hi) box;
     omitted keys stay frozen at the template device's value, and a key
-    with lo == hi is likewise frozen.  The search runs in box-normalized
-    coordinates; candidates outside the box are evaluated at their
-    clipped projection plus a penalty that dominates any in-box value.
+    with lo == hi is likewise frozen; a box of frozen keys alone is
+    searched like any box, from a one-point simplex.  The search runs in
+    box-normalized coordinates; candidates outside the box are evaluated
+    at their clipped projection plus a penalty that dominates any in-box
+    value.
     ``start`` optionally seeds the search (defaults to the box center);
     it must map every free key to a number inside its bounds, and keys
     that are frozen are ignored.
@@ -488,14 +492,6 @@ def optimize_geometry(objective: Callable[[Device], float],
         candidate = with_gate(device, w=w, t=t, h=h, a_ne=a_ne)
         return objective(candidate) + penalty
 
-    if not free:
-        # zero-volume box: the single admissible point is the answer
-        params = dict(lows)
-        cand = with_gate(device, **params)
-        return OptimizationResult(device=cand, params=params,
-                                  value=_score(objective, cand),
-                                  evaluations=1, converged=True)
-
     if start is None:
         x0 = [0.5] * len(free)
     else:
@@ -535,12 +531,11 @@ def switching_objective(coeffs: ModelCoefficients, *,
     The value is the one ``sweep`` reports over the grid 0, 1, .., 30
     L/min, found without building its states.
 
-    The scan stops at the first sign change: rows past it cannot move the
-    bracket or the bisection inside it.  What they could do is fail, and
-    then ``sweep`` raises :class:`SweepError`; so the scan stops early
-    only when ``model._no_row_fails`` proves that no flow up to the
-    grid's top fails.  Otherwise every row runs first, as in ``sweep``,
-    and the first failing one raises the same error.
+    One lazy scan reads the grid up to the first sign change: later rows
+    cannot move the bracket or its bisection, only fail, as ``sweep``
+    would with :class:`SweepError`.  Unless ``model._no_row_fails``
+    proves that no flow up to the grid's top fails, every row runs first,
+    so the first failing one raises that error before the scan.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
@@ -549,13 +544,10 @@ def switching_objective(coeffs: ModelCoefficients, *,
 
     def objective(candidate: Device) -> float:
         law = _point_law(candidate, coeffs)
-        if _no_row_fails(law, candidate, coeffs, q_top):
-            # lazy: _switching_q reads it up to the first bracket
-            p_outs = (law(q)[3] for q in qs)
-        else:
-            p_outs = [row[3] for row in _ramp(law, qs)]
+        if not _no_row_fails(law, candidate, coeffs, q_top):
+            _ramp(law, qs)
         _warn_if_sonic(q_top, candidate)
-        switching_q = _switching_q(qs, p_outs, law)
+        switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
         if switching_q is None:
             return _NO_SWITCHING_VALUE
         switching_p_in = input_pressure(switching_q, coeffs)
@@ -584,12 +576,5 @@ def suction_objective(coeffs: ModelCoefficients,
 def blowing_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
-    if not 0.0 <= q_star < math.inf:
-        raise ValueError("q_star must be nonnegative and finite")
-
-    def objective(candidate: Device) -> float:
-        p_out = _point_law(candidate, coeffs)(q_star)[3]
-        _warn_if_sonic(q_star, candidate)
-        return -p_out
-
-    return objective
+    suction = suction_objective(coeffs, q_star)
+    return lambda candidate: -suction(candidate)

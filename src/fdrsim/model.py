@@ -131,9 +131,9 @@ DEFAULT_COEFFS = ModelCoefficients()
 
 def input_pressure(q_in: float, coeffs: ModelCoefficients) -> float:
     """Supply gauge pressure [Pa] delivered at the inlet for a commanded flow,
-    following the calibrated law ``p_in = c1 q_in + c2 q_in^2``."""
-    if q_in < 0.0:
-        raise ValueError("q_in must be nonnegative")
+    following the calibrated law ``p_in = c1 q_in + c2 q_in^2``.  A flow
+    that is not finite and nonnegative raises ``ValueError``."""
+    _check_flow(q_in)
     return coeffs.c1 * q_in + coeffs.c2 * q_in * q_in
 
 

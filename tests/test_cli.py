@@ -285,6 +285,33 @@ def test_optimize_non_finite_flag_exit_config(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_evals", ["0", "-5"])
+def test_optimize_zero_volume_box_budget_exit_config(tmp_path, capsys,
+                                                     max_evals):
+    # a zero-volume box is searched like any box, under the same budget
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--objective", "suction", "--bounds-h-mm",
+                 "1.9:1.9", "--max-evals", max_evals, "--out", str(out)]) == 2
+    assert ("max_evals too small for the initial simplex"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_optimize_zero_volume_box_writes_value_as_any_box(tmp_path):
+    # at zero flow p_out is 0.0, so the blowing objective is -0.0 before
+    # the search adds its in-box penalty of 0.0
+    values = []
+    for box in ("1.9:1.9", "1.8:2.0"):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--objective", "blowing", "--at-qin-lpm",
+                     "0", "--bounds-h-mm", box, "--max-evals", "10",
+                     "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        values.append(re.search(r'"objective_value": (\S+?),?\n',
+                                text).group(1))
+    assert values[0] == values[1] == "0.0"
+
+
 def test_optimize_height_hits_lower_bound(tmp_path):
     out = tmp_path / "opt.json"
     assert main(["optimize", "--objective", "switching",
@@ -377,7 +404,11 @@ def test_coeffs_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     # cd_gate is not a coefficient: the gate path has no discharge law;
     # leak_fraction is gone too: a shut gate blows, it needs no leak
-    for raw in ({"ETA": 0.1}, {"cd_gate": 0.8}, {"leak_fraction": 0.02}):
+    # a report's own fields belong at its top level, and only there
+    for raw in ({"ETA": 0.1}, {"cd_gate": 0.8}, {"leak_fraction": 0.02},
+                {"eta": 0.3, "warnings": "junk"},
+                {"coefficients": {"eta": 0.3, "warnings": 5}},
+                {"coefficients": {"eta": 0.3}, "foo": 1}):
         cfg.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["simulate", "--type", "B", "--qin-lpm", "10",
                      "--coeffs", str(cfg)]) == 2
@@ -503,6 +534,20 @@ def test_grid_below_zero_exit_config(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, name", [("--qin-start-lpm", "q_start"),
+                                        ("--qin-end-lpm", "q_end"),
+                                        ("--step-lpm", "step")])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--type", "B"], ["compare", "--types", "A,B"]])
+def test_grid_non_finite_exit_config(tmp_path, capsys, command, flag, name,
+                                     value):
+    out = tmp_path / "g.csv"
+    assert main([*command, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--qin-lpm", "-0.5"], "q_in must be nonnegative"),
     (["simulate", "--qin-lpm", "-1e-5"], "q_in must be nonnegative"),
@@ -513,7 +558,7 @@ def test_grid_below_zero_exit_config(tmp_path, capsys, command):
     (["simulate", "--qin-lpm", "-inf"], "q_in must be finite"),
     (["simulate", "--qin-lpm", "-Infinity"], "q_in must be finite"),
     (["simulate", "--qin-lpm", "-NaN"], "q_in must be finite"),
-    (["sweep", "--qin-start-lpm", "-nan"], "q_start must be nonnegative"),
+    (["sweep", "--qin-start-lpm", "-nan"], "q_start must be finite"),
     (["friction", "--weight-n", "1", "--qin-lpm", "-1,2"],
      "q_in must be nonnegative"),
     (["friction", "--weight-n", "1", "--qin-lpm", "-inf,2"],

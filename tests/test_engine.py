@@ -170,11 +170,14 @@ def test_sweep_bad_grids_rejected():
     # a step that does not divide the range would overshoot q_end
     with pytest.raises(ValueError, match="divide"):
         sweep(_B, q_end=1.0 * M3S_PER_LPM, step=0.35 * M3S_PER_LPM)
-    # over the cap (or unbounded): rejected before anything is allocated
-    for q_end, step in ((30.0 * M3S_PER_LPM, 1.0e-9 * M3S_PER_LPM),
-                        (math.inf, 1.0 * M3S_PER_LPM)):
-        with pytest.raises(ValueError, match="points"):
-            sweep(_B, q_end=q_end, step=step)
+    # over the cap: rejected before anything is allocated
+    with pytest.raises(ValueError, match="points"):
+        sweep(_B, q_end=30.0 * M3S_PER_LPM, step=1.0e-9 * M3S_PER_LPM)
+    # a non-finite bound or step is named as such, before any other check
+    for name in ("q_start", "q_end", "step"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                sweep(_B, **{name: value})
 
 
 def test_grid_points_and_cap():
@@ -324,6 +327,18 @@ def test_nelder_mead_rejects_degenerate_step_or_tolerance(kwargs):
     assert calls == []
 
 
+def test_nelder_mead_empty_start_evaluates_once():
+    # zero coordinates make a one-point simplex of diameter 0
+    calls = []
+
+    def f(x):
+        calls.append(list(x))
+        return 2.5
+
+    assert nelder_mead(f, []) == ([], 2.5, 1)
+    assert calls == [[]]
+
+
 def test_nelder_mead_treats_failures_as_infinite():
     def sometimes(x):
         if x[0] < 0.0:
@@ -350,6 +365,24 @@ def test_optimize_degenerate_box_single_eval():
     assert res.params["w"] == _B.geometry.gate.w
     assert res.device.geometry.gate.h == 1.9e-3
     assert res.device.type_id is None
+
+
+def test_optimize_degenerate_box_checks_budget_as_any_box():
+    calls = []
+
+    def objective(device):
+        calls.append(device)
+        return 1.0
+
+    box = {"h": (1.9e-3, 1.9e-3)}
+    for max_evals in (0, -1):
+        with pytest.raises(ValueError,
+                           match="max_evals too small for the initial simplex"):
+            optimize_geometry(objective, box, _B, max_evals=max_evals)
+    assert calls == []
+    # a budget that ends with the simplex has not converged
+    res = optimize_geometry(objective, box, _B, max_evals=1)
+    assert (len(calls), res.evaluations, res.converged) == (1, 1, False)
 
 
 def test_optimize_degenerate_box_scores_nan_as_infinite():

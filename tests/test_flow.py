@@ -2,6 +2,7 @@
 point law's (p_in, p_chamber, a_fg, p_out)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -62,8 +63,11 @@ def test_input_pressure_examples():
     coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=9.6e7, c2=0.0)
     assert input_pressure(10.0 * M3S_PER_LPM, coeffs) == pytest.approx(
         16.0e3, rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q_in must be nonnegative"):
         input_pressure(-1.0e-4, DEFAULT_COEFFS)
+    for q_in in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q_in must be finite"):
+            input_pressure(q_in, DEFAULT_COEFFS)
 
 
 def test_input_pressure_monotone():
