@@ -1,10 +1,11 @@
 """Measurement ingestion and least-squares coefficient fitting.
 
 Two fits are supported.  The supply law ``p_in = c1 q + c2 q^2`` is fit
-by normal equations with a nonnegativity clamp (coordinate descent when
-the unconstrained optimum goes negative): the quadratic term captures
-orifice-like losses, the linear term open-channel losses, and the model
-passes through the origin because gauge pressure vanishes at no flow.
+by normal equations with a nonnegativity clamp (a negative coefficient
+of the unconstrained optimum is zeroed and the other refit alone): the
+quadratic term captures orifice-like losses, the linear term
+open-channel losses, and the model passes through the origin because
+gauge pressure vanishes at no flow.
 
 The output-port closure coefficients (entrainment efficiency, gate gain,
 cracking pressure) are fit by the derivative-free kernel from the engine
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -76,10 +77,7 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         # exact duplicate rows carry no new information: collapse them so
         # fits are invariant to repeated trials being pasted twice
-        seen: dict[MeasurementRow, None] = {}
-        for row in self.rows:
-            seen.setdefault(row)
-        deduped = tuple(seen)
+        deduped = tuple(dict.fromkeys(self.rows))
         object.__setattr__(self, "rows", deduped)
         qs = [r.q_in for r in deduped]
         if len(set(qs)) != len(qs):
@@ -89,19 +87,18 @@ class MeasurementSet:
 @dataclass(frozen=True)
 class FitReport:
     coefficients: dict[str, float]
-    rms_residual: dict[str, float]          # per fitted quantity [same unit]
+    # root mean square of each quantity's residuals [same unit], derived
+    rms_residual: dict[str, float] = field(init=False)
     residuals: dict[str, tuple[float, ...]]  # measured minus fitted, per point
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for key, rms in self.rms_residual.items():
-            res = self.residuals.get(key, ())
+        rms: dict[str, float] = {}
+        for key, res in self.residuals.items():
             if not res:
                 raise ValueError(f"no residuals recorded for {key}")
-            check = math.sqrt(sum(r * r for r in res) / len(res))
-            if abs(rms - check) > 1.0e-12 * max(1.0, abs(check)):
-                raise ValueError(f"rms_residual[{key!r}] does not match "
-                                 "its residual list")
+            rms[key] = math.sqrt(sum(r * r for r in res) / len(res))
+        object.__setattr__(self, "rms_residual", rms)
 
 
 def builtin_calibration_points() -> MeasurementSet:
@@ -118,7 +115,7 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     path = Path(path)
     rows: list[MeasurementRow] = []
     q_column = FLOW.key("q_in")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or q_column not in reader.fieldnames:
             raise FitError(f"{path}: missing required column {q_column}")
@@ -132,20 +129,16 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     return MeasurementSet(rows=tuple(rows))
 
 
-def _input_fit_rows(data: MeasurementSet) -> list[MeasurementRow]:
-    rows = [r for r in data.rows if r.p_in is not None]
-    if len(rows) < 2:
-        raise FitError("need at least 2 rows with p_in to fit the supply law")
-    return rows
-
-
 def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitReport]:
     """Fit ``p_in = c1 q + c2 q^2`` with nonnegative coefficients.
 
     Normal equations first; when the unconstrained optimum has a negative
-    coefficient, clamped coordinate descent takes over.  Deterministic.
+    coefficient, that coefficient is zero and the other is the clamped
+    one-term fit, the nonnegative least-squares answer.  Deterministic.
     """
-    rows = _input_fit_rows(data)
+    rows = [r for r in data.rows if r.p_in is not None]
+    if len(rows) < 2:
+        raise FitError("need at least 2 rows with p_in to fit the supply law")
     q = [r.q_in for r in rows]
     y = [r.p_in for r in rows]
     q2 = [qi * qi for qi in q]
@@ -170,19 +163,14 @@ def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitRe
     c2 = (a00 * b1 - a01 * b0) / det
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise FitError("measurements overflow the normal equations")
-    if c1 < 0.0 or c2 < 0.0:
-        c1, c2 = max(c1, 0.0), max(c2, 0.0)
-        for _ in range(500):
-            p1, p2 = c1, c2
-            c1 = max(0.0, (b0 - a01 * c2) / a00)
-            c2 = max(0.0, (b1 - a01 * c1) / a11)
-            if max(map(abs, (c1 - p1, c2 - p2))) <= 1.0e-16 * max(1.0, c1, c2):
-                break
-    assert c1 >= 0.0 and c2 >= 0.0  # fitted curve monotone on q >= 0
+    # the nonnegative optimum zeroes a negative coefficient and refits the
+    # other alone, so the fitted curve is monotone on q >= 0
+    if c1 < 0.0:
+        c1, c2 = 0.0, max(0.0, b1 / a11)
+    elif c2 < 0.0:
+        c1, c2 = max(0.0, b0 / a00), 0.0
     residuals = tuple(yi - (c1 * qi + c2 * qi * qi) for qi, yi in zip(q, y))
-    rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
     report = FitReport(coefficients={"c1": c1, "c2": c2},
-                       rms_residual={"p_in": rms},
                        residuals={"p_in": residuals})
     return (c1, c2), report
 
@@ -270,13 +258,11 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     law = _point_law(device, fitted)
     residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
     _warn_if_sonic(max(qs), device)
-    rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
-    if not rms < math.inf:
-        raise FitError("p_out residuals overflow the closure fit")
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,
                       "k0": fitted.k0, "p_c": fitted.p_c},
-        rms_residual={"p_out": rms},
         residuals={"p_out": residuals},
         warnings=warnings)
+    if not report.rms_residual["p_out"] < math.inf:
+        raise FitError("p_out residuals overflow the closure fit")
     return fitted, report

@@ -202,7 +202,7 @@ def _config_value(value, kind: type, key: str):
 
 def _read_json_object(path: str, what: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -331,11 +331,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         data = calib.builtin_calibration_points()
     else:
         data = calib.load_measurements(args.data)
+    device = _device_from_args(args)
+    start = _load_coeffs(args.coeffs)
     if args.fit == "input":
         (_, report) = calib.fit_input_pressure(data)
     else:
-        device = _device_from_args(args)
-        start = _load_coeffs(args.coeffs)
         (_, report) = calib.fit_closures(data, device, start=start,
                                          max_evals=args.max_evals)
     _write_text(args.out, _json_text(asdict(report)))

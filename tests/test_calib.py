@@ -1,6 +1,7 @@
 """Measurement handling and the two calibration fits."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -213,15 +214,82 @@ def test_fit_independent_of_row_order(pair):
     assert _fit_bits(shuffled) == _fit_bits(rows)
 
 
-def test_fit_report_self_consistency():
-    with pytest.raises(ValueError):
-        FitReport(coefficients={"c1": 1.0},
-                  rms_residual={"p_in": 5.0},
-                  residuals={"p_in": (1.0, -1.0)})
-    rms = math.sqrt(2.5e5)
-    FitReport(coefficients={"c1": 1.0},
-              rms_residual={"p_in": rms},
-              residuals={"p_in": (500.0, -500.0)})
+def test_fit_report_rms_derived_from_residuals():
+    report = FitReport(coefficients={"c1": 1.0},
+                       residuals={"p_in": (500.0, -500.0), "p_out": (3.0,)})
+    assert report.rms_residual == {"p_in": math.sqrt(2.5e5), "p_out": 3.0}
+    # the derived field is no constructor parameter, but stays in the report
+    assert "rms_residual" not in inspect.signature(FitReport).parameters
+    assert list(dataclasses.asdict(report)) == [
+        "coefficients", "rms_residual", "residuals", "warnings"]
+    with pytest.raises(ValueError, match="no residuals recorded for p_in"):
+        FitReport(coefficients={"c1": 1.0}, residuals={"p_in": ()})
+
+
+def _descent_fit(rows):
+    """The supply-law fit as clamped coordinate descent, frozen from the
+    iterative version of ``fit_input_pressure``: up to 500 sweeps stopped
+    by a 1e-16 relative step.  Returns the coefficients."""
+    q = [r.q_in for r in rows]
+    y = [r.p_in for r in rows]
+    q2 = [qi * qi for qi in q]
+    a00 = math.fsum(q2)
+    a01 = math.fsum(s * qi for s, qi in zip(q2, q))
+    a11 = math.fsum(s * s for s in q2)
+    b0 = math.fsum(qi * yi for qi, yi in zip(q, y))
+    b1 = math.fsum(s * yi for s, yi in zip(q2, y))
+    det = a00 * a11 - a01 * a01
+    c1 = (b0 * a11 - a01 * b1) / det
+    c2 = (a00 * b1 - a01 * b0) / det
+    if c1 < 0.0 or c2 < 0.0:
+        c1, c2 = max(c1, 0.0), max(c2, 0.0)
+        for _ in range(500):
+            p1, p2 = c1, c2
+            c1 = max(0.0, (b0 - a01 * c2) / a00)
+            c2 = max(0.0, (b1 - a01 * c1) / a11)
+            if max(map(abs, (c1 - p1, c2 - p2))) <= 1.0e-16 * max(1.0, c1, c2):
+                break
+    return c1, c2
+
+
+@hs.composite
+def clamped_systems(draw):
+    """Supply rows whose unconstrained fit has a negative ``c1``, a
+    negative ``c2``, or both: a law of those signs, whose two terms are
+    within a factor 5 of each other at 20 L/min, through flows at least
+    0.5 L/min apart, each pressure off the law by at most 0.1%.
+
+    The signs hold by a margin rounding cannot cross.  In an
+    ill-conditioned system whose unconstrained ``c1`` lies within
+    rounding of zero, the descent could stop at a noise-sized positive
+    ``c1`` and a ``c2`` a few ulps off, where the closed form gives 0."""
+    branch = draw(hs.sampled_from(["c1", "c2", "both"]))
+    qs = draw(hs.lists(hs.integers(1, 80), min_size=2, max_size=12,
+                       unique=True))
+    k1 = draw(hs.floats(1.0e6, 1.0e8))
+    k2 = k1 * draw(hs.floats(0.2, 5.0)) / (20.0 * M3S_PER_LPM)
+    c1 = -k1 if branch in ("c1", "both") else k1
+    c2 = -k2 if branch in ("c2", "both") else k2
+    rows = []
+    for q in qs:
+        q_in = 0.5 * q * M3S_PER_LPM
+        p_in = c1 * q_in + c2 * q_in * q_in
+        rows.append(MeasurementRow(
+            q_in=q_in, p_in=p_in * (1.0 + draw(hs.floats(-1e-3, 1e-3)))))
+    return branch, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(system=clamped_systems())
+def test_fit_closed_form_clamp_matches_coordinate_descent(system):
+    branch, rows = system
+    exact = _exact_least_squares(rows)
+    assert [c < 0 for c in exact] == {"c1": [True, False],
+                                      "c2": [False, True],
+                                      "both": [True, True]}[branch]
+    (c1, c2), _ = fit_input_pressure(MeasurementSet(rows=tuple(rows)))
+    assert min(c1, c2) == 0.0
+    assert (c1.hex(), c2.hex()) == tuple(map(float.hex, _descent_fit(rows)))
 
 
 def _device_rows(device, qs_lpm, coeffs=DEFAULT_COEFFS):

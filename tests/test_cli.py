@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -18,6 +19,8 @@ from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
 from fdrsim._units import AREA, FLOW, LENGTH
 from fdrsim.cli import (_COMMANDS, _json_text, _load_device_config,
                         _parser_for, build_parser, main)
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _SWEEP_HEADER = ("q_in_lpm,p_in_kpa,p_chamber_kpa,a_fg_mm2,a_fg_over_a_ex,"
                  "p_out_kpa,mode")
@@ -189,6 +192,42 @@ def test_calibrate_closures_from_file(tmp_path):
                  "--max-evals", "60", "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert set(payload["coefficients"]) == {"eta", "c_recirc", "k0", "p_c"}
+
+
+@pytest.mark.parametrize("flag", ["--type", "--coeffs", "--config"])
+def test_calibrate_input_checks_device_flags(tmp_path, capsys, flag):
+    # the supply-law fit uses no device, but reads the flags as the
+    # closures fit does: a bad one is a configuration error
+    value = "ZZ" if flag == "--type" else str(tmp_path / "missing.json")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", "builtin", "--fit", "input",
+                 flag, value, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name, golden", [
+    (["calibrate", "--fit", "input", "--data"], "measurements.csv",
+     "calibrate_input_csv.json"),
+    (["simulate", "--qin-lpm", "12.5", "--config"], "device.json",
+     "simulate_config_12.txt"),
+    (["simulate", "--type", "B", "--qin-lpm", "30", "--coeffs"],
+     "calibrate_closures.json", "simulate_B_30_fitted.txt"),
+], ids=["csv", "config", "coeffs"])
+def test_input_file_with_bom_reads_as_without(tmp_path, capsys, argv, name,
+                                              golden):
+    # a spreadsheet export starts with a UTF-8 byte-order mark: the input
+    # gives the golden output of the same file without one
+    bom = tmp_path / name
+    bom.write_bytes(codecs.BOM_UTF8 + (_GOLDEN / name).read_bytes())
+    out = tmp_path / "out.json"
+    if argv[0] == "calibrate":
+        assert main([*argv, str(bom), "--out", str(out)]) == 0
+        written = out.read_bytes()
+    else:
+        assert main([*argv, str(bom)]) == 0
+        written = capsys.readouterr().out.encode("utf-8")
+    assert written == (_GOLDEN / golden).read_bytes()
 
 
 def test_friction_table(tmp_path):

@@ -257,7 +257,7 @@ _PUBLIC_SETTINGS = {
     "DeviceGeometry": ("a_in", "a_branch", "a_ne", "n_nozzles", "a_ex",
                        "a_out", "channel_width_ref", "gate",
                        "split_design_rule"),
-    "FitReport": ("coefficients", "rms_residual", "residuals", "warnings"),
+    "FitReport": ("coefficients", "residuals", "warnings"),
     "FlapGateGeometry": ("w", "t", "h"),
     "FrictionCurvePoint": ("q_in", "state", "prediction"),
     "FrictionPrediction": ("mu_s", "mu_k", "n_eff"),
