@@ -123,9 +123,13 @@ def load_measurements(path: str | Path) -> MeasurementSet:
             cells = {name: (record.get(unit.key(name)) or "").strip()
                      for name, unit in _MEASUREMENT_UNITS.items()}
             if cells["q_in"]:
-                rows.append(MeasurementRow(**{
-                    name: _MEASUREMENT_UNITS[name].to_si(float(cell))
-                    if cell else None for name, cell in cells.items()}))
+                try:
+                    rows.append(MeasurementRow(**{
+                        name: _MEASUREMENT_UNITS[name].to_si(float(cell))
+                        if cell else None for name, cell in cells.items()}))
+                except ValueError as exc:
+                    raise ValueError(f"measurements {path} line "
+                                     f"{reader.line_num}: {exc}") from exc
     return MeasurementSet(rows=tuple(rows))
 
 

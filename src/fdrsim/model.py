@@ -166,17 +166,6 @@ _REFERENCE_STIFFNESS = gate_stiffness(FlapGateGeometry(w=8.0e-3, t=0.5e-3,
                                       Material.from_shore_a(10.0))
 
 
-def _recirculation_penalty(geometry: DeviceGeometry,
-                           coeffs: ModelCoefficients) -> float:
-    """The law's ``penalty(w)``: 1 at or below the reference channel width
-    ``w_ref``, falling off quadratically above it."""
-    w, w_ref = geometry.gate.w, geometry.channel_width_ref
-    if w_ref <= 0.0:
-        raise ValueError("w_ref must be positive")
-    excess = max(0.0, (w - w_ref) / w_ref)
-    return 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
-
-
 _NOT_FINITE = "operating point is not finite (flow beyond the model's range)"
 
 
@@ -189,43 +178,56 @@ def _check_flow(q_in: float) -> None:
 
 _Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
 _Law = Callable[[float], _Point]
+_Terms = tuple[float, float, float, float, float]   # split, a_max, gain, penalty, out_area
+
+
+def _device_terms(device: Device, coeffs: ModelCoefficients) -> _Terms:
+    """The law's per-device terms, built and checked in this order: the
+    junction factor ``1 - (a_in / (2 a_branch))^2``, ``a_fg_max = w h``,
+    the gain ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``.  One
+    that leaves no steady state raises ``ValueError``."""
+    g = device.geometry
+    if g.a_in <= 0.0 or g.a_branch <= 0.0:
+        raise ValueError("areas must be positive")
+    try:
+        split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
+    except OverflowError as exc:   # a float ``**`` out of range
+        raise ValueError(_NOT_FINITE) from exc
+    # each derived divisor or scale positive and finite: a zero or
+    # infinite one turns rows into a division by zero or inf * 0 = nan
+    a_max = g.gate.w * g.gate.h
+    if not 0.0 < a_max < math.inf:
+        raise ValueError("a_fg_max must be positive and finite")
+    gain = (coeffs.k0 * _REFERENCE_STIFFNESS
+            / gate_stiffness(g.gate, device.material))
+    if not 0.0 < gain < math.inf:
+        raise ValueError("gate gain k0 D_ref / D must be positive "
+                         "and finite")
+    if g.a_ex <= 0.0:
+        raise ValueError("a_ex must be positive")
+    w, w_ref = g.gate.w, g.channel_width_ref
+    if w_ref <= 0.0:
+        raise ValueError("w_ref must be positive")
+    excess = max(0.0, (w - w_ref) / w_ref)
+    penalty = 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
+    out_area = coeffs.cd_out * g.a_out
+    if not 0.0 < out_area < math.inf:
+        raise ValueError("cd_out * a_out must be positive and finite")
+    return split, a_max, gain, penalty, out_area
 
 
 def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out),
     the chain in this module's docstring.
 
-    The device's own terms are computed once, here; each flow then runs
-    the rest in the order written (``**`` squares, which round as libm
-    ``pow``, not always as ``u * u``).  A bad flow, a device whose
-    derived terms (``split``, ``a_fg_max``, ``gain``, ``cd_out a_out``)
-    leave no steady state, or pressures beyond the float range raise
-    ``ValueError``.  No warning: callers use :func:`_warn_if_sonic`.
+    The device's terms come once from :func:`_device_terms`; each flow
+    then runs the rest in the order written (``**`` squares, which round
+    as libm ``pow``, not always as ``u * u``).  A bad flow, then a bad
+    term, or pressures beyond the float range raise ``ValueError``.  No
+    warning: callers use :func:`_warn_if_sonic`.
     """
-    g = device.geometry
     try:
-        if g.a_in <= 0.0 or g.a_branch <= 0.0:
-            raise ValueError("areas must be positive")
-        try:
-            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
-        # each derived divisor or scale positive and finite: a zero or
-        # infinite one turns rows into a division by zero or inf * 0 = nan
-        a_max = g.gate.w * g.gate.h
-        if not 0.0 < a_max < math.inf:
-            raise ValueError("a_fg_max must be positive and finite")
-        gain = (coeffs.k0 * _REFERENCE_STIFFNESS
-                / gate_stiffness(g.gate, device.material))
-        if not 0.0 < gain < math.inf:
-            raise ValueError("gate gain k0 D_ref / D must be positive "
-                             "and finite")
-        if g.a_ex <= 0.0:
-            raise ValueError("a_ex must be positive")
-        penalty = _recirculation_penalty(g, coeffs)
-        out_area = coeffs.cd_out * g.a_out
-        if not 0.0 < out_area < math.inf:
-            raise ValueError("cd_out * a_out must be positive and finite")
+        split, a_max, gain, penalty, out_area = _device_terms(device, coeffs)
     except ValueError as exc:
         message = str(exc)
 
@@ -236,6 +238,7 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
         return failing
 
     c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
+    g = device.geometry
     a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
     crack = coeffs.p_c
     kinetic_scale, half_rho, inf = _KINETIC_SCALE, _HALF_RHO, math.inf
@@ -288,11 +291,15 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
     ``p_chamber`` finite at every lower flow, and ``s = a_fg / a_fg_max``
     lies in [0, 1] whatever the gate does.  The blowing term is at most
     its value with the gate shut, ``rho/2 (q_top / (cd_out a_out))^2``,
-    and the suction term at most its value with the gate fully open,
-    ``eta rho/2 v_top^2 penalty``.  When both bounds are finite, ``p_out``
-    is the difference of two finite nonnegative terms, so no row is inf
-    or nan.  A bound that overflows (``OverflowError`` from ``**``, or an
-    infinite product) only means the check cannot rule a failure out.
+    and the suction term at most ``eta rho/2 v_top^2``, as the vent and
+    the penalty lie in [0, 1].  That factor of the law's own suction
+    term at ``q_top`` is finite whenever ``law(q_top)`` is: were it inf,
+    that term and ``p_out`` would be inf or nan (as a nan penalty,
+    ``c_recirc = 0`` times an infinite width excess, makes every row's).
+    So when the blowing bound is finite, ``p_out`` is the difference of
+    two finite nonnegative terms and no row is inf or nan.  A blowing
+    bound that overflows (``OverflowError`` from ``**``, or inf) only
+    means the check cannot rule a failure out.
     """
     try:
         law(q_top)
@@ -300,9 +307,7 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
         blow = _HALF_RHO * (q_top / (coeffs.cd_out * g.a_out)) ** 2
     except (ValueError, OverflowError):
         return False
-    v = _jet_velocity(q_top, g)
-    suck = coeffs.eta * (_HALF_RHO * v * v) * _recirculation_penalty(g, coeffs)
-    return blow < math.inf and suck < math.inf
+    return blow < math.inf
 
 
 def _warn_if_sonic(q_in: float, device: Device) -> None:

@@ -179,6 +179,25 @@ def test_calibrate_malformed_data_exit_fit(tmp_path):
                  "--out", str(out)]) == 4
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("1,abc\n", 2, "could not convert string to float: 'abc'"),
+    ("1,2\n,\n3,nan\n", 4, "p_in must be finite"),
+    ("1,2\n-1,3\n", 3, "q_in must be nonnegative"),
+], ids=["not-a-number", "nan-after-a-blank-row", "negative-flow"])
+def test_calibrate_bad_measurement_cell_names_its_line(tmp_path, capsys,
+                                                      rows, line, message):
+    # a bad cell is a configuration error that names the file and the
+    # line it sits on; a blank flow still skips its row but counts a line
+    bad = tmp_path / "bad.csv"
+    bad.write_text("q_in_lpm,p_in_kpa\n" + rows, encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", str(bad), "--fit", "input",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: measurements {bad} line {line}: {message}\n"
+    assert not out.exists()
+
+
 def test_calibrate_closures_from_file(tmp_path):
     data = tmp_path / "meas.csv"
     data.write_text(

@@ -17,7 +17,7 @@ from fdrsim import (
     solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.model import (_GAMMA, _RHO, _point_law, _recirculation_penalty,
+from fdrsim.model import (_GAMMA, _RHO, _device_terms, _point_law,
                           _warn_if_sonic)
 
 _B = catalog_device("B")
@@ -100,8 +100,8 @@ def test_halving_nozzle_area_quadruples_jet_pressure():
 
 def _penalty(w, coeffs=DEFAULT_COEFFS, w_ref=_GEOM_B.channel_width_ref):
     gate = dataclasses.replace(_GEOM_B.gate, w=w)
-    return _recirculation_penalty(_device(gate=gate, channel_width_ref=w_ref)
-                                  .geometry, coeffs)
+    return _device_terms(_device(gate=gate, channel_width_ref=w_ref),
+                         coeffs)[3]
 
 
 def test_recirculation_penalty_reference_and_below():

@@ -36,7 +36,8 @@ from fdrsim import (
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
-from fdrsim.model import _NOT_FINITE, _point_law
+from fdrsim.model import (_NOT_FINITE, _device_terms, _no_row_fails,
+                          _point_law)
 
 
 # --- frozen oracle ------------------------------------------------------------
@@ -421,3 +422,163 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
         calls.clear()
         switching_objective(_SHUT)(b)
         assert calls == [qs[-1], *qs]
+
+
+# --- the device's terms -------------------------------------------------------
+
+def _junction_split(geometry):
+    """The oracle's junction factor ``1 - (a_in / (2 a_branch))^2``, read
+    out of ``_bifurcation_pressure``: a gas whose kinetic scale is exactly
+    1, at the flow ``q = a_in`` and no supply pressure, leaves the factor
+    alone."""
+    unit_gas = SimpleNamespace(rho_in=1.0, rho=1.0, gamma=-1.0)
+    return _bifurcation_pressure(geometry.a_in, 0.0, unit_gas, geometry)
+
+
+@_PROPERTY
+@given(devices(), coefficients())
+def test_device_terms_equal_oracle_terms(device, coeffs):
+    g = device.geometry
+    expected = (
+        _junction_split(g),
+        _GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c).a_fg_max,
+        coeffs.k0 * REFERENCE_STIFFNESS / gate_stiffness(g.gate,
+                                                         device.material),
+        recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref),
+        coeffs.cd_out * g.a_out)
+    assert _bits(_device_terms(device, coeffs)) == _bits(expected)
+
+
+def _frozen_no_row_fails(law, device, coeffs, q_top):
+    """``model._no_row_fails`` as it stood with the penalty factor in its
+    suction bound.  Do not edit this to follow the guard."""
+    try:
+        law(q_top)
+        g = device.geometry
+        blow = 0.5 * AIR.rho * (q_top / (coeffs.cd_out * g.a_out)) ** 2
+    except (ValueError, OverflowError):
+        return False
+    v = (q_top / g.n_nozzles) / g.a_ne
+    w, w_ref = g.gate.w, g.channel_width_ref
+    if w_ref <= 0.0:
+        raise ValueError("w_ref must be positive")
+    excess = max(0.0, (w - w_ref) / w_ref)
+    penalty = 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
+    suck = coeffs.eta * (0.5 * AIR.rho * v * v) * penalty
+    return blow < math.inf and suck < math.inf
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def guard_devices(draw):
+    """The oracle's devices with any area, and the reference width, down
+    to 1e-320 m^2 (m): terms that overflow, underflow or turn nan."""
+    device = draw(devices())
+    g = device.geometry
+    geometry = dataclasses.replace(g, **{
+        name: draw(st.one_of(st.just(getattr(g, name)), _decades(-320, -2)))
+        for name in ("a_in", "a_branch", "a_ne", "a_ex", "a_out",
+                     "channel_width_ref")})
+    return dataclasses.replace(device, geometry=geometry)
+
+
+@st.composite
+def guard_coefficients(draw):
+    return dataclasses.replace(
+        draw(coefficients()),
+        eta=draw(_decades(-300, 300)),
+        c_recirc=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0),
+                                _decades(-300, 300))),
+        k0=draw(_decades(-300, 300)),
+        cd_out=draw(_decades(-300, 0)))
+
+
+def _with_geometry(device, **geometry):
+    return dataclasses.replace(device, geometry=dataclasses.replace(
+        device.geometry, **geometry))
+
+
+@_PROPERTY
+@given(guard_devices(), guard_coefficients())
+# an infinite width excess: times c_recirc = 0 the penalty is nan, times
+# c_recirc = 1 it is 0
+@example(_with_geometry(catalog_device("B"), channel_width_ref=1.0e-320),
+         dataclasses.replace(DEFAULT_COEFFS, c_recirc=0.0))
+@example(_with_geometry(catalog_device("B"), channel_width_ref=1.0e-320),
+         dataclasses.replace(DEFAULT_COEFFS, c_recirc=1.0))
+# a wide gate whose penalty is near 0
+@example(catalog_device("C"),
+         dataclasses.replace(DEFAULT_COEFFS, c_recirc=1.0e300))
+@example(_TINY_NOZZLE, DEFAULT_COEFFS)
+@example(_TINIER_NOZZLE, DEFAULT_COEFFS)
+@example(catalog_device("B"), _TINIER_OUTLET)
+def test_guard_verdict_equals_frozen_guard(device, coeffs):
+    # the frozen guard's suction bound, penalty and all, is finite
+    # whenever law(q_top) returns (an infinite bound, or a nan penalty,
+    # makes the law's own p_out there inf or nan), so the guard that
+    # checks only the blocked-gate bound gives the same verdict
+    q_top = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)[-1]
+    law = _point_law(device, coeffs)
+    assert (_no_row_fails(law, device, coeffs, q_top)
+            == _frozen_no_row_fails(law, device, coeffs, q_top))
+
+
+def _set_up(coeffs=None, gate=None, **geometry):
+    """Type B with an unequal split allowed and the given changes."""
+    b = catalog_device("B")
+    if gate is not None:
+        geometry["gate"] = dataclasses.replace(b.geometry.gate, **gate)
+    device = _with_geometry(b, split_design_rule=False, **geometry)
+    return device, dataclasses.replace(DEFAULT_COEFFS, **(coeffs or {}))
+
+
+# one case per set-up check, in the order the law makes them, then cases
+# that fail two checks and report the earlier one
+@pytest.mark.parametrize("case, message", [
+    (_set_up(a_in=0.0), "areas must be positive"),
+    (_set_up(a_branch=1.0e-300), _NOT_FINITE),
+    (_set_up(gate={"w": 1.0e-200, "h": 1.0e-200}),
+     "a_fg_max must be positive and finite"),
+    (_set_up(gate={"t": 0.0}), "gate dimensions must be positive"),
+    (_set_up(gate={"t": 1.0e-200}),
+     "gate stiffness E t^3 h / w must be positive and finite"),
+    (_set_up({"k0": 1.0e300}, gate={"t": 1.0e-7}),
+     "gate gain k0 D_ref / D must be positive and finite"),
+    (_set_up(a_ex=0.0), "a_ex must be positive"),
+    (_set_up(channel_width_ref=0.0), "w_ref must be positive"),
+    (_set_up({"cd_out": 1.0e-300}, a_out=1.0e-300),
+     "cd_out * a_out must be positive and finite"),
+    (_set_up(a_ex=0.0, channel_width_ref=0.0), "a_ex must be positive"),
+    (_set_up({"cd_out": 1.0e-300}, a_branch=1.0e-300, a_out=1.0e-300),
+     _NOT_FINITE),
+], ids=["areas", "split", "a_fg_max", "gate-dimensions", "stiffness", "gain",
+        "a_ex", "w_ref", "out_area", "a_ex-before-w_ref",
+        "split-before-out_area"])
+def test_set_up_checks_report_in_order(case, message):
+    device, coeffs = case
+    exact = f"^{re.escape(message)}$"
+    q = 10.0 * M3S_PER_LPM
+    with pytest.raises(ValueError, match=exact):
+        _point_law(device, coeffs)(q)
+    with pytest.raises(ValueError, match=exact):
+        solve_operating_point(q, device, coeffs)
+    # a bad flow is still reported before a bad device
+    with pytest.raises(ValueError, match="^q_in must be finite$"):
+        _point_law(device, coeffs)(math.nan)
+    with pytest.raises(ValueError, match="^q_in must be nonnegative$"):
+        solve_operating_point(-q, device, coeffs)
+    q_start = 5.0 * M3S_PER_LPM
+    with pytest.raises(SweepError) as failed:
+        sweep(device, coeffs, q_start, q, 1.0 * M3S_PER_LPM)
+    assert failed.value.q_in == q_start
+    assert str(failed.value) == \
+        f"sweep failed at q_in={q_start:.9g} m^3/s: {message}"
+    with pytest.raises(SweepError) as failed:
+        sweep(device, coeffs, 0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)
+    with pytest.raises(SweepError) as objective_failed:
+        switching_objective(coeffs)(device)
+    assert objective_failed.value.q_in == failed.value.q_in == 0.0
+    assert str(objective_failed.value) == str(failed.value)
