@@ -111,9 +111,14 @@ def builtin_calibration_points() -> MeasurementSet:
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
-    """Read a measurement CSV (display units) into an SI MeasurementSet."""
+    """Read a measurement CSV (display units) into an SI MeasurementSet.
+
+    A bad cell, or a flow given twice with different readings, raises
+    ``ValueError`` naming the file and line; an exact repeat of a row
+    collapses into it."""
     path = Path(path)
     rows: list[MeasurementRow] = []
+    seen: dict[float, tuple[MeasurementRow, int]] = {}   # q_in -> row, line
     q_column = FLOW.key("q_in")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
@@ -123,13 +128,20 @@ def load_measurements(path: str | Path) -> MeasurementSet:
             cells = {name: (record.get(unit.key(name)) or "").strip()
                      for name, unit in _MEASUREMENT_UNITS.items()}
             if cells["q_in"]:
+                line = reader.line_num
                 try:
-                    rows.append(MeasurementRow(**{
+                    row = MeasurementRow(**{
                         name: _MEASUREMENT_UNITS[name].to_si(float(cell))
-                        if cell else None for name, cell in cells.items()}))
+                        if cell else None for name, cell in cells.items()})
                 except ValueError as exc:
                     raise ValueError(f"measurements {path} line "
-                                     f"{reader.line_num}: {exc}") from exc
+                                     f"{line}: {exc}") from exc
+                first, first_line = seen.setdefault(row.q_in, (row, line))
+                if first != row:
+                    raise ValueError(f"measurements {path} lines "
+                                     f"{first_line} and {line}: "
+                                     "q_in values must be distinct")
+                rows.append(row)
     return MeasurementSet(rows=tuple(rows))
 
 
@@ -168,10 +180,18 @@ def fit_input_pressure(data: MeasurementSet) -> tuple[tuple[float, float], FitRe
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise FitError("measurements overflow the normal equations")
     # the nonnegative optimum zeroes a negative coefficient and refits the
-    # other alone, so the fitted curve is monotone on q >= 0
-    if c1 < 0.0:
+    # other alone, so the fitted curve is monotone on q >= 0.  Which one
+    # is negative follows the exact signs of the numerators of the sums
+    # (det is positive, by the floor above): rounding is monotone, so it
+    # never makes a numerator negative, but it can round a negative one
+    # to zero.  ``fractions`` is imported here, not with the module:
+    # every CLI call imports this module, and ``fractions`` (with
+    # ``decimal``) adds about 2.5 ms
+    from fractions import Fraction
+    s00, s01, s11, t0, t1 = map(Fraction, (a00, a01, a11, b0, b1))
+    if t0 * s11 < s01 * t1:
         c1, c2 = 0.0, max(0.0, b1 / a11)
-    elif c2 < 0.0:
+    elif s00 * t1 < s01 * t0:
         c1, c2 = max(0.0, b0 / a00), 0.0
     residuals = tuple(yi - (c1 * qi + c2 * qi * qi) for qi, yi in zip(q, y))
     report = FitReport(coefficients={"c1": c1, "c2": c2},

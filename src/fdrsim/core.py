@@ -176,20 +176,30 @@ def with_gate(device: Device, *, w: float | None = None, t: float | None = None,
               h: float | None = None, a_ne: float | None = None) -> Device:
     """Copy of ``device`` with selected gate/nozzle dimensions replaced.
 
-    Built with the keyword constructors, not ``dataclasses.replace``: the
-    optimizer calls this once per candidate, and two ``replace`` calls
-    cost about 1.6 times as much.  Every ``DeviceGeometry`` field is
-    passed on, and the copy has no ``type_id``.
+    The optimizer calls this once per candidate, so each of the three
+    frozen instances is made with ``object.__new__`` and its ``__dict__``
+    filled directly: the template's fields, then the replaced ones, at
+    under half the keyword constructors' cost.  That skips nothing only
+    because ``FlapGateGeometry``, ``DeviceGeometry`` and ``Device`` have
+    no ``__post_init__``.  The copy has no ``type_id``.
     """
-    g = device.geometry
-    gate = g.gate
-    geometry = DeviceGeometry(
-        a_in=g.a_in, a_branch=g.a_branch,
-        a_ne=g.a_ne if a_ne is None else a_ne,
-        n_nozzles=g.n_nozzles, a_ex=g.a_ex, a_out=g.a_out,
-        channel_width_ref=g.channel_width_ref,
-        gate=FlapGateGeometry(w=gate.w if w is None else w,
-                              t=gate.t if t is None else t,
-                              h=gate.h if h is None else h),
-        split_design_rule=g.split_design_rule)
-    return Device(geometry=geometry, material=device.material)
+    template = device.geometry
+    gate = object.__new__(FlapGateGeometry)
+    fields = gate.__dict__
+    fields.update(template.gate.__dict__)
+    if w is not None:
+        fields["w"] = w
+    if t is not None:
+        fields["t"] = t
+    if h is not None:
+        fields["h"] = h
+    geometry = object.__new__(DeviceGeometry)
+    fields = geometry.__dict__
+    fields.update(template.__dict__)
+    fields["gate"] = gate
+    if a_ne is not None:
+        fields["a_ne"] = a_ne
+    copy = object.__new__(Device)
+    copy.__dict__.update(geometry=geometry, material=device.material,
+                         type_id=None)
+    return copy

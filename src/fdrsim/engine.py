@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
@@ -268,40 +269,34 @@ def design_orderings(table: Mapping[str, SweepResult]) -> dict[str, tuple[str, .
 
 # --- derivative-free kernel -------------------------------------------------
 
-def _diameter(pts: list[list[float]]) -> float:
-    """The largest coordinate distance of ``pts[1:]`` from ``pts[0]``,
-    0.0 for the one point of an empty ``x0``.
+def _collapsed(pts: list[list[float]], tol: float) -> bool:
+    """Whether ``max(max(abs(a - b) for a, b in zip(p, pts[0])) for p in
+    pts[1:]) < tol``, returned at the first distance that decides it;
+    ``0.0 < tol`` for the one point of an empty ``x0``.
 
-    Picks what ``max(max(abs(a - b) for a, b in zip(p, pts[0])) for p in
-    pts[1:])`` picks, nans included, without its generators: each maximum
-    starts from its first distance and takes a later one only when that
-    compares greater, so a nan first distance sticks and a later nan is
-    skipped.
+    Each ``max`` starts from its first distance and takes a later one
+    only when that compares greater, so a nan first distance sticks (not
+    collapsed), a later point whose first-coordinate distance is nan is
+    skipped, and any later nan distance is passed over; every other
+    distance must fall below ``tol``.
     """
     best = pts[0]
-    n = len(best)
-    diam = abs(pts[1][0] - best[0]) if n else 0.0
+    if len(pts) == 1:
+        return 0.0 < tol
+    b0 = best[0]
+    first = abs(pts[1][0] - b0)
+    if not first < tol:   # nan or too far
+        return False
     for p in pts[1:]:
-        d = abs(p[0] - best[0])
-        for j in range(1, n):
-            e = abs(p[j] - best[j])
-            if e > d:
-                d = e
-        if d > diam:
-            diam = d
-    return diam
-
-
-def _score(f: Callable, x) -> float:
-    """``f(x)`` as a float, with a failing evaluation or a nan scored
-    +infinity; a ``Warning`` raised under an ``error`` filter propagates."""
-    try:
-        y = float(f(x))
-    except Warning:   # a warning the caller's filter made an error
-        raise
-    except Exception:
-        return math.inf
-    return y if not math.isnan(y) else math.inf
+        d = abs(p[0] - b0)
+        if d != d:   # nan: max of max skips this point
+            continue
+        if d >= tol:
+            return False
+        for a, b in zip(p, best):
+            if abs(a - b) >= tol:
+                return False
+    return True
 
 
 def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
@@ -312,8 +307,11 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  The initial
     simplex offsets each coordinate by 0.1 (flipped downward when that
     would leave the unit box); an empty ``x0`` is a one-point simplex.
-    Stops when the simplex diameter falls below ``diam_tol`` or the
-    evaluation budget is spent; the budget is strict and never overrun.
+    Stops when the simplex diameter (the largest coordinate distance
+    from the best point) falls below ``diam_tol`` or the evaluation
+    budget is spent; the budget is strict and never overrun.  The stop
+    test gives the diameter check's verdict without computing the
+    diameter: it returns at the first distance that decides it.
     ``f`` receives a list of floats; returns (best x as a list of floats,
     best f, evals).  Deterministic for identical inputs; evaluation
     failures and nan values count as +infinity, except a ``Warning``
@@ -324,7 +322,8 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
 
     Plain Python floats throughout, no numpy: the simplex is ordered by a
     stable sort, and the centroid is the sequential sum of the points
-    divided by their count, so each step rounds exactly as the kernel on
+    (a point at a time, by ``map(operator.add, ...)``) divided by their
+    count, so each step rounds exactly as the kernel on
     numpy arrays (``argsort(kind="stable")``, axis-0 ``mean``) does;
     ``tests/test_nelder_mead_parity.py`` compares the two.
     """
@@ -340,9 +339,18 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     evals = 0
 
     def guarded(x: list[float]) -> float:
+        """``f(x)`` as a float, with a failing evaluation or a nan scored
+        +infinity; a ``Warning`` raised under an ``error`` filter
+        propagates."""
         nonlocal evals
         evals += 1
-        return _score(f, x)
+        try:
+            y = float(f(x))
+        except Warning:   # a warning the caller's filter made an error
+            raise
+        except Exception:
+            return math.inf
+        return y if not math.isnan(y) else math.inf
 
     pts = [x0]
     for i in range(n):
@@ -355,13 +363,12 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         order = sorted(range(n + 1), key=vals.__getitem__)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        if _diameter(pts) < diam_tol:
+        if _collapsed(pts, diam_tol):
             break
         best = pts[0]
-        total = list(best)
+        total = best
         for p in pts[1:n]:
-            for j in range(n):
-                total[j] += p[j]
+            total = list(map(add, total, p))
         centroid = [t / n for t in total]
         worst = pts[-1]
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]

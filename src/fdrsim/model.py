@@ -184,8 +184,9 @@ _Terms = tuple[float, float, float, float, float]   # split, a_max, gain, penalt
 def _device_terms(device: Device, coeffs: ModelCoefficients) -> _Terms:
     """The law's per-device terms, built and checked in this order: the
     junction factor ``1 - (a_in / (2 a_branch))^2``, ``a_fg_max = w h``,
-    the gain ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``.  One
-    that leaves no steady state raises ``ValueError``."""
+    the gain ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``, then
+    the nozzles' ``a_ne`` and ``n_nozzles``.  One that leaves no steady
+    state raises ``ValueError``."""
     g = device.geometry
     if g.a_in <= 0.0 or g.a_branch <= 0.0:
         raise ValueError("areas must be positive")
@@ -213,6 +214,11 @@ def _device_terms(device: Device, coeffs: ModelCoefficients) -> _Terms:
     out_area = coeffs.cd_out * g.a_out
     if not 0.0 < out_area < math.inf:
         raise ValueError("cd_out * a_out must be positive and finite")
+    # the row's jet velocity divides by both
+    if g.a_ne <= 0.0:
+        raise ValueError("a_ne must be positive")
+    if g.n_nozzles <= 0:
+        raise ValueError("n_nozzles must be positive")
     return split, a_max, gain, penalty, out_area
 
 

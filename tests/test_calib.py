@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,30 @@ def test_load_measurements_roundtrip(tmp_path):
     assert data.rows[2].p_out == pytest.approx(-26.6e3)
 
 
+@pytest.mark.parametrize("rows, lines", [
+    ("1,2\n1,3\n", (2, 3)),
+    # an exact repeat collapses; a blank flow skips its row but counts a
+    # line; the conflict names the flow's first line
+    ("1,2\n2,5\n1,2\n,\n1,3\n", (2, 6)),
+], ids=["adjacent", "after-a-repeat-and-a-blank-row"])
+def test_load_measurements_names_both_lines_of_a_repeated_flow(tmp_path,
+                                                               rows, lines):
+    path = tmp_path / "dup.csv"
+    path.write_text("q_in_lpm,p_in_kpa\n" + rows, encoding="utf-8")
+    first, second = lines
+    message = (f"measurements {path} lines {first} and {second}: "
+               "q_in values must be distinct")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_measurements(path)
+
+
+def test_load_measurements_collapses_an_exact_repeat(tmp_path):
+    path = tmp_path / "repeat.csv"
+    path.write_text("q_in_lpm,p_in_kpa\n1,2\n2,5\n1,2\n",
+                    encoding="utf-8")
+    assert len(load_measurements(path).rows) == 2
+
+
 def test_load_measurements_requires_flow_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("flow,p_in_kpa\n1,2\n", encoding="utf-8")
@@ -128,6 +153,31 @@ def test_fit_clamps_negative_linear_term():
     expected_c2 = float(np.sum(qs ** 2 * (1.0e10 * qs ** 2 - 100.0))
                         / np.sum(qs ** 4))
     assert c2 == pytest.approx(expected_c2, rel=1e-6)
+
+
+def test_fit_clamp_branch_follows_the_exact_sign():
+    # fuzz-found: the numerator of the unconstrained c2 is negative, but
+    # it rounds to zero, so the nonnegative optimum zeroes c2 and refits
+    # c1 alone (the float sign kept the unconstrained c1)
+    pairs = (("0x1.2918b66895a40p-13", "0x1.7e6bbfdb1b348p+13"),
+             ("0x1.facfcdc177bd6p-12", "0x1.462eba3ae27f9p+15"))
+    rows = tuple(MeasurementRow(q_in=float.fromhex(q), p_in=float.fromhex(p))
+                 for q, p in pairs)
+    q = [r.q_in for r in rows]
+    y = [r.p_in for r in rows]
+    a00 = math.fsum(x * x for x in q)
+    a01 = math.fsum(x * x * x for x in q)
+    b0 = math.fsum(x * v for x, v in zip(q, y))
+    b1 = math.fsum(x * x * v for x, v in zip(q, y))
+    assert a00 * b1 - a01 * b0 == 0.0
+    exact_c1, exact_c2 = _exact_least_squares(rows)
+    assert exact_c2 < 0 < exact_c1
+    (c1, c2), _ = fit_input_pressure(MeasurementSet(rows=rows))
+    assert c2 == 0.0
+    assert c1 == b0 / a00
+    refit = sum(Fraction(x) * Fraction(v) for x, v in zip(q, y)) \
+        / sum(Fraction(x) ** 2 for x in q)
+    assert abs(Fraction(c1) - refit) <= Fraction(1e-15) * refit
 
 
 def test_fit_needs_two_informative_rows():

@@ -16,7 +16,7 @@ import math
 import warnings
 from typing import Callable, Mapping, Sequence
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdrsim import (
     CATALOG_TYPE_IDS,
@@ -35,7 +35,7 @@ from fdrsim import (
     validate_geometry,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.engine import _diameter
+from fdrsim.engine import _collapsed
 
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      database=None)
@@ -350,18 +350,33 @@ def test_search_matches_the_search_before_bit_for_bit(search):
 # ``max`` of ``max`` keeps a nan that comes first and skips a later one.
 _COORDINATE = st.one_of(st.floats(), st.sampled_from(
     [math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0]))
+_TOLERANCES = (0.0, -1.0, 1.0e-9, 1.0e-6, 0.5, math.inf)
 
 
 @st.composite
 def simplices(draw):
-    n = draw(st.integers(1, 4))
+    # n = 0 is the one point of an empty x0
+    n = draw(st.integers(0, 4))
     point = st.lists(_COORDINATE, min_size=n, max_size=n)
     return [draw(point) for _ in range(n + 1)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(simplices())
-def test_diameter_picks_what_max_of_max_picked(pts):
+def old_stop(pts: list[list[float]], tol: float) -> bool:
+    """The stop test before: the whole diameter, then one comparison."""
     best = pts[0]
-    old = max(max(abs(a - b) for a, b in zip(p, best)) for p in pts[1:])
-    assert _bits(_diameter(pts)) == _bits(old)
+    diam = (max(max(abs(a - b) for a, b in zip(p, best)) for p in pts[1:])
+            if best else 0.0)
+    return diam < tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(simplices(), st.sampled_from(_TOLERANCES))
+# a later point with a nan first distance is skipped, with its far
+# coordinates; a later nan distance is passed over
+@example([[0.0, 0.0], [0.0, 0.0], [math.nan, 1.0]], 0.5)
+@example([[0.0, 0.0], [0.25, math.nan], [math.nan, math.inf]], 0.5)
+# inf - inf: a nan first distance is never collapsed
+@example([[math.inf, 0.0], [math.inf, 0.0]], math.inf)
+@example([[]], 0.0)
+def test_diameter_picks_what_max_of_max_picked(pts, tol):
+    assert _collapsed(pts, tol) is old_stop(pts, tol)

@@ -54,6 +54,14 @@ CASES = {
                               "--bounds-w-mm", "6:10",
                               "--bounds-ane-mm2", "0.32:0.48",
                               "--at-qin-lpm", "25", "--max-evals", "40"],
+    # all four dimensions free at the default 400-evaluation budget, which
+    # this search spends
+    "optimize_suction_4d.json": ["optimize", "--objective", "suction",
+                                 "--bounds-w-mm", "6:10",
+                                 "--bounds-t-mm", "0.4:0.6",
+                                 "--bounds-h-mm", "1.8:2.0",
+                                 "--bounds-ane-mm2", "0.32:0.48",
+                                 "--at-qin-lpm", "20"],
     "optimize_blowing.json": ["optimize", "--objective", "blowing",
                               "--bounds-t-mm", "0.4:0.6",
                               "--at-qin-lpm", "10", "--max-evals", "40"],

@@ -551,12 +551,19 @@ def _set_up(coeffs=None, gate=None, **geometry):
     (_set_up(channel_width_ref=0.0), "w_ref must be positive"),
     (_set_up({"cd_out": 1.0e-300}, a_out=1.0e-300),
      "cd_out * a_out must be positive and finite"),
+    (_set_up(a_ne=0.0), "a_ne must be positive"),
+    (_set_up(a_ne=-0.4e-6), "a_ne must be positive"),
+    (_set_up(n_nozzles=0), "n_nozzles must be positive"),
     (_set_up(a_ex=0.0, channel_width_ref=0.0), "a_ex must be positive"),
     (_set_up({"cd_out": 1.0e-300}, a_branch=1.0e-300, a_out=1.0e-300),
      _NOT_FINITE),
+    (_set_up({"cd_out": 1.0e-300}, a_out=1.0e-300, a_ne=0.0),
+     "cd_out * a_out must be positive and finite"),
+    (_set_up(a_ne=0.0, n_nozzles=0), "a_ne must be positive"),
 ], ids=["areas", "split", "a_fg_max", "gate-dimensions", "stiffness", "gain",
-        "a_ex", "w_ref", "out_area", "a_ex-before-w_ref",
-        "split-before-out_area"])
+        "a_ex", "w_ref", "out_area", "a_ne", "negative-a_ne", "n_nozzles",
+        "a_ex-before-w_ref", "split-before-out_area", "out_area-before-a_ne",
+        "a_ne-before-n_nozzles"])
 def test_set_up_checks_report_in_order(case, message):
     device, coeffs = case
     exact = f"^{re.escape(message)}$"
