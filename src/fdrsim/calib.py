@@ -113,9 +113,11 @@ def builtin_calibration_points() -> MeasurementSet:
 def load_measurements(path: str | Path) -> MeasurementSet:
     """Read a measurement CSV (display units) into an SI MeasurementSet.
 
-    A bad cell, or a flow given twice with different readings, raises
-    ``ValueError`` naming the file and line; an exact repeat of a row
-    collapses into it."""
+    A bad cell, a row with more cells than the header (a decimal comma
+    splits one reading in two), or a flow given twice with different
+    readings raises ``ValueError`` naming the file and line; a row with
+    fewer cells leaves the optional columns empty, and an exact repeat
+    of a row collapses into it."""
     path = Path(path)
     rows: list[MeasurementRow] = []
     seen: dict[float, tuple[MeasurementRow, int]] = {}   # q_in -> row, line
@@ -125,6 +127,13 @@ def load_measurements(path: str | Path) -> MeasurementSet:
         if reader.fieldnames is None or q_column not in reader.fieldnames:
             raise FitError(f"{path}: missing required column {q_column}")
         for record in reader:
+            # ``DictReader`` files the cells past the header under None
+            extra = record.get(None)
+            if extra is not None:
+                raise ValueError(
+                    f"measurements {path} line {reader.line_num}: "
+                    f"{len(reader.fieldnames) + len(extra)} cells, but the "
+                    f"header has {len(reader.fieldnames)}")
             cells = {name: (record.get(unit.key(name)) or "").strip()
                      for name, unit in _MEASUREMENT_UNITS.items()}
             if cells["q_in"]:

@@ -11,11 +11,14 @@ Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
 sweep reports the switching point, where the output pressure crosses
 zero (blowing to suction), refined by bisection between the bracketing
-grid points.  The optimizer's switching objective computes the grid only
-up to that first bracket: later rows cannot move the answer, and they
-are skipped only when ``model._no_row_fails`` shows that none of them
-could fail, so a candidate scores exactly what its sweep reports,
-failure included.
+grid points.  The optimizer's switching objective does not compute the
+whole grid.  When the device's junction cannot reclose the gate
+(``a_in <= 2 a_branch``), the signs along its grid run blowing, then
+suction, and it finds the bracket by bisection over the row indices;
+otherwise it scans the rows up to the first bracket.  Rows it skips
+cannot move the answer, and they are skipped only when
+``model._no_row_fails`` shows that none of them could fail, so a
+candidate scores exactly what its sweep reports, failure included.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -190,7 +193,10 @@ def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
                  ) -> float | None:
     """The flow where ``p_out`` first changes sign along the grid (exact
     zeros skipped), refined by bisection; ``None`` if it never does.
-    Reads ``p_outs`` only up to that first bracket."""
+    Reads ``p_outs`` only up to that first bracket.  A linear scan, so it
+    holds for any sign pattern; :func:`_bisected_switching_q` finds the
+    same bracket in fewer rows where the signs run nonnegative, then
+    negative."""
     last_sign = last_q = last_p = 0.0
     for q, p_out in zip(qs, p_outs):
         sign = 0.0 if p_out == 0.0 else math.copysign(1.0, p_out)
@@ -200,6 +206,49 @@ def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
             last_sign = sign
             last_q = q
             last_p = p_out
+    return None
+
+
+def _bisected_switching_q(qs: Sequence[float], law: _Law) -> float | None:
+    """:func:`_switching_q` over ``law``'s rows at ``qs``, when their
+    ``p_out`` signs run nonnegative, then negative: the first negative
+    row is found by bisection over the row indices, each row read at
+    most once, and the bracket's low end is the nearest row below it
+    whose ``p_out`` is not an exact zero; ``None`` if there is none, or
+    no row is negative.
+
+    That order holds on the grid 0, 1, .., 30 L/min whenever ``a_in <= 2
+    a_branch``, so that the junction factor ``split`` is at least 0 and
+    the chamber pressure, and with it the open fraction ``s``, never
+    falls as the flow grows.  A row below the cracking pressure has ``s =
+    0`` and ``p_out = p_blow >= 0``.  Above it, ``p_out = q^2 ((1-s)^3 A
+    - s min(1, s r) B)`` with ``A = rho/2 / (cd_out a_out)^2``, ``B = eta
+    rho/2 / (n_nozzles a_ne)^2 penalty(w)`` and ``r = a_fg_max / a_ex``,
+    so its sign falls strictly in ``s``; on a 1 L/min grid adjacent open
+    rows differ in ``ln s`` by at least ``ln(30/29)``, about 3.4%, far
+    above the rounding of either term.  A saturated gate
+    gives ``1 - s = 0`` exactly, so ``p_out = -p_suck <= 0``.  A
+    reclosing junction (``split < 0``) can turn the signs back, and a
+    user's grid can be fine enough to void the margin: those keep the
+    scan.
+    """
+    p_outs: dict[int, float] = {}
+    lo, hi = 0, len(qs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p_outs[mid] = p_out = law(qs[mid])[3]
+        if p_out < 0.0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(qs):
+        return None
+    for below in range(lo - 1, -1, -1):
+        p_out = p_outs.get(below)
+        if p_out is None:
+            p_out = law(qs[below])[3]
+        if p_out != 0.0:
+            return _refine_switching(law, qs[below], qs[lo], p_out)
     return None
 
 
@@ -538,11 +587,15 @@ def switching_objective(coeffs: ModelCoefficients, *,
     The value is the one ``sweep`` reports over the grid 0, 1, .., 30
     L/min, found without building its states.
 
-    One lazy scan reads the grid up to the first sign change: later rows
-    cannot move the bracket or its bisection, only fail, as ``sweep``
-    would with :class:`SweepError`.  Unless ``model._no_row_fails``
-    proves that no flow up to the grid's top fails, every row runs first,
-    so the first failing one raises that error before the scan.
+    The bracket of the first sign change is found without reading every
+    row: by bisection over the row indices
+    (:func:`_bisected_switching_q`) when ``a_in <= 2 a_branch``, so the
+    junction cannot reclose the gate, and otherwise by a lazy scan up to
+    that bracket.  Rows left unread cannot move the bracket or its
+    bisection, only fail, as ``sweep`` would with :class:`SweepError`.
+    Unless ``model._no_row_fails`` proves that no flow up to the grid's
+    top fails, every row runs first, so the first failing one raises
+    that error before the search.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
@@ -554,7 +607,11 @@ def switching_objective(coeffs: ModelCoefficients, *,
         if not _no_row_fails(law, candidate, coeffs, q_top):
             _ramp(law, qs)
         _warn_if_sonic(q_top, candidate)
-        switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
+        g = candidate.geometry
+        if g.a_in <= 2.0 * g.a_branch:
+            switching_q = _bisected_switching_q(qs, law)
+        else:
+            switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
         if switching_q is None:
             return _NO_SWITCHING_VALUE
         switching_p_in = input_pressure(switching_q, coeffs)

@@ -111,6 +111,33 @@ def test_load_measurements_collapses_an_exact_repeat(tmp_path):
     assert len(load_measurements(path).rows) == 2
 
 
+@pytest.mark.parametrize("rows, line", [
+    # decimal commas: each reading splits into two cells
+    ("5,5,4\n10,13,5\n15,21,1\n", 2),
+    ("5,5.4\n10,13.5\n15,21,1\n", 4),
+    # a blank flow does not excuse an extra cell
+    ("5,5.4\n,,\n", 3),
+], ids=["decimal-commas", "third-row", "blank-flow"])
+def test_load_measurements_rejects_a_row_longer_than_the_header(tmp_path,
+                                                               rows, line):
+    path = tmp_path / "long.csv"
+    path.write_text("q_in_lpm,p_in_kpa\n" + rows, encoding="utf-8")
+    message = (f"measurements {path} line {line}: 3 cells, but the header "
+               "has 2")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_measurements(path)
+
+
+def test_load_measurements_reads_a_row_shorter_than_the_header(tmp_path):
+    # optional columns may be left off the end of a row
+    path = tmp_path / "short.csv"
+    path.write_text("q_in_lpm,p_in_kpa,p_out_kpa\n5,5.4\n10\n",
+                    encoding="utf-8")
+    data = load_measurements(path)
+    assert [(r.q_in, r.p_in, r.p_out) for r in data.rows] == [
+        (5.0 * M3S_PER_LPM, 5.4e3, None), (10.0 * M3S_PER_LPM, None, None)]
+
+
 def test_load_measurements_requires_flow_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("flow,p_in_kpa\n1,2\n", encoding="utf-8")

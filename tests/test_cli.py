@@ -183,7 +183,9 @@ def test_calibrate_malformed_data_exit_fit(tmp_path):
     ("1,abc\n", 2, "could not convert string to float: 'abc'"),
     ("1,2\n,\n3,nan\n", 4, "p_in must be finite"),
     ("1,2\n-1,3\n", 3, "q_in must be nonnegative"),
-], ids=["not-a-number", "nan-after-a-blank-row", "negative-flow"])
+    ("1,2\n5,5,4\n", 3, "3 cells, but the header has 2"),
+], ids=["not-a-number", "nan-after-a-blank-row", "negative-flow",
+        "decimal-comma"])
 def test_calibrate_bad_measurement_cell_names_its_line(tmp_path, capsys,
                                                       rows, line, message):
     # a bad cell is a configuration error that names the file and the
@@ -1181,12 +1183,16 @@ def test_jet_warning_follows_the_callers_filters(tmp_path, capsys):
     # an error filter (``python -W error``) makes the warning a solver
     # failure: exit 3, one line, nothing printed or written.  The
     # optimizer's guards pass it on instead of scoring +inf, in a search
-    # and in a zero-volume box alike.
+    # and in a zero-volume box alike, for the suction and the switching
+    # objective (whose jet is sonic at the grid's top).
     out = tmp_path / "o.json"
     suction = ["optimize", "--objective", "suction", "--at-qin-lpm", "25",
                "--out", str(out)]
+    switching = ["optimize", "--objective", "switching", "--out", str(out)]
     for argv in (_SONIC_SIMULATE, [*suction, "--bounds-w-mm", "6:10"],
-                 [*suction, "--bounds-w-mm", "8:8"]):
+                 [*suction, "--bounds-w-mm", "8:8"],
+                 [*switching, "--bounds-h-mm", "1.8:2.0"],
+                 [*switching, "--bounds-h-mm", "1.9:1.9"]):
         for category in (SupersonicJetWarning, Warning):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", category)

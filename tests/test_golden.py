@@ -20,6 +20,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _DEVICE = str(GOLDEN / "device.json")
 _SHUT = str(GOLDEN / "shut_coeffs.json")
 _DATA = str(GOLDEN / "measurements.csv")
+# a branch narrow enough that the junction can close the gate again
+_RECLOSING = str(GOLDEN / "device_reclosing.json")
 
 # output file name -> argv (without --out)
 CASES = {
@@ -77,6 +79,12 @@ CASES = {
                                        "--bounds-w-mm", "8:11",
                                        "--bounds-h-mm", "1.6:2.0",
                                        "--max-evals", "40"],
+    # the switching search on a reclosing junction, which scans its rows
+    "optimize_switching_reclosing.json": ["optimize", "--config", _RECLOSING,
+                                          "--objective", "switching",
+                                          "--bounds-w-mm", "6:10",
+                                          "--bounds-h-mm", "1.8:2.0",
+                                          "--max-evals", "40"],
     "calibrate_input.json": ["calibrate", "--data", "builtin",
                              "--fit", "input"],
     "calibrate_input_csv.json": ["calibrate", "--data", _DATA,

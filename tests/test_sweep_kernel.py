@@ -398,15 +398,28 @@ def test_switching_objective_equals_sweep_on_tiny_nozzles(device, coeffs,
 
 
 def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
-    # type B first changes sign between 13 and 14 L/min: the objective
-    # runs the law once at the grid's top (the no-failure check), on rows
-    # 0..14 and on the bisection inside that bracket, and no further row
+    # after the no-failure check at the grid's top, a junction that cannot
+    # reclose the gate has its first negative row found by bisection over
+    # the row indices; a reclosing one is scanned row by row, up to the
+    # first bracket.  Either way the bracket's bisection follows.
     qs = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)
     b = catalog_device("B")
-    law = _point_law(b, DEFAULT_COEFFS)
-    bisection = []
-    engine._refine_switching(lambda q: bisection.append(q) or law(q),
-                             qs[13], qs[14], law(qs[13])[3])
+    # type B with a narrow branch: the same switch between 13 and 14 L/min
+    reclosing_b = _with_geometry(b, split_design_rule=False, a_branch=1.6e-6)
+
+    def bisection(device):
+        law = _point_law(device, DEFAULT_COEFFS)
+        calls = []
+        engine._refine_switching(lambda q: calls.append(q) or law(q),
+                                 qs[13], qs[14], law(qs[13])[3])
+        return calls
+
+    expected = {
+        b: [qs[-1], *(qs[i] for i in (15, 7, 11, 13, 14)), *bisection(b)],
+        reclosing_b: [qs[-1], *qs[:15], *bisection(reclosing_b)],
+        # a reclosing junction that never switches reads every row
+        _RECLOSING: [qs[-1], *qs],
+    }
     calls = []
 
     def counted(device, coeffs):
@@ -416,12 +429,15 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
     monkeypatch.setattr(engine, "_point_law", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
-        switching_objective(DEFAULT_COEFFS)(b)
-        assert calls == [qs[-1], *qs[:15], *bisection]
-        # a device that never switches still reads every row
+        for device, sequence in expected.items():
+            calls.clear()
+            switching_objective(DEFAULT_COEFFS)(device)
+            assert calls == sequence
+        # a gate that never opens: no row is negative, and the bisection
+        # reads rows 15, 23, 27, 29 and 30 to show it
         calls.clear()
         switching_objective(_SHUT)(b)
-        assert calls == [qs[-1], *qs]
+        assert calls == [qs[-1], *(qs[i] for i in (15, 23, 27, 29, 30))]
 
 
 # --- the device's terms -------------------------------------------------------
@@ -524,6 +540,46 @@ def test_guard_verdict_equals_frozen_guard(device, coeffs):
     law = _point_law(device, coeffs)
     assert (_no_row_fails(law, device, coeffs, q_top)
             == _frozen_no_row_fails(law, device, coeffs, q_top))
+
+
+# type B with a junction factor of exactly 0 (a_in == 2 a_branch), and
+# one just below 0, whose gate can reclose
+_EVEN_SPLIT = _with_geometry(catalog_device("B"), split_design_rule=False,
+                             a_in=3.3e-6, a_branch=3.3e-6 / 2)
+_UNEVEN_SPLIT = _with_geometry(catalog_device("B"), split_design_rule=False,
+                               a_in=3.3e-6,
+                               a_branch=math.nextafter(3.3e-6 / 2, 0.0))
+# a narrow branch whose p_out signs run 0 + + - - + ..: the scan's
+# switch at 2.94 L/min is the first sign change, not the last
+_SIGN_RETURNS = (
+    _with_geometry(catalog_device("B"), split_design_rule=False,
+                   a_branch=2.0821514124925612e-07),
+    dataclasses.replace(DEFAULT_COEFFS, c1=115051141.55762504,
+                        c2=74233762471.7731, k0=3.2645887147227662e-09,
+                        p_c=2686.657460029258))
+
+
+@_PROPERTY
+@given(guard_devices(), guard_coefficients(),
+       st.one_of(st.none(), st.floats(-5.0e4, 5.0e4)))
+@example(_EVEN_SPLIT, DEFAULT_COEFFS, None)
+@example(_UNEVEN_SPLIT, DEFAULT_COEFFS, None)
+@example(*_SIGN_RETURNS, None)
+# no cracking pressure and a stiff gain: negative from row 1 on, after
+# row 0's exact zero, so the device never switches
+@example(catalog_device("B"),
+         dataclasses.replace(DEFAULT_COEFFS, p_c=0.0, k0=1.0e-6), None)
+# a suction term that underflows to 0: blowing rows, then saturated rows
+# of exactly 0, and no switch
+@example(catalog_device("C"),
+         dataclasses.replace(DEFAULT_COEFFS, eta=1.0e-300, c_recirc=1.0e300,
+                             k0=1.0e-6), None)
+def test_switching_objective_equals_sweep_on_guard_devices(device, coeffs,
+                                                           target):
+    # areas and coefficients over hundreds of decades: the bisection over
+    # the grid's rows and the scan it falls back to score what the sweep
+    # reports
+    _assert_objective_equals_sweep(device, coeffs, target)
 
 
 def _set_up(coeffs=None, gate=None, **geometry):
