@@ -6,7 +6,10 @@ specs (name, ``_units.Unit``, SI getter) written by one CSV and one JSON
 writer; config keys take their names and scales from the same units.
 Numeric CSV fields carry 9 significant digits, a missing value reads
 ``none`` (JSON ``null``), files end in a newline and comment lines start
-with ``#``, so identical invocations produce byte-identical files.
+with ``#``, so identical invocations produce byte-identical files.  An
+existing ``--out`` file is written over in place and cut to length, so it
+keeps its inode, mode and links, and a symlink writes its target; the
+write is not atomic.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
@@ -29,7 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import asdict, fields, replace
@@ -66,8 +71,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s flags without ``O_TRUNC``, and ``FileIO``'s mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    # Written over from offset 0, then cut to length, not opened with
+    # O_TRUNC: a rerun writes over its own earlier output, and truncating
+    # a file that holds data frees its blocks only for the write to
+    # allocate them again (ext4 also starts writeback at close).  Bytes,
+    # inode, mode and links end as after a truncating open.  Only a
+    # regular file is cut: ftruncate fails on a device or FIFO
+    # (``--out /dev/null``), which holds no old bytes anyway.
+    data = text.encode("utf-8")
+    with open(Path(path), "wb", opener=_open_in_place) as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate(len(data))
 
 
 # --- output columns -----------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, index
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
@@ -368,6 +368,8 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
 
     ``diam_tol`` must not be nan (``ValueError``): the simplex could
     never converge, and the search would spend its whole budget.
+    ``max_evals`` must be an integer (``ValueError``): a nan budget ends
+    the search after the initial simplex, an infinite one may never end.
 
     Plain Python floats throughout, no numpy: the simplex is ordered by a
     stable sort, and the centroid is the sequential sum of the points
@@ -382,6 +384,11 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         raise ValueError("x0 must be finite")
     if math.isnan(diam_tol):
         raise ValueError("diam_tol must not be nan")
+    try:
+        max_evals = index(max_evals)
+    except TypeError:
+        raise ValueError(f"max_evals must be an integer, got {max_evals!r}"
+                         ) from None
     if max_evals < n + 1:
         raise ValueError("max_evals too small for the initial simplex")
 

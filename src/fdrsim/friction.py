@@ -61,12 +61,15 @@ def effective_normal(weight_load: float, p_out: float, a_eff: float) -> float:
     """Normal force [N] carried by the contact under port pressure.
 
     Suction adds (-p_out) a_eff, blowing subtracts; clamped at zero when
-    blowing lifts the pad off.
+    blowing lifts the pad off.  A non-finite ``p_out`` raises
+    ``ValueError``: the clamp would read a nan pressure as liftoff.
     """
     if not 0.0 <= weight_load < math.inf:
         raise ValueError("weight_load must be nonnegative and finite")
     if not 0.0 < a_eff < math.inf:
         raise ValueError("a_eff must be positive and finite")
+    if not math.isfinite(p_out):
+        raise ValueError("p_out must be finite")
     return max(0.0, weight_load + (-p_out) * a_eff)
 
 

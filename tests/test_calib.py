@@ -410,6 +410,17 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
                                             k0=trial.k0, p_c=trial.p_c)
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
+def test_fit_closures_rejects_a_budget_that_is_not_an_integer(monkeypatch,
+                                                              budget):
+    trials = []
+    monkeypatch.setattr(calib, "_point_law",
+                        lambda device, coeffs: trials.append(coeffs))
+    with pytest.raises(ValueError, match="^max_evals must be an integer"):
+        fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=budget)
+    assert trials == []
+
+
 def test_fit_closures_requires_output_rows():
     data = builtin_calibration_points()  # supply-side only
     with pytest.raises(FitError):

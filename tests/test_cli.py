@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import warnings
 from pathlib import Path
@@ -87,6 +88,83 @@ def test_sweep_reruns_byte_identical(tmp_path):
     assert main(args + ["--out", str(second)]) == 0
     assert main(args + ["--out", str(third)]) == 0
     assert first.read_bytes() == second.read_bytes() == third.read_bytes()
+
+
+# every command that writes an --out file, on inputs that warn of nothing
+_OUT_COMMANDS = {
+    "sweep": ["sweep", "--type", "B", "--qin-end-lpm", "10",
+              "--step-lpm", "0.5"],
+    "compare": ["compare", "--types", "A,B", "--qin-end-lpm", "10",
+                "--step-lpm", "0.5"],
+    "optimize": ["optimize", "--objective", "suction", "--bounds-w-mm",
+                 "6:10", "--at-qin-lpm", "10", "--max-evals", "20"],
+    "calibrate": ["calibrate", "--data", "builtin", "--fit", "input"],
+    "friction": ["friction", "--weight-n", "1", "--qin-lpm", "5,10"],
+}
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
+def test_out_is_rewritten_in_place(tmp_path, argv):
+    # the file is written over, not truncated first: a longer old file
+    # leaves no stale tail, and the inode, mode and links stay
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~_umask()
+    expected = fresh.read_bytes()
+    junk = b"junk \xff\n" * 50_000      # 300 KB, longer than any output
+    old = tmp_path / "old"
+    old.write_bytes(junk)
+    old.chmod(0o600)
+    inode = old.stat().st_ino
+    target = tmp_path / "target"
+    target.write_bytes(junk)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    for out in (old, old, link):
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+    assert (old.stat().st_ino, old.stat().st_mode & 0o777) == (inode, 0o600)
+    assert link.is_symlink() and target.read_bytes() == expected
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null")
+@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
+def test_out_to_dev_null(capsys, argv):
+    # a device cannot be truncated, and has no old bytes to cut
+    assert main([*argv, "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("out, err", [
+    ("adir", "error: [Errno 21] Is a directory: 'adir'\n"),
+    ("nodir/x.csv", "error: [Errno 2] No such file or directory: "
+                    "'nodir/x.csv'\n"),
+    ("nodir//x.csv", "error: [Errno 2] No such file or directory: "
+                     "'nodir/x.csv'\n"),
+], ids=["directory", "missing-parent", "double-slash"])
+@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
+def test_unwritable_out_exit_config(tmp_path, monkeypatch, capsys, argv, out,
+                                    err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
+def test_out_trailing_slash_names_the_file(tmp_path, monkeypatch, argv):
+    # the path is read as pathlib reads it: "a.csv/" is the file a.csv
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "a.csv/"]) == 0
+    assert main([*argv, "--out", "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv"
+                                                 ).read_bytes()
 
 
 def test_sweep_si_columns(tmp_path):

@@ -327,6 +327,16 @@ def test_nelder_mead_rejects_degenerate_step_or_tolerance(kwargs):
     assert calls == []
 
 
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
+def test_nelder_mead_rejects_a_budget_that_is_not_an_integer(budget):
+    # nan ended the search after the initial simplex, inf could search
+    # forever on a simplex that never collapses
+    calls = []
+    with pytest.raises(ValueError, match="^max_evals must be an integer"):
+        nelder_mead(lambda x: calls.append(x) or 0.0, [0.5], max_evals=budget)
+    assert calls == []
+
+
 def test_nelder_mead_empty_start_evaluates_once():
     # zero coordinates make a one-point simplex of diameter 0
     calls = []
@@ -383,6 +393,15 @@ def test_optimize_degenerate_box_checks_budget_as_any_box():
     # a budget that ends with the simplex has not converged
     res = optimize_geometry(objective, box, _B, max_evals=1)
     assert (len(calls), res.evaluations, res.converged) == (1, 1, False)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
+def test_optimize_rejects_a_budget_that_is_not_an_integer(budget):
+    calls = []
+    with pytest.raises(ValueError, match="^max_evals must be an integer"):
+        optimize_geometry(lambda d: calls.append(d) or 1.0,
+                          {"h": (1.8e-3, 2.0e-3)}, _B, max_evals=budget)
+    assert calls == []
 
 
 def test_optimize_degenerate_box_scores_nan_as_infinite():

@@ -62,6 +62,17 @@ def test_prediction_validation():
         FrictionPrediction(mu_s=-0.1, mu_k=0.1, n_eff=0.0)
 
 
+@pytest.mark.parametrize("p_out", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_port_pressure_is_rejected(p_out):
+    # max(0.0, nan) is 0.0: unchecked, a nan or +inf pressure would read
+    # as a lifted pad with zero coefficients
+    with pytest.raises(ValueError, match="^p_out must be finite$"):
+        effective_normal(1.0, p_out, 1.0e-4)
+    with pytest.raises(ValueError, match="^p_out must be finite$"):
+        predict_coefficients(0.5, 0.4, 1.0, p_out, 1.0e-4)
+
+
 def test_prediction_monotone_in_pressure():
     ps = np.linspace(-20.0e3, 5.0e3, 60)
     mus = [predict_coefficients(0.5, 0.4, 0.981, p, 1.0e-4).mu_s for p in ps]
