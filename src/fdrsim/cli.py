@@ -13,7 +13,10 @@ write is not atomic.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
-would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error.
+would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error,
+and so is a flag the command would ignore: ``--target-p-in-kpa`` outside
+the switching objective, ``--at-qin-lpm`` in it, and ``--max-evals`` with
+``calibrate --fit input``.
 A ``SupersonicJetWarning`` reaches stderr as one ``warning: <message>``
 line per distinct message and call; under an ``error`` warning filter
 (``python -W error``, ``PYTHONWARNINGS=error``) it is a solver failure
@@ -83,9 +86,11 @@ def _write_text(path: str, text: str) -> None:
     # allocate them again (ext4 also starts writeback at close).  Bytes,
     # inode, mode and links end as after a truncating open.  Only a
     # regular file is cut: ftruncate fails on a device or FIFO
-    # (``--out /dev/null``), which holds no old bytes anyway.
+    # (``--out /dev/null``), which holds no old bytes anyway.  The path is
+    # opened as given: ``pathlib.Path`` would drop a trailing slash, and
+    # ``results/`` would write a file named ``results``.
     data = text.encode("utf-8")
-    with open(Path(path), "wb", opener=_open_in_place) as f:
+    with open(path, "wb", opener=_open_in_place) as f:
         f.write(data)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f.truncate(len(data))
@@ -348,6 +353,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.fit == "input" and args.max_evals is not None:
+        raise ValueError("--max-evals applies only to --fit closures")
     if args.data == "builtin":
         data = calib.builtin_calibration_points()
     else:
@@ -357,8 +364,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.fit == "input":
         (_, report) = calib.fit_input_pressure(data)
     else:
-        (_, report) = calib.fit_closures(data, device, start=start,
-                                         max_evals=args.max_evals)
+        (_, report) = calib.fit_closures(
+            data, device, start=start,
+            max_evals=400 if args.max_evals is None else args.max_evals)
     _write_text(args.out, _json_text(asdict(report)))
     return 0
 
@@ -375,15 +383,23 @@ def _parse_bounds(text: str, unit: Unit, flag: str) -> tuple[float, float]:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
-    q_star = FLOW.to_si(args.at_qin_lpm)
     if args.objective == "switching":
+        if args.at_qin_lpm is not None:
+            raise ValueError("--at-qin-lpm applies only to --objective "
+                             "suction or blowing")
         target = (PRESSURE.to_si(args.target_p_in_kpa)
                   if args.target_p_in_kpa is not None else None)
         objective = engine.switching_objective(coeffs, target_p_in=target)
-    elif args.objective == "suction":
-        objective = engine.suction_objective(coeffs, q_star)
     else:
-        objective = engine.blowing_objective(coeffs, q_star)
+        if args.target_p_in_kpa is not None:
+            raise ValueError("--target-p-in-kpa applies only to "
+                             "--objective switching")
+        q_star = FLOW.to_si(30.0 if args.at_qin_lpm is None
+                            else args.at_qin_lpm)
+        if args.objective == "suction":
+            objective = engine.suction_objective(coeffs, q_star)
+        else:
+            objective = engine.blowing_objective(coeffs, q_star)
 
     bounds: dict[str, tuple[float, float]] = {}
     flags = []
@@ -496,7 +512,10 @@ def _calibrate_flags(sub: argparse.ArgumentParser) -> None:
                           "p_out_kpa,a_fg_mm2)")
     sub.add_argument("--fit", choices=("input", "closures"), default="input",
                      help="which coefficients to fit (default input)")
-    sub.add_argument("--max-evals", type=int, default=400,
+    # default None, not 400, so that a given budget, 400 included, is told
+    # from none (see ``--type``): ``--fit input`` rejects one, as it would
+    # ignore it, and the closures fit takes 400 for None
+    sub.add_argument("--max-evals", type=int, default=None,
                      help="evaluation budget for the closures fit "
                           "(default 400)")
     sub.add_argument("--out", required=True, metavar="PATH",
@@ -514,7 +533,10 @@ def _optimize_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--target-p-in-kpa", type=float, default=None,
                      help="switching-pressure target in kPa "
                           "(omit to minimize it)")
-    sub.add_argument("--at-qin-lpm", type=float, default=30.0,
+    # default None, not 30, so that a given flow, 30 included, is told from
+    # none (see ``--type``): the switching objective rejects one, as it
+    # would ignore it, and suction and blowing take 30 for None
+    sub.add_argument("--at-qin-lpm", type=float, default=None,
                      help="flow in L/min for suction/blowing objectives "
                           "(default 30)")
     sub.add_argument("--bounds-w-mm", metavar="LO:HI", default=None,

@@ -176,12 +176,14 @@ def with_gate(device: Device, *, w: float | None = None, t: float | None = None,
               h: float | None = None, a_ne: float | None = None) -> Device:
     """Copy of ``device`` with selected gate/nozzle dimensions replaced.
 
-    The optimizer calls this once per candidate, so each of the three
-    frozen instances is made with ``object.__new__`` and its ``__dict__``
-    filled directly: the template's fields, then the replaced ones, at
-    under half the keyword constructors' cost.  That skips nothing only
-    because ``FlapGateGeometry``, ``DeviceGeometry`` and ``Device`` have
-    no ``__post_init__``.  The copy has no ``type_id``.
+    The optimizer calls this once per candidate of an objective it cannot
+    bind to its template (any callable but the engine's own objectives),
+    so each of the three frozen instances is made with ``object.__new__``
+    and its ``__dict__`` filled directly: the template's fields, then the
+    replaced ones, at under half the keyword constructors' cost.  That
+    skips nothing only because ``FlapGateGeometry``, ``DeviceGeometry``
+    and ``Device`` have no ``__post_init__``.  The copy has no
+    ``type_id``.
     """
     template = device.geometry
     gate = object.__new__(FlapGateGeometry)

@@ -24,7 +24,11 @@ Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
 (w, t, h, a_ne), with out-of-box candidates evaluated at their clipped
 projection plus a dominating penalty.  The kernel and the box mapping
-work on plain Python floats too.
+work on plain Python floats too.  The search binds the engine's
+objectives to its template once (``model._design_law``): what the
+template fixes is built and checked then, and each candidate pays only
+for its four dimensions, with no device built.  Any other objective
+callable is scored on the template's ``with_gate`` copy.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _no_row_fails,
-                    _Point, _point_law, _warn_if_sonic, input_pressure)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point,
+                    _blocked_blow, _design_law, _no_row_fails, _point_law,
+                    _warn_if_jet_sonic, _warn_if_sonic, input_pressure)
 
 __all__ = [
     "MODE_BLOWING",
@@ -492,6 +497,9 @@ def optimize_geometry(objective: Callable[[Device], float],
     ``validate_geometry`` raises ``ValueError`` before any evaluation.
     A failing objective evaluation or a nan value counts as +infinity,
     not an error, except a ``Warning`` raised under an ``error`` filter.
+    The engine's own objectives score each candidate bound to the
+    template, with no device built; any other callable gets the
+    candidate's ``with_gate`` copy of the template.
     The search stops when the simplex diameter in box coordinates falls
     below 1e-6 or ``max_evals`` is spent.
     """
@@ -521,6 +529,11 @@ def optimize_geometry(objective: Callable[[Device], float],
     if violations:
         raise ValueError("bounds admit an invalid geometry: "
                          + "; ".join(violations))
+    if isinstance(objective, _DesignObjective):
+        score = objective.bind(device)
+    else:
+        def score(w: float, t: float, h: float, a_ne: float) -> float:
+            return objective(with_gate(device, w=w, t=t, h=h, a_ne=a_ne))
 
     # each free key's (position in _DESIGN_KEYS, lo, width)
     scales = [(_DESIGN_KEYS.index(k), lows[k], widths[k]) for k in free]
@@ -551,9 +564,7 @@ def optimize_geometry(objective: Callable[[Device], float],
                 outside = True
                 excess += under * under
         penalty = 1.0e9 * (1.0 + excess) if outside else 0.0
-        w, t, h, a_ne = params_at(x)
-        candidate = with_gate(device, w=w, t=t, h=h, a_ne=a_ne)
-        return objective(candidate) + penalty
+        return score(*params_at(x)) + penalty
 
     if start is None:
         x0 = [0.5] * len(free)
@@ -583,6 +594,25 @@ def optimize_geometry(objective: Callable[[Device], float],
 _NO_SWITCHING_VALUE = 1.0e6
 
 
+class _DesignObjective:
+    """An objective on a candidate device, ``Callable[[Device], float]``,
+    that a design search binds to its template once.
+
+    ``bind(template)`` returns ``score(w, t, h, a_ne)``: the objective at
+    ``with_gate(template, w=w, t=t, h=h, a_ne=a_ne)``, the same bits, the
+    same exception and the same warnings, without building that device.
+    Called on a device, the objective is its own bound form at the
+    device's dimensions.
+    """
+
+    def __init__(self, bind: Callable[[Device], Callable[..., float]]):
+        self.bind = bind
+
+    def __call__(self, candidate: Device) -> float:
+        g = candidate.geometry
+        return self.bind(candidate)(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
+
+
 def switching_objective(coeffs: ModelCoefficients, *,
                         target_p_in: float | None = None
                         ) -> Callable[[Device], float]:
@@ -602,32 +632,42 @@ def switching_objective(coeffs: ModelCoefficients, *,
     bisection, only fail, as ``sweep`` would with :class:`SweepError`.
     Unless ``model._no_row_fails`` proves that no flow up to the grid's
     top fails, every row runs first, so the first failing one raises
-    that error before the search.
+    that error before the search.  The junction's side and the guard's
+    blowing bound depend on the template alone, and are worked out once
+    per binding.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
     qs = _grid(0.0, DEFAULT_Q_END, 1.0 * M3S_PER_LPM)
     q_top = qs[-1]
 
-    def objective(candidate: Device) -> float:
-        law = _point_law(candidate, coeffs)
-        if not _no_row_fails(law, candidate, coeffs, q_top):
-            _ramp(law, qs)
-        _warn_if_sonic(q_top, candidate)
-        g = candidate.geometry
-        if g.a_in <= 2.0 * g.a_branch:
-            switching_q = _bisected_switching_q(qs, law)
-        else:
-            switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
-        if switching_q is None:
-            return _NO_SWITCHING_VALUE
-        switching_p_in = input_pressure(switching_q, coeffs)
-        if target_p_in is None:
-            return switching_p_in
-        return ((switching_p_in - target_p_in)
-                / max(abs(target_p_in), 1.0)) ** 2
+    def bind(template: Device) -> Callable[..., float]:
+        law_at = _design_law(template, coeffs)
+        g = template.geometry
+        n_nozzles = g.n_nozzles
+        blocked_blow = _blocked_blow(template, coeffs, q_top)
+        monotone = g.a_in <= 2.0 * g.a_branch
 
-    return objective
+        def score(w: float, t: float, h: float, a_ne: float) -> float:
+            law = law_at(w, t, h, a_ne)
+            if not _no_row_fails(law, q_top, blocked_blow):
+                _ramp(law, qs)
+            _warn_if_jet_sonic(q_top, n_nozzles, a_ne)
+            if monotone:
+                switching_q = _bisected_switching_q(qs, law)
+            else:
+                switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
+            if switching_q is None:
+                return _NO_SWITCHING_VALUE
+            switching_p_in = input_pressure(switching_q, coeffs)
+            if target_p_in is None:
+                return switching_p_in
+            return ((switching_p_in - target_p_in)
+                    / max(abs(target_p_in), 1.0)) ** 2
+
+        return score
+
+    return _DesignObjective(bind)
 
 
 def suction_objective(coeffs: ModelCoefficients,
@@ -636,16 +676,27 @@ def suction_objective(coeffs: ModelCoefficients,
     if not 0.0 <= q_star < math.inf:
         raise ValueError("q_star must be nonnegative and finite")
 
-    def objective(candidate: Device) -> float:
-        p_out = _point_law(candidate, coeffs)(q_star)[3]
-        _warn_if_sonic(q_star, candidate)
-        return p_out
+    def bind(template: Device) -> Callable[..., float]:
+        law_at = _design_law(template, coeffs)
+        n_nozzles = template.geometry.n_nozzles
 
-    return objective
+        def score(w: float, t: float, h: float, a_ne: float) -> float:
+            p_out = law_at(w, t, h, a_ne)(q_star)[3]
+            _warn_if_jet_sonic(q_star, n_nozzles, a_ne)
+            return p_out
+
+        return score
+
+    return _DesignObjective(bind)
 
 
 def blowing_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
     suction = suction_objective(coeffs, q_star)
-    return lambda candidate: -suction(candidate)
+
+    def bind(template: Device) -> Callable[..., float]:
+        score = suction.bind(template)
+        return lambda w, t, h, a_ne: -score(w, t, h, a_ne)
+
+    return _DesignObjective(bind)

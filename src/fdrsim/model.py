@@ -66,7 +66,7 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .core import P_ATM, Device, DeviceGeometry, FlapGateGeometry, Material
+from .core import P_ATM, Device, FlapGateGeometry, Material
 
 __all__ = [
     "SupersonicJetWarning",
@@ -149,8 +149,14 @@ def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
         raise ValueError("gate dimensions must be positive")
     if mat.youngs_modulus <= 0.0:
         raise ValueError("youngs_modulus must be positive")
+    return _stiffness(mat.youngs_modulus, geom.w, geom.t, geom.h)
+
+
+def _stiffness(youngs: float, w: float, t: float, h: float) -> float:
+    """:func:`gate_stiffness` past its sign checks: ``E t^3 h / w``, which
+    must come out positive and finite (``ValueError``)."""
     try:
-        stiffness = mat.youngs_modulus * geom.t ** 3 * geom.h / geom.w
+        stiffness = youngs * t ** 3 * h / w
     except OverflowError:   # a float ``**`` out of range
         stiffness = math.inf
     if not 0.0 < stiffness < math.inf:
@@ -181,114 +187,177 @@ _Law = Callable[[float], _Point]
 _Terms = tuple[float, float, float, float, float]   # split, a_max, gain, penalty, out_area
 
 
-def _device_terms(device: Device, coeffs: ModelCoefficients) -> _Terms:
-    """The law's per-device terms, built and checked in this order: the
-    junction factor ``1 - (a_in / (2 a_branch))^2``, ``a_fg_max = w h``,
-    the gain ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``, then
-    the nozzles' ``a_ne`` and ``n_nozzles``.  One that leaves no steady
-    state raises ``ValueError``."""
-    g = device.geometry
-    if g.a_in <= 0.0 or g.a_branch <= 0.0:
-        raise ValueError("areas must be positive")
-    try:
-        split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
-    except OverflowError as exc:   # a float ``**`` out of range
-        raise ValueError(_NOT_FINITE) from exc
-    # each derived divisor or scale positive and finite: a zero or
-    # infinite one turns rows into a division by zero or inf * 0 = nan
-    a_max = g.gate.w * g.gate.h
-    if not 0.0 < a_max < math.inf:
-        raise ValueError("a_fg_max must be positive and finite")
-    gain = (coeffs.k0 * _REFERENCE_STIFFNESS
-            / gate_stiffness(g.gate, device.material))
-    if not 0.0 < gain < math.inf:
-        raise ValueError("gate gain k0 D_ref / D must be positive "
-                         "and finite")
-    if g.a_ex <= 0.0:
-        raise ValueError("a_ex must be positive")
-    w, w_ref = g.gate.w, g.channel_width_ref
-    if w_ref <= 0.0:
-        raise ValueError("w_ref must be positive")
-    excess = max(0.0, (w - w_ref) / w_ref)
-    penalty = 1.0 / (1.0 + coeffs.c_recirc * excess * excess)
-    out_area = coeffs.cd_out * g.a_out
-    if not 0.0 < out_area < math.inf:
-        raise ValueError("cd_out * a_out must be positive and finite")
-    # the row's jet velocity divides by both
-    if g.a_ne <= 0.0:
-        raise ValueError("a_ne must be positive")
-    if g.n_nozzles <= 0:
-        raise ValueError("n_nozzles must be positive")
-    return split, a_max, gain, penalty, out_area
+def _design_terms(template: Device, coeffs: ModelCoefficients
+                  ) -> Callable[[float, float, float, float], _Terms]:
+    """The law's terms for ``template`` with its gate's ``w, t, h`` and its
+    nozzles' ``a_ne`` replaced, as ``terms(w, t, h, a_ne)``: the junction
+    factor ``1 - (a_in / (2 a_branch))^2``, ``a_fg_max = w h``, the gain
+    ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``.
 
-
-def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
-    """The map from a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out),
-    the chain in this module's docstring.
-
-    The device's terms come once from :func:`_device_terms`; each flow
-    then runs the rest in the order written (``**`` squares, which round
-    as libm ``pow``, not always as ``u * u``).  A bad flow, then a bad
-    term, or pressures beyond the float range raise ``ValueError``.  No
-    warning: callers use :func:`_warn_if_sonic`.
+    What the template alone fixes is built and checked here, once; each
+    call builds and checks the rest.  The checks run in this order, and
+    the first to fail raises ``ValueError`` from ``terms``: the areas and
+    the junction factor; ``a_fg_max``; the gate's dimensions, ``E`` and
+    ``D``, as :func:`gate_stiffness` checks them; the gain; ``a_ex``,
+    ``w_ref`` and ``cd_out a_out``; ``a_ne``; ``n_nozzles``.  A template
+    check that fails is raised in its place in that order, after the
+    candidate's checks that come before it.
     """
+    g = template.geometry
+    youngs = template.material.youngs_modulus
+    # the template's first failing check, ``message``, is raised after
+    # ``stop`` of the candidate's three groups of checks (a_fg_max and the
+    # dimensions; D and the gain; a_ne); 4: none fails
+    stop, message = 0, ""
+    split = w_ref = out_area = math.nan
     try:
-        split, a_max, gain, penalty, out_area = _device_terms(device, coeffs)
+        if g.a_in <= 0.0 or g.a_branch <= 0.0:
+            raise ValueError("areas must be positive")
+        try:
+            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        stop = 1
+        if youngs <= 0.0:
+            raise ValueError("youngs_modulus must be positive")
+        stop = 2
+        if g.a_ex <= 0.0:
+            raise ValueError("a_ex must be positive")
+        w_ref = g.channel_width_ref
+        if w_ref <= 0.0:
+            raise ValueError("w_ref must be positive")
+        out_area = coeffs.cd_out * g.a_out
+        if not 0.0 < out_area < math.inf:
+            raise ValueError("cd_out * a_out must be positive and finite")
+        stop = 3
+        # the row's jet velocity divides by it and by a_ne
+        if g.n_nozzles <= 0:
+            raise ValueError("n_nozzles must be positive")
+        stop = 4
     except ValueError as exc:
         message = str(exc)
+    gain_scale = coeffs.k0 * _REFERENCE_STIFFNESS
+    c_recirc, inf = coeffs.c_recirc, math.inf
 
-        def failing(q_in: float) -> _Point:
-            _check_flow(q_in)
+    def terms(w: float, t: float, h: float, a_ne: float) -> _Terms:
+        if stop == 0:
             raise ValueError(message)
+        # each derived divisor or scale positive and finite: a zero or
+        # infinite one turns rows into a division by zero or inf * 0 = nan
+        a_max = w * h
+        if not 0.0 < a_max < inf:
+            raise ValueError("a_fg_max must be positive and finite")
+        if w <= 0.0 or t <= 0.0 or h <= 0.0:
+            raise ValueError("gate dimensions must be positive")
+        if stop == 1:
+            raise ValueError(message)
+        gain = gain_scale / _stiffness(youngs, w, t, h)
+        if not 0.0 < gain < inf:
+            raise ValueError("gate gain k0 D_ref / D must be positive "
+                             "and finite")
+        if stop == 2:
+            raise ValueError(message)
+        excess = max(0.0, (w - w_ref) / w_ref)
+        penalty = 1.0 / (1.0 + c_recirc * excess * excess)
+        if a_ne <= 0.0:
+            raise ValueError("a_ne must be positive")
+        if stop == 3:
+            raise ValueError(message)
+        return split, a_max, gain, penalty, out_area
 
-        return failing
+    return terms
 
+
+def _design_law(template: Device, coeffs: ModelCoefficients
+                ) -> Callable[[float, float, float, float], _Law]:
+    """The point law of ``template`` with its gate's ``w, t, h`` and its
+    nozzles' ``a_ne`` replaced, as ``law_at(w, t, h, a_ne)``: the map from
+    a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out), the chain in
+    this module's docstring.
+
+    A design search binds this to its template once; each candidate then
+    pays only for its own terms, from :func:`_design_terms`.  Each flow
+    runs the rest in the order written (``**`` squares, which round as
+    libm ``pow``, not always as ``u * u``).  A bad flow, then a bad term,
+    or pressures beyond the float range raise ``ValueError``, from the
+    law.  No warning: callers use :func:`_warn_if_sonic`.
+    """
+    terms_at = _design_terms(template, coeffs)
     c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
-    g = device.geometry
-    a_in, n_nozzles, a_ne, a_ex = g.a_in, g.n_nozzles, g.a_ne, g.a_ex
+    g = template.geometry
+    a_in, n_nozzles, a_ex = g.a_in, g.n_nozzles, g.a_ex
     crack = coeffs.p_c
     kinetic_scale, half_rho, inf = _KINETIC_SCALE, _HALF_RHO, math.inf
 
-    # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
-    # else hi``: the builtins' own comparison, without their call cost
-    def law(q_in: float) -> _Point:
-        if not 0.0 <= q_in < inf:
-            _check_flow(q_in)
+    def law_at(w: float, t: float, h: float, a_ne: float) -> _Law:
         try:
-            p_in = c1 * q_in + c2 * q_in * q_in
-            p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
-            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
-            opening = gain * (excess if excess > 0.0 else 0.0)
-            a_fg = opening if opening < a_max else a_max
-            s = a_fg / a_max
-            p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
-        v = (q_in / n_nozzles) / a_ne
-        vent = a_fg / a_ex
-        p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
-                  * penalty)
-        p_out = (1.0 - s) * p_blow - s * p_suck
-        # a_fg lies in [0, a_fg_max] by construction
-        if not (-inf < p_in < inf and -inf < p_chamber < inf
-                and -inf < p_out < inf):
-            raise ValueError(_NOT_FINITE)
-        return p_in, p_chamber, a_fg, p_out
+            split, a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne)
+        except ValueError as exc:
+            message = str(exc)
 
-    return law
+            def failing(q_in: float) -> _Point:
+                _check_flow(q_in)
+                raise ValueError(message)
+
+            return failing
+
+        # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
+        # else hi``: the builtins' own comparison, without their call cost
+        def law(q_in: float) -> _Point:
+            if not 0.0 <= q_in < inf:
+                _check_flow(q_in)
+            try:
+                p_in = c1 * q_in + c2 * q_in * q_in
+                p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
+                excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+                opening = gain * (excess if excess > 0.0 else 0.0)
+                a_fg = opening if opening < a_max else a_max
+                s = a_fg / a_max
+                p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
+            except OverflowError as exc:   # a float ``**`` out of range
+                raise ValueError(_NOT_FINITE) from exc
+            v = (q_in / n_nozzles) / a_ne
+            vent = a_fg / a_ex
+            p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
+                      * penalty)
+            p_out = (1.0 - s) * p_blow - s * p_suck
+            # a_fg lies in [0, a_fg_max] by construction
+            if not (-inf < p_in < inf and -inf < p_chamber < inf
+                    and -inf < p_out < inf):
+                raise ValueError(_NOT_FINITE)
+            return p_in, p_chamber, a_fg, p_out
+
+        return law
+
+    return law_at
 
 
-def _jet_velocity(q_in: float, geometry: DeviceGeometry) -> float:
-    """The law's jet velocity ``v = (q / n_nozzles) / a_ne``; the law's row
-    keeps its own copy, where a call per row would cost."""
-    return (q_in / geometry.n_nozzles) / geometry.a_ne
+def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
+    """The device's own point law: :func:`_design_law` at its gate's and
+    nozzles' dimensions, so a device and the same candidate of a design
+    search share their bits, checks and messages."""
+    g = device.geometry
+    return _design_law(device, coeffs)(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
 
 
-def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
-                  q_top: float) -> bool:
-    """True only if ``law``, the device's :func:`_point_law`, returns at
-    every flow in ``[0, q_top]``, so a scan may stop early without
-    skipping a ``ValueError``; calls the law once, at ``q_top``.
+def _blocked_blow(device: Device, coeffs: ModelCoefficients,
+                  q_top: float) -> float:
+    """``rho/2 (q_top / (cd_out a_out))^2``, the blowing term at ``q_top``
+    with the gate shut, for :func:`_no_row_fails`; inf when it overflows,
+    or when ``cd_out a_out`` is zero, which fails every row of the law."""
+    try:
+        return _HALF_RHO * (q_top / (coeffs.cd_out * device.geometry.a_out)
+                            ) ** 2
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _no_row_fails(law: _Law, q_top: float, blocked_blow: float) -> bool:
+    """True only if ``law``, a device's point law, returns at every flow in
+    ``[0, q_top]``, so a scan may stop early without skipping a
+    ``ValueError``; calls the law once, at ``q_top``.  ``blocked_blow`` is
+    the device's :func:`_blocked_blow` at ``q_top``, which its template
+    alone fixes.
 
     Every operation of the law rounds monotonically, and with ``c1, c2 >=
     0`` the magnitudes of ``p_in``, of both terms of ``p_chamber``, of the
@@ -296,32 +365,40 @@ def _no_row_fails(law: _Law, device: Device, coeffs: ModelCoefficients,
     the flow grows.  So a finite ``law(q_top)`` keeps ``p_in`` and
     ``p_chamber`` finite at every lower flow, and ``s = a_fg / a_fg_max``
     lies in [0, 1] whatever the gate does.  The blowing term is at most
-    its value with the gate shut, ``rho/2 (q_top / (cd_out a_out))^2``,
-    and the suction term at most ``eta rho/2 v_top^2``, as the vent and
-    the penalty lie in [0, 1].  That factor of the law's own suction
-    term at ``q_top`` is finite whenever ``law(q_top)`` is: were it inf,
-    that term and ``p_out`` would be inf or nan (as a nan penalty,
-    ``c_recirc = 0`` times an infinite width excess, makes every row's).
-    So when the blowing bound is finite, ``p_out`` is the difference of
-    two finite nonnegative terms and no row is inf or nan.  A blowing
-    bound that overflows (``OverflowError`` from ``**``, or inf) only
-    means the check cannot rule a failure out.
+    its value with the gate shut, ``blocked_blow``, and the suction term
+    at most ``eta rho/2 v_top^2``, as the vent and the penalty lie in [0,
+    1].  That factor of the law's own suction term at ``q_top`` is finite
+    whenever ``law(q_top)`` is: were it inf, that term and ``p_out`` would
+    be inf or nan (as a nan penalty, ``c_recirc = 0`` times an infinite
+    width excess, makes every row's).  So when the blowing bound is
+    finite, ``p_out`` is the difference of two finite nonnegative terms
+    and no row is inf or nan.  A blowing bound that overflows only means
+    the check cannot rule a failure out.
     """
     try:
         law(q_top)
-        g = device.geometry
-        blow = _HALF_RHO * (q_top / (coeffs.cd_out * g.a_out)) ** 2
-    except (ValueError, OverflowError):
+    except ValueError:
         return False
-    return blow < math.inf
+    return blocked_blow < math.inf
 
 
 def _warn_if_sonic(q_in: float, device: Device) -> None:
     """Warn with :class:`SupersonicJetWarning`, attributed to the caller's
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
-    if _jet_velocity(q_in, device.geometry) > _SONIC_SPEED:
+    g = device.geometry
+    _warn_if_jet_sonic(q_in, g.n_nozzles, g.a_ne, stacklevel=3)
+
+
+def _warn_if_jet_sonic(q_in: float, n_nozzles: int, a_ne: float, *,
+                       stacklevel: int = 2) -> None:
+    """:func:`_warn_if_sonic` for nozzles of these ``n_nozzles`` and
+    ``a_ne``, attributed to the caller's line at the default
+    ``stacklevel``.  The jet velocity is the law's ``v = (q / n_nozzles)
+    / a_ne``; the law's row keeps its own copy, where a call per row
+    would cost."""
+    if (q_in / n_nozzles) / a_ne > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",
-                      SupersonicJetWarning, stacklevel=2)
+                      SupersonicJetWarning, stacklevel=stacklevel)

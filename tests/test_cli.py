@@ -145,9 +145,13 @@ def test_out_to_dev_null(capsys, argv):
     ("adir", "error: [Errno 21] Is a directory: 'adir'\n"),
     ("nodir/x.csv", "error: [Errno 2] No such file or directory: "
                     "'nodir/x.csv'\n"),
+    # the path as given, as the shell and ``open`` name it
     ("nodir//x.csv", "error: [Errno 2] No such file or directory: "
-                     "'nodir/x.csv'\n"),
-], ids=["directory", "missing-parent", "double-slash"])
+                     "'nodir//x.csv'\n"),
+    # a trailing slash names a directory, as in a shell redirect, even one
+    # that does not exist: no file ``results`` is written
+    ("results/", "error: [Errno 21] Is a directory: 'results/'\n"),
+], ids=["directory", "missing-parent", "double-slash", "trailing-slash"])
 @pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
 def test_unwritable_out_exit_config(tmp_path, monkeypatch, capsys, argv, out,
                                     err):
@@ -155,16 +159,7 @@ def test_unwritable_out_exit_config(tmp_path, monkeypatch, capsys, argv, out,
     (tmp_path / "adir").mkdir()
     assert main([*argv, "--out", out]) == 2
     assert capsys.readouterr() == ("", err)
-
-
-@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
-def test_out_trailing_slash_names_the_file(tmp_path, monkeypatch, argv):
-    # the path is read as pathlib reads it: "a.csv/" is the file a.csv
-    monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--out", "a.csv/"]) == 0
-    assert main([*argv, "--out", "b.csv"]) == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv"
-                                                 ).read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
 
 def test_sweep_si_columns(tmp_path):
@@ -421,6 +416,51 @@ def test_optimize_non_finite_flag_exit_config(tmp_path, capsys, flags):
                  "--max-evals", "10", "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a flag the command would ignore, even at its documented default value
+@pytest.mark.parametrize("argv, flag", [
+    (["optimize", "--objective", "suction", "--bounds-w-mm", "6:10",
+      "--target-p-in-kpa", "10"], "--target-p-in-kpa"),
+    (["optimize", "--objective", "blowing", "--bounds-w-mm", "6:10",
+      "--target-p-in-kpa", "10"], "--target-p-in-kpa"),
+    (["optimize", "--objective", "switching", "--bounds-h-mm", "1.8:2.0",
+      "--at-qin-lpm", "5"], "--at-qin-lpm"),
+    (["optimize", "--objective", "switching", "--bounds-h-mm", "1.8:2.0",
+      "--at-qin-lpm", "30"], "--at-qin-lpm"),
+    (["calibrate", "--data", "builtin", "--fit", "input", "--max-evals",
+      "10"], "--max-evals"),
+    (["calibrate", "--data", "builtin", "--fit", "input", "--max-evals",
+      "400"], "--max-evals"),
+], ids=["suction-target", "blowing-target", "switching-flow",
+        "switching-default-flow", "input-budget", "input-default-budget"])
+def test_ignored_flag_exit_config(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} applies only to ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["optimize", "--objective", "suction", "--bounds-w-mm", "6:10",
+      "--max-evals", "20"], ["--at-qin-lpm", "30"]),
+    (["optimize", "--objective", "blowing", "--bounds-t-mm", "0.4:0.6",
+      "--max-evals", "20"], ["--at-qin-lpm", "30"]),
+    (["calibrate", "--data", str(_GOLDEN / "measurements.csv"), "--fit",
+      "closures"],
+     ["--max-evals", "400"]),
+], ids=["suction", "blowing", "closures"])
+def test_omitted_flag_takes_its_default(tmp_path, argv, flags):
+    # the flags default to None, so that a given one can be told from none;
+    # left out, each still means its documented default
+    outs = tmp_path / "omitted.json", tmp_path / "given.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        assert main([*argv, "--out", str(outs[0])]) == 0
+        assert main([*argv, *flags, "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("max_evals", ["0", "-5"])
@@ -1158,6 +1198,11 @@ def _flag_number(draw, typical):
     return draw(typical if draw(hs.integers(0, 3)) else _WILD_NUMBER)
 
 
+def _rarely(draw):
+    """True one time in eight."""
+    return draw(hs.sampled_from(range(8))) == 0
+
+
 def _flag(name, value):
     # ``--flag=-x``: a negative value must not read as a flag
     return f"{name}={value!r}"
@@ -1185,18 +1230,21 @@ def compare_argv(draw):
 
 @hs.composite
 def optimize_argv(draw):
+    objective = draw(hs.sampled_from(["switching", "suction", "blowing"]))
     argv = ["optimize", "--type", draw(hs.sampled_from(CATALOG_TYPE_IDS)),
-            "--objective", draw(hs.sampled_from(["switching", "suction",
-                                                 "blowing"]))]
+            "--objective", objective]
     for name, (lo, mid, hi) in _BOUNDS_FLAGS.items():
         if draw(hs.booleans()):
             ends = (_flag_number(draw, hs.floats(lo, mid)),
                     _flag_number(draw, hs.floats(mid, hi)))
             argv.append(f"{name}=" + ":".join(map(repr, ends)))
-    if draw(hs.booleans()):
+    # each flag mostly with the objective that reads it: with another one
+    # it is an error before any search
+    switching = objective == "switching"
+    if draw(hs.booleans()) and (not switching or _rarely(draw)):
         argv.append(_flag("--at-qin-lpm",
                           _flag_number(draw, hs.floats(0.0, 40.0))))
-    if draw(hs.booleans()):
+    if draw(hs.booleans()) and (switching or _rarely(draw)):
         argv.append(_flag("--target-p-in-kpa",
                           _flag_number(draw, hs.floats(0.0, 60.0))))
     argv.append(_flag("--max-evals", draw(hs.integers(-2, 30))))

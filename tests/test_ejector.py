@@ -17,7 +17,7 @@ from fdrsim import (
     solve_operating_point,
 )
 from fdrsim._units import M3S_PER_LPM
-from fdrsim.model import (_GAMMA, _RHO, _device_terms, _point_law,
+from fdrsim.model import (_GAMMA, _RHO, _design_terms, _point_law,
                           _warn_if_sonic)
 
 _B = catalog_device("B")
@@ -99,9 +99,9 @@ def test_halving_nozzle_area_quadruples_jet_pressure():
 
 
 def _penalty(w, coeffs=DEFAULT_COEFFS, w_ref=_GEOM_B.channel_width_ref):
-    gate = dataclasses.replace(_GEOM_B.gate, w=w)
-    return _device_terms(_device(gate=gate, channel_width_ref=w_ref),
-                         coeffs)[3]
+    gate = _GEOM_B.gate
+    return _design_terms(_device(channel_width_ref=w_ref), coeffs)(
+        w, gate.t, gate.h, _GEOM_B.a_ne)[3]
 
 
 def test_recirculation_penalty_reference_and_below():

@@ -36,8 +36,8 @@ from fdrsim import (
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
-from fdrsim.model import (_NOT_FINITE, _device_terms, _no_row_fails,
-                          _point_law)
+from fdrsim.model import (_NOT_FINITE, _blocked_blow, _design_law,
+                          _design_terms, _no_row_fails, _point_law)
 
 
 # --- frozen oracle ------------------------------------------------------------
@@ -422,11 +422,16 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
     }
     calls = []
 
-    def counted(device, coeffs):
-        device_law = _point_law(device, coeffs)
-        return lambda q_in: calls.append(q_in) or device_law(q_in)
+    def counted(template, coeffs):
+        law_at = _design_law(template, coeffs)
 
-    monkeypatch.setattr(engine, "_point_law", counted)
+        def counted_law_at(*dimensions):
+            law = law_at(*dimensions)
+            return lambda q_in: calls.append(q_in) or law(q_in)
+
+        return counted_law_at
+
+    monkeypatch.setattr(engine, "_design_law", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
         for device, sequence in expected.items():
@@ -462,7 +467,9 @@ def test_device_terms_equal_oracle_terms(device, coeffs):
                                                          device.material),
         recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref),
         coeffs.cd_out * g.a_out)
-    assert _bits(_device_terms(device, coeffs)) == _bits(expected)
+    terms = _design_terms(device, coeffs)(g.gate.w, g.gate.t, g.gate.h,
+                                          g.a_ne)
+    assert _bits(terms) == _bits(expected)
 
 
 def _frozen_no_row_fails(law, device, coeffs, q_top):
@@ -538,7 +545,8 @@ def test_guard_verdict_equals_frozen_guard(device, coeffs):
     # checks only the blocked-gate bound gives the same verdict
     q_top = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)[-1]
     law = _point_law(device, coeffs)
-    assert (_no_row_fails(law, device, coeffs, q_top)
+    blocked_blow = _blocked_blow(device, coeffs, q_top)
+    assert (_no_row_fails(law, q_top, blocked_blow)
             == _frozen_no_row_fails(law, device, coeffs, q_top))
 
 
