@@ -30,8 +30,8 @@ from typing import Sequence
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device
 from .engine import nelder_mead
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _point_law,
-                    _warn_if_sonic)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Finish, _Law,
+                    _Stage, _design_chain, _warn_if_sonic)
 
 __all__ = [
     "FitError",
@@ -220,10 +220,12 @@ def _spread(values: Sequence[float]) -> float:
         return math.inf
 
 
-def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
-            law: _Law) -> float:
-    """Sum over the flows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
-    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``."""
+def _misfit(qs: Sequence, ps: Sequence[float], scale: float,
+            law: _Law | _Finish) -> float:
+    """Sum over the rows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
+    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``: the
+    rows are flows and ``law`` a point law, or they are the flows' stages
+    and ``law`` a finish (``model._design_chain``)."""
     total = 0.0
     for q, p_ref in zip(qs, ps):
         total += ((law(q)[3] - p_ref) / scale) ** 2
@@ -269,6 +271,22 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         params = [ui * r for ui, r in zip(u, ref)]
         return params, [min(max(p, a), b) for p, a, b in zip(params, lo, hi)]
 
+    # the fit holds c1, c2 and the device fixed: each measured flow's stage
+    # is computed once, at the first trial whose terms pass, so a failing
+    # term is still raised before a failing stage
+    stage, finish_at = _design_chain(device, start)
+    g = device.geometry
+    w, t, h, a_ne = g.gate.w, g.gate.t, g.gate.h, g.a_ne
+    stages: list[_Stage] | None = None
+
+    def finished(coeffs: ModelCoefficients) -> tuple[_Finish, list[_Stage]]:
+        """The finish at ``coeffs``' eta, k0 and p_c, and the stages."""
+        nonlocal stages
+        finish = finish_at(w, t, h, a_ne, coeffs.eta, coeffs.k0, coeffs.p_c)
+        if stages is None:
+            stages = [stage(q) for q in qs]
+        return finish, stages
+
     def objective(u: list[float]) -> float:
         params, clipped = clamp(u)
         violation = 0.0
@@ -281,15 +299,16 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         trial = ModelCoefficients(c1=start.c1, c2=start.c2, eta=clipped[0],
                                   c_recirc=start.c_recirc, k0=clipped[1],
                                   p_c=clipped[2], cd_out=start.cd_out)
-        return _misfit(qs, ps, scale, _point_law(device, trial)) + penalty
+        finish, staged = finished(trial)
+        return _misfit(staged, ps, scale, finish) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
                                max_evals=max_evals, diam_tol=1.0e-9)
     eta, k0, p_c = clamp(best_u)[1]
     fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
 
-    law = _point_law(device, fitted)
-    residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
+    finish, staged = finished(fitted)
+    residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged, ps))
     _warn_if_sonic(max(qs), device)
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,

@@ -9,7 +9,9 @@ Numeric CSV fields carry 9 significant digits, a missing value reads
 with ``#``, so identical invocations produce byte-identical files.  An
 existing ``--out`` file is written over in place and cut to length, so it
 keeps its inode, mode and links, and a symlink writes its target; the
-write is not atomic.
+write is not atomic.  ``--out`` is opened before the command's work: one
+that cannot be opened fails first, and a command that fails after that
+leaves no new file behind and an existing one as it was.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
@@ -74,26 +76,40 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    """``open``'s flags without ``O_TRUNC``, and ``FileIO``'s mode."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def _open_out(path: str) -> tuple[int, bool]:
+    """``--out`` opened for writing, and whether this call created it.
+
+    The path is opened as given: ``pathlib.Path`` would drop a trailing
+    slash, and ``results/`` would write a file named ``results``.  An
+    existing file is opened in one call, without ``O_TRUNC``; a missing
+    one is created with ``O_EXCL``, so the file a failing command removes
+    is one it made.  A dangling symlink's target is created as a shell
+    redirect creates it, and is not removed.
+    """
+    try:
+        return os.open(path, os.O_WRONLY), False
+    except FileNotFoundError:
+        pass
+    try:
+        return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_out(fd: int, text: str) -> None:
     # Written over from offset 0, then cut to length, not opened with
     # O_TRUNC: a rerun writes over its own earlier output, and truncating
     # a file that holds data frees its blocks only for the write to
     # allocate them again (ext4 also starts writeback at close).  Bytes,
     # inode, mode and links end as after a truncating open.  Only a
     # regular file is cut: ftruncate fails on a device or FIFO
-    # (``--out /dev/null``), which holds no old bytes anyway.  The path is
-    # opened as given: ``pathlib.Path`` would drop a trailing slash, and
-    # ``results/`` would write a file named ``results``.
+    # (``--out /dev/null``), which holds no old bytes anyway.
     data = text.encode("utf-8")
-    with open(path, "wb", opener=_open_in_place) as f:
-        f.write(data)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate(len(data))
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        os.ftruncate(fd, len(data))
 
 
 # --- output columns -----------------------------------------------------------
@@ -293,7 +309,7 @@ def _device_from_args(args: argparse.Namespace) -> Device:
 
 # --- commands -----------------------------------------------------------------
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     st = engine.solve_operating_point(FLOW.to_si(args.qin_lpm), device, coeffs)
@@ -307,10 +323,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f", a_fg/a_ex = {_fmt(st.a_fg / a_ex)}")
     print(f"p_out     = {_fmt(kpa(st.p_out))} kPa ({_fmt(st.p_out)} Pa)")
     print(f"mode      = {st.mode}")
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     result = engine.sweep(device, coeffs, FLOW.to_si(args.qin_start_lpm),
@@ -325,11 +340,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         text = _json_text({**summary, "states": _json_records(
             columns, result.states, si=True)})
-    _write_text(args.out, text)
-    return 0
+    return text
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> str:
     coeffs = _load_coeffs(args.coeffs)
     type_ids = [t.strip() for t in args.types.split(",") if t.strip()]
     if not type_ids:
@@ -348,11 +362,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                                                    list(table.values())))),
             "orderings": {k: list(v) for k, v in orderings.items()},
         })
-    _write_text(args.out, text)
-    return 0
+    return text
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> str:
     if args.fit == "input" and args.max_evals is not None:
         raise ValueError("--max-evals applies only to --fit closures")
     if args.data == "builtin":
@@ -367,8 +380,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         (_, report) = calib.fit_closures(
             data, device, start=start,
             max_evals=400 if args.max_evals is None else args.max_evals)
-    _write_text(args.out, _json_text(asdict(report)))
-    return 0
+    return _json_text(asdict(report))
 
 
 def _parse_bounds(text: str, unit: Unit, flag: str) -> tuple[float, float]:
@@ -380,7 +392,7 @@ def _parse_bounds(text: str, unit: Unit, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
+def _cmd_optimize(args: argparse.Namespace) -> str:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     if args.objective == "switching":
@@ -418,11 +430,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         raise ValueError("no candidate in the bounds has a finite "
                          "objective value")
     [payload] = _json_records(_OPTIMIZE_COLUMNS, [result])
-    _write_text(args.out, _json_text(payload))
-    return 0
+    return _json_text(payload)
 
 
-def _cmd_friction(args: argparse.Namespace) -> int:
+def _cmd_friction(args: argparse.Namespace) -> str:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     try:
@@ -441,8 +452,7 @@ def _cmd_friction(args: argparse.Namespace) -> int:
         text = _csv_text(_FRICTION_COLUMNS, points)
     else:
         text = _json_text(_json_records(_FRICTION_COLUMNS, points))
-    _write_text(args.out, text)
-    return 0
+    return text
 
 
 # --- parser -------------------------------------------------------------------
@@ -634,16 +644,32 @@ def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """``args.func(args)``, then each distinct jet warning it raised as one
-    ``warning: <message>`` line on stderr, without the library's source
-    line.  The warnings are recorded under the caller's filters, so
-    ``error`` still raises and ``ignore`` prints nothing; any other
-    warning is shown as Python shows it."""
+    """``args.func(args)``, with its ``--out`` file, then each distinct jet
+    warning it raised as one ``warning: <message>`` line on stderr,
+    without the library's source line.  The warnings are recorded under
+    the caller's filters, so ``error`` still raises and ``ignore`` prints
+    nothing; any other warning is shown as Python shows it.
+
+    A command with ``--out`` returns the file's text.  The file is opened
+    before the command's work, so an ``--out`` that cannot be opened fails
+    first; a command that fails after that removes the file it created,
+    and leaves an existing file's bytes and inode as they were.
+    """
+    path = getattr(args, "out", None)   # simulate prints instead
+    fd, created = _open_out(path) if path is not None else (-1, False)
     caught: list[warnings.WarningMessage] = []
+    done = False
     try:
         with warnings.catch_warnings(record=True) as caught:
-            return args.func(args)
+            text = args.func(args)
+        if path is not None:
+            _write_out(fd, text)
+        done = True
     finally:
+        if path is not None:
+            os.close(fd)
+            if created and not done:
+                os.unlink(path)
         reported = set()
         for w in caught:
             if not issubclass(w.category, SupersonicJetWarning):
@@ -652,6 +678,7 @@ def _run(args: argparse.Namespace) -> int:
             elif str(w.message) not in reported:
                 reported.add(str(w.message))
                 print(f"warning: {w.message}", file=sys.stderr)
+    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -4,8 +4,11 @@ One operating point is the closed-form chain of ``model``: supply law,
 junction pressure, gate opening, jet closure.  Its point law, built once
 per device and coefficient set, is the one place that chain is computed:
 it runs on plain Python floats for one point, every sweep row, the
-switching bisection and every optimizer or fit objective.  No module
-imports numpy: the fits in ``calib`` run on plain floats as well.
+switching bisection and every optimizer or fit objective.  The law is
+the finish of a flow's stage (``model._design_chain``), and the stage
+depends on the template and ``c1``, ``c2`` alone, so an objective that
+returns to the same flows computes each one's stage once per search.  No
+module imports numpy: the fits in ``calib`` run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -24,24 +27,28 @@ Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
 (w, t, h, a_ne), with out-of-box candidates evaluated at their clipped
 projection plus a dominating penalty.  The kernel and the box mapping
-work on plain Python floats too.  The search binds the engine's
-objectives to its template once (``model._design_law``): what the
+work on plain Python floats too.  The kernel keeps its simplex in
+stable order by inserting each new point, and sorts in full only the
+initial simplex and after a shrink.  The search binds the engine's
+objectives to its template once (``model._design_chain``): what the
 template fixes is built and checked then, and each candidate pays only
-for its four dimensions, with no device built.  Any other objective
-callable is scored on the template's ``with_gate`` copy.
+for its four dimensions' terms and the finish of the rows it reads,
+with no device built.  Any other objective callable is scored on the
+template's ``with_gate`` copy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add, index
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point,
-                    _blocked_blow, _design_law, _no_row_fails, _point_law,
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point, _Stage,
+                    _blocked_blow, _design_chain, _no_row_fails, _point_law,
                     _warn_if_jet_sonic, _warn_if_sonic, input_pressure)
 
 __all__ = [
@@ -172,9 +179,15 @@ def _ramp(law: _Law, qs: Sequence[float]) -> list[_Point]:
         try:
             rows.append(law(q))
         except ValueError as exc:
-            raise SweepError(f"sweep failed at q_in={q:.9g} m^3/s: {exc}",
-                             q_in=q) from exc
+            raise _sweep_error(q, exc) from exc
     return rows
+
+
+def _sweep_error(q_in: float, exc: ValueError) -> SweepError:
+    """The error of a sweep whose first failing row, at ``q_in``, raised
+    ``exc``."""
+    return SweepError(f"sweep failed at q_in={q_in:.9g} m^3/s: {exc}",
+                      q_in=q_in)
 
 
 def _refine_switching(law: _Law, q_lo: float, q_hi: float, p_lo: float
@@ -202,25 +215,24 @@ def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
     holds for any sign pattern; :func:`_bisected_switching_q` finds the
     same bracket in fewer rows where the signs run nonnegative, then
     negative."""
-    last_sign = last_q = last_p = 0.0
+    last_q = last_p = 0.0   # the last row whose p_out is not 0, if any
     for q, p_out in zip(qs, p_outs):
-        sign = 0.0 if p_out == 0.0 else math.copysign(1.0, p_out)
-        if sign != 0.0 and last_sign != 0.0 and sign != last_sign:
-            return _refine_switching(law, last_q, q, last_p)
-        if sign != 0.0:
-            last_sign = sign
-            last_q = q
-            last_p = p_out
+        if p_out != 0.0:
+            if last_p != 0.0 and (p_out < 0.0) != (last_p < 0.0):
+                return _refine_switching(law, last_q, q, last_p)
+            last_q, last_p = q, p_out
     return None
 
 
-def _bisected_switching_q(qs: Sequence[float], law: _Law) -> float | None:
-    """:func:`_switching_q` over ``law``'s rows at ``qs``, when their
-    ``p_out`` signs run nonnegative, then negative: the first negative
-    row is found by bisection over the row indices, each row read at
-    most once, and the bracket's low end is the nearest row below it
-    whose ``p_out`` is not an exact zero; ``None`` if there is none, or
-    no row is negative.
+def _bisected_switching_q(qs: Sequence[float], row: _Law, law: _Law
+                          ) -> float | None:
+    """:func:`_switching_q` over ``row``'s points at ``qs``, the law at
+    the grid's flows, when their ``p_out`` signs run nonnegative, then
+    negative: the first negative row is found by bisection over the row
+    indices, each row read at most once, and the bracket's low end is the
+    nearest row below it whose ``p_out`` is not an exact zero; ``None``
+    if there is none, or no row is negative.  ``law`` refines the
+    bracket.
 
     That order holds on the grid 0, 1, .., 30 L/min whenever ``a_in <= 2
     a_branch``, so that the junction factor ``split`` is at least 0 and
@@ -241,7 +253,7 @@ def _bisected_switching_q(qs: Sequence[float], law: _Law) -> float | None:
     lo, hi = 0, len(qs)
     while lo < hi:
         mid = (lo + hi) // 2
-        p_outs[mid] = p_out = law(qs[mid])[3]
+        p_outs[mid] = p_out = row(qs[mid])[3]
         if p_out < 0.0:
             hi = mid
         else:
@@ -251,7 +263,7 @@ def _bisected_switching_q(qs: Sequence[float], law: _Law) -> float | None:
     for below in range(lo - 1, -1, -1):
         p_out = p_outs.get(below)
         if p_out is None:
-            p_out = law(qs[below])[3]
+            p_out = row(qs[below])[3]
         if p_out != 0.0:
             return _refine_switching(law, qs[below], qs[lo], p_out)
     return None
@@ -269,10 +281,11 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
     """
     qs = _grid(q_start, q_end, step)
     law = _point_law(device, coeffs)
-    states = tuple(OperatingState(q, *row)
-                   for q, row in zip(qs, _ramp(law, qs)))
+    # the rows' columns; ``map`` builds each state from them, calling the
+    # class from C, without a generator frame and an unpacked call per row
+    p_ins, p_chambers, a_fgs, p_outs = zip(*_ramp(law, qs))
+    states = tuple(map(OperatingState, qs, p_ins, p_chambers, a_fgs, p_outs))
     _warn_if_sonic(qs[-1], device)
-    p_outs = [st.p_out for st in states]
     switching_q = _switching_q(qs, p_outs, law)
     switching_p_in = (None if switching_q is None
                       else input_pressure(switching_q, coeffs))
@@ -353,6 +366,13 @@ def _collapsed(pts: list[list[float]], tol: float) -> bool:
     return True
 
 
+def _stable_sorted(pts: list[list[float]], vals: list[float]
+                   ) -> tuple[list[list[float]], list[float]]:
+    """``pts`` and ``vals`` in the stable ascending order of ``vals``."""
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [pts[i] for i in order], [vals[i] for i in order]
+
+
 def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
                 max_evals: int = 400,
                 diam_tol: float = 1.0e-6) -> tuple[list[float], float, int]:
@@ -376,12 +396,18 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
     ``max_evals`` must be an integer (``ValueError``): a nan budget ends
     the search after the initial simplex, an infinite one may never end.
 
-    Plain Python floats throughout, no numpy: the simplex is ordered by a
-    stable sort, and the centroid is the sequential sum of the points
-    (a point at a time, by ``map(operator.add, ...)``) divided by their
-    count, so each step rounds exactly as the kernel on
-    numpy arrays (``argsort(kind="stable")``, axis-0 ``mean``) does;
-    ``tests/test_nelder_mead_parity.py`` compares the two.
+    Plain Python floats throughout, no numpy: the simplex is kept in the
+    stable ascending order of its values, and the centroid is the
+    sequential sum of the points (a point at a time, by
+    ``map(operator.add, ...)``) divided by their count, so each step
+    rounds exactly as the kernel on numpy arrays
+    (``argsort(kind="stable")`` every step, axis-0 ``mean``) does;
+    ``tests/test_nelder_mead_parity.py`` compares the two.  The order is
+    sorted in full only for the initial simplex and after a shrink.  A
+    step that replaces only the worst point inserts the new one at
+    ``bisect_right`` over the other values: after every value it ties,
+    which is where the stable sort puts the point of the last index, as
+    no value is nan.
     """
     x0 = [float(v) for v in x0]
     n = len(x0)
@@ -419,11 +445,9 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
         v[i] = v[i] + 0.1 if v[i] + 0.1 <= 1.0 else v[i] - 0.1
         pts.append(v)
     vals = [guarded(p) for p in pts]
+    pts, vals = _stable_sorted(pts, vals)
 
     while evals < max_evals:
-        order = sorted(range(n + 1), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
         if _collapsed(pts, diam_tol):
             break
         best = pts[0]
@@ -438,24 +462,33 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             f_e = guarded(expanded)
             if f_e < f_r:
-                pts[-1], vals[-1] = expanded, f_e
+                new, f_new = expanded, f_e
             else:
-                pts[-1], vals[-1] = reflected, f_r
+                new, f_new = reflected, f_r
         elif f_r < vals[-2]:
-            pts[-1], vals[-1] = reflected, f_r
+            new, f_new = reflected, f_r
         else:
             if evals >= max_evals:
                 break
             contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             f_c = guarded(contracted)
             if f_c < vals[-1]:
-                pts[-1], vals[-1] = contracted, f_c
+                new, f_new = contracted, f_c
             else:
                 for i in range(1, n + 1):
                     if evals >= max_evals:
                         break
                     pts[i] = [b + 0.5 * (a - b) for a, b in zip(pts[i], best)]
                     vals[i] = guarded(pts[i])
+                pts, vals = _stable_sorted(pts, vals)
+                continue
+        # the new point replaces the worst, the last of the stable order;
+        # it goes after every other value it ties, where the stable sort
+        # would put the point of the last index (no value is nan)
+        del pts[-1], vals[-1]
+        i = bisect_right(vals, f_new)
+        pts.insert(i, new)
+        vals.insert(i, f_new)
 
     i = min(range(n + 1), key=vals.__getitem__)   # first of the stable order
     return list(pts[i]), vals[i], evals
@@ -632,9 +665,10 @@ def switching_objective(coeffs: ModelCoefficients, *,
     bisection, only fail, as ``sweep`` would with :class:`SweepError`.
     Unless ``model._no_row_fails`` proves that no flow up to the grid's
     top fails, every row runs first, so the first failing one raises
-    that error before the search.  The junction's side and the guard's
-    blowing bound depend on the template alone, and are worked out once
-    per binding.
+    that error before the search.  The junction's side, the guard's
+    blowing bound and the grid rows' flow stages depend on the template
+    alone, and are worked out once per binding; each candidate finishes
+    the rows it reads from their stages.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
@@ -642,21 +676,42 @@ def switching_objective(coeffs: ModelCoefficients, *,
     q_top = qs[-1]
 
     def bind(template: Device) -> Callable[..., float]:
-        law_at = _design_law(template, coeffs)
+        stage, finish_at = _design_chain(template, coeffs)
+        eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
         g = template.geometry
         n_nozzles = g.n_nozzles
         blocked_blow = _blocked_blow(template, coeffs, q_top)
         monotone = g.a_in <= 2.0 * g.a_branch
+        # the grid rows' stages by flow, computed at the first candidate
+        # whose terms pass, once every row has one
+        grid: dict[float, _Stage] | None = None
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            law = law_at(w, t, h, a_ne)
-            if not _no_row_fails(law, q_top, blocked_blow):
-                _ramp(law, qs)
-            _warn_if_jet_sonic(q_top, n_nozzles, a_ne)
+            nonlocal grid
+            try:
+                finish = finish_at(w, t, h, a_ne, eta, k0, crack)
+            except ValueError as exc:   # a bad term fails every row
+                raise _sweep_error(qs[0], exc) from exc
+
+            def law(q_in: float) -> _Point:
+                return finish(stage(q_in))
+
+            if grid is None:
+                try:
+                    grid = {q: stage(q) for q in qs}
+                except ValueError:   # the sweep's error, at the first row
+                    _ramp(law, qs)   # whose stage or finish fails
+
+            def row(q_in: float) -> _Point:
+                return finish(grid[q_in])
+
+            if not _no_row_fails(row, q_top, blocked_blow):
+                _ramp(row, qs)
+            _warn_if_jet_sonic((q_top / n_nozzles) / a_ne)
             if monotone:
-                switching_q = _bisected_switching_q(qs, law)
+                switching_q = _bisected_switching_q(qs, row, law)
             else:
-                switching_q = _switching_q(qs, (law(q)[3] for q in qs), law)
+                switching_q = _switching_q(qs, (row(q)[3] for q in qs), law)
             if switching_q is None:
                 return _NO_SWITCHING_VALUE
             switching_p_in = input_pressure(switching_q, coeffs)
@@ -672,17 +727,28 @@ def switching_objective(coeffs: ModelCoefficients, *,
 
 def suction_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
-    """Maximize suction at ``q_star``: minimizes p_out (most negative wins)."""
+    """Maximize suction at ``q_star``: minimizes p_out (most negative wins).
+
+    A binding computes the flow stage at ``q_star`` once, at its first
+    candidate whose terms pass, so a failing term is still raised before
+    a failing stage; each candidate then pays for its terms and the rest
+    of the row.
+    """
     if not 0.0 <= q_star < math.inf:
         raise ValueError("q_star must be nonnegative and finite")
 
     def bind(template: Device) -> Callable[..., float]:
-        law_at = _design_law(template, coeffs)
-        n_nozzles = template.geometry.n_nozzles
+        stage, finish_at = _design_chain(template, coeffs)
+        eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
+        star = None
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            p_out = law_at(w, t, h, a_ne)(q_star)[3]
-            _warn_if_jet_sonic(q_star, n_nozzles, a_ne)
+            nonlocal star
+            finish = finish_at(w, t, h, a_ne, eta, k0, crack)
+            if star is None:
+                star = stage(q_star)
+            p_out = finish(star)[3]
+            _warn_if_jet_sonic(star[3] / a_ne)
             return p_out
 
         return score

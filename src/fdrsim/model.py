@@ -17,6 +17,13 @@ a closed form:
                 v = (q / n_nozzles) / a_ne
     penalty   = 1 / (1 + c_recirc max(0, (w - w_ref)/w_ref)^2)
 
+The chain runs in two stages.  The flow stage, ``p_in``, ``p_chamber``
+and ``q / n_nozzles``, depends only on the device's ports and nozzles
+and on ``c1``, ``c2``; the finish takes a stage and the gate's and
+coefficients' terms to ``a_fg`` and ``p_out``.  A point is the finish of
+its flow's stage, so a design search or closure fit that returns to the
+same flows computes each one's stage once.
+
 The working gas is ambient air throughout: density ``rho = 1.204``
 kg/m^3 and heat-capacity ratio ``gamma = 1.4``, the same on both sides
 of the junction.
@@ -184,15 +191,18 @@ def _check_flow(q_in: float) -> None:
 
 _Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
 _Law = Callable[[float], _Point]
-_Terms = tuple[float, float, float, float, float]   # split, a_max, gain, penalty, out_area
+_Terms = tuple[float, float, float, float]   # a_max, gain, penalty, out_area
+_Stage = tuple[float, float, float, float]   # q_in, p_in, p_chamber, q_in / n_nozzles
+_Finish = Callable[[_Stage], _Point]
 
 
 def _design_terms(template: Device, coeffs: ModelCoefficients
-                  ) -> Callable[[float, float, float, float], _Terms]:
-    """The law's terms for ``template`` with its gate's ``w, t, h`` and its
-    nozzles' ``a_ne`` replaced, as ``terms(w, t, h, a_ne)``: the junction
-    factor ``1 - (a_in / (2 a_branch))^2``, ``a_fg_max = w h``, the gain
-    ``k0 D_ref / D``, ``penalty(w)`` and ``cd_out a_out``.
+                  ) -> tuple[float, Callable[..., _Terms]]:
+    """The junction factor ``split = 1 - (a_in / (2 a_branch))^2`` of
+    ``template``, and its other terms with its gate's ``w, t, h``, its
+    nozzles' ``a_ne`` and the gain's ``k0`` replaced, as ``terms(w, t, h,
+    a_ne, k0)``: ``a_fg_max = w h``, the gain ``k0 D_ref / D``,
+    ``penalty(w)`` and ``cd_out a_out``.
 
     What the template alone fixes is built and checked here, once; each
     call builds and checks the rest.  The checks run in this order, and
@@ -201,7 +211,7 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     ``D``, as :func:`gate_stiffness` checks them; the gain; ``a_ex``,
     ``w_ref`` and ``cd_out a_out``; ``a_ne``; ``n_nozzles``.  A template
     check that fails is raised in its place in that order, after the
-    candidate's checks that come before it.
+    candidate's checks that come before it; ``split`` then means nothing.
     """
     g = template.geometry
     youngs = template.material.youngs_modulus
@@ -236,10 +246,11 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
         stop = 4
     except ValueError as exc:
         message = str(exc)
-    gain_scale = coeffs.k0 * _REFERENCE_STIFFNESS
+    reference = _REFERENCE_STIFFNESS
     c_recirc, inf = coeffs.c_recirc, math.inf
 
-    def terms(w: float, t: float, h: float, a_ne: float) -> _Terms:
+    def terms(w: float, t: float, h: float, a_ne: float, k0: float
+              ) -> _Terms:
         if stop == 0:
             raise ValueError(message)
         # each derived divisor or scale positive and finite: a zero or
@@ -251,7 +262,7 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
             raise ValueError("gate dimensions must be positive")
         if stop == 1:
             raise ValueError(message)
-        gain = gain_scale / _stiffness(youngs, w, t, h)
+        gain = k0 * reference / _stiffness(youngs, w, t, h)
         if not 0.0 < gain < inf:
             raise ValueError("gate gain k0 D_ref / D must be positive "
                              "and finite")
@@ -263,81 +274,115 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
             raise ValueError("a_ne must be positive")
         if stop == 3:
             raise ValueError(message)
-        return split, a_max, gain, penalty, out_area
+        return a_max, gain, penalty, out_area
 
-    return terms
+    return split, terms
 
 
-def _design_law(template: Device, coeffs: ModelCoefficients
-                ) -> Callable[[float, float, float, float], _Law]:
-    """The point law of ``template`` with its gate's ``w, t, h`` and its
-    nozzles' ``a_ne`` replaced, as ``law_at(w, t, h, a_ne)``: the map from
-    a flow ``q_in`` to its (p_in, p_chamber, a_fg, p_out), the chain in
+def _design_chain(template: Device, coeffs: ModelCoefficients
+                  ) -> tuple[Callable[[float], _Stage], Callable[..., _Finish]]:
+    """The point law of ``template`` in two stages, ``(stage,
+    finish_at)``: with its gate's ``w, t, h``, its nozzles' ``a_ne`` and
+    the coefficients' ``eta, k0, p_c`` replaced, the law at ``q_in`` is
+    ``finish_at(w, t, h, a_ne, eta, k0, p_c)(stage(q_in))``, the chain in
     this module's docstring.
 
-    A design search binds this to its template once; each candidate then
-    pays only for its own terms, from :func:`_design_terms`.  Each flow
-    runs the rest in the order written (``**`` squares, which round as
-    libm ``pow``, not always as ``u * u``).  A bad flow, then a bad term,
-    or pressures beyond the float range raise ``ValueError``, from the
-    law.  No warning: callers use :func:`_warn_if_sonic`.
+    ``stage(q_in)``, the flow stage, depends on the template and ``c1,
+    c2`` alone: it checks the flow, then computes ``p_in``,
+    ``p_chamber`` and ``q_in / n_nozzles``.  ``finish_at`` builds and
+    checks the candidate's terms (:func:`_design_terms`), raising the
+    first failing check's ``ValueError``, and returns ``finish``, the
+    rest of the row: a stage to its (p_in, p_chamber, a_fg, p_out).  A
+    caller that returns to the same flows computes each one's stage once.
+
+    A design search binds this to its template once, and a closure fit
+    to its device; each candidate or trial then pays only for its own
+    terms and the finish of the rows it reads.  Both stages run in the
+    order written (``**`` squares, which round as libm ``pow``, not
+    always as ``u * u``).  A bad flow, or pressures beyond the float
+    range, raise ``ValueError`` from ``stage``, and a ``p_out`` beyond it
+    from ``finish``.  A stage is defined only for a template that passes
+    its checks: compute it after a ``finish_at`` has returned, so that a
+    failing term is raised first, as in the law.
     """
-    terms_at = _design_terms(template, coeffs)
-    c1, c2, eta = coeffs.c1, coeffs.c2, coeffs.eta
+    split, terms_at = _design_terms(template, coeffs)
+    c1, c2 = coeffs.c1, coeffs.c2
     g = template.geometry
     a_in, n_nozzles, a_ex = g.a_in, g.n_nozzles, g.a_ex
-    crack = coeffs.p_c
     kinetic_scale, half_rho, inf = _KINETIC_SCALE, _HALF_RHO, math.inf
 
-    def law_at(w: float, t: float, h: float, a_ne: float) -> _Law:
+    def stage(q_in: float) -> _Stage:
+        if not 0.0 <= q_in < inf:
+            _check_flow(q_in)
         try:
-            split, a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne)
-        except ValueError as exc:
-            message = str(exc)
+            p_in = c1 * q_in + c2 * q_in * q_in
+            p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
+        except OverflowError as exc:   # a float ``**`` out of range
+            raise ValueError(_NOT_FINITE) from exc
+        if not (-inf < p_in < inf and -inf < p_chamber < inf):
+            raise ValueError(_NOT_FINITE)
+        return q_in, p_in, p_chamber, q_in / n_nozzles
 
-            def failing(q_in: float) -> _Point:
-                _check_flow(q_in)
-                raise ValueError(message)
-
-            return failing
+    def finish_at(w: float, t: float, h: float, a_ne: float, eta: float,
+                  k0: float, crack: float) -> _Finish:
+        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
 
         # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
         # else hi``: the builtins' own comparison, without their call cost
-        def law(q_in: float) -> _Point:
-            if not 0.0 <= q_in < inf:
-                _check_flow(q_in)
+        def finish(stage: _Stage) -> _Point:
+            q_in, p_in, p_chamber, q_nozzle = stage
+            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+            opening = gain * (excess if excess > 0.0 else 0.0)
+            a_fg = opening if opening < a_max else a_max
+            s = a_fg / a_max
             try:
-                p_in = c1 * q_in + c2 * q_in * q_in
-                p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
-                excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
-                opening = gain * (excess if excess > 0.0 else 0.0)
-                a_fg = opening if opening < a_max else a_max
-                s = a_fg / a_max
                 p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
             except OverflowError as exc:   # a float ``**`` out of range
                 raise ValueError(_NOT_FINITE) from exc
-            v = (q_in / n_nozzles) / a_ne
+            v = q_nozzle / a_ne
             vent = a_fg / a_ex
             p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
                       * penalty)
             p_out = (1.0 - s) * p_blow - s * p_suck
             # a_fg lies in [0, a_fg_max] by construction
-            if not (-inf < p_in < inf and -inf < p_chamber < inf
-                    and -inf < p_out < inf):
+            if not -inf < p_out < inf:
                 raise ValueError(_NOT_FINITE)
             return p_in, p_chamber, a_fg, p_out
 
-        return law
+        return finish
 
-    return law_at
+    return stage, finish_at
 
 
 def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
-    """The device's own point law: :func:`_design_law` at its gate's and
-    nozzles' dimensions, so a device and the same candidate of a design
-    search share their bits, checks and messages."""
+    """The device's own point law: the map from a flow ``q_in`` to its
+    (p_in, p_chamber, a_fg, p_out), the finish of the flow's stage
+    (:func:`_design_chain`) at the device's own dimensions and
+    coefficients, so a device and the same candidate of a design search
+    share their bits, checks and messages.
+
+    A bad flow, then a bad term, or pressures beyond the float range
+    raise ``ValueError``, from the law.  No warning: callers use
+    :func:`_warn_if_sonic`.
+    """
     g = device.geometry
-    return _design_law(device, coeffs)(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
+    stage, finish_at = _design_chain(device, coeffs)
+    try:
+        finish = finish_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, coeffs.eta,
+                           coeffs.k0, coeffs.p_c)
+    except ValueError as exc:
+        message = str(exc)
+
+        def failing(q_in: float) -> _Point:
+            _check_flow(q_in)
+            raise ValueError(message)
+
+        return failing
+
+    def law(q_in: float) -> _Point:
+        return finish(stage(q_in))
+
+    return law
 
 
 def _blocked_blow(device: Device, coeffs: ModelCoefficients,
@@ -387,17 +432,15 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
     g = device.geometry
-    _warn_if_jet_sonic(q_in, g.n_nozzles, g.a_ne, stacklevel=3)
+    _warn_if_jet_sonic((q_in / g.n_nozzles) / g.a_ne, stacklevel=3)
 
 
-def _warn_if_jet_sonic(q_in: float, n_nozzles: int, a_ne: float, *,
-                       stacklevel: int = 2) -> None:
-    """:func:`_warn_if_sonic` for nozzles of these ``n_nozzles`` and
-    ``a_ne``, attributed to the caller's line at the default
-    ``stacklevel``.  The jet velocity is the law's ``v = (q / n_nozzles)
-    / a_ne``; the law's row keeps its own copy, where a call per row
-    would cost."""
-    if (q_in / n_nozzles) / a_ne > _SONIC_SPEED:
+def _warn_if_jet_sonic(v: float, *, stacklevel: int = 2) -> None:
+    """:func:`_warn_if_sonic` for a jet of velocity ``v``, the law's ``(q
+    / n_nozzles) / a_ne``, attributed to the caller's line at the default
+    ``stacklevel``.  A caller that holds a flow's stage divides its ``q /
+    n_nozzles`` by ``a_ne``, as the row does."""
+    if v > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",

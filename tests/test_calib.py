@@ -394,28 +394,47 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
     start = ModelCoefficients(**{
         f.name: getattr(DEFAULT_COEFFS, f.name) * 0.9
         for f in dataclasses.fields(ModelCoefficients)})
-    trials = []
-    law = calib._point_law
+    checked, bound, finished = [], [], []
+    chain = calib._design_chain
 
-    def recording_law(device, coeffs):
-        trials.append(coeffs)
-        return law(device, coeffs)
+    def recording_coefficients(**fields):
+        checked.append(ModelCoefficients(**fields))
+        return checked[-1]
 
-    monkeypatch.setattr(calib, "_point_law", recording_law)
+    def recording_chain(device, coeffs):
+        bound.append(coeffs)
+        stage, finish_at = chain(device, coeffs)
+
+        def recording_finish_at(w, t, h, a_ne, eta, k0, p_c):
+            finished.append(dataclasses.replace(coeffs, eta=eta, k0=k0,
+                                                p_c=p_c))
+            return finish_at(w, t, h, a_ne, eta, k0, p_c)
+
+        return stage, recording_finish_at
+
+    monkeypatch.setattr(calib, "ModelCoefficients", recording_coefficients)
+    monkeypatch.setattr(calib, "_design_chain", recording_chain)
     fitted, _ = fit_closures(_device_rows(_B, (5, 15, 25)), _B, start=start,
                              max_evals=40)
-    assert len(trials) > 40     # each evaluation, then the final residuals
-    for trial in trials + [fitted]:
+    # the law is bound to the start's coefficients once; each evaluation
+    # checks its trial and finishes its rows, and so do the final residuals
+    assert bound == [start]
+    assert len(checked) == 40
+    assert len(finished) == 41
+    for trial in checked + finished + [fitted]:
         assert trial == dataclasses.replace(start, eta=trial.eta,
                                             k0=trial.k0, p_c=trial.p_c)
+    assert [(t.eta, t.k0, t.p_c) for t in finished[:-1]] == \
+        [(t.eta, t.k0, t.p_c) for t in checked]
+    assert finished[-1] == fitted
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
 def test_fit_closures_rejects_a_budget_that_is_not_an_integer(monkeypatch,
                                                               budget):
     trials = []
-    monkeypatch.setattr(calib, "_point_law",
-                        lambda device, coeffs: trials.append(coeffs))
+    monkeypatch.setattr(calib, "ModelCoefficients",
+                        lambda **fields: trials.append(fields))
     with pytest.raises(ValueError, match="^max_evals must be an integer"):
         fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=budget)
     assert trials == []

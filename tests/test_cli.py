@@ -141,6 +141,31 @@ def test_out_to_dev_null(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+# commands whose work warns of a sonic jet: the default grid's top flow,
+# and a search over all four keys at the default 30 L/min
+_WARNING_OUT_COMMANDS = {
+    "sweep-default-grid": ["sweep", "--type", "B"],
+    "optimize-four-keys": ["optimize", "--objective", "suction",
+                           "--bounds-w-mm", "6:10", "--bounds-t-mm",
+                           "0.4:0.6", "--bounds-h-mm", "1.8:2.0",
+                           "--bounds-ane-mm2", "0.32:0.48"],
+}
+
+
+def _forbid_the_work(monkeypatch):
+    """Make every command's work fail the test if it runs."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    for module, name in ((cli.engine, "sweep"),
+                         (cli.engine, "compare_designs"),
+                         (cli.engine, "optimize_geometry"),
+                         (cli.calib, "fit_input_pressure"),
+                         (cli.calib, "fit_closures"),
+                         (cli.friction, "friction_curve")):
+        monkeypatch.setattr(module, name, work)
+
+
 @pytest.mark.parametrize("out, err", [
     ("adir", "error: [Errno 21] Is a directory: 'adir'\n"),
     ("nodir/x.csv", "error: [Errno 2] No such file or directory: "
@@ -152,14 +177,73 @@ def test_out_to_dev_null(capsys, argv):
     # that does not exist: no file ``results`` is written
     ("results/", "error: [Errno 21] Is a directory: 'results/'\n"),
 ], ids=["directory", "missing-parent", "double-slash", "trailing-slash"])
-@pytest.mark.parametrize("argv", _OUT_COMMANDS.values(), ids=_OUT_COMMANDS)
+@pytest.mark.parametrize("argv", [*_OUT_COMMANDS.values(),
+                                  *_WARNING_OUT_COMMANDS.values()],
+                         ids=[*_OUT_COMMANDS, *_WARNING_OUT_COMMANDS])
 def test_unwritable_out_exit_config(tmp_path, monkeypatch, capsys, argv, out,
                                     err):
+    # --out is opened before the command's work: one error line, and no
+    # warning from a sweep or search that never runs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
+    _forbid_the_work(monkeypatch)
     assert main([*argv, "--out", out]) == 2
     assert capsys.readouterr() == ("", err)
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+# each fails after --out is opened: in the grid check, the search's box
+# check, the measurements' read, the closures fit and the flow list
+_FAILING_OUT_COMMANDS = {
+    "sweep": (["sweep", "--type", "B", "--step-lpm", "0.7"], 2),
+    "optimize": (["optimize", "--objective", "suction", "--bounds-w-mm",
+                  "10:6"], 2),
+    "calibrate": (["calibrate", "--data", "nodir/m.csv"], 2),
+    "calibrate-closures": (["calibrate", "--data", "builtin", "--fit",
+                            "closures"], 4),
+    "friction": (["friction", "--weight-n", "1", "--qin-lpm", "5,x"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", _FAILING_OUT_COMMANDS.values(),
+                         ids=_FAILING_OUT_COMMANDS)
+def test_failing_command_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
+                                              argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "new"]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "new").exists()
+    old = tmp_path / "old"
+    old.write_bytes(b"earlier output\n")
+    before = old.stat()
+    assert main([*argv, "--out", "old"]) == code
+    after = old.stat()
+    assert old.read_bytes() == b"earlier output\n"
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == \
+        (before.st_ino, before.st_size, before.st_mtime_ns)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+
+
+def test_existing_out_is_opened_once(tmp_path, monkeypatch):
+    # a rerun onto its own earlier output opens the file with one call,
+    # as before --out was opened ahead of the work; a new file is made
+    # with O_EXCL after a first call finds none
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args):
+        opened.append((path, flags))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = str(tmp_path / "s.csv")
+    argv = [*_OUT_COMMANDS["sweep"], "--out", out]
+    assert main(argv) == 0
+    assert opened == [(out, os.O_WRONLY),
+                      (out, os.O_WRONLY | os.O_CREAT | os.O_EXCL)]
+    opened.clear()
+    assert main(argv) == 0
+    assert opened == [(out, os.O_WRONLY)]
 
 
 def test_sweep_si_columns(tmp_path):

@@ -100,8 +100,8 @@ def test_halving_nozzle_area_quadruples_jet_pressure():
 
 def _penalty(w, coeffs=DEFAULT_COEFFS, w_ref=_GEOM_B.channel_width_ref):
     gate = _GEOM_B.gate
-    return _design_terms(_device(channel_width_ref=w_ref), coeffs)(
-        w, gate.t, gate.h, _GEOM_B.a_ne)[3]
+    _, terms = _design_terms(_device(channel_width_ref=w_ref), coeffs)
+    return terms(w, gate.t, gate.h, _GEOM_B.a_ne, coeffs.k0)[2]
 
 
 def test_recirculation_penalty_reference_and_below():

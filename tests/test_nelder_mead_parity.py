@@ -4,7 +4,11 @@
 kernel moved to plain Python floats, copied unchanged.  On random
 starting points, budgets and objectives that tie, raise or return nan,
 both kernels must evaluate the same points in the same order and return
-the same point, value and evaluation count, compared as float bits.
+the same point, value and evaluation count, compared as float bits.  The
+float kernel re-sorts its simplex only after the initial simplex and a
+shrink, and inserts each other step's new point; objectives with a few
+levels and +inf plateaus make that point tie the values around it and
+make contractions fail into shrinks.
 """
 
 import math
@@ -148,6 +152,54 @@ def test_float_kernel_matches_numpy_kernel_bit_for_bit(problem):
                             max_evals=max_evals, diam_tol=diam_tol)
     assert new_calls == old_calls
     assert isinstance(new[0], list)
+    assert _bits(new[0]) == _bits(old[0].tolist())
+    assert _bits([new[1]]) == _bits([old[1]])
+    assert new[2] == old[2] == len(new_calls)
+
+
+@st.composite
+def plateau_problems(draw):
+    """(x0, max_evals, diam_tol, objective parameters) for a search whose
+    values tie: a bowl cut to a few levels, +inf outside a radius."""
+    n = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0)
+    x0 = draw(st.lists(unit, min_size=n, max_size=n))
+    max_evals = draw(st.integers(n + 1, 200))
+    diam_tol = draw(st.sampled_from([1.0e-6, 1.0e-3]))
+    center = draw(st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n))
+    levels = draw(st.integers(1, 4))
+    step = draw(st.floats(0.01, 1.0))
+    inf_above = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    return x0, max_evals, diam_tol, (center, levels, step, inf_above)
+
+
+def _plateau_objective(params, calls: list):
+    center, levels, step, inf_above = params
+
+    def f(x):
+        xs = [float(v) for v in x]
+        calls.append(_bits(xs))
+        y = 0.0
+        for v, c in zip(xs, center):
+            y += (v - c) * (v - c)
+        if inf_above is not None and y > inf_above:
+            return math.inf
+        return min(math.floor(y / step), levels) * step
+
+    return f
+
+
+@_PROPERTY
+@given(plateau_problems())
+def test_float_kernel_matches_numpy_kernel_on_ties_and_plateaus(problem):
+    x0, max_evals, diam_tol, params = problem
+    new_calls: list = []
+    old_calls: list = []
+    new = nelder_mead(_plateau_objective(params, new_calls), x0,
+                      max_evals=max_evals, diam_tol=diam_tol)
+    old = numpy_nelder_mead(_plateau_objective(params, old_calls), x0,
+                            max_evals=max_evals, diam_tol=diam_tol)
+    assert new_calls == old_calls
     assert _bits(new[0]) == _bits(old[0].tolist())
     assert _bits([new[1]]) == _bits([old[1]])
     assert new[2] == old[2] == len(new_calls)

@@ -36,7 +36,7 @@ from fdrsim import (
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
-from fdrsim.model import (_NOT_FINITE, _blocked_blow, _design_law,
+from fdrsim.model import (_NOT_FINITE, _blocked_blow, _design_chain,
                           _design_terms, _no_row_fails, _point_law)
 
 
@@ -423,15 +423,17 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
     calls = []
 
     def counted(template, coeffs):
-        law_at = _design_law(template, coeffs)
+        # each row a candidate finishes, by its flow: the grid rows'
+        # stages are computed once per binding, the other flows' in the law
+        stage, finish_at = _design_chain(template, coeffs)
 
-        def counted_law_at(*dimensions):
-            law = law_at(*dimensions)
-            return lambda q_in: calls.append(q_in) or law(q_in)
+        def counted_finish_at(*values):
+            finish = finish_at(*values)
+            return lambda st: calls.append(st[0]) or finish(st)
 
-        return counted_law_at
+        return stage, counted_finish_at
 
-    monkeypatch.setattr(engine, "_design_law", counted)
+    monkeypatch.setattr(engine, "_design_chain", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
         for device, sequence in expected.items():
@@ -467,8 +469,9 @@ def test_device_terms_equal_oracle_terms(device, coeffs):
                                                          device.material),
         recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref),
         coeffs.cd_out * g.a_out)
-    terms = _design_terms(device, coeffs)(g.gate.w, g.gate.t, g.gate.h,
-                                          g.a_ne)
+    split, terms_at = _design_terms(device, coeffs)
+    terms = (split, *terms_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne,
+                              coeffs.k0))
     assert _bits(terms) == _bits(expected)
 
 
