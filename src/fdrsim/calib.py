@@ -97,7 +97,12 @@ class FitReport:
         for key, res in self.residuals.items():
             if not res:
                 raise ValueError(f"no residuals recorded for {key}")
-            rms[key] = math.sqrt(sum(r * r for r in res) / len(res))
+            # summed in row order: builtin ``sum`` compensates since
+            # Python 3.12, and would change the last digit between versions
+            total = 0.0
+            for r in res:
+                total += r * r
+            rms[key] = math.sqrt(total / len(res))
         object.__setattr__(self, "rms_residual", rms)
 
 
@@ -222,13 +227,14 @@ def _spread(values: Sequence[float]) -> float:
 
 def _misfit(qs: Sequence, ps: Sequence[float], scale: float,
             law: _Law | _Finish) -> float:
-    """Sum over the rows ``qs`` of ``((p_out - p_ref) / scale) ** 2``,
+    """Sum over the rows ``qs`` of ``((p_out - p_ref) / scale)^2``,
     with ``p_out`` from the law and ``p_ref`` from the floats ``ps``: the
     rows are flows and ``law`` a point law, or they are the flows' stages
     and ``law`` a finish (``model._design_chain``)."""
     total = 0.0
     for q, p_ref in zip(qs, ps):
-        total += ((law(q)[3] - p_ref) / scale) ** 2
+        miss = (law(q)[3] - p_ref) / scale
+        total += miss * miss
     return total
 
 

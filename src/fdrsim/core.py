@@ -19,7 +19,7 @@ elastomer.  All quantities are SI: m, m^2, Pa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "P_ATM",
@@ -174,34 +174,10 @@ def validate_geometry(g: DeviceGeometry) -> list[str]:
 
 def with_gate(device: Device, *, w: float | None = None, t: float | None = None,
               h: float | None = None, a_ne: float | None = None) -> Device:
-    """Copy of ``device`` with selected gate/nozzle dimensions replaced.
-
-    The optimizer calls this once per candidate of an objective it cannot
-    bind to its template (any callable but the engine's own objectives),
-    so each of the three frozen instances is made with ``object.__new__``
-    and its ``__dict__`` filled directly: the template's fields, then the
-    replaced ones, at under half the keyword constructors' cost.  That
-    skips nothing only because ``FlapGateGeometry``, ``DeviceGeometry``
-    and ``Device`` have no ``__post_init__``.  The copy has no
-    ``type_id``.
-    """
-    template = device.geometry
-    gate = object.__new__(FlapGateGeometry)
-    fields = gate.__dict__
-    fields.update(template.gate.__dict__)
-    if w is not None:
-        fields["w"] = w
-    if t is not None:
-        fields["t"] = t
-    if h is not None:
-        fields["h"] = h
-    geometry = object.__new__(DeviceGeometry)
-    fields = geometry.__dict__
-    fields.update(template.__dict__)
-    fields["gate"] = gate
-    if a_ne is not None:
-        fields["a_ne"] = a_ne
-    copy = object.__new__(Device)
-    copy.__dict__.update(geometry=geometry, material=device.material,
-                         type_id=None)
-    return copy
+    """Copy of ``device`` with selected gate/nozzle dimensions replaced;
+    the copy has no ``type_id``."""
+    gate = replace(device.geometry.gate, **{
+        k: v for k, v in (("w", w), ("t", t), ("h", h)) if v is not None})
+    nozzle = {} if a_ne is None else {"a_ne": a_ne}
+    geometry = replace(device.geometry, gate=gate, **nozzle)
+    return replace(device, geometry=geometry, type_id=None)

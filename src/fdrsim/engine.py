@@ -717,8 +717,8 @@ def switching_objective(coeffs: ModelCoefficients, *,
             switching_p_in = input_pressure(switching_q, coeffs)
             if target_p_in is None:
                 return switching_p_in
-            return ((switching_p_in - target_p_in)
-                    / max(abs(target_p_in), 1.0)) ** 2
+            miss = (switching_p_in - target_p_in) / max(abs(target_p_in), 1.0)
+            return miss * miss
 
         return score
 

@@ -149,7 +149,7 @@ def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
 
     Strictly increasing in modulus, thickness, and height; strictly
     decreasing in width.  Raises ``ValueError`` when D is not positive
-    and finite, as when ``t ** 3`` underflows to zero for a gate far
+    and finite, as when ``t * t * t`` underflows to zero for a gate far
     thinner than any build.
     """
     if geom.w <= 0.0 or geom.t <= 0.0 or geom.h <= 0.0:
@@ -162,10 +162,7 @@ def gate_stiffness(geom: FlapGateGeometry, mat: Material) -> float:
 def _stiffness(youngs: float, w: float, t: float, h: float) -> float:
     """:func:`gate_stiffness` past its sign checks: ``E t^3 h / w``, which
     must come out positive and finite (``ValueError``)."""
-    try:
-        stiffness = youngs * t ** 3 * h / w
-    except OverflowError:   # a float ``**`` out of range
-        stiffness = math.inf
+    stiffness = youngs * (t * t * t) * h / w
     if not 0.0 < stiffness < math.inf:
         raise ValueError("gate stiffness E t^3 h / w must be positive "
                          "and finite")
@@ -223,10 +220,11 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     try:
         if g.a_in <= 0.0 or g.a_branch <= 0.0:
             raise ValueError("areas must be positive")
-        try:
-            split = 1.0 - (g.a_in / (2.0 * g.a_branch)) ** 2
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
+        ratio = g.a_in / (2.0 * g.a_branch)
+        square = ratio * ratio
+        if square == math.inf and ratio < math.inf:   # out of float range
+            raise ValueError(_NOT_FINITE)
+        split = 1.0 - square
         stop = 1
         if youngs <= 0.0:
             raise ValueError("youngs_modulus must be positive")
@@ -295,15 +293,14 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
     rest of the row: a stage to its (p_in, p_chamber, a_fg, p_out).  A
     caller that returns to the same flows computes each one's stage once.
 
-    A design search binds this to its template once, and a closure fit
-    to its device; each candidate or trial then pays only for its own
-    terms and the finish of the rows it reads.  Both stages run in the
-    order written (``**`` squares, which round as libm ``pow``, not
-    always as ``u * u``).  A bad flow, or pressures beyond the float
-    range, raise ``ValueError`` from ``stage``, and a ``p_out`` beyond it
-    from ``finish``.  A stage is defined only for a template that passes
-    its checks: compute it after a ``finish_at`` has returned, so that a
-    failing term is raised first, as in the law.
+    A design search binds this to its template once, and a closure fit to
+    its device; each candidate or trial then pays only for its own terms
+    and the finish of the rows it reads.  Both stages run in the order
+    written, squares as products.  A bad flow, or pressures beyond the
+    float range, raise ``ValueError`` from ``stage``, and a ``p_out``
+    beyond it from ``finish``.  A stage is defined only for a template
+    that passes its checks: compute it after a ``finish_at`` has returned,
+    so that a failing term is raised first, as in the law.
     """
     split, terms_at = _design_terms(template, coeffs)
     c1, c2 = coeffs.c1, coeffs.c2
@@ -314,11 +311,9 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
     def stage(q_in: float) -> _Stage:
         if not 0.0 <= q_in < inf:
             _check_flow(q_in)
-        try:
-            p_in = c1 * q_in + c2 * q_in * q_in
-            p_chamber = p_in + kinetic_scale * (q_in / a_in) ** 2 * split
-        except OverflowError as exc:   # a float ``**`` out of range
-            raise ValueError(_NOT_FINITE) from exc
+        p_in = c1 * q_in + c2 * q_in * q_in
+        u = q_in / a_in
+        p_chamber = p_in + kinetic_scale * (u * u) * split
         if not (-inf < p_in < inf and -inf < p_chamber < inf):
             raise ValueError(_NOT_FINITE)
         return q_in, p_in, p_chamber, q_in / n_nozzles
@@ -335,10 +330,8 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
             opening = gain * (excess if excess > 0.0 else 0.0)
             a_fg = opening if opening < a_max else a_max
             s = a_fg / a_max
-            try:
-                p_blow = half_rho * ((1.0 - s) * q_in / out_area) ** 2
-            except OverflowError as exc:   # a float ``**`` out of range
-                raise ValueError(_NOT_FINITE) from exc
+            u = (1.0 - s) * q_in / out_area
+            p_blow = half_rho * (u * u)
             v = q_nozzle / a_ne
             vent = a_fg / a_ex
             p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
@@ -391,10 +384,10 @@ def _blocked_blow(device: Device, coeffs: ModelCoefficients,
     with the gate shut, for :func:`_no_row_fails`; inf when it overflows,
     or when ``cd_out a_out`` is zero, which fails every row of the law."""
     try:
-        return _HALF_RHO * (q_top / (coeffs.cd_out * device.geometry.a_out)
-                            ) ** 2
-    except (OverflowError, ZeroDivisionError):
+        u = q_top / (coeffs.cd_out * device.geometry.a_out)
+    except ZeroDivisionError:
         return math.inf
+    return _HALF_RHO * (u * u)
 
 
 def _no_row_fails(law: _Law, q_top: float, blocked_blow: float) -> bool:
@@ -404,21 +397,23 @@ def _no_row_fails(law: _Law, q_top: float, blocked_blow: float) -> bool:
     the device's :func:`_blocked_blow` at ``q_top``, which its template
     alone fixes.
 
-    Every operation of the law rounds monotonically, and with ``c1, c2 >=
-    0`` the magnitudes of ``p_in``, of both terms of ``p_chamber``, of the
-    blocked flow ``(1 - s) q`` and of the jet velocity ``v`` never fall as
-    the flow grows.  So a finite ``law(q_top)`` keeps ``p_in`` and
-    ``p_chamber`` finite at every lower flow, and ``s = a_fg / a_fg_max``
-    lies in [0, 1] whatever the gate does.  The blowing term is at most
-    its value with the gate shut, ``blocked_blow``, and the suction term
-    at most ``eta rho/2 v_top^2``, as the vent and the penalty lie in [0,
-    1].  That factor of the law's own suction term at ``q_top`` is finite
-    whenever ``law(q_top)`` is: were it inf, that term and ``p_out`` would
-    be inf or nan (as a nan penalty, ``c_recirc = 0`` times an infinite
-    width excess, makes every row's).  So when the blowing bound is
-    finite, ``p_out`` is the difference of two finite nonnegative terms
-    and no row is inf or nan.  A blowing bound that overflows only means
-    the check cannot rule a failure out.
+    Every operation of the law, squares included, is a ``+ - * /`` that
+    IEEE 754 rounds correctly, so each rounds monotonically; and with
+    ``c1, c2 >= 0`` the magnitudes of ``p_in``, of both terms of
+    ``p_chamber``, of the blocked flow ``(1 - s) q`` and of the jet
+    velocity ``v`` never fall as the flow grows.  So a finite
+    ``law(q_top)`` keeps ``p_in`` and ``p_chamber`` finite at every lower
+    flow, and ``s = a_fg / a_fg_max`` lies in [0, 1] whatever the gate
+    does.  The blowing term is at most its value with the gate shut,
+    ``blocked_blow``, and the suction term at most ``eta rho/2 v_top^2``,
+    as the vent and the penalty lie in [0, 1].  That factor of the law's
+    own suction term at ``q_top`` is finite whenever ``law(q_top)`` is:
+    were it inf, that term and ``p_out`` would be inf or nan (as a nan
+    penalty, ``c_recirc = 0`` times an infinite width excess, makes every
+    row's).  So when the blowing bound is finite, ``p_out`` is the
+    difference of two finite nonnegative terms and no row is inf or nan.
+    A blowing bound that overflows only means the check cannot rule a
+    failure out.
     """
     try:
         law(q_top)

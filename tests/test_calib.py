@@ -303,6 +303,19 @@ def test_fit_report_rms_derived_from_residuals():
         FitReport(coefficients={"c1": 1.0}, residuals={"p_in": ()})
 
 
+def test_fit_report_rms_sums_squares_in_row_order():
+    # 1 + 1e-16 rounds back to 1 at each step, while a compensated sum
+    # (math.fsum, and builtin sum since Python 3.12) keeps both 1e-16s:
+    # the report's bytes must not depend on the Python version
+    res = (1.0, 1.0e-8, 1.0e-8)
+    total = 0.0
+    for r in res:
+        total += r * r
+    assert total != math.fsum(r * r for r in res)
+    report = FitReport(coefficients={"c1": 1.0}, residuals={"p_in": res})
+    assert report.rms_residual["p_in"].hex() == math.sqrt(total / 3).hex()
+
+
 def _descent_fit(rows):
     """The supply-law fit as clamped coordinate descent, frozen from the
     iterative version of ``fit_input_pressure``: up to 500 sweeps stopped

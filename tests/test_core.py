@@ -186,17 +186,6 @@ def test_with_gate_matches_replace_on_every_field(keys):
                 != getattr(DeviceGeometry(), f.name)), f.name
 
 
-def test_with_gate_types_have_no_post_init():
-    # with_gate fills each copy's __dict__ without calling __init__, which
-    # skips nothing only while none of the three types checks or derives
-    # anything after construction
-    for cls in (FlapGateGeometry, DeviceGeometry, Device):
-        assert not hasattr(cls, "__post_init__"), cls.__name__
-    got = with_gate(catalog_device("B"), w=7.0e-3, a_ne=0.45e-6)
-    for obj in (got, got.geometry, got.geometry.gate):
-        assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)]
-
-
 def test_validate_geometry_accepts_catalog():
     for tid in CATALOG_TYPE_IDS:
         assert validate_geometry(catalog_device(tid).geometry) == []

@@ -94,7 +94,8 @@ def _bifurcation_pressure(q_in, p_in, fluid, geometry):
     if a_in <= 0.0 or a <= 0.0:
         raise ValueError("areas must be positive")
     kinetic = ((fluid.gamma - 1.0) / (2.0 * fluid.gamma) * fluid.rho
-               * (q_in / a_in) ** 2 * (1.0 - (a_in / (2.0 * a)) ** 2))
+               * ((q_in / a_in) * (q_in / a_in))
+               * (1.0 - (a_in / (2.0 * a)) * (a_in / (2.0 * a))))
     return fluid.rho / fluid.rho_in * p_in + kinetic
 
 
@@ -151,7 +152,8 @@ def _output_pressure(q_in, state, geometry, fluid=AIR,
         raise ValueError("q_in must be nonnegative")
     s = state.open_fraction
     blocked = (1.0 - s) * q_in
-    p_blow = 0.5 * fluid.rho * (blocked / (coeffs.cd_out * geometry.a_out)) ** 2
+    p_blow = 0.5 * fluid.rho * ((blocked / (coeffs.cd_out * geometry.a_out))
+                                * (blocked / (coeffs.cd_out * geometry.a_out)))
     q_jet = _jet_dynamic_pressure(q_in, geometry, fluid)
     vent = min(1.0, opening_ratio(state.a_fg, geometry.a_ex))
     penalty = recirculation_penalty(geometry.gate.w, coeffs,
@@ -176,7 +178,8 @@ def devices(draw):
         h=draw(st.floats(1.2e-3, 3.0e-3)),
         a_ne=draw(st.floats(0.1e-6, 1.0e-6)))
     # an unequal inlet split switches on the junction's kinetic term;
-    # (a_in / (2 a_branch)) ** 2 at 2.148 mm^2 rounds apart from the product
+    # (a_in / (2 a_branch)) ** 2 at 2.148 mm^2 rounds apart from the
+    # product, so a law that squared by ``**`` would fail
     geometry = dataclasses.replace(
         device.geometry, split_design_rule=False,
         a_branch=draw(st.sampled_from([device.geometry.a_branch, 1.5e-6,
@@ -275,10 +278,10 @@ def test_sweep_rows_equal_scalar_path(device, coeffs, grid):
        st.integers(1, 400), st.booleans())
 def test_kernel_rows_equal_scalar_path_in_any_order(device, coeffs, seed,
                                                     count, overflow):
-    # hundreds of unsorted flows per example: the rows where ``**`` rounds
-    # differently from ``u * u`` are rare; flows up to 1e160 L/min
-    # overflow the squares, so every failing flow (the first one too)
-    # must fail with the same message
+    # hundreds of unsorted flows per example: the rows where a ``**``
+    # square would round apart from ``u * u`` are rare; flows up to 1e160
+    # L/min overflow the squares, so every failing flow (the first one
+    # too) must fail with the same message
     rng = np.random.default_rng(seed)
     if overflow:
         qs = 10.0 ** rng.uniform(-6.0, 160.0, count) * M3S_PER_LPM
@@ -362,8 +365,8 @@ def _assert_objective_equals_sweep(device, coeffs, target):
     elif target is None:
         expected = ref.switching_p_in
     else:
-        expected = ((ref.switching_p_in - target)
-                    / max(abs(target), 1.0)) ** 2
+        miss = (ref.switching_p_in - target) / max(abs(target), 1.0)
+        expected = miss * miss
     assert value.hex() == expected.hex()
 
 
