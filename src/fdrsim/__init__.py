@@ -11,7 +11,14 @@ closure coefficients to measurements.
 
 All public APIs are strict SI; the command-line layer owns every unit
 conversion.
+
+``core``, ``model`` and ``engine`` load with the package.  ``calib``
+(with ``csv``) and ``friction`` load on first use of one of their names
+(PEP 562), so a process that never fits or predicts friction, such as
+``fdr simulate``, neither runs nor compiles them.
 """
+
+import importlib
 
 from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, P_ATM, catalog_device,
@@ -24,11 +31,17 @@ from .engine import (MODE_BLOWING, MODE_NEUTRAL, MODE_SUCTION,
                      compare_designs, design_orderings, nelder_mead,
                      optimize_geometry, solve_operating_point,
                      suction_objective, sweep, switching_objective)
-from .friction import (FrictionCurvePoint, FrictionPrediction,
-                       effective_normal, friction_curve, predict_coefficients)
-from .calib import (FitError, FitReport, MeasurementRow, MeasurementSet,
-                    builtin_calibration_points, fit_closures,
-                    fit_input_pressure, load_measurements)
+
+# public name -> the submodule that defines it, imported on first use
+_LAZY = {
+    **dict.fromkeys(("FrictionCurvePoint", "FrictionPrediction",
+                     "effective_normal", "friction_curve",
+                     "predict_coefficients"), "friction"),
+    **dict.fromkeys(("FitError", "FitReport", "MeasurementRow",
+                     "MeasurementSet", "builtin_calibration_points",
+                     "fit_closures", "fit_input_pressure",
+                     "load_measurements"), "calib"),
+}
 
 __version__ = "0.1.0"
 
@@ -44,10 +57,20 @@ __all__ = [
     "design_orderings", "nelder_mead", "optimize_geometry",
     "solve_operating_point", "suction_objective", "sweep",
     "switching_objective",
-    "FrictionCurvePoint", "FrictionPrediction", "effective_normal",
-    "friction_curve", "predict_coefficients",
-    "FitError", "FitReport", "MeasurementRow", "MeasurementSet",
-    "builtin_calibration_points", "fit_closures", "fit_input_pressure",
-    "load_measurements",
+    *_LAZY,
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("calib", "friction"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value     # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, "calib", "friction"})

@@ -22,6 +22,7 @@ SI at the boundary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -119,16 +120,23 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     """Read a measurement CSV (display units) into an SI MeasurementSet.
 
     A bad cell, a row with more cells than the header (a decimal comma
-    splits one reading in two), or a flow given twice with different
-    readings raises ``ValueError`` naming the file and line; a row with
-    fewer cells leaves the optional columns empty, and an exact repeat
-    of a row collapses into it."""
+    splits one reading in two), a flow given twice with different
+    readings, or a row the ``csv`` module rejects raises ``ValueError``
+    naming the file and line, and a file that is not UTF-8 one naming
+    the file; a row with fewer cells leaves the optional columns empty,
+    and an exact repeat of a row collapses into it."""
     path = Path(path)
     rows: list[MeasurementRow] = []
     seen: dict[float, tuple[MeasurementRow, int]] = {}   # q_in -> row, line
     q_column = FLOW.key("q_in")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    # decoded whole, so that an error's position counts from the file's
+    # start; ``newline=""`` splits lines as ``open(newline="")`` does
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"measurements {path} is not UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None or q_column not in reader.fieldnames:
             raise FitError(f"{path}: missing required column {q_column}")
         for record in reader:
@@ -156,6 +164,11 @@ def load_measurements(path: str | Path) -> MeasurementSet:
                                      f"{first_line} and {line}: "
                                      "q_in values must be distinct")
                 rows.append(row)
+    except csv.Error as exc:    # e.g. a cell past ``csv.field_size_limit()``
+        # the inner reader's count: ``DictReader`` copies it only after a
+        # row is read whole
+        raise ValueError(f"measurements {path} line "
+                         f"{reader.reader.line_num}: {exc}") from exc
     return MeasurementSet(rows=tuple(rows))
 
 

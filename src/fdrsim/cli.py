@@ -30,6 +30,13 @@ under a root parser whose usage line lists every command, so
 parser.  ``main`` builds the full parser, with every command's flags,
 when the first argument names no command, so ``fdr --help`` and the
 errors for a missing or unknown command come from it.
+
+Each invocation also imports only the modules its command runs:
+``calib`` (with ``csv``) is imported by ``calibrate`` and by a
+``--coeffs`` file that holds a calibrate report, ``friction`` by
+``friction``.  A shell user pays the start-up of one process per
+command, and ``simulate``, ``sweep``, ``compare`` and ``optimize`` need
+neither module.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from typing import (Any, Callable, Iterable, NamedTuple, Sequence,
 
 from ._units import (AREA, FLOW, FORCE, LENGTH, M2_PER_CM2, PRESSURE,
                      UNITLESS, Unit)
-from . import calib, engine, friction
+from . import engine
 from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
                    FlapGateGeometry, Material, catalog_device,
                    validate_geometry)
@@ -223,7 +230,6 @@ _CONFIG_FIELDS = {unit.key(name): (name, unit)
 _CONFIG_KEYS = {"type", "shore_a", *_CONFIG_FIELDS}
 
 _COEFF_NAMES = frozenset(f.name for f in fields(ModelCoefficients))
-_REPORT_FIELDS = frozenset(f.name for f in fields(calib.FitReport))
 
 
 def _config_value(value, kind: type, key: str):
@@ -245,7 +251,9 @@ def _config_value(value, kind: type, key: str):
 def _read_json_object(path: str, what: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer past Python's
+        # digit limit; RecursionError: nested past the recursion limit
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")
@@ -288,7 +296,8 @@ def _load_coeffs(path: str | None) -> ModelCoefficients:
     unknown = set()
     if isinstance(raw.get("coefficients"), dict):
         # a calibrate-command report: its fields, coefficients among them
-        unknown = set(raw) - _REPORT_FIELDS
+        from .calib import FitReport
+        unknown = set(raw) - {f.name for f in fields(FitReport)}
         raw = raw["coefficients"]
     unknown |= set(raw) - _COEFF_NAMES
     if unknown:
@@ -366,6 +375,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> str:
+    from . import calib
     if args.fit == "input" and args.max_evals is not None:
         raise ValueError("--max-evals applies only to --fit closures")
     if args.data == "builtin":
@@ -434,6 +444,7 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
 
 
 def _cmd_friction(args: argparse.Namespace) -> str:
+    from . import friction
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     try:
@@ -681,12 +692,19 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit_error() -> type[Exception] | tuple[()]:
+    """``calib.FitError`` once ``calib`` is imported, else ``()``, which
+    matches nothing: only code that has imported ``calib`` can raise it."""
+    calib = sys.modules.get(f"{__package__}.calib")
+    return () if calib is None else calib.FitError
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser_for(argv).parse_args(argv)
     try:
         return _run(args)
-    except calib.FitError as exc:
+    except _fit_error() as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return _EXIT_FIT
     except (engine.SweepError, SupersonicJetWarning) as exc:

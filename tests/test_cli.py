@@ -3,12 +3,14 @@
 import argparse
 import codecs
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as hs
 
 from fdrsim import (CATALOG_TYPE_IDS, DEFAULT_COEFFS, Material,
-                    SupersonicJetWarning, catalog_device, cli, sweep)
+                    SupersonicJetWarning, calib, catalog_device, cli,
+                    friction, sweep)
 from fdrsim._units import AREA, FLOW, LENGTH
 from fdrsim.cli import (_COMMANDS, _json_text, _load_device_config,
                         _parser_for, build_parser, main)
@@ -157,12 +160,13 @@ def _forbid_the_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the command's work ran")
 
+    # calib and friction: the modules the commands import when they run
     for module, name in ((cli.engine, "sweep"),
                          (cli.engine, "compare_designs"),
                          (cli.engine, "optimize_geometry"),
-                         (cli.calib, "fit_input_pressure"),
-                         (cli.calib, "fit_closures"),
-                         (cli.friction, "friction_curve")):
+                         (calib, "fit_input_pressure"),
+                         (calib, "fit_closures"),
+                         (friction, "friction_curve")):
         monkeypatch.setattr(module, name, work)
 
 
@@ -341,8 +345,11 @@ def test_calibrate_malformed_data_exit_fit(tmp_path):
     ("1,2\n,\n3,nan\n", 4, "p_in must be finite"),
     ("1,2\n-1,3\n", 3, "q_in must be nonnegative"),
     ("1,2\n5,5,4\n", 3, "3 cells, but the header has 2"),
+    # the csv module's own error, raised before the row is read whole
+    ("1,2\n3," + "4" * (csv.field_size_limit() + 1) + "\n", 3,
+     f"field larger than field limit ({csv.field_size_limit()})"),
 ], ids=["not-a-number", "nan-after-a-blank-row", "negative-flow",
-        "decimal-comma"])
+        "decimal-comma", "oversized-cell"])
 def test_calibrate_bad_measurement_cell_names_its_line(tmp_path, capsys,
                                                       rows, line, message):
     # a bad cell is a configuration error that names the file and the
@@ -355,6 +362,49 @@ def test_calibrate_bad_measurement_cell_names_its_line(tmp_path, capsys,
     assert capsys.readouterr().err == \
         f"error: measurements {bad} line {line}: {message}\n"
     assert not out.exists()
+
+
+def _assert_input_error(capsys, argv, out, prefix):
+    """``argv`` (given ``--out out``) exits 2 with one stderr line that
+    starts with ``prefix``, and leaves no ``--out`` file behind."""
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # json.loads raises RecursionError past the recursion limit
+    "[" * 100_000 + "]" * 100_000,
+    # and ValueError on an integer past the digit limit (3.10.7, 3.11)
+    pytest.param('{"eta": 1' + "0" * 5000 + "}", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no integer digit limit")),
+], ids=["deep", "long-integer"])
+@pytest.mark.parametrize("flag, what", [("--config", "config"),
+                                        ("--coeffs", "coefficients")])
+def test_unreadable_json_names_the_file(tmp_path, capsys, text, flag, what):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    _assert_input_error(capsys, ["sweep", flag, str(bad)],
+                        tmp_path / "o.csv",
+                        f"error: {what} {bad} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--data", "builtin", "--config"], "config {} is not valid JSON"),
+    (["--data", "builtin", "--coeffs"], "coefficients {} is not valid JSON"),
+    (["--data"], "measurements {} is not UTF-8"),
+], ids=["config", "coeffs", "measurements"])
+def test_input_file_not_utf8_names_the_file(tmp_path, capsys, flags, what):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"\xffq_in_lpm,p_in_kpa\n1,2\n")
+    _assert_input_error(capsys, ["calibrate", *flags, str(bad)],
+                        tmp_path / "fit.json",
+                        "error: " + what.format(bad)
+                        + ": 'utf-8' codec can't decode byte 0xff in "
+                          "position 0")
 
 
 def test_calibrate_closures_from_file(tmp_path):

@@ -1,4 +1,4 @@
-"""No command imports numpy.
+"""No command imports numpy, and each imports only the modules it runs.
 
 The package has no runtime dependency: importing the package or the CLI,
 ``simulate``, ``sweep``, ``compare``, ``friction``, ``--help``, a
@@ -6,6 +6,9 @@ configuration error, every optimizer objective and both ``calibrate``
 fits run in a fresh interpreter without numpy.  A control shows the
 detector sees ``import numpy``.  The console-script path, ``main()``
 reading ``sys.argv`` itself, runs here too, as ``python -m fdrsim.cli``.
+
+``calib`` (with ``csv``) and ``friction`` load only in the commands that
+run them, and the package's names from them resolve on first use.
 """
 
 import os
@@ -137,3 +140,71 @@ def test_console_script_command_help():
     proc = _python("-m", "fdrsim.cli", "sweep", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: fdr sweep")
+
+
+_DEFERRED = ("fdrsim.calib", "fdrsim.friction", "csv")
+
+
+def _deferred_loaded(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; which deferred modules it
+    loaded."""
+    proc = _python("-c", code + "\nimport sys\n"
+                   f"print(*sorted(set({_DEFERRED!r}) & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("code", [
+    "import fdrsim",
+    "import fdrsim.cli as c; c.build_parser()",
+], ids=["package", "parser"])
+def test_import_defers_calib_and_friction(code):
+    assert _deferred_loaded(code) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["simulate", "--type", "B", "--qin-lpm", "10"], []),
+    (["sweep", "--type", "B", "--step-lpm", "10"], []),
+    (["calibrate", "--data", "builtin"], ["csv", "fdrsim.calib"]),
+    (["friction", "--weight-n", "2"], ["fdrsim.friction"]),
+], ids=["simulate", "sweep", "calibrate", "friction"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    if argv[0] != "simulate":
+        argv = [*argv, "--out", str(tmp_path / "o.out")]
+    assert _deferred_loaded(_main(argv)) == loaded
+
+
+def test_deferred_names_resolve_on_first_use():
+    # the submodules resolve as attributes before anything imports them,
+    # and a star import binds every public name
+    proc = _python("-c", """
+import fdrsim
+assert fdrsim.calib.__name__ == "fdrsim.calib"
+assert fdrsim.friction.__name__ == "fdrsim.friction"
+names = {}
+exec("from fdrsim import *", names)
+del names["__builtins__"]
+assert sorted(names) == sorted(fdrsim.__all__) and len(names) == 45
+assert set(fdrsim.__all__) | {"calib", "friction"} <= set(dir(fdrsim))
+assert names["FitError"] is fdrsim.calib.FitError
+assert names["friction_curve"] is fdrsim.friction.friction_curve
+""")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    import fdrsim
+    with pytest.raises(AttributeError, match="has no attribute 'no_such'"):
+        fdrsim.no_such
+
+
+def test_console_script_fit_error_exit_fit(tmp_path):
+    # FitError is matched without importing calib up front: the closures
+    # fit has no p_out rows in the built-in data
+    out = tmp_path / "o.json"
+    proc = _python("-m", "fdrsim.cli", "calibrate", "--data", "builtin",
+                   "--fit", "closures", "--out", str(out))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("fit error: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
