@@ -24,12 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._units import AREA, FLOW, PRESSURE
-from .core import Device
+from .core import Device, _Frozen
 from .engine import nelder_mead
 from .model import (DEFAULT_COEFFS, ModelCoefficients, _Finish, _Law,
                     _Stage, _design_chain, _warn_if_sonic)
@@ -55,47 +54,60 @@ class FitError(RuntimeError):
     """A fit cannot proceed (missing data or a degenerate system)."""
 
 
-@dataclass(frozen=True)
-class MeasurementRow:
-    q_in: float                 # [m^3/s]
-    p_in: float | None = None   # [Pa]
-    p_out: float | None = None  # [Pa]
-    a_fg: float | None = None   # [m^2]
+class MeasurementRow(_Frozen):
+    """One measured point: the flow ``q_in`` [m^3/s] and, where measured,
+    the supply and output gauge pressures ``p_in`` and ``p_out`` [Pa]
+    and the gate opening ``a_fg`` [m^2]."""
 
-    def __post_init__(self) -> None:
-        for name in ("q_in", "p_in", "p_out", "a_fg"):
+    __slots__ = _fields = ("q_in", "p_in", "p_out", "a_fg")
+
+    def __init__(self, q_in: float, p_in: float | None = None,
+                 p_out: float | None = None,
+                 a_fg: float | None = None) -> None:
+        self._set(q_in, p_in, p_out, a_fg)
+        for name in self._fields:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.q_in < 0.0:
+        if q_in < 0.0:
             raise ValueError("q_in must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    rows: tuple[MeasurementRow, ...]
+class MeasurementSet(_Frozen):
+    """Measured points at distinct flows."""
 
-    def __post_init__(self) -> None:
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple[MeasurementRow, ...]) -> None:
         # exact duplicate rows carry no new information: collapse them so
         # fits are invariant to repeated trials being pasted twice
-        deduped = tuple(dict.fromkeys(self.rows))
-        object.__setattr__(self, "rows", deduped)
-        qs = [r.q_in for r in deduped]
+        rows = tuple(dict.fromkeys(rows))
+        qs = [r.q_in for r in rows]
         if len(set(qs)) != len(qs):
             raise ValueError("q_in values must be distinct")
+        self._set(rows)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class _FitReportFields(NamedTuple):
     coefficients: dict[str, float]
     # root mean square of each quantity's residuals [same unit], derived
-    rms_residual: dict[str, float] = field(init=False)
+    rms_residual: dict[str, float]
     residuals: dict[str, tuple[float, ...]]  # measured minus fitted, per point
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class FitReport(_FitReportFields):
+    """A fit's coefficients, residuals and warnings.  ``rms_residual`` is
+    derived from ``residuals`` on every construction, ``_replace``
+    included, and is not a constructor parameter."""
+
+    __slots__ = ()
+
+    def __new__(cls, coefficients: dict[str, float],
+                residuals: dict[str, tuple[float, ...]],
+                warnings: tuple[str, ...] = ()) -> "FitReport":
         rms: dict[str, float] = {}
-        for key, res in self.residuals.items():
+        for key, res in residuals.items():
             if not res:
                 raise ValueError(f"no residuals recorded for {key}")
             # summed in row order: builtin ``sum`` compensates since
@@ -104,7 +116,15 @@ class FitReport:
             for r in res:
                 total += r * r
             rms[key] = math.sqrt(total / len(res))
-        object.__setattr__(self, "rms_residual", rms)
+        return super().__new__(cls, coefficients, rms, residuals, warnings)
+
+    def __getnewargs__(self) -> tuple:
+        return self.coefficients, self.residuals, self.warnings
+
+    @classmethod
+    def _make(cls, iterable) -> "FitReport":
+        coefficients, _, residuals, warnings = iterable
+        return cls(coefficients, residuals, warnings)
 
 
 def builtin_calibration_points() -> MeasurementSet:
@@ -313,8 +333,8 @@ def fit_closures(data: MeasurementSet, device: Device, *,
             d = (p - c) / r
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        # the constructor, cheaper per evaluation than ``replace``;
-        # ``__post_init__`` still checks the trial
+        # the constructor, cheaper per evaluation than ``_replace``, which
+        # builds a dict; the constructor still checks the trial
         trial = ModelCoefficients(c1=start.c1, c2=start.c2, eta=clipped[0],
                                   c_recirc=start.c_recirc, k0=clipped[1],
                                   p_c=clipped[2], cd_out=start.cd_out)
@@ -324,7 +344,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
                                max_evals=max_evals, diam_tol=1.0e-9)
     eta, k0, p_c = clamp(best_u)[1]
-    fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
+    fitted = start._replace(eta=eta, k0=k0, p_c=p_c)
 
     finish, staged = finished(fitted)
     residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged, ps))

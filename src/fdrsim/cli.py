@@ -49,7 +49,6 @@ import re
 import stat
 import sys
 import warnings
-from dataclasses import asdict, fields, replace
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import (Any, Callable, Iterable, NamedTuple, Sequence,
@@ -222,14 +221,14 @@ _OPTIMIZE_COLUMNS = tuple(
 
 # --- config loading -----------------------------------------------------------
 
-_FIELD_TYPES = {**get_type_hints(FlapGateGeometry),
-                **get_type_hints(DeviceGeometry)}
+_FIELD_TYPES = {**get_type_hints(FlapGateGeometry.__init__),
+                **get_type_hints(DeviceGeometry.__init__)}
 # config key -> (geometry field, unit), e.g. w_mm -> (w, LENGTH)
 _CONFIG_FIELDS = {unit.key(name): (name, unit)
                   for name, unit in _DIMENSION_UNITS.items()}
 _CONFIG_KEYS = {"type", "shore_a", *_CONFIG_FIELDS}
 
-_COEFF_NAMES = frozenset(f.name for f in fields(ModelCoefficients))
+_COEFF_NAMES = frozenset(ModelCoefficients._fields)
 
 
 def _config_value(value, kind: type, key: str):
@@ -271,9 +270,9 @@ def _load_device_config(path: str) -> Device:
         name: unit.to_si(_config_value(raw[key], _FIELD_TYPES[name], key))
         for key, (name, unit) in _CONFIG_FIELDS.items() if key in raw}
     g = device.geometry
-    gate = replace(g.gate, **{f.name: values.pop(f.name)
-                              for f in fields(g.gate) if f.name in values})
-    g = replace(g, gate=gate, **values)
+    gate = g.gate._replace(**{name: values.pop(name)
+                              for name in g.gate._fields if name in values})
+    g = g._replace(gate=gate, **values)
     material = (Material.from_shore_a(
                     _config_value(raw["shore_a"], float, "shore_a"))
                 if "shore_a" in raw else device.material)
@@ -285,8 +284,8 @@ def _load_device_config(path: str) -> Device:
             violations = [str(exc)]
     if violations:
         raise ValueError(f"config {path} invalid: " + "; ".join(violations))
-    return replace(device, geometry=g, material=material,
-                   type_id=None if set(raw) - {"type"} else device.type_id)
+    return Device(g, material,
+                  None if set(raw) - {"type"} else device.type_id)
 
 
 def _load_coeffs(path: str | None) -> ModelCoefficients:
@@ -297,7 +296,7 @@ def _load_coeffs(path: str | None) -> ModelCoefficients:
     if isinstance(raw.get("coefficients"), dict):
         # a calibrate-command report: its fields, coefficients among them
         from .calib import FitReport
-        unknown = set(raw) - {f.name for f in fields(FitReport)}
+        unknown = set(raw) - set(FitReport._fields)
         raw = raw["coefficients"]
     unknown |= set(raw) - _COEFF_NAMES
     if unknown:
@@ -305,7 +304,7 @@ def _load_coeffs(path: str | None) -> ModelCoefficients:
             f"coefficients {path}: unknown fields {sorted(unknown)}")
     values = {k: _config_value(v, float, k) for k, v in raw.items()}
     try:
-        return replace(DEFAULT_COEFFS, **values)
+        return DEFAULT_COEFFS._replace(**values)
     except ValueError as exc:
         raise ValueError(f"coefficients {path} out of range: {exc}") from exc
 
@@ -390,7 +389,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> str:
         (_, report) = calib.fit_closures(
             data, device, start=start,
             max_evals=400 if args.max_evals is None else args.max_evals)
-    return _json_text(asdict(report))
+    return _json_text(report._asdict())
 
 
 def _parse_bounds(text: str, unit: Unit, flag: str) -> tuple[float, float]:

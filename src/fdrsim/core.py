@@ -10,16 +10,21 @@ stays shut and the output port blows; as the chambers inflate they squeeze
 the gate open, the jets entrain air from the output port through the exhaust,
 and the port switches to suction.
 
-This module holds the value types every other module consumes, the catalog
-of the eleven manufactured device variants (types ``A``..``K``, ``B`` being
-the nominal build), and the hardness-to-modulus conversion used for the cast
-elastomer.  All quantities are SI: m, m^2, Pa.
+This module holds the device's value types every other module consumes,
+the catalog of the eleven manufactured device variants (types ``A``..``K``,
+``B`` being the nominal build), and the hardness-to-modulus conversion used
+for the cast elastomer.  All quantities are SI: m, m^2, Pa.
+
+Every value type is immutable: the input types share this module's
+``_Frozen`` base, and the result types are ``typing.NamedTuple``s.
+``x._replace(field=value)`` is a copy with changes that runs the
+constructor's checks again, ``x._fields`` names the fields in order and
+``x._asdict()`` maps them to their values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 __all__ = [
     "P_ATM",
@@ -58,61 +63,136 @@ def shore_to_modulus(shore_a: float) -> float:
     return mpa * 1.0e6
 
 
-@dataclass(frozen=True)
-class Material:
-    """Cast elastomer of the flap gate."""
+class _Frozen:
+    """Base of the input value types: an immutable record of named fields.
 
-    shore_a: float            # Shore A durometer hardness
-    youngs_modulus: float     # [Pa]
+    A subclass names its fields once, ``__slots__ = _fields = (...)``; its
+    ``__init__`` takes them as parameters in that order, checks them and
+    passes them on to ``_set``, which sets each slot.
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.shore_a < 100.0:
+    Assigning or deleting an attribute raises ``AttributeError``; values
+    of one type compare and hash by their fields, and the ``repr`` names
+    each field.  ``_asdict()`` maps the fields to their values and
+    ``_replace(**changes)`` is a copy with some of them replaced, as on a
+    ``NamedTuple``.  A replaced, copied or unpickled value is built by
+    the constructor, so each one passes its checks again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the slots' own setters: ``__setattr__`` refuses every name
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls._fields)
+
+    def _set(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self._asdict().items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        return self.__class__(**{**self._asdict(), **changes})
+
+    __replace__ = _replace      # ``copy.replace``, Python 3.13+
+
+
+class Material(_Frozen):
+    """Cast elastomer of the flap gate: its Shore A durometer hardness
+    ``shore_a`` and its Young's modulus ``youngs_modulus`` [Pa]."""
+
+    __slots__ = _fields = ("shore_a", "youngs_modulus")
+
+    def __init__(self, shore_a: float, youngs_modulus: float) -> None:
+        if not 0.0 < shore_a < 100.0:
             raise ValueError("shore_a must lie in (0, 100)")
-        if not 0.0 < self.youngs_modulus < math.inf:
+        if not 0.0 < youngs_modulus < math.inf:
             raise ValueError("youngs_modulus must be positive and finite")
+        self._set(shore_a, youngs_modulus)
 
     @classmethod
     def from_shore_a(cls, shore_a: float) -> "Material":
         return cls(shore_a=shore_a, youngs_modulus=shore_to_modulus(shore_a))
 
 
-@dataclass(frozen=True)
-class FlapGateGeometry:
-    """Cantilever gate wall dimensions.  Constructed leniently; see
-    :func:`validate_geometry` for the well-formedness check."""
+class FlapGateGeometry(_Frozen):
+    """Cantilever gate wall dimensions [m]: width ``w`` across the
+    channel, thickness ``t`` and height ``h`` along the channel.
+    Constructed leniently; see :func:`validate_geometry` for the
+    well-formedness check."""
 
-    w: float   # wall width across the channel [m]
-    t: float   # wall thickness [m]
-    h: float   # wall height along the channel [m]
+    __slots__ = _fields = ("w", "t", "h")
+
+    def __init__(self, w: float, t: float, h: float) -> None:
+        self._set(w, t, h)
 
 
-@dataclass(frozen=True)
-class DeviceGeometry:
+_DEFAULT_GATE = FlapGateGeometry(8.0e-3, 0.5e-3, 2.0e-3)
+
+
+class DeviceGeometry(_Frozen):
     """Port and channel areas plus the gate dimensions.
 
-    ``split_design_rule`` declares that the inlet feeds two equal branches,
-    i.e. ``a_in == 2 * a_branch``, which makes the junction pressure track
-    the inlet pressure exactly.
+    The areas [m^2] are the inlet port ``a_in``, one downstream branch
+    ``a_branch``, a single nozzle exit ``a_ne`` (of ``n_nozzles``), the
+    exhaust opening ``a_ex`` and the output port ``a_out``;
+    ``channel_width_ref`` [m] is the gate channel width of the nominal
+    build.  ``split_design_rule`` declares that the inlet feeds two
+    equal branches, i.e. ``a_in == 2 * a_branch``, which makes the
+    junction pressure track the inlet pressure exactly.  Constructed
+    leniently, as the gate is.
     """
 
-    a_in: float = DEFAULT_A_IN               # inlet port [m^2]
-    a_branch: float = DEFAULT_A_BRANCH       # one downstream branch [m^2]
-    a_ne: float = 0.4e-6                     # single nozzle exit [m^2]
-    n_nozzles: int = DEFAULT_N_NOZZLES
-    a_ex: float = DEFAULT_A_EX               # exhaust opening [m^2]
-    a_out: float = DEFAULT_A_OUT             # output port [m^2]
-    channel_width_ref: float = DEFAULT_CHANNEL_WIDTH_REF  # [m]
-    gate: FlapGateGeometry = field(default_factory=lambda: FlapGateGeometry(8.0e-3, 0.5e-3, 2.0e-3))
-    split_design_rule: bool = True
+    __slots__ = _fields = ("a_in", "a_branch", "a_ne", "n_nozzles", "a_ex",
+                           "a_out", "channel_width_ref", "gate",
+                           "split_design_rule")
+
+    def __init__(self, a_in: float = DEFAULT_A_IN,
+                 a_branch: float = DEFAULT_A_BRANCH, a_ne: float = 0.4e-6,
+                 n_nozzles: int = DEFAULT_N_NOZZLES,
+                 a_ex: float = DEFAULT_A_EX, a_out: float = DEFAULT_A_OUT,
+                 channel_width_ref: float = DEFAULT_CHANNEL_WIDTH_REF,
+                 gate: FlapGateGeometry = _DEFAULT_GATE,
+                 split_design_rule: bool = True) -> None:
+        self._set(a_in, a_branch, a_ne, n_nozzles, a_ex, a_out,
+                  channel_width_ref, gate, split_design_rule)
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(_Frozen):
     """A complete simulated unit: geometry and gate material."""
 
-    geometry: DeviceGeometry
-    material: Material
-    type_id: str | None = None
+    __slots__ = _fields = ("geometry", "material", "type_id")
+
+    def __init__(self, geometry: DeviceGeometry, material: Material,
+                 type_id: str | None = None) -> None:
+        self._set(geometry, material, type_id)
 
 
 # Catalog of manufactured variants: (shore A, a_ne [m^2], w [m], t [m], h [m]).
@@ -176,8 +256,8 @@ def with_gate(device: Device, *, w: float | None = None, t: float | None = None,
               h: float | None = None, a_ne: float | None = None) -> Device:
     """Copy of ``device`` with selected gate/nozzle dimensions replaced;
     the copy has no ``type_id``."""
-    gate = replace(device.geometry.gate, **{
+    g = device.geometry
+    gate = g.gate._replace(**{
         k: v for k, v in (("w", w), ("t", t), ("h", h)) if v is not None})
     nozzle = {} if a_ne is None else {"a_ne": a_ne}
-    geometry = replace(device.geometry, gate=gate, **nozzle)
-    return replace(device, geometry=geometry, type_id=None)
+    return Device(g._replace(gate=gate, **nozzle), device.material)

@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add, index
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
@@ -92,8 +91,7 @@ class SweepError(RuntimeError):
         self.q_in = q_in
 
 
-@dataclass(frozen=True)
-class OperatingState:
+class OperatingState(NamedTuple):
     q_in: float       # commanded supply flow [m^3/s]
     p_in: float       # supply gauge pressure [Pa]
     p_chamber: float  # chamber (junction) gauge pressure [Pa]
@@ -110,20 +108,35 @@ class OperatingState:
         return MODE_NEUTRAL
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class _SweepFields(NamedTuple):
     states: tuple[OperatingState, ...]   # ordered by q_in, strictly increasing
     switching_q: float | None            # [m^3/s], present iff p_out changes sign
     switching_p_in: float | None         # [Pa], supply pressure at switching_q
     max_blow: float                      # largest p_out on the grid [Pa]
     max_suck: float                      # largest -p_out on the grid [Pa]
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.states, self.states[1:]):
+
+class SweepResult(_SweepFields):
+    """A sweep's states and summary; every construction, ``_replace``
+    included, checks that the states are strictly ordered by ``q_in``
+    and that the switching fields are present together."""
+
+    __slots__ = ()
+
+    def __new__(cls, states: tuple[OperatingState, ...],
+                switching_q: float | None, switching_p_in: float | None,
+                max_blow: float, max_suck: float) -> "SweepResult":
+        for a, b in zip(states, states[1:]):
             if not a.q_in < b.q_in:
                 raise ValueError("states must be strictly ordered by q_in")
-        if (self.switching_q is None) != (self.switching_p_in is None):
+        if (switching_q is None) != (switching_p_in is None):
             raise ValueError("switching fields must be present together")
+        return super().__new__(cls, states, switching_q, switching_p_in,
+                               max_blow, max_suck)
+
+    @classmethod
+    def _make(cls, iterable) -> "SweepResult":
+        return cls(*iterable)
 
 
 def solve_operating_point(q_in: float, device: Device,
@@ -500,8 +513,7 @@ def nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
 _DESIGN_KEYS = ("w", "t", "h", "a_ne")
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     device: Device              # best candidate found
     params: dict[str, float]    # its (w, t, h, a_ne) in SI units
     value: float                # objective at the best candidate

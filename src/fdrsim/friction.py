@@ -21,8 +21,7 @@ clamp is exactly ``(-p_out) a_eff / W``: suction gains fall off as 1/W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Device
 from .engine import OperatingState
@@ -37,21 +36,32 @@ __all__ = [
     "friction_curve",
 ]
 
-@dataclass(frozen=True)
-class FrictionPrediction:
+class _PredictionFields(NamedTuple):
     mu_s: float    # static coefficient
     mu_k: float    # kinetic coefficient
     n_eff: float   # effective normal force [N]
 
-    def __post_init__(self) -> None:
-        if not all(0.0 <= x < math.inf
-                   for x in (self.mu_s, self.mu_k, self.n_eff)):
+
+class FrictionPrediction(_PredictionFields):
+    """Predicted friction coefficients and normal force; every
+    construction, ``_replace`` included, checks that each is nonnegative
+    and finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu_s: float, mu_k: float,
+                n_eff: float) -> "FrictionPrediction":
+        if not all(0.0 <= x < math.inf for x in (mu_s, mu_k, n_eff)):
             raise ValueError("prediction fields must be nonnegative and "
                              "finite")
+        return super().__new__(cls, mu_s, mu_k, n_eff)
+
+    @classmethod
+    def _make(cls, iterable) -> "FrictionPrediction":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FrictionCurvePoint:
+class FrictionCurvePoint(NamedTuple):
     q_in: float                    # [m^3/s]
     state: OperatingState          # solved device state at q_in
     prediction: FrictionPrediction

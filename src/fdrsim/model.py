@@ -70,10 +70,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 from typing import Callable
 
-from .core import P_ATM, Device, FlapGateGeometry, Material
+from .core import P_ATM, Device, FlapGateGeometry, Material, _Frozen
 
 __all__ = [
     "SupersonicJetWarning",
@@ -96,40 +95,39 @@ class SupersonicJetWarning(UserWarning):
     incompressible jet closure is extrapolating."""
 
 
-@dataclass(frozen=True)
-class ModelCoefficients:
+class ModelCoefficients(_Frozen):
     """Calibrated closure coefficients, SI units.
 
-    ``c1``/``c2`` define the supply law ``p_in = c1 q + c2 q^2`` fitted to
-    bench data.  ``eta`` is the entrainment efficiency, ``c_recirc`` the
-    wide-gate recirculation weight, ``k0``/``p_c`` the gate opening gain
-    and cracking pressure, and ``cd_out`` the discharge coefficient of
-    the output restriction.
+    ``c1`` [Pa s/m^3] and ``c2`` [Pa s^2/m^6] define the supply law
+    ``p_in = c1 q + c2 q^2`` fitted to bench data.  ``eta`` is the
+    entrainment efficiency, ``c_recirc`` the wide-gate recirculation
+    weight, ``k0`` [m^2/Pa] the nominal gate's opening gain, ``p_c``
+    [Pa] the cracking pressure, and ``cd_out`` the discharge coefficient
+    of the output restriction.
     """
 
-    c1: float = 79528125.0              # [Pa s/m^3]
-    c2: float = 35758928571.428566      # [Pa s^2/m^6]
-    eta: float = 0.25
-    c_recirc: float = 2.5
-    k0: float = 1.7e-10                 # [m^2/Pa], nominal gate gain
-    p_c: float = 4500.0                 # [Pa]
-    cd_out: float = 0.8
+    __slots__ = _fields = ("c1", "c2", "eta", "c_recirc", "k0", "p_c",
+                           "cd_out")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        if self.c1 < 0.0 or self.c2 < 0.0:
+    def __init__(self, c1: float = 79528125.0,
+                 c2: float = 35758928571.428566, eta: float = 0.25,
+                 c_recirc: float = 2.5, k0: float = 1.7e-10,
+                 p_c: float = 4500.0, cd_out: float = 0.8) -> None:
+        self._set(c1, c2, eta, c_recirc, k0, p_c, cd_out)
+        for name in self._fields:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if c1 < 0.0 or c2 < 0.0:
             raise ValueError("supply law coefficients must be nonnegative")
-        if self.eta <= 0.0:
+        if eta <= 0.0:
             raise ValueError("eta must be positive")
-        if self.c_recirc < 0.0:
+        if c_recirc < 0.0:
             raise ValueError("c_recirc must be nonnegative")
-        if self.k0 <= 0.0:
+        if k0 <= 0.0:
             raise ValueError("k0 must be positive")
-        if self.p_c < 0.0:
+        if p_c < 0.0:
             raise ValueError("p_c must be nonnegative")
-        if not 0.0 < self.cd_out <= 1.0:
+        if not 0.0 < cd_out <= 1.0:
             raise ValueError("cd_out must lie in (0, 1]")
 
 

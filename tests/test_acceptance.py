@@ -5,7 +5,6 @@ a single ``criterion N: PASS`` line (visible with ``pytest -s`` or in the
 captured output block).
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -47,11 +46,11 @@ def test_criterion_01_junction_identity():
     rng = np.random.default_rng(20260819)
     for _ in range(1000):
         a_in = rng.uniform(1.0e-6, 1.0e-5)
-        geom = dataclasses.replace(DeviceGeometry(), a_in=a_in,
-                                   a_branch=a_in / 2.0)
+        geom = DeviceGeometry()._replace(a_in=a_in,
+                                         a_branch=a_in / 2.0)
         q = rng.uniform(0.0, 1.0e-3)
-        coeffs = dataclasses.replace(DEFAULT_COEFFS,
-                                     c1=rng.uniform(0.0, 6.0e4) / q, c2=0.0)
+        coeffs = DEFAULT_COEFFS._replace(c1=rng.uniform(0.0, 6.0e4) / q,
+                                         c2=0.0)
         law = _point_law(Device(geometry=geom, material=_B.material),
                          coeffs)
         p_in, p, _, _ = law(q)
@@ -65,7 +64,7 @@ def test_criterion_02_supply_fit():
     (c1, c2), report = fit_input_pressure(builtin_calibration_points())
     assert report.rms_residual["p_in"] <= 2.5e3
     assert c1 >= 0.0 and c2 >= 0.0
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=c1, c2=c2)
+    coeffs = DEFAULT_COEFFS._replace(c1=c1, c2=c2)
     ps = [input_pressure(q, coeffs)
           for q in np.linspace(0.0, 30.0, 301) * M3S_PER_LPM]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
@@ -119,7 +118,7 @@ def test_criterion_05_performance_trends(catalog_run):
     q30 = 30.0 * M3S_PER_LPM
     # entrainment penalty off: the wide-window nominal gate out-sucks the
     # narrow one on vent area alone
-    plain = dataclasses.replace(DEFAULT_COEFFS, c_recirc=0.0)
+    plain = DEFAULT_COEFFS._replace(c_recirc=0.0)
     suck_off = {tid: -solve_operating_point(q30, catalog_device(tid),
                                             plain).p_out
                 for tid in ("A", "B")}
@@ -160,11 +159,11 @@ def test_criterion_07_conservation_and_determinism(tmp_path):
 def test_criterion_08_numerical_checks():
     # self-consistent opening against its closed form (linear supply, no
     # cracking, an unequal split so the junction's kinetic term counts)
-    geom = dataclasses.replace(DeviceGeometry(), a_branch=1.5e-6,
-                               split_design_rule=False)
+    geom = DeviceGeometry()._replace(a_branch=1.5e-6,
+                                     split_design_rule=False)
     device = Device(geometry=geom, material=Material.from_shore_a(10.0))
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=9.6e7, c2=0.0,
-                                 k0=1.0e-11, p_c=0.0)
+    coeffs = DEFAULT_COEFFS._replace(c1=9.6e7, c2=0.0,
+                                     k0=1.0e-11, p_c=0.0)
     q = 20.0 * M3S_PER_LPM
     p_ch = 9.6e7 * q + (0.4 / 2.8) * 1.204 * (q / 4.0e-6) ** 2 \
         * (1.0 - (4.0e-6 / (2.0 * 1.5e-6)) ** 2)
@@ -209,10 +208,9 @@ def test_criterion_10_coefficient_recovery():
                                    p_out=st.p_out, a_fg=st.a_fg))
     data = MeasurementSet(rows=tuple(rows))
 
-    start = dataclasses.replace(DEFAULT_COEFFS,
-                                eta=DEFAULT_COEFFS.eta * 1.15,
-                                k0=DEFAULT_COEFFS.k0 * 0.85,
-                                p_c=DEFAULT_COEFFS.p_c * 1.2)
+    start = DEFAULT_COEFFS._replace(eta=DEFAULT_COEFFS.eta * 1.15,
+                                    k0=DEFAULT_COEFFS.k0 * 0.85,
+                                    p_c=DEFAULT_COEFFS.p_c * 1.2)
     fitted, report = fit_closures(data, _B, start=start)
     assert abs(fitted.eta - DEFAULT_COEFFS.eta) <= 0.02 * DEFAULT_COEFFS.eta
     assert abs(fitted.k0 - DEFAULT_COEFFS.k0) <= 0.02 * DEFAULT_COEFFS.k0

@@ -1,6 +1,5 @@
 """Measurement handling and the two calibration fits."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -297,7 +296,7 @@ def test_fit_report_rms_derived_from_residuals():
     assert report.rms_residual == {"p_in": math.sqrt(2.5e5), "p_out": 3.0}
     # the derived field is no constructor parameter, but stays in the report
     assert "rms_residual" not in inspect.signature(FitReport).parameters
-    assert list(dataclasses.asdict(report)) == [
+    assert list(report._asdict()) == [
         "coefficients", "rms_residual", "residuals", "warnings"]
     with pytest.raises(ValueError, match="no residuals recorded for p_in"):
         FitReport(coefficients={"c1": 1.0}, residuals={"p_in": ()})
@@ -405,8 +404,8 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
     # every field away from its default, so a trial built without one
     # (and so at its default) shows
     start = ModelCoefficients(**{
-        f.name: getattr(DEFAULT_COEFFS, f.name) * 0.9
-        for f in dataclasses.fields(ModelCoefficients)})
+        name: getattr(DEFAULT_COEFFS, name) * 0.9
+        for name in ModelCoefficients._fields})
     checked, bound, finished = [], [], []
     chain = calib._design_chain
 
@@ -419,8 +418,7 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
         stage, finish_at = chain(device, coeffs)
 
         def recording_finish_at(w, t, h, a_ne, eta, k0, p_c):
-            finished.append(dataclasses.replace(coeffs, eta=eta, k0=k0,
-                                                p_c=p_c))
+            finished.append(coeffs._replace(eta=eta, k0=k0, p_c=p_c))
             return finish_at(w, t, h, a_ne, eta, k0, p_c)
 
         return stage, recording_finish_at
@@ -435,8 +433,8 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
     assert len(checked) == 40
     assert len(finished) == 41
     for trial in checked + finished + [fitted]:
-        assert trial == dataclasses.replace(start, eta=trial.eta,
-                                            k0=trial.k0, p_c=trial.p_c)
+        assert trial == start._replace(eta=trial.eta, k0=trial.k0,
+                                       p_c=trial.p_c)
     assert [(t.eta, t.k0, t.p_c) for t in finished[:-1]] == \
         [(t.eta, t.k0, t.p_c) for t in checked]
     assert finished[-1] == fitted

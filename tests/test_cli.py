@@ -4,7 +4,6 @@ import argparse
 import codecs
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -1187,12 +1186,12 @@ def test_device_config_loads_to_replaced_geometry(tmp_path_factory, raw):
              "a_in_mm2": ("a_in", AREA), "a_branch_mm2": ("a_branch", AREA)}
     si = {field: unit.to_si(float(raw[key]))
           for key, (field, unit) in units.items() if key in raw}
-    gate = dataclasses.replace(base.geometry.gate, **{
+    gate = base.geometry.gate._replace(**{
         name: si.pop(name) for name in ("w", "t", "h") if name in si})
     unitless = {key: raw[key] for key in ("n_nozzles", "split_design_rule")
                 if key in raw}
-    assert device.geometry == dataclasses.replace(
-        base.geometry, gate=gate, **si, **unitless)
+    assert device.geometry == base.geometry._replace(gate=gate, **si,
+                                                     **unitless)
     assert device.material == (Material.from_shore_a(float(raw["shore_a"]))
                                if "shore_a" in raw else base.material)
     assert device.type_id == (None if set(raw) - {"type"} else base.type_id)
@@ -1224,7 +1223,7 @@ def wild_configs(draw):
     return raw
 
 
-_COEFF_FIELDS = sorted(f.name for f in dataclasses.fields(DEFAULT_COEFFS))
+_COEFF_FIELDS = sorted(DEFAULT_COEFFS._fields)
 
 
 @hs.composite

@@ -3,17 +3,16 @@ scores every trial as the fit did when each trial built its own law.
 
 ``old_fit_closures`` below is ``calib.fit_closures`` as it stood when each
 evaluation built ``_point_law(device, trial)`` and ran every measured row
-through it, copied unchanged.  On random measurement sets (1 to 60 rows,
+through it, copied unchanged but for ``_replace`` in place of
+``dataclasses.replace``.  On random measurement sets (1 to 60 rows,
 with zero, sonic and overflowing flows), templates (reclosing junctions,
 and templates that fail a check), starts and budgets, both fits must
 return the same coefficients, the same residual bits and the same
 warnings, or fail with the same exception type and message.
 """
 
-import dataclasses
 import math
 import warnings
-from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 from test_design_binding import _template, templates
@@ -64,8 +63,8 @@ def old_fit_closures(data, device, *, start=DEFAULT_COEFFS, max_evals=400):
             d = (p - c) / r
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        # the constructor, cheaper per evaluation than ``replace``;
-        # ``__post_init__`` still checks the trial
+        # the constructor, cheaper per evaluation than ``_replace``; it
+        # still checks the trial
         trial = ModelCoefficients(c1=start.c1, c2=start.c2, eta=clipped[0],
                                   c_recirc=start.c_recirc, k0=clipped[1],
                                   p_c=clipped[2], cd_out=start.cd_out)
@@ -74,7 +73,7 @@ def old_fit_closures(data, device, *, start=DEFAULT_COEFFS, max_evals=400):
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
                                max_evals=max_evals, diam_tol=1.0e-9)
     eta, k0, p_c = clamp(best_u)[1]
-    fitted = replace(start, eta=eta, k0=k0, p_c=p_c)
+    fitted = start._replace(eta=eta, k0=k0, p_c=p_c)
 
     law = _point_law(device, fitted)
     residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
@@ -126,7 +125,7 @@ def starts(draw):
               "k0": draw(st.floats(1.0e-12, 1.0e-8)),
               "p_c": draw(st.floats(0.0, 2.0e4)),
               "c_recirc": draw(st.floats(0.0, 10.0))}
-    return replace(DEFAULT_COEFFS, **{**fields, **changes})
+    return DEFAULT_COEFFS._replace(**{**fields, **changes})
 
 
 def _outcome(fit, data, device, start, max_evals, action):
@@ -138,8 +137,7 @@ def _outcome(fit, data, device, start, max_evals, action):
             fitted, report = fit(data, device, start=start,
                                  max_evals=max_evals)
             result = (
-                [float(getattr(fitted, f.name)).hex()
-                 for f in dataclasses.fields(fitted)],
+                [float(value).hex() for value in fitted._asdict().values()],
                 {k: v.hex() for k, v in report.coefficients.items()},
                 [r.hex() for r in report.residuals["p_out"]],
                 report.rms_residual["p_out"].hex(), report.warnings)
@@ -156,7 +154,7 @@ def _rows(device, flows_lpm, coeffs=DEFAULT_COEFFS):
 
 
 _B = _template("B", 2.0e-6)
-_FIT = replace(DEFAULT_COEFFS, eta=0.3, k0=2.0e-10, p_c=3000.0)
+_FIT = DEFAULT_COEFFS._replace(eta=0.3, k0=2.0e-10, p_c=3000.0)
 
 
 @_PROPERTY

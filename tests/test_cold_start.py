@@ -8,7 +8,9 @@ detector sees ``import numpy``.  The console-script path, ``main()``
 reading ``sys.argv`` itself, runs here too, as ``python -m fdrsim.cli``.
 
 ``calib`` (with ``csv``) and ``friction`` load only in the commands that
-run them, and the package's names from them resolve on first use.
+run them, and the package's names from them resolve on first use.  No
+command loads ``dataclasses``, nor the ``inspect`` and ``ast`` it would
+bring.
 """
 
 import os
@@ -145,11 +147,11 @@ def test_console_script_command_help():
 _DEFERRED = ("fdrsim.calib", "fdrsim.friction", "csv")
 
 
-def _deferred_loaded(code: str) -> list:
-    """Run ``code`` in a fresh interpreter; which deferred modules it
+def _deferred_loaded(code: str, modules: tuple = _DEFERRED) -> list:
+    """Run ``code`` in a fresh interpreter; which of ``modules`` it
     loaded."""
     proc = _python("-c", code + "\nimport sys\n"
-                   f"print(*sorted(set({_DEFERRED!r}) & set(sys.modules)))")
+                   f"print(*sorted(set({modules!r}) & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -172,6 +174,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded):
     if argv[0] != "simulate":
         argv = [*argv, "--out", str(tmp_path / "o.out")]
     assert _deferred_loaded(_main(argv)) == loaded
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["simulate", "--type", "B", "--qin-lpm", "10"],
+    ["sweep", "--type", "B", "--step-lpm", "10"],
+], ids=["parser", "simulate", "sweep"])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    if argv is None:
+        code = "import fdrsim.cli as c; c.build_parser()"
+    else:
+        if argv[0] != "simulate":
+            argv = [*argv, "--out", str(tmp_path / "o.out")]
+        code = _main(argv)
+    assert _deferred_loaded(code, ("dataclasses", "inspect", "ast")) == []
 
 
 def test_deferred_names_resolve_on_first_use():

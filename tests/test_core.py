@@ -1,7 +1,6 @@
 """Material law, device catalog, geometry validation, and the package's
 public names."""
 
-import dataclasses
 import importlib
 import inspect
 import itertools
@@ -131,10 +130,9 @@ def test_with_gate_overrides_and_clears_type_id():
     assert base.geometry.gate.t == 0.5e-3
 
 
-def _away_from_default(f: dataclasses.Field):
-    """A value for DeviceGeometry field ``f`` that is not its default."""
-    default = (f.default if f.default is not dataclasses.MISSING
-               else f.default_factory())
+def _away_from_default(name: str, default):
+    """A value for DeviceGeometry field ``name`` that is not its
+    ``default``."""
     if isinstance(default, bool):
         return not default
     if isinstance(default, int):
@@ -143,16 +141,15 @@ def _away_from_default(f: dataclasses.Field):
         return default * 1.25
     if isinstance(default, FlapGateGeometry):
         return FlapGateGeometry(w=9.5e-3, t=0.45e-3, h=1.9e-3)
-    raise AssertionError(f"no test value for DeviceGeometry.{f.name}")
+    raise AssertionError(f"no test value for DeviceGeometry.{name}")
 
 
 def _with_gate_by_replace(device, **dims):
     gate_dims = {k: v for k, v in dims.items() if k != "a_ne"}
-    gate = dataclasses.replace(device.geometry.gate, **gate_dims)
-    geometry = dataclasses.replace(
-        device.geometry, gate=gate,
-        **{k: v for k, v in dims.items() if k == "a_ne"})
-    return dataclasses.replace(device, geometry=geometry, type_id=None)
+    gate = device.geometry.gate._replace(**gate_dims)
+    geometry = device.geometry._replace(
+        gate=gate, **{k: v for k, v in dims.items() if k == "a_ne"})
+    return device._replace(geometry=geometry, type_id=None)
 
 
 _GATE_DIMS = {"w": 7.0e-3, "t": 0.35e-3, "h": 2.2e-3, "a_ne": 0.45e-6}
@@ -165,10 +162,11 @@ def test_with_gate_matches_replace_on_every_field(keys):
     # every field away from its default, so a field the constructor drops
     # (and so resets to its default) shows; a field added later of a new
     # type must be given a value in _away_from_default
-    fields = dataclasses.fields(DeviceGeometry)
+    fields = DeviceGeometry._fields
     odd = Device(
-        geometry=DeviceGeometry(**{f.name: _away_from_default(f)
-                                   for f in fields}),
+        geometry=DeviceGeometry(**{
+            name: _away_from_default(name, default)
+            for name, default in DeviceGeometry()._asdict().items()}),
         material=Material.from_shore_a(20.0), type_id="odd")
     dims = {k: _GATE_DIMS[k] for k in keys}
     for base in (catalog_device("C"), odd):
@@ -177,13 +175,13 @@ def test_with_gate_matches_replace_on_every_field(keys):
         assert got == want
         assert got.type_id is None
         assert got.material is base.material
-        for f in fields:
-            value = getattr(got.geometry, f.name)
-            assert value == getattr(want.geometry, f.name), f.name
-            assert type(value) is type(getattr(want.geometry, f.name))
-    for f in fields:
-        assert (getattr(odd.geometry, f.name)
-                != getattr(DeviceGeometry(), f.name)), f.name
+        for name in fields:
+            value = getattr(got.geometry, name)
+            assert value == getattr(want.geometry, name), name
+            assert type(value) is type(getattr(want.geometry, name))
+    for name in fields:
+        assert (getattr(odd.geometry, name)
+                != getattr(DeviceGeometry(), name)), name
 
 
 def test_validate_geometry_accepts_catalog():
@@ -192,36 +190,35 @@ def test_validate_geometry_accepts_catalog():
 
 
 def test_validate_geometry_names_offending_field():
-    g = dataclasses.replace(DeviceGeometry(),
-                            gate=FlapGateGeometry(8.0e-3, 0.0, 2.0e-3))
+    g = DeviceGeometry()._replace(gate=FlapGateGeometry(8.0e-3, 0.0, 2.0e-3))
     messages = validate_geometry(g)
     assert any("gate.t" in m for m in messages)
 
 
 def test_validate_geometry_rejects_non_finite():
-    g = dataclasses.replace(DeviceGeometry(), a_ne=math.inf,
-                            gate=FlapGateGeometry(math.nan, 0.5e-3, 2.0e-3))
+    g = DeviceGeometry()._replace(
+        a_ne=math.inf, gate=FlapGateGeometry(math.nan, 0.5e-3, 2.0e-3))
     messages = validate_geometry(g)
     assert any("a_ne" in m and "finite" in m for m in messages)
     assert any("gate.w" in m and "finite" in m for m in messages)
 
 
 def test_validate_geometry_split_rule():
-    g = dataclasses.replace(DeviceGeometry(), a_in=6.0e-6)  # 3x branch area
+    g = DeviceGeometry()._replace(a_in=6.0e-6)  # 3x branch area
     messages = validate_geometry(g)
     assert any("a_in" in m and "a_branch" in m for m in messages)
     # turning the rule declaration off silences that check
-    g2 = dataclasses.replace(g, split_design_rule=False)
+    g2 = g._replace(split_design_rule=False)
     assert not any("a_branch" in m for m in validate_geometry(g2))
 
 
 def test_validate_geometry_thin_plate():
-    g = dataclasses.replace(DeviceGeometry(),
-                            gate=FlapGateGeometry(0.4e-3, 0.5e-3, 2.0e-3))
+    g = DeviceGeometry()._replace(gate=FlapGateGeometry(0.4e-3, 0.5e-3,
+                                                        2.0e-3))
     assert any("gate.t" in m and "gate.w" in m
                for m in validate_geometry(g))
-    g = dataclasses.replace(DeviceGeometry(),
-                            gate=FlapGateGeometry(8.0e-3, 0.5e-3, 0.4e-3))
+    g = DeviceGeometry()._replace(gate=FlapGateGeometry(8.0e-3, 0.5e-3,
+                                                        0.4e-3))
     assert any("gate.t" in m and "gate.h" in m
                for m in validate_geometry(g))
 
@@ -251,7 +248,7 @@ def test_public_names_pinned_and_resolve():
 
 
 # each public function's parameters and each public class's constructor
-# parameters (a dataclass's fields), so a new setting is a test change
+# parameters, so a new setting is a test change
 _PUBLIC_SETTINGS = {
     "Device": ("geometry", "material", "type_id"),
     "DeviceGeometry": ("a_in", "a_branch", "a_ne", "n_nozzles", "a_ex",

@@ -12,7 +12,6 @@ random boxes the search must return the same result through either path,
 and the same as the search before.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -43,7 +42,8 @@ def _material(youngs_modulus):
     """Soft elastomer with any modulus, as a Python caller can build one
     past ``Material``'s own check."""
     material = object.__new__(Material)
-    material.__dict__.update(shore_a=10.0, youngs_modulus=youngs_modulus)
+    object.__setattr__(material, "shore_a", 10.0)
+    object.__setattr__(material, "youngs_modulus", youngs_modulus)
     return material
 
 
@@ -62,11 +62,11 @@ _BAD_TEMPLATE = {
 
 def _template(type_id, a_branch, youngs_modulus=None, **geometry):
     device = catalog_device(type_id)
-    g = dataclasses.replace(device.geometry, a_branch=a_branch,
-                            split_design_rule=False, **geometry)
+    g = device.geometry._replace(a_branch=a_branch,
+                                 split_design_rule=False, **geometry)
     material = (device.material if youngs_modulus is None
                 else _material(youngs_modulus))
-    return dataclasses.replace(device, geometry=g, material=material)
+    return device._replace(geometry=g, material=material)
 
 
 @st.composite
@@ -96,7 +96,7 @@ def coefficients(draw):
         {}, {}, {}, {}, {}, {"p_c": 1.0e6}, {"k0": 1.0e-6, "p_c": 0.0}, {"k0": 1.0e300},
         {"cd_out": 1.0e-300}, {"eta": 1.0e-300, "c_recirc": 1.0e300},
         {"c_recirc": 0.0}, {"c_recirc": 20.0}]))
-    return dataclasses.replace(DEFAULT_COEFFS, **changes)
+    return DEFAULT_COEFFS._replace(**changes)
 
 
 @st.composite
@@ -237,8 +237,7 @@ def _search(search, objective, template, bounds, max_evals, action):
 @example(_template("B", 2.0e-6), DEFAULT_COEFFS, ("switching", None),
          ({"h": (1.8e-3, 2.0e-3)}, 10), "error")
 # every candidate fails: each scores +inf, through either path
-@example(_template("B", 2.0e-6), dataclasses.replace(DEFAULT_COEFFS,
-                                                     k0=1.0e300),
+@example(_template("B", 2.0e-6), DEFAULT_COEFFS._replace(k0=1.0e300),
          ("switching", None), ({"h": (1.8e-3, 2.0e-3)}, 10), "always")
 def test_search_scores_the_same_bound_or_through_a_device(
         template, coeffs, spec, box, action):

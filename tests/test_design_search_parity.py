@@ -2,8 +2,8 @@
 cost was cut, bit for bit.
 
 The functions below are the search as it was before: ``with_gate`` on
-``dataclasses.replace``, ``optimize_geometry`` with its dict-merging box
-map, the suction and blowing objectives through
+``_replace`` (``dataclasses.replace`` then), ``optimize_geometry`` with
+its dict-merging box map, the suction and blowing objectives through
 ``solve_operating_point``, and the float Nelder-Mead kernel with its
 ``max`` of ``max`` diameter and sliced centroid, each copied unchanged.
 On random templates, boxes, budgets and objectives, both searches must
@@ -11,7 +11,6 @@ return the same device, parameters, value, evaluation count and
 convergence flag, compared as float bits, and raise the same warnings.
 """
 
-import dataclasses
 import math
 import warnings
 from typing import Callable, Mapping, Sequence
@@ -53,10 +52,9 @@ def old_with_gate(device: Device, *, w: float | None = None,
         t=gate.t if t is None else t,
         h=gate.h if h is None else h,
     )
-    geometry = dataclasses.replace(
-        device.geometry, gate=new_gate,
-        a_ne=device.geometry.a_ne if a_ne is None else a_ne)
-    return dataclasses.replace(device, geometry=geometry, type_id=None)
+    geometry = device.geometry._replace(
+        gate=new_gate, a_ne=device.geometry.a_ne if a_ne is None else a_ne)
+    return device._replace(geometry=geometry, type_id=None)
 
 
 def old_nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float], *,
@@ -263,9 +261,8 @@ def _device_bits(device: Device):
     def flat(value):
         if isinstance(value, float):
             return _bits(value)
-        if dataclasses.is_dataclass(value):
-            return [flat(getattr(value, f.name))
-                    for f in dataclasses.fields(value)]
+        if hasattr(value, "_fields"):
+            return [flat(v) for v in value._asdict().values()]
         return value
 
     return flat(device)

@@ -1,7 +1,6 @@
 """Jet closure and recirculation penalty of ``model``, and the output-port
 pressure through the point law's (p_in, p_chamber, a_fg, p_out)."""
 
-import dataclasses
 import math
 import warnings
 
@@ -25,13 +24,12 @@ _GEOM_B = _B.geometry
 # a gate sealed at every flow here, and one saturated open (s = 1) above
 # 0.02 L/min; the open gate's window w h = 16 mm^2 tops a_ex, so it vents
 # fully
-_SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)
-_OPEN = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-6, p_c=0.0)
+_SHUT = DEFAULT_COEFFS._replace(p_c=1.0e6)
+_OPEN = DEFAULT_COEFFS._replace(k0=1.0e-6, p_c=0.0)
 
 
 def _device(device=_B, **geometry):
-    return dataclasses.replace(device, geometry=dataclasses.replace(
-        device.geometry, **geometry))
+    return device._replace(geometry=device.geometry._replace(**geometry))
 
 
 def _p_out(q, coeffs, device=_B, **geometry):
@@ -57,13 +55,13 @@ def test_default_coefficients_pinned():
 ])
 def test_coefficient_validation(field, bad):
     with pytest.raises(ValueError):
-        dataclasses.replace(DEFAULT_COEFFS, **{field: bad})
+        DEFAULT_COEFFS._replace(**{field: bad})
 
 
 def test_jet_velocity_frozen():
     # 30 L/min split over two 0.4 mm2 nozzles leaves at 625 m/s: fully
     # open and venting with eta = 1, the port sucks all of rho/2 v^2
-    coeffs = dataclasses.replace(_OPEN, eta=1.0)
+    coeffs = _OPEN._replace(eta=1.0)
     assert _p_out(30.0 * M3S_PER_LPM, coeffs) == \
         -(0.5 * _RHO * 625.0 * 625.0)
     # the same velocity, against the speed of sound, sets off the warning
@@ -79,7 +77,7 @@ def test_jet_velocity_frozen():
 def test_jet_dynamic_pressure_frozen_and_warns():
     # fully open and venting with eta = 1, the port sucks the jet's whole
     # dynamic pressure rho/2 v^2
-    coeffs = dataclasses.replace(_OPEN, eta=1.0)
+    coeffs = _OPEN._replace(eta=1.0)
     with pytest.warns(SupersonicJetWarning):
         state = solve_operating_point(30.0 * M3S_PER_LPM, _B, coeffs)
     assert state.p_out == pytest.approx(-235156.25, rel=1e-12)
@@ -111,7 +109,7 @@ def test_recirculation_penalty_reference_and_below():
 
 
 def test_recirculation_penalty_frozen_example():
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c_recirc=8.0)
+    coeffs = DEFAULT_COEFFS._replace(c_recirc=8.0)
     pen = _penalty(10.0e-3, coeffs, w_ref=8.0e-3)
     assert pen == pytest.approx(2.0 / 3.0, rel=1e-12)
 
@@ -126,7 +124,7 @@ def test_recirculation_penalty_decreasing_above_reference():
         _penalty(8.0e-3, w_ref=0.0)
     with pytest.raises(ValueError, match="^w_ref must be positive$"):
         _point_law(_device(channel_width_ref=0.0), DEFAULT_COEFFS)(1.0e-4)
-    gate = dataclasses.replace(_GEOM_B.gate, w=0.0)
+    gate = _GEOM_B.gate._replace(w=0.0)
     with pytest.raises(ValueError, match="must be positive"):
         _point_law(_device(gate=gate), DEFAULT_COEFFS)(1.0e-4)
 
@@ -138,7 +136,7 @@ def test_output_rest_is_neutral():
 
 def test_output_suction_frozen_example():
     # gate fully open and venting, quiet entrainment efficiency
-    coeffs = dataclasses.replace(_OPEN, eta=0.02)
+    coeffs = _OPEN._replace(eta=0.02)
     with pytest.warns(SupersonicJetWarning):
         p = solve_operating_point(30.0 * M3S_PER_LPM, _B, coeffs).p_out
     assert p == pytest.approx(-4703.125, rel=1e-12)
@@ -194,7 +192,7 @@ def test_output_rejects_negative_flow():
 
 
 def test_coefficients_are_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         DEFAULT_COEFFS.eta = 0.5
 
 

@@ -1,6 +1,5 @@
 """Operating points, flow ramps, design comparison, and the optimizer."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +67,7 @@ def test_non_finite_flow_rejected(q_in):
 def test_shut_gate_blows_at_every_flow():
     # a gate that never cracks blocks the air: every flow but zero blows
     # through the output restriction, in the grid and the scalar path
-    shut = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e9)
+    shut = DEFAULT_COEFFS._replace(p_c=1.0e9)
     res = sweep(_B, shut, step=1.0 * M3S_PER_LPM)
     half_rho = 0.5 * _RHO
     for st in res.states:
@@ -84,11 +83,11 @@ def test_shut_gate_blows_at_every_flow():
 def test_fixed_point_matches_closed_form():
     # unequal split, linear supply law, zero cracking pressure: the
     # self-consistent opening has a hand-computable closed form
-    geom = dataclasses.replace(_B.geometry, a_branch=1.5e-6,
-                               split_design_rule=False)
+    geom = _B.geometry._replace(a_branch=1.5e-6,
+                                split_design_rule=False)
     device = Device(geometry=geom, material=Material.from_shore_a(10.0))
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=9.6e7, c2=0.0,
-                                 k0=1.0e-11, p_c=0.0)
+    coeffs = DEFAULT_COEFFS._replace(c1=9.6e7, c2=0.0,
+                                     k0=1.0e-11, p_c=0.0)
     q = 20.0 * M3S_PER_LPM
 
     p_in = 9.6e7 * q
@@ -206,7 +205,7 @@ def test_sweep_locates_stub_closure_root(monkeypatch):
 
 def test_sweep_without_sign_change_reports_none():
     # a cracking pressure no supply reaches keeps the gate shut: blow only
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)
+    coeffs = DEFAULT_COEFFS._replace(p_c=1.0e6)
     res = sweep(_B, coeffs, step=1.0 * M3S_PER_LPM)
     assert res.switching_q is None
     assert res.switching_p_in is None
@@ -526,7 +525,7 @@ def test_switching_objective_modes():
                                    target_p_in=ref.switching_p_in)
     assert targeted(_B) == pytest.approx(0.0, abs=1e-18)
     # a design that never switches gets the flat large score
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)
+    coeffs = DEFAULT_COEFFS._replace(p_c=1.0e6)
     assert switching_objective(coeffs)(_B) == 1.0e6
 
 

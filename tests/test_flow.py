@@ -1,7 +1,6 @@
 """Supply law and junction pressure of ``model``, the latter through the
 point law's (p_in, p_chamber, a_fg, p_out)."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ _SOFT = Material.from_shore_a(10.0)
 def _junction(q, p_in, geometry):
     """The law's (p_in, p_chamber) at flow ``q`` under a linear supply law
     tuned to deliver ``p_in`` there."""
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=p_in / q, c2=0.0)
+    coeffs = DEFAULT_COEFFS._replace(c1=p_in / q, c2=0.0)
     law = _point_law(Device(geometry=geometry, material=_SOFT), coeffs)
     return law(q)[:2]
 
@@ -40,8 +39,8 @@ def test_junction_identity_under_split_rule():
 
 def test_junction_kinetic_correction():
     # frozen: inlet 4 mm2 into a 1.5 mm2 branch at 0.5 L/s, 47.1 kPa supply
-    geom = dataclasses.replace(DeviceGeometry(), a_branch=1.5e-6,
-                               split_design_rule=False)
+    geom = DeviceGeometry()._replace(a_branch=1.5e-6,
+                                     split_design_rule=False)
     p_in, p = _junction(5.0e-4, 47.1e3, geom)
     assert p_in == 47.1e3
     assert p == pytest.approx(45009.72222222222, rel=1e-12)
@@ -51,8 +50,8 @@ def test_junction_kinetic_correction():
 def test_junction_at_rest_matches_inlet():
     # no flow: the kinetic term vanishes even across an unequal split, so
     # the junction holds the inlet's (zero) supply pressure
-    geom = dataclasses.replace(DeviceGeometry(), a_branch=1.5e-6,
-                               split_design_rule=False)
+    geom = DeviceGeometry()._replace(a_branch=1.5e-6,
+                                     split_design_rule=False)
     law = _point_law(Device(geometry=geom, material=_SOFT), DEFAULT_COEFFS)
     assert law(0.0)[:2] == (0.0, 0.0)
 
@@ -60,7 +59,7 @@ def test_junction_at_rest_matches_inlet():
 def test_input_pressure_examples():
     assert input_pressure(0.0, DEFAULT_COEFFS) == 0.0
     # linear law: 1.6 kPa per L/min, 10 L/min in
-    coeffs = dataclasses.replace(DEFAULT_COEFFS, c1=9.6e7, c2=0.0)
+    coeffs = DEFAULT_COEFFS._replace(c1=9.6e7, c2=0.0)
     assert input_pressure(10.0 * M3S_PER_LPM, coeffs) == pytest.approx(
         16.0e3, rel=1e-12)
     with pytest.raises(ValueError, match="q_in must be nonnegative"):

@@ -1,7 +1,6 @@
 """Flap-gate stiffness of ``model``, and the pressure-driven opening
 through the point law's (p_in, p_chamber, a_fg, p_out)."""
 
-import dataclasses
 import re
 
 import numpy as np
@@ -53,6 +52,16 @@ def test_stiffness_rejects_non_positive_or_infinite(w, t, h):
         gate_stiffness(FlapGateGeometry(w, t, h), _SOFT)
 
 
+@pytest.mark.parametrize("w,t,h", [
+    (0.0, 0.5e-3, 2.0e-3), (8.0e-3, 0.0, 2.0e-3), (8.0e-3, 0.5e-3, 0.0),
+], ids=["w", "t", "h"])
+def test_stiffness_rejects_a_zero_dimension(w, t, h):
+    # the sign check holds an exact zero: never a division by zero, nor a
+    # zero stiffness's message
+    with pytest.raises(ValueError, match="^gate dimensions must be positive$"):
+        gate_stiffness(FlapGateGeometry(w, t, h), _SOFT)
+
+
 def test_stiffness_orderings_across_catalog():
     def d(tid):
         dev = catalog_device(tid)
@@ -66,7 +75,7 @@ def test_stiffness_orderings_across_catalog():
 
 
 def _law(device, **coeffs):
-    return _point_law(device, dataclasses.replace(DEFAULT_COEFFS, **coeffs))
+    return _point_law(device, DEFAULT_COEFFS._replace(**coeffs))
 
 
 def _opening_at(p, device=_NOMINAL, **coeffs):
@@ -92,8 +101,8 @@ def test_compliance_model_validation():
          "gate gain k0 D_ref / D must be positive and finite"),   # 0
     ]
     for gate, k0, message in cases:
-        device = dataclasses.replace(_NOMINAL, geometry=dataclasses.replace(
-            _NOMINAL.geometry, gate=gate))
+        device = _NOMINAL._replace(
+            geometry=_NOMINAL.geometry._replace(gate=gate))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _law(device, k0=k0)(1.0e-4)
 
@@ -160,7 +169,6 @@ def test_opening_ratio():
     for a_fg, expected in ((3.0e-6, 0.5), (0.0, 0.0), (9.0e-6, 1.5)):
         assert ratio(OperatingState(1.0e-4, 0.0, 0.0, a_fg, 0.0)) == expected
     # the law never returns a state against a closed exhaust window
-    device = dataclasses.replace(_NOMINAL, geometry=dataclasses.replace(
-        _NOMINAL.geometry, a_ex=0.0))
+    device = _NOMINAL._replace(geometry=_NOMINAL.geometry._replace(a_ex=0.0))
     with pytest.raises(ValueError, match="^a_ex must be positive$"):
         _law(device)(1.0e-4)

@@ -7,7 +7,6 @@ law, and each row of a sweep, must give the same bits, and fail at the
 same flow with the same message.
 """
 
-import dataclasses
 import math
 import re
 import warnings
@@ -180,19 +179,18 @@ def devices(draw):
     # an unequal inlet split switches on the junction's kinetic term;
     # (a_in / (2 a_branch)) ** 2 at 2.148 mm^2 rounds apart from the
     # product, so a law that squared by ``**`` would fail
-    geometry = dataclasses.replace(
-        device.geometry, split_design_rule=False,
+    geometry = device.geometry._replace(
+        split_design_rule=False,
         a_branch=draw(st.sampled_from([device.geometry.a_branch, 1.5e-6,
                                        2.148e-6, 2.5e-6])))
-    return dataclasses.replace(
-        device, geometry=geometry,
+    return device._replace(
+        geometry=geometry,
         material=Material.from_shore_a(draw(st.floats(5.0, 60.0))))
 
 
 @st.composite
 def coefficients(draw):
-    return dataclasses.replace(
-        DEFAULT_COEFFS,
+    return DEFAULT_COEFFS._replace(
         # a zero supply law leaves the junction's kinetic term alone
         c1=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0e8))),
         c2=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0e11))),
@@ -308,8 +306,8 @@ def test_law_failures_match_stage_functions(q_in, a_branch):
     # bad flows fail before the device; a junction split whose square
     # overflows leaves no steady state at any flow
     device = catalog_device("B")
-    device = dataclasses.replace(device, geometry=dataclasses.replace(
-        device.geometry, split_design_rule=False, a_branch=a_branch))
+    device = device._replace(geometry=device.geometry._replace(
+        split_design_rule=False, a_branch=a_branch))
     with pytest.raises(ValueError) as ref:
         _composed(q_in, device, DEFAULT_COEFFS)
     with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
@@ -327,7 +325,7 @@ def test_sweep_warns_once_on_sonic_rows():
         sweep(b, q_end=10.0 * M3S_PER_LPM, step=1.0 * M3S_PER_LPM)
 
 
-_SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)   # never switches
+_SHUT = DEFAULT_COEFFS._replace(p_c=1.0e6)   # never switches
 
 # devices that switch low on the 1 L/min grid and fail further up: a jet
 # so fast its dynamic pressure overflows at 21 and 11 L/min, and an
@@ -335,15 +333,14 @@ _SHUT = dataclasses.replace(DEFAULT_COEFFS, p_c=1.0e6)   # never switches
 # narrow branch's junction term has shut the gate again
 _TINY_NOZZLE = with_gate(catalog_device("B"), a_ne=1.0e-158)
 _TINIER_NOZZLE = with_gate(catalog_device("B"), a_ne=5.0e-159)
-_RECLOSING = dataclasses.replace(
-    catalog_device("B"), geometry=dataclasses.replace(
-        catalog_device("B").geometry, split_design_rule=False,
-        a_branch=4.0e-7))
-_TINY_OUTLET = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-8, cd_out=1.0e-153)
+_RECLOSING = catalog_device("B")._replace(
+    geometry=catalog_device("B").geometry._replace(split_design_rule=False,
+                                                   a_branch=4.0e-7))
+_TINY_OUTLET = DEFAULT_COEFFS._replace(k0=1.0e-8, cd_out=1.0e-153)
 # a shut gate's blowing term overflows at 2 L/min, while at the grid's
 # top the gate is fully open and the law returns
-_TINIER_OUTLET = dataclasses.replace(DEFAULT_COEFFS, k0=1.0e-8,
-                                     cd_out=2.5e-154)
+_TINIER_OUTLET = DEFAULT_COEFFS._replace(k0=1.0e-8,
+                                         cd_out=2.5e-154)
 
 
 def _assert_objective_equals_sweep(device, coeffs, target):
@@ -507,17 +504,16 @@ def guard_devices(draw):
     to 1e-320 m^2 (m): terms that overflow, underflow or turn nan."""
     device = draw(devices())
     g = device.geometry
-    geometry = dataclasses.replace(g, **{
+    geometry = g._replace(**{
         name: draw(st.one_of(st.just(getattr(g, name)), _decades(-320, -2)))
         for name in ("a_in", "a_branch", "a_ne", "a_ex", "a_out",
                      "channel_width_ref")})
-    return dataclasses.replace(device, geometry=geometry)
+    return device._replace(geometry=geometry)
 
 
 @st.composite
 def guard_coefficients(draw):
-    return dataclasses.replace(
-        draw(coefficients()),
+    return draw(coefficients())._replace(
         eta=draw(_decades(-300, 300)),
         c_recirc=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0),
                                 _decades(-300, 300))),
@@ -526,8 +522,7 @@ def guard_coefficients(draw):
 
 
 def _with_geometry(device, **geometry):
-    return dataclasses.replace(device, geometry=dataclasses.replace(
-        device.geometry, **geometry))
+    return device._replace(geometry=device.geometry._replace(**geometry))
 
 
 @_PROPERTY
@@ -535,12 +530,12 @@ def _with_geometry(device, **geometry):
 # an infinite width excess: times c_recirc = 0 the penalty is nan, times
 # c_recirc = 1 it is 0
 @example(_with_geometry(catalog_device("B"), channel_width_ref=1.0e-320),
-         dataclasses.replace(DEFAULT_COEFFS, c_recirc=0.0))
+         DEFAULT_COEFFS._replace(c_recirc=0.0))
 @example(_with_geometry(catalog_device("B"), channel_width_ref=1.0e-320),
-         dataclasses.replace(DEFAULT_COEFFS, c_recirc=1.0))
+         DEFAULT_COEFFS._replace(c_recirc=1.0))
 # a wide gate whose penalty is near 0
 @example(catalog_device("C"),
-         dataclasses.replace(DEFAULT_COEFFS, c_recirc=1.0e300))
+         DEFAULT_COEFFS._replace(c_recirc=1.0e300))
 @example(_TINY_NOZZLE, DEFAULT_COEFFS)
 @example(_TINIER_NOZZLE, DEFAULT_COEFFS)
 @example(catalog_device("B"), _TINIER_OUTLET)
@@ -568,9 +563,9 @@ _UNEVEN_SPLIT = _with_geometry(catalog_device("B"), split_design_rule=False,
 _SIGN_RETURNS = (
     _with_geometry(catalog_device("B"), split_design_rule=False,
                    a_branch=2.0821514124925612e-07),
-    dataclasses.replace(DEFAULT_COEFFS, c1=115051141.55762504,
-                        c2=74233762471.7731, k0=3.2645887147227662e-09,
-                        p_c=2686.657460029258))
+    DEFAULT_COEFFS._replace(c1=115051141.55762504,
+                            c2=74233762471.7731, k0=3.2645887147227662e-09,
+                            p_c=2686.657460029258))
 
 
 @_PROPERTY
@@ -582,12 +577,12 @@ _SIGN_RETURNS = (
 # no cracking pressure and a stiff gain: negative from row 1 on, after
 # row 0's exact zero, so the device never switches
 @example(catalog_device("B"),
-         dataclasses.replace(DEFAULT_COEFFS, p_c=0.0, k0=1.0e-6), None)
+         DEFAULT_COEFFS._replace(p_c=0.0, k0=1.0e-6), None)
 # a suction term that underflows to 0: blowing rows, then saturated rows
 # of exactly 0, and no switch
 @example(catalog_device("C"),
-         dataclasses.replace(DEFAULT_COEFFS, eta=1.0e-300, c_recirc=1.0e300,
-                             k0=1.0e-6), None)
+         DEFAULT_COEFFS._replace(eta=1.0e-300, c_recirc=1.0e300,
+                                 k0=1.0e-6), None)
 def test_switching_objective_equals_sweep_on_guard_devices(device, coeffs,
                                                            target):
     # areas and coefficients over hundreds of decades: the bisection over
@@ -600,16 +595,19 @@ def _set_up(coeffs=None, gate=None, **geometry):
     """Type B with an unequal split allowed and the given changes."""
     b = catalog_device("B")
     if gate is not None:
-        geometry["gate"] = dataclasses.replace(b.geometry.gate, **gate)
+        geometry["gate"] = b.geometry.gate._replace(**gate)
     device = _with_geometry(b, split_design_rule=False, **geometry)
-    return device, dataclasses.replace(DEFAULT_COEFFS, **(coeffs or {}))
+    return device, DEFAULT_COEFFS._replace(**(coeffs or {}))
 
 
 # one case per set-up check, in the order the law makes them, then cases
 # that fail two checks and report the earlier one
 @pytest.mark.parametrize("case, message", [
     (_set_up(a_in=0.0), "areas must be positive"),
+    (_set_up(a_branch=0.0), "areas must be positive"),
     (_set_up(a_branch=1.0e-300), _NOT_FINITE),
+    # a_in / (2 a_branch) itself overflows: each flow's stage reports it
+    (_set_up(a_branch=1.0e-320), _NOT_FINITE),
     (_set_up(gate={"w": 1.0e-200, "h": 1.0e-200}),
      "a_fg_max must be positive and finite"),
     (_set_up(gate={"t": 0.0}), "gate dimensions must be positive"),
@@ -630,10 +628,12 @@ def _set_up(coeffs=None, gate=None, **geometry):
     (_set_up({"cd_out": 1.0e-300}, a_out=1.0e-300, a_ne=0.0),
      "cd_out * a_out must be positive and finite"),
     (_set_up(a_ne=0.0, n_nozzles=0), "a_ne must be positive"),
-], ids=["areas", "split", "a_fg_max", "gate-dimensions", "stiffness", "gain",
-        "a_ex", "w_ref", "out_area", "a_ne", "negative-a_ne", "n_nozzles",
-        "a_ex-before-w_ref", "split-before-out_area", "out_area-before-a_ne",
-        "a_ne-before-n_nozzles"])
+    (_set_up(a_branch=1.0e-320, a_ex=0.0), "a_ex must be positive"),
+], ids=["areas", "zero-a_branch", "split", "infinite-ratio", "a_fg_max",
+        "gate-dimensions", "stiffness", "gain", "a_ex", "w_ref", "out_area",
+        "a_ne", "negative-a_ne", "n_nozzles", "a_ex-before-w_ref",
+        "split-before-out_area", "out_area-before-a_ne",
+        "a_ne-before-n_nozzles", "a_ex-before-infinite-ratio"])
 def test_set_up_checks_report_in_order(case, message):
     device, coeffs = case
     exact = f"^{re.escape(message)}$"

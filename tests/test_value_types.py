@@ -1,7 +1,6 @@
 """Every field of the validated value types: a non-finite or out-of-domain
 value is rejected, and a valid one round-trips unchanged."""
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -71,7 +70,7 @@ def _valid_fields(domains):
 
 def test_domains_cover_every_field():
     for cls, domains in _TYPES.items():
-        assert set(domains) == {f.name for f in dataclasses.fields(cls)}
+        assert set(domains) == set(cls._fields)
 
 
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
@@ -80,8 +79,8 @@ def test_domains_cover_every_field():
 def test_valid_fields_round_trip(cls, data):
     values = data.draw(_valid_fields(_TYPES[cls]))
     obj = cls(**values)
-    assert dataclasses.asdict(obj) == values
-    assert cls(**dataclasses.asdict(obj)) == obj
+    assert obj._asdict() == values
+    assert cls(**obj._asdict()) == obj
 
 
 @pytest.mark.parametrize("cls", _TYPES, ids=lambda cls: cls.__name__)
@@ -128,8 +127,8 @@ _GATE_FIELDS = ("w", "t", "h")
 @given(g=geometries())
 def test_valid_geometry_round_trips(g):
     assert validate_geometry(g) == []
-    fields = dataclasses.asdict(g)
-    fields["gate"] = FlapGateGeometry(**fields["gate"])
+    fields = g._asdict()
+    fields["gate"] = FlapGateGeometry(**fields["gate"]._asdict())
     assert DeviceGeometry(**fields) == g
 
 
@@ -139,11 +138,10 @@ def test_valid_geometry_round_trips(g):
        bad=_POSITIVE.invalid())
 def test_geometry_bad_dimension_named(g, name, bad):
     if name in _GATE_FIELDS:
-        g = dataclasses.replace(g, gate=dataclasses.replace(g.gate,
-                                                            **{name: bad}))
+        g = g._replace(gate=g.gate._replace(**{name: bad}))
         name = f"gate.{name}"
     else:
-        g = dataclasses.replace(g, **{name: bad})
+        g = g._replace(**{name: bad})
     assert f"{name} must be positive and finite" in validate_geometry(g)
 
 
@@ -152,5 +150,5 @@ def test_geometry_bad_dimension_named(g, name, bad):
        bad=hs.one_of(_NON_FINITE, hs.integers(max_value=0),
                      hs.floats(max_value=1.0, exclude_max=True)))
 def test_geometry_bad_nozzle_count_named(g, bad):
-    g = dataclasses.replace(g, n_nozzles=bad)
+    g = g._replace(n_nozzles=bad)
     assert "n_nozzles must be at least 1 and finite" in validate_geometry(g)
