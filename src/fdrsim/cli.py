@@ -51,15 +51,13 @@ import sys
 import warnings
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import (Any, Callable, Iterable, NamedTuple, Sequence,
-                    get_type_hints)
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._units import (AREA, FLOW, FORCE, LENGTH, M2_PER_CM2, PRESSURE,
                      UNITLESS, Unit)
 from . import engine
-from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry,
-                   FlapGateGeometry, Material, catalog_device,
-                   validate_geometry)
+from .core import (CATALOG_TYPE_IDS, Device, DeviceGeometry, Material,
+                   catalog_device, validate_geometry)
 from .engine import _DESIGN_KEYS
 from .model import (DEFAULT_COEFFS, ModelCoefficients, SupersonicJetWarning,
                     gate_stiffness)
@@ -221,8 +219,10 @@ _OPTIMIZE_COLUMNS = tuple(
 
 # --- config loading -----------------------------------------------------------
 
-_FIELD_TYPES = {**get_type_hints(FlapGateGeometry.__init__),
-                **get_type_hints(DeviceGeometry.__init__)}
+# each geometry field's type, float, int or bool, read off the defaults
+_FIELD_TYPES = {name: type(value)
+                for part in (DeviceGeometry(), DeviceGeometry().gate)
+                for name, value in part._asdict().items()}
 # config key -> (geometry field, unit), e.g. w_mm -> (w, LENGTH)
 _CONFIG_FIELDS = {unit.key(name): (name, unit)
                   for name, unit in _DIMENSION_UNITS.items()}

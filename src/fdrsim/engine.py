@@ -21,7 +21,10 @@ suction, and it finds the bracket by bisection over the row indices;
 otherwise it scans the rows up to the first bracket.  Rows it skips
 cannot move the answer, and they are skipped only when
 ``model._no_row_fails`` shows that none of them could fail, so a
-candidate scores exactly what its sweep reports, failure included.
+candidate scores exactly what its sweep reports, failure included.  The
+top row that check reads starts the bisection, and within a search each
+candidate's bisection starts at the last candidate's bracket, whose
+refining flows keep their stages until the bracket moves.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -33,8 +36,9 @@ initial simplex and after a shrink.  The search binds the engine's
 objectives to its template once (``model._design_chain``): what the
 template fixes is built and checked then, and each candidate pays only
 for its four dimensions' terms and the finish of the rows it reads,
-with no device built.  Any other objective callable is scored on the
-template's ``with_gate`` copy.
+with no device built.  A bound objective warns of a sonic jet once per
+search, at the first candidate whose jet is sonic.  Any other objective
+callable is scored on the template's ``with_gate`` copy.
 """
 
 from __future__ import annotations
@@ -225,8 +229,8 @@ def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
     """The flow where ``p_out`` first changes sign along the grid (exact
     zeros skipped), refined by bisection; ``None`` if it never does.
     Reads ``p_outs`` only up to that first bracket.  A linear scan, so it
-    holds for any sign pattern; :func:`_bisected_switching_q` finds the
-    same bracket in fewer rows where the signs run nonnegative, then
+    holds for any sign pattern; :func:`_switching_bracket` finds the same
+    bracket in fewer rows where the signs run nonnegative, then
     negative."""
     last_q = last_p = 0.0   # the last row whose p_out is not 0, if any
     for q, p_out in zip(qs, p_outs):
@@ -237,15 +241,25 @@ def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
     return None
 
 
-def _bisected_switching_q(qs: Sequence[float], row: _Law, law: _Law
-                          ) -> float | None:
-    """:func:`_switching_q` over ``row``'s points at ``qs``, the law at
-    the grid's flows, when their ``p_out`` signs run nonnegative, then
-    negative: the first negative row is found by bisection over the row
-    indices, each row read at most once, and the bracket's low end is the
-    nearest row below it whose ``p_out`` is not an exact zero; ``None``
-    if there is none, or no row is negative.  ``law`` refines the
-    bracket.
+def _switching_bracket(qs: Sequence[float], row: _Law, p_top: float,
+                       hint: int | None = None) -> tuple[int, int, float]:
+    """The bracket :func:`_switching_q` refines, over ``row``'s points at
+    ``qs``, the law at the grid's flows, when their ``p_out`` signs run
+    nonnegative, then negative; ``p_top`` is the top row's ``p_out``,
+    already read.  Returns ``(lo, below, p_below)``: the index of the
+    first negative row (``len(qs)`` if none), the nearest row below it
+    whose ``p_out`` is not an exact zero (-1 if none) and that row's
+    ``p_out``.  The first negative row is found by bisection over the row
+    indices, each row read at most once; a top row that is not negative
+    ends the search, as no row is.
+
+    ``hint``, the ``lo`` of an earlier call, warm-starts the bisection:
+    rows ``hint`` and ``hint - 1`` are read first, and when they do not
+    bracket, the bisection goes on over the rows they leave open, with
+    the rows it has read.  In this sign order the first negative row is
+    unique, so any hint gives the same bracket, and so the same
+    refinement and bits, as none; a search whose candidates barely move
+    reads two rows where the cold bisection reads about six.
 
     That order holds on the grid 0, 1, .., 30 L/min whenever ``a_in <= 2
     a_branch``, so that the junction factor ``split`` is at least 0 and
@@ -262,8 +276,19 @@ def _bisected_switching_q(qs: Sequence[float], row: _Law, law: _Law
     user's grid can be fine enough to void the margin: those keep the
     scan.
     """
-    p_outs: dict[int, float] = {}
-    lo, hi = 0, len(qs)
+    top = len(qs) - 1
+    if not p_top < 0.0:
+        return len(qs), -1, 0.0
+    p_outs = {top: p_top}
+    lo, hi = 0, top
+    if hint is not None:
+        for mid in (hint, hint - 1):
+            if lo <= mid < hi:
+                p_outs[mid] = p_out = row(qs[mid])[3]
+                if p_out < 0.0:
+                    hi = mid
+                else:
+                    lo = mid + 1
     while lo < hi:
         mid = (lo + hi) // 2
         p_outs[mid] = p_out = row(qs[mid])[3]
@@ -271,15 +296,13 @@ def _bisected_switching_q(qs: Sequence[float], row: _Law, law: _Law
             hi = mid
         else:
             lo = mid + 1
-    if lo == len(qs):
-        return None
     for below in range(lo - 1, -1, -1):
         p_out = p_outs.get(below)
         if p_out is None:
             p_out = row(qs[below])[3]
         if p_out != 0.0:
-            return _refine_switching(law, qs[below], qs[lo], p_out)
-    return None
+            return lo, below, p_out
+    return lo, -1, 0.0
 
 
 def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
@@ -584,32 +607,29 @@ def optimize_geometry(objective: Callable[[Device], float],
     scales = [(_DESIGN_KEYS.index(k), lows[k], widths[k]) for k in free]
     low_values = list(lows.values())
 
-    def params_at(x: list[float]) -> list[float]:
-        """The (w, t, h, a_ne) at ``x``, clipped to the box; the inline
-        clip is ``min(max(xi, 0.0), 1.0)`` without the builtins' calls."""
-        p = list(low_values)
-        for xi, (i, lo, width) in zip(x, scales):
-            p[i] = lo + (0.0 if xi < 0.0 else 1.0 if xi > 1.0 else xi) * width
-        return p
-
     def value_at(x: list[float]) -> float:
-        # squared distance outside the box, summed in coordinate order;
+        # the (w, t, h, a_ne) at ``x``, clipped to the box, and the
+        # squared distance outside it, summed in coordinate order;
         # ``outside`` is kept apart because a tiny excess squares to 0.
         # A coordinate is over or under the box, not both, and the other
         # side's 0.0 would add nothing, so each adds one square.
+        p = list(low_values)
         excess = 0.0
         outside = False
-        for xi in x:
-            over = xi - 1.0
-            under = -xi
-            if over > 0.0:
+        for xi, (i, lo, width) in zip(x, scales):
+            if xi > 1.0:
                 outside = True
+                over = xi - 1.0
                 excess += over * over
-            elif under > 0.0:
+                xi = 1.0
+            elif xi < 0.0:
                 outside = True
+                under = -xi
                 excess += under * under
+                xi = 0.0
+            p[i] = lo + xi * width
         penalty = 1.0e9 * (1.0 + excess) if outside else 0.0
-        return score(*params_at(x)) + penalty
+        return score(*p) + penalty
 
     if start is None:
         x0 = [0.5] * len(free)
@@ -629,7 +649,9 @@ def optimize_geometry(objective: Callable[[Device], float],
 
     best_x, best_f, evals = nelder_mead(value_at, x0, max_evals=max_evals,
                                         diam_tol=1.0e-6)
-    params = dict(zip(_DESIGN_KEYS, params_at(best_x)))
+    params = dict(zip(_DESIGN_KEYS, low_values))
+    for xi, (i, lo, width) in zip(best_x, scales):
+        params[_DESIGN_KEYS[i]] = lo + min(max(xi, 0.0), 1.0) * width
     return OptimizationResult(device=with_gate(device, **params),
                               params=params, value=best_f,
                               evaluations=evals,
@@ -644,10 +666,12 @@ class _DesignObjective:
     that a design search binds to its template once.
 
     ``bind(template)`` returns ``score(w, t, h, a_ne)``: the objective at
-    ``with_gate(template, w=w, t=t, h=h, a_ne=a_ne)``, the same bits, the
-    same exception and the same warnings, without building that device.
-    Called on a device, the objective is its own bound form at the
-    device's dimensions.
+    ``with_gate(template, w=w, t=t, h=h, a_ne=a_ne)``, the same bits and
+    the same exception, without building that device.  A binding warns
+    once: its first candidate whose jet is sonic warns as the device's
+    objective does, or raises under an ``error`` filter, and the later
+    ones are silent.  Called on a device, the objective is its own bound
+    form at the device's dimensions.
     """
 
     def __init__(self, bind: Callable[[Device], Callable[..., float]]):
@@ -670,17 +694,24 @@ def switching_objective(coeffs: ModelCoefficients, *,
     L/min, found without building its states.
 
     The bracket of the first sign change is found without reading every
-    row: by bisection over the row indices
-    (:func:`_bisected_switching_q`) when ``a_in <= 2 a_branch``, so the
-    junction cannot reclose the gate, and otherwise by a lazy scan up to
-    that bracket.  Rows left unread cannot move the bracket or its
-    bisection, only fail, as ``sweep`` would with :class:`SweepError`.
-    Unless ``model._no_row_fails`` proves that no flow up to the grid's
-    top fails, every row runs first, so the first failing one raises
-    that error before the search.  The junction's side, the guard's
-    blowing bound and the grid rows' flow stages depend on the template
-    alone, and are worked out once per binding; each candidate finishes
-    the rows it reads from their stages.
+    row: by bisection over the row indices (:func:`_switching_bracket`)
+    when ``a_in <= 2 a_branch``, so the junction cannot reclose the gate,
+    and otherwise by a lazy scan up to that bracket.  Rows left unread
+    cannot move the bracket or its bisection, only fail, as ``sweep``
+    would with :class:`SweepError`.  Unless ``model._no_row_fails``
+    proves that no flow up to the grid's top fails, every row runs first,
+    so the first failing one raises that error before the search; the
+    top row the proof reads is the bisection's first, and a candidate
+    whose top row is not negative never switches.  The junction's side,
+    the guard's blowing bound and the grid rows' flow stages depend on
+    the template alone, and are worked out once per binding; each
+    candidate finishes the rows it reads from their stages.
+
+    A binding keeps what its last candidate found.  The bisection starts
+    at that candidate's bracket, which a search's next candidate mostly
+    shares, and the flow stages of the points that refine the bracket are
+    kept until the bracket moves, so each candidate finishes those points
+    from stored stages too.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
@@ -697,9 +728,14 @@ def switching_objective(coeffs: ModelCoefficients, *,
         # the grid rows' stages by flow, computed at the first candidate
         # whose terms pass, once every row has one
         grid: dict[float, _Stage] | None = None
+        # the last candidate's first negative row, and the stages of the
+        # flows that refined brackets there, by flow
+        bracket: int | None = None
+        refined: dict[float, _Stage] = {}
+        warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            nonlocal grid
+            nonlocal grid, bracket, warned
             try:
                 finish = finish_at(w, t, h, a_ne, eta, k0, crack)
             except ValueError as exc:   # a bad term fails every row
@@ -717,11 +753,26 @@ def switching_objective(coeffs: ModelCoefficients, *,
             def row(q_in: float) -> _Point:
                 return finish(grid[q_in])
 
-            if not _no_row_fails(row, q_top, blocked_blow):
-                _ramp(row, qs)
-            _warn_if_jet_sonic((q_top / n_nozzles) / a_ne)
+            top = _no_row_fails(row, q_top, blocked_blow)
+            if top is None:
+                top = _ramp(row, qs)[-1]
+            if not warned:
+                warned = _warn_if_jet_sonic((q_top / n_nozzles) / a_ne)
             if monotone:
-                switching_q = _bisected_switching_q(qs, row, law)
+                lo, below, p_below = _switching_bracket(qs, row, top[3],
+                                                        bracket)
+                if lo != bracket:
+                    bracket = lo
+                    refined.clear()
+
+                def refining(q_in: float) -> _Point:
+                    flow = refined.get(q_in)
+                    if flow is None:
+                        flow = refined[q_in] = stage(q_in)
+                    return finish(flow)
+
+                switching_q = (None if below < 0 else _refine_switching(
+                    refining, qs[below], qs[lo], p_below))
             else:
                 switching_q = _switching_q(qs, (row(q)[3] for q in qs), law)
             if switching_q is None:
@@ -737,9 +788,9 @@ def switching_objective(coeffs: ModelCoefficients, *,
     return _DesignObjective(bind)
 
 
-def suction_objective(coeffs: ModelCoefficients,
-                      q_star: float) -> Callable[[Device], float]:
-    """Maximize suction at ``q_star``: minimizes p_out (most negative wins).
+def _port_objective(coeffs: ModelCoefficients, q_star: float,
+                    blowing: bool) -> Callable[[Device], float]:
+    """p_out at ``q_star`` (negated when ``blowing``), to be minimized.
 
     A binding computes the flow stage at ``q_star`` once, at its first
     candidate whose terms pass, so a failing term is still raised before
@@ -753,28 +804,31 @@ def suction_objective(coeffs: ModelCoefficients,
         stage, finish_at = _design_chain(template, coeffs)
         eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
         star = None
+        warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            nonlocal star
+            nonlocal star, warned
             finish = finish_at(w, t, h, a_ne, eta, k0, crack)
             if star is None:
                 star = stage(q_star)
             p_out = finish(star)[3]
-            _warn_if_jet_sonic(star[3] / a_ne)
-            return p_out
+            if not warned:
+                warned = _warn_if_jet_sonic(star[3] / a_ne)
+            return -p_out if blowing else p_out
 
         return score
 
     return _DesignObjective(bind)
 
 
+def suction_objective(coeffs: ModelCoefficients,
+                      q_star: float) -> Callable[[Device], float]:
+    """Maximize suction at ``q_star``: minimizes p_out (most negative wins).
+    A binding computes the flow stage at ``q_star`` once."""
+    return _port_objective(coeffs, q_star, False)
+
+
 def blowing_objective(coeffs: ModelCoefficients,
                       q_star: float) -> Callable[[Device], float]:
     """Maximize blowing at ``q_star``: minimizes the negated p_out."""
-    suction = suction_objective(coeffs, q_star)
-
-    def bind(template: Device) -> Callable[..., float]:
-        score = suction.bind(template)
-        return lambda w, t, h, a_ne: -score(w, t, h, a_ne)
-
-    return _DesignObjective(bind)
+    return _port_objective(coeffs, q_star, True)

@@ -388,12 +388,14 @@ def _blocked_blow(device: Device, coeffs: ModelCoefficients,
     return _HALF_RHO * (u * u)
 
 
-def _no_row_fails(law: _Law, q_top: float, blocked_blow: float) -> bool:
-    """True only if ``law``, a device's point law, returns at every flow in
-    ``[0, q_top]``, so a scan may stop early without skipping a
-    ``ValueError``; calls the law once, at ``q_top``.  ``blocked_blow`` is
-    the device's :func:`_blocked_blow` at ``q_top``, which its template
-    alone fixes.
+def _no_row_fails(law: _Law, q_top: float, blocked_blow: float
+                  ) -> _Point | None:
+    """``law(q_top)``, only if ``law``, a device's point law, returns at
+    every flow in ``[0, q_top]``, so a scan may stop early without
+    skipping a ``ValueError``; ``None`` otherwise.  Calls the law once, at
+    ``q_top``, and hands its point back so that a caller need not compute
+    it again.  ``blocked_blow`` is the device's :func:`_blocked_blow` at
+    ``q_top``, which its template alone fixes.
 
     Every operation of the law, squares included, is a ``+ - * /`` that
     IEEE 754 rounds correctly, so each rounds monotonically; and with
@@ -414,10 +416,10 @@ def _no_row_fails(law: _Law, q_top: float, blocked_blow: float) -> bool:
     failure out.
     """
     try:
-        law(q_top)
+        top = law(q_top)
     except ValueError:
-        return False
-    return blocked_blow < math.inf
+        return None
+    return top if blocked_blow < math.inf else None
 
 
 def _warn_if_sonic(q_in: float, device: Device) -> None:
@@ -428,13 +430,15 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     _warn_if_jet_sonic((q_in / g.n_nozzles) / g.a_ne, stacklevel=3)
 
 
-def _warn_if_jet_sonic(v: float, *, stacklevel: int = 2) -> None:
+def _warn_if_jet_sonic(v: float, *, stacklevel: int = 2) -> bool:
     """:func:`_warn_if_sonic` for a jet of velocity ``v``, the law's ``(q
     / n_nozzles) / a_ne``, attributed to the caller's line at the default
-    ``stacklevel``.  A caller that holds a flow's stage divides its ``q /
-    n_nozzles`` by ``a_ne``, as the row does."""
+    ``stacklevel``; whether it warned.  A caller that holds a flow's stage
+    divides its ``q / n_nozzles`` by ``a_ne``, as the row does."""
     if v > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",
                       SupersonicJetWarning, stacklevel=stacklevel)
+        return True
+    return False

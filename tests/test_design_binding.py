@@ -9,7 +9,9 @@ templates whose own terms fail, included), coefficients and candidates,
 the bound score must equal ``objective(with_gate(template, ...))`` bit
 for bit, fail with the same exception, and raise the same warnings; on
 random boxes the search must return the same result through either path,
-and the same as the search before.
+and the same as the search before.  A binding warns once in a search, at
+its first candidate whose jet is sonic, where a plain callable warns at
+each such candidate.
 """
 
 import math
@@ -24,6 +26,7 @@ from fdrsim import (
     CATALOG_TYPE_IDS,
     DEFAULT_COEFFS,
     Material,
+    SupersonicJetWarning,
     blowing_objective,
     catalog_device,
     optimize_geometry,
@@ -212,11 +215,18 @@ def _counted(objective, calls):
 
 def _search(search, objective, template, bounds, max_evals, action):
     """The search's result as bits (or its exception's type and message),
-    the candidates it scored and the warnings it raised, in order, under
-    an ``action`` filter."""
+    the candidates it scored and the warnings it raised, in order, each
+    with the number of candidates scored when it was raised, under an
+    ``action`` filter."""
     calls = []
-    with warnings.catch_warnings(record=True) as caught:
+    caught = []
+
+    def record(message, category, *_):
+        caught.append((len(calls), category, str(message)))
+
+    with warnings.catch_warnings():
         warnings.simplefilter(action)
+        warnings.showwarning = record
         try:
             r = search(_counted(objective, calls), bounds, template,
                        max_evals=max_evals)
@@ -225,7 +235,7 @@ def _search(search, objective, template, bounds, max_evals, action):
                       float(r.value).hex(), r.evaluations, r.converged)
         except (ValueError, Warning) as exc:
             result = (type(exc), str(exc))
-    return result, calls, [(w.category, str(w.message)) for w in caught]
+    return result, calls, caught
 
 
 @_PROPERTY
@@ -247,10 +257,19 @@ def test_search_scores_the_same_bound_or_through_a_device(
     def plain(candidate):
         return objective(candidate)
 
-    bound = _search(optimize_geometry, objective, template, bounds,
-                    max_evals, action)
-    assert _search(optimize_geometry, plain, template, bounds, max_evals,
-                   action) == bound
+    result, calls, caught = _search(optimize_geometry, objective, template,
+                                    bounds, max_evals, action)
+
+    def assert_same(search, objective):
+        # the same result and candidates; a binding warns once, at the
+        # first sonic candidate, where a plain callable warns at each one,
+        # and under an error filter both raise at that candidate
+        other, other_calls, other_caught = _search(
+            search, objective, template, bounds, max_evals, action)
+        assert (other, other_calls) == (result, calls)
+        assert caught == other_caught[:1]
+
+    assert_same(optimize_geometry, plain)
     # a plain callable gets the search before's result; that search scored
     # a warning raised under an error filter +inf, and is left out there
     name, arg = spec
@@ -258,9 +277,20 @@ def test_search_scores_the_same_bound_or_through_a_device(
               "blowing": old_blowing_objective}.get(name)
     if before is not None:
         old = before(coeffs, arg * M3S_PER_LPM)
-        searches = [optimize_geometry]
+        assert_same(optimize_geometry, old)
         if action == "always":
-            searches.append(old_optimize_geometry)
-        for search in searches:
-            assert _search(search, old, template, bounds, max_evals,
-                           action) == bound
+            assert_same(old_optimize_geometry, old)
+
+
+def test_a_suction_search_over_a_sonic_box_warns_once():
+    # every candidate's jet is sonic at 30 L/min: the four-key search
+    # scores dozens of them and records one warning, at the first
+    bounds = {"w": (6.0e-3, 10.0e-3), "t": (0.4e-3, 0.6e-3),
+              "h": (1.8e-3, 2.2e-3), "a_ne": (0.3e-6, 0.5e-6)}
+    result, calls, caught = _search(
+        optimize_geometry, suction_objective(DEFAULT_COEFFS,
+                                             30.0 * M3S_PER_LPM),
+        catalog_device("B"), bounds, 400, "always")
+    assert len(calls) == result[4] > 10
+    assert [(n, category) for n, category, _ in caught] == [
+        (1, SupersonicJetWarning)]

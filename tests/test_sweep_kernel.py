@@ -440,11 +440,19 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
             calls.clear()
             switching_objective(DEFAULT_COEFFS)(device)
             assert calls == sequence
-        # a gate that never opens: no row is negative, and the bisection
-        # reads rows 15, 23, 27, 29 and 30 to show it
+        # a binding's next candidate starts at the last one's bracket: the
+        # top row, rows 14 and 13, then the same bisection of the bracket
+        score = switching_objective(DEFAULT_COEFFS).bind(b)
+        g = b.geometry
+        for rows in ((15, 7, 11, 13, 14), (14, 13)):
+            calls.clear()
+            score(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
+            assert calls == [qs[-1], *(qs[i] for i in rows), *bisection(b)]
+        # a gate that never opens: the top row is not negative, so no row
+        # is, and the no-failure check's read of it is the only one
         calls.clear()
         switching_objective(_SHUT)(b)
-        assert calls == [qs[-1], *(qs[i] for i in (15, 23, 27, 29, 30))]
+        assert calls == [qs[-1]]
 
 
 # --- the device's terms -------------------------------------------------------
@@ -543,12 +551,16 @@ def test_guard_verdict_equals_frozen_guard(device, coeffs):
     # the frozen guard's suction bound, penalty and all, is finite
     # whenever law(q_top) returns (an infinite bound, or a nan penalty,
     # makes the law's own p_out there inf or nan), so the guard that
-    # checks only the blocked-gate bound gives the same verdict
+    # checks only the blocked-gate bound gives the same verdict; a guard
+    # that passes hands back the law's own point at the top
     q_top = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)[-1]
     law = _point_law(device, coeffs)
     blocked_blow = _blocked_blow(device, coeffs, q_top)
-    assert (_no_row_fails(law, q_top, blocked_blow)
+    top = _no_row_fails(law, q_top, blocked_blow)
+    assert ((top is not None)
             == _frozen_no_row_fails(law, device, coeffs, q_top))
+    if top is not None:
+        assert _bits(top) == _bits(law(q_top))
 
 
 # type B with a junction factor of exactly 0 (a_in == 2 a_branch), and
