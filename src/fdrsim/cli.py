@@ -13,6 +13,13 @@ write is not atomic.  ``--out`` is opened before the command's work: one
 that cannot be opened fails first, and a command that fails after that
 leaves no new file behind and an existing one as it was.
 
+A JSON file is byte for byte what ``json.dumps(value, indent=2,
+sort_keys=True)`` writes, plus a newline.  Every scalar is formatted by
+the stdlib's C encoder, not its pure-Python one, which ``indent`` would
+select.  A list of dicts of one shape (sweep rows, friction points) is
+written a column at a time: one encoder call per column, then one
+template per row.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
 would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error,
@@ -49,6 +56,7 @@ import re
 import stat
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -74,10 +82,97 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+# json.dumps's C encoder without indent, its items split by newlines, which
+# ``ensure_ascii`` escapes inside every string (None where there is no C
+# encoder: every call then fails and ``_json_text`` falls back)
+_c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii,
+    None, ": ", "\n", True, False, False)
+
+
 def _json_text(obj) -> str:
-    # allow_nan=False: a non-finite number raises ValueError (exit 2)
-    # instead of writing invalid JSON
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus
+    a newline, byte for byte, with every scalar formatted by the C encoder.
+
+    A value the fast path cannot write (a non-finite float, a key or value
+    JSON has no form for, a cycle) goes to ``json.dumps``, which raises
+    the stdlib's own error: allow_nan=False makes a non-finite number a
+    ValueError (exit 2) instead of invalid JSON.
+    """
+    try:
+        return _json_value(obj, "\n") + "\n"
+    except (ValueError, TypeError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+
+
+def _json_scalars(values: Sequence) -> list[str]:
+    return "".join(_c_encode(values, 0))[1:-1].split("\n")
+
+
+def _json_items(values: Sequence, nl: str) -> list[str]:
+    """Each of ``values`` as JSON: scalars in one C encoder call, dicts of
+    one shape a column at a time, anything else one value at a time."""
+    if set(map(type, values)) <= _SCALARS:
+        return _json_scalars(values)
+    rows = _json_rows(values, nl)
+    return rows if rows is not None else [_json_value(v, nl) for v in values]
+
+
+def _json_value(obj, nl: str) -> str:
+    """``obj`` as JSON whose nested lines start with ``nl`` and indent."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        items = [f"{inner}{encode_basestring_ascii(k)}: {text}" for k, text
+                 in zip(keys, _json_items([obj[k] for k in keys], inner))]
+        return "{" + ",".join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = _json_items(obj, inner)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return _json_scalars([obj])[0]
+
+
+def _json_rows(rows: Sequence, nl: str) -> list[str] | None:
+    """Each of ``rows`` as JSON, written a column at a time, or None when
+    they are not dicts of one shape: the same keys at every level, each
+    value a scalar or a non-empty dict.  The first row gives a template
+    with a ``%s`` per scalar, and each column goes through the C encoder
+    in one call."""
+    columns: list[list] = []
+
+    def template(dicts: Sequence, nl: str) -> str | None:
+        keys = sorted(dicts[0]) if set(map(type, dicts)) == {dict} else ()
+        if not keys or set(map(len, dicts)) != {len(keys)}:
+            return None
+        inner = nl + "  "
+        items = []
+        for k in keys:
+            column = list(map(itemgetter(k), dicts))
+            if set(map(type, column)) <= _SCALARS:
+                columns.append(column)
+                text = "%s"
+            else:
+                text = template(column, inner)
+                if text is None:
+                    return None
+            key = encode_basestring_ascii(k).replace("%", "%%")
+            items.append(f"{inner}{key}: {text}")
+        return "{" + ",".join(items) + nl + "}"
+
+    try:
+        row = template(rows, nl)
+    except KeyError:    # a row of the same length lacks one of the keys
+        return None
+    if row is None:
+        return None
+    return [row % cells for cells in zip(*map(_json_scalars, columns))]
 
 
 def _open_out(path: str) -> tuple[int, bool]:

@@ -245,6 +245,9 @@ def validate_geometry(g: DeviceGeometry) -> list[str]:
         violations.append("gate.t must be smaller than gate.w")
     if g.gate.t > 0.0 and g.gate.h > 0.0 and g.gate.t >= g.gate.h:
         violations.append("gate.t must be smaller than gate.h")
+    # every output's a_fg / a_ex is at most the gate's w h / a_ex
+    if not violations and g.gate.w * g.gate.h / g.a_ex == math.inf:
+        violations.append("gate.w * gate.h / a_ex must be finite")
     if g.split_design_rule and g.a_in > 0.0:
         # equal two-way split: a_in = 2 * a_branch to 1e-12 relative
         if abs(g.a_in - 2.0 * g.a_branch) > 1.0e-12 * g.a_in:

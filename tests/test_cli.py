@@ -692,6 +692,27 @@ def test_sweep_thin_gate_config_exit_config(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--qin-lpm", "20"],
+    ["sweep", "--step-lpm", "5", "--out"],
+    ["sweep", "--step-lpm", "5", "--format", "json", "--out"],
+])
+def test_config_tiny_a_ex_exit_config(tmp_path, capsys, argv):
+    # a_fg / a_ex would read inf in CSV and stdout, and JSON has no inf:
+    # every command rejects the config with the same line
+    cfg = tmp_path / "tiny_vent.json"
+    cfg.write_text(json.dumps({"type": "B", "a_ex_mm2": 1e-314}),
+                   encoding="utf-8")
+    out = tmp_path / "s.out"
+    argv = argv + [str(out)] if argv[-1] == "--out" else argv
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: config {cfg} invalid: "
+                            "gate.w * gate.h / a_ex must be finite\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("w_mm", "nan"), ("a_ne_mm2", "inf"),
     # JSON values of the wrong type

@@ -203,6 +203,13 @@ def test_validate_geometry_rejects_non_finite():
     assert any("gate.w" in m and "finite" in m for m in messages)
 
 
+def test_validate_geometry_bounds_the_vent_ratio():
+    # a_ex positive and finite, but a_fg / a_ex overflows at a full gate
+    g = DeviceGeometry()._replace(a_ex=1e-320)
+    assert validate_geometry(g) == ["gate.w * gate.h / a_ex must be finite"]
+    assert validate_geometry(g._replace(a_ex=1e-300)) == []
+
+
 def test_validate_geometry_split_rule():
     g = DeviceGeometry()._replace(a_in=6.0e-6)  # 3x branch area
     messages = validate_geometry(g)

@@ -102,19 +102,24 @@ _FINITE_POSITIVE = _POSITIVE.valid()
 
 @hs.composite
 def geometries(draw):
-    """Any valid geometry: a thin plate (t below w and h) and, under the
-    split rule, ``a_in == 2 * a_branch`` (exact, a doubling)."""
-    t = draw(hs.floats(0.0, 1.0e300, exclude_min=True))
-    above_t = hs.floats(min_value=t, exclude_min=True, allow_infinity=False)
+    """Any valid geometry: a thin plate (t below w and h), a finite
+    ``w h / a_ex`` and, under the split rule, ``a_in == 2 * a_branch``
+    (exact, a doubling)."""
+    t = draw(hs.floats(0.0, 1.0e150, exclude_min=True))
+    # w h stays below 1e308, and a_ex above w h / 1e308
+    above_t = hs.floats(min_value=t, max_value=1.0e154, exclude_min=True)
+    w, h = draw(above_t), draw(above_t)
     split = draw(hs.booleans())
     a_branch = draw(hs.floats(0.0, 1.0e300, exclude_min=True))
     return DeviceGeometry(
         a_in=2.0 * a_branch if split else draw(_FINITE_POSITIVE),
         a_branch=a_branch, a_ne=draw(_FINITE_POSITIVE),
         n_nozzles=draw(hs.integers(1, 10**6)),
-        a_ex=draw(_FINITE_POSITIVE), a_out=draw(_FINITE_POSITIVE),
+        a_ex=draw(hs.floats(min_value=w * h / 1.0e308, exclude_min=True,
+                            allow_infinity=False)),
+        a_out=draw(_FINITE_POSITIVE),
         channel_width_ref=draw(_FINITE_POSITIVE),
-        gate=FlapGateGeometry(w=draw(above_t), t=t, h=draw(above_t)),
+        gate=FlapGateGeometry(w=w, t=t, h=h),
         split_design_rule=split)
 
 
