@@ -16,9 +16,11 @@ leaves no new file behind and an existing one as it was.
 A JSON file is byte for byte what ``json.dumps(value, indent=2,
 sort_keys=True)`` writes, plus a newline.  Every scalar is formatted by
 the stdlib's C encoder, not its pure-Python one, which ``indent`` would
-select.  A list of dicts of one shape (sweep rows, friction points) is
-written a column at a time: one encoder call per column, then one
-template per row.
+select.  A table (sweep rows, friction points) goes from its columns to
+the file without row dicts: each column's values are taken once and
+encoded in one call, then joined by one template per row.  A CSV row is
+one template too: ``%.9g`` for a column of numbers, ``%s`` for one of
+strings or of formatted cells.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
@@ -94,18 +96,26 @@ _c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` plus
-    a newline, byte for byte, with every scalar formatted by the C encoder.
+    a newline, byte for byte, with every scalar formatted by the C encoder;
+    a ``_Table`` is written as its ``_json_records`` list.
 
     A value the fast path cannot write (a non-finite float, a key or value
-    JSON has no form for, a cycle) goes to ``json.dumps``, which raises
-    the stdlib's own error: allow_nan=False makes a non-finite number a
-    ValueError (exit 2) instead of invalid JSON.
+    JSON has no form for, a cycle, a table column of non-scalars) goes to
+    ``json.dumps``, which raises the stdlib's own error: allow_nan=False
+    makes a non-finite number a ValueError (exit 2) instead of invalid JSON.
     """
     try:
         return _json_value(obj, "\n") + "\n"
     except (ValueError, TypeError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_table_records) + "\n"
+
+
+def _table_records(obj) -> list[dict]:
+    """``json.dumps``'s ``default``: the stdlib's TypeError if no table."""
+    if isinstance(obj, _Table):
+        return _json_records(obj.columns, obj.records, si=obj.si)
+    return json.JSONEncoder().default(obj)
 
 
 def _json_scalars(values: Sequence) -> list[str]:
@@ -113,12 +123,11 @@ def _json_scalars(values: Sequence) -> list[str]:
 
 
 def _json_items(values: Sequence, nl: str) -> list[str]:
-    """Each of ``values`` as JSON: scalars in one C encoder call, dicts of
-    one shape a column at a time, anything else one value at a time."""
+    """Each of ``values`` as JSON: scalars in one C encoder call, anything
+    else one value at a time."""
     if set(map(type, values)) <= _SCALARS:
         return _json_scalars(values)
-    rows = _json_rows(values, nl)
-    return rows if rows is not None else [_json_value(v, nl) for v in values]
+    return [_json_value(v, nl) for v in values]
 
 
 def _json_value(obj, nl: str) -> str:
@@ -131,48 +140,15 @@ def _json_value(obj, nl: str) -> str:
         items = [f"{inner}{encode_basestring_ascii(k)}: {text}" for k, text
                  in zip(keys, _json_items([obj[k] for k in keys], inner))]
         return "{" + ",".join(items) + nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = _json_items(obj, inner)
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    return _json_scalars([obj])[0]
-
-
-def _json_rows(rows: Sequence, nl: str) -> list[str] | None:
-    """Each of ``rows`` as JSON, written a column at a time, or None when
-    they are not dicts of one shape: the same keys at every level, each
-    value a scalar or a non-empty dict.  The first row gives a template
-    with a ``%s`` per scalar, and each column goes through the C encoder
-    in one call."""
-    columns: list[list] = []
-
-    def template(dicts: Sequence, nl: str) -> str | None:
-        keys = sorted(dicts[0]) if set(map(type, dicts)) == {dict} else ()
-        if not keys or set(map(len, dicts)) != {len(keys)}:
-            return None
-        inner = nl + "  "
-        items = []
-        for k in keys:
-            column = list(map(itemgetter(k), dicts))
-            if set(map(type, column)) <= _SCALARS:
-                columns.append(column)
-                text = "%s"
-            else:
-                text = template(column, inner)
-                if text is None:
-                    return None
-            key = encode_basestring_ascii(k).replace("%", "%%")
-            items.append(f"{inner}{key}: {text}")
-        return "{" + ",".join(items) + nl + "}"
-
-    try:
-        row = template(rows, nl)
-    except KeyError:    # a row of the same length lacks one of the keys
-        return None
-    if row is None:
-        return None
-    return [row % cells for cells in zip(*map(_json_scalars, columns))]
+    if isinstance(obj, _Table):
+        items = _json_table(obj, inner)
+    elif isinstance(obj, (list, tuple)):
+        items = _json_items(obj, inner) if obj else []
+    else:
+        return _json_scalars([obj])[0]
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def _open_out(path: str) -> tuple[int, bool]:
@@ -233,16 +209,28 @@ def _csv_cells(values: Iterable) -> list[str]:
             for x in values]
 
 
+def _csv_field(values: list) -> tuple[str, list]:
+    """A column's field in the CSV row template and the values it takes:
+    numbers as ``%.9g`` (the bytes of ``_fmt``), strings as themselves,
+    any other column as its ``_csv_cells``."""
+    kinds = set(map(type, values))
+    if kinds <= {float, int}:
+        return "%.9g", values
+    return "%s", values if kinds <= {str} else _csv_cells(values)
+
+
 def _csv_text(columns: Sequence[_Column], records: Sequence, *,
               si: bool = False, comments: Sequence[str] = ()) -> str:
-    """CSV in display units; ``si`` appends every dimensioned column in SI."""
+    """CSV in display units; ``si`` appends every dimensioned column in SI.
+    Each row is one ``%`` template over the columns' values."""
     si_columns = [c for c in columns if si and c.unit.scale is not None]
     header = ([c.unit.key(c.name) for c in columns]
               + [f"{c.name}_{c.unit.si}" for c in si_columns])
-    cells = [_csv_cells(_display_values(c, records)) for c in columns]
-    cells += [_csv_cells(map(c.get, records)) for c in si_columns]
-    lines = [",".join(header), *map(",".join, zip(*cells)), *comments]
-    return "\n".join(lines) + "\n"
+    fields = [_csv_field(_display_values(c, records)) for c in columns]
+    fields += [_csv_field(list(map(c.get, records))) for c in si_columns]
+    row = ",".join(field for field, _ in fields)
+    rows = [row % cells for cells in zip(*(values for _, values in fields))]
+    return "\n".join([",".join(header), *rows, *comments]) + "\n"
 
 
 def _json_records(columns: Sequence[_Column], records: Sequence, *,
@@ -257,6 +245,49 @@ def _json_records(columns: Sequence[_Column], records: Sequence, *,
         for obj, rec in zip(objs, records):
             obj["si"] = {c.name: c.get(rec) for c in si_columns}
     return objs
+
+
+class _Table:
+    """Records under columns, written to JSON as their ``_json_records``."""
+
+    __slots__ = ("columns", "records", "si")
+
+    def __init__(self, columns: Sequence[_Column], records: Sequence,
+                 si: bool = False) -> None:
+        self.columns, self.records, self.si = columns, records, si
+
+
+def _json_table(table: _Table, nl: str) -> list[str]:
+    """Each of the table's records as JSON whose nested lines start with
+    ``nl``: each column's values taken once and written in one C encoder
+    call, then one ``%`` template per row, its keys sorted."""
+    records, columns = table.records, []
+    if not (records and table.columns):     # as ``_json_records``: no rows
+        return []
+
+    def template(fields: dict, nl: str) -> str:
+        # fields: key -> a column's values, or a dict of them (``si``)
+        inner, items = nl + "  ", []
+        for key in sorted(fields):
+            values = fields[key]
+            if isinstance(values, dict):
+                text = template(values, inner)
+            elif set(map(type, values)) <= _SCALARS:
+                columns.append(values)
+                text = "%s"
+            else:
+                raise TypeError("a table column holds a non-scalar")
+            key = encode_basestring_ascii(key).replace("%", "%%")
+            items.append(f"{inner}{key}: {text}")
+        return "{" + ",".join(items) + nl + "}" if items else "{}"
+
+    fields = {c.unit.key(c.name): _display_values(c, records)
+              for c in table.columns}
+    if table.si:
+        fields["si"] = {c.name: list(map(c.get, records))
+                        for c in table.columns if c.unit.scale is not None}
+    row = template(fields, nl)
+    return [row % cells for cells in zip(*map(_json_scalars, columns))]
 
 
 def _state_columns(a_ex: float) -> tuple[_Column, ...]:
@@ -441,7 +472,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             f"# {key}={cell}"
             for key, cell in zip(summary, _csv_cells(summary.values()))])
     else:
-        text = _json_text({**summary, "states": _json_records(
+        text = _json_text({**summary, "states": _Table(
             columns, result.states, si=True)})
     return text
 
@@ -556,7 +587,7 @@ def _cmd_friction(args: argparse.Namespace) -> str:
     if args.format == "csv":
         text = _csv_text(_FRICTION_COLUMNS, points)
     else:
-        text = _json_text(_json_records(_FRICTION_COLUMNS, points))
+        text = _json_text(_Table(_FRICTION_COLUMNS, points))
     return text
 
 
