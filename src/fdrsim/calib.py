@@ -144,15 +144,16 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     readings, or a row the ``csv`` module rejects raises ``ValueError``
     naming the file and line, and a file that is not UTF-8 one naming
     the file; a row with fewer cells leaves the optional columns empty,
-    and an exact repeat of a row collapses into it."""
-    path = Path(path)
+    and an exact repeat of a row collapses into it.  The path is opened as
+    given: a trailing slash is not dropped."""
     rows: list[MeasurementRow] = []
     seen: dict[float, tuple[MeasurementRow, int]] = {}   # q_in -> row, line
     q_column = FLOW.key("q_in")
     # decoded whole, so that an error's position counts from the file's
     # start; ``newline=""`` splits lines as ``open(newline="")`` does
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"measurements {path} is not UTF-8: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -38,7 +38,8 @@ under a root parser whose usage line lists every command, so
 ``fdr <command> --help`` and every argparse error read as from the full
 parser.  ``main`` builds the full parser, with every command's flags,
 when the first argument names no command, so ``fdr --help`` and the
-errors for a missing or unknown command come from it.
+errors for a missing or unknown command come from it.  A parser is built
+per call, and holds the terminal width of that call, read once.
 
 Each invocation also imports only the modules its command runs:
 ``calib`` (with ``csv``) is imported by ``calibrate`` and by a
@@ -51,16 +52,17 @@ neither module.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import stat
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._units import (AREA, FLOW, FORCE, LENGTH, M2_PER_CM2, PRESSURE,
@@ -374,8 +376,11 @@ def _config_value(value, kind: type, key: str):
 
 
 def _read_json_object(path: str, what: str) -> dict:
+    # opened as given, as ``--out`` is: ``pathlib.Path`` reads ``dev.json/``
+    # as ``dev.json`` and ``''`` as ``.``
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        with open(path, encoding="utf-8-sig") as file:
+            raw = json.loads(file.read())
     except (ValueError, RecursionError) as exc:
         # ValueError: not UTF-8, not JSON, or an integer past Python's
         # digit limit; RecursionError: nested past the recursion limit
@@ -449,14 +454,14 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     st = engine.solve_operating_point(FLOW.to_si(args.qin_lpm), device, coeffs)
     a_ex = device.geometry.a_ex
     kpa, mm2 = PRESSURE.to_display, AREA.to_display
-    print(f"q_in      = {_fmt(args.qin_lpm)} L/min ({_fmt(st.q_in)} m^3/s)")
-    print(f"p_in      = {_fmt(kpa(st.p_in))} kPa ({_fmt(st.p_in)} Pa)")
-    print(f"p_chamber = {_fmt(kpa(st.p_chamber))} kPa "
-          f"({_fmt(st.p_chamber)} Pa)")
-    print(f"a_fg      = {_fmt(mm2(st.a_fg))} mm^2 ({_fmt(st.a_fg)} m^2)"
-          f", a_fg/a_ex = {_fmt(st.a_fg / a_ex)}")
-    print(f"p_out     = {_fmt(kpa(st.p_out))} kPa ({_fmt(st.p_out)} Pa)")
-    print(f"mode      = {st.mode}")
+    print("\n".join([
+        f"q_in      = {_fmt(args.qin_lpm)} L/min ({_fmt(st.q_in)} m^3/s)",
+        f"p_in      = {_fmt(kpa(st.p_in))} kPa ({_fmt(st.p_in)} Pa)",
+        f"p_chamber = {_fmt(kpa(st.p_chamber))} kPa ({_fmt(st.p_chamber)} Pa)",
+        f"a_fg      = {_fmt(mm2(st.a_fg))} mm^2 ({_fmt(st.a_fg)} m^2)"
+        f", a_fg/a_ex = {_fmt(st.a_fg / a_ex)}",
+        f"p_out     = {_fmt(kpa(st.p_out))} kPa ({_fmt(st.p_out)} Pa)",
+        f"mode      = {st.mode}"]))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
@@ -752,11 +757,19 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``fdr`` parser: every command's subparser when ``command`` is
     ``None``, otherwise only ``command``'s, under a root whose usage line
-    and errors read the same as the full parser's."""
+    and errors read the same as the full parser's.
+
+    The terminal width is read once per build: argparse builds a
+    ``HelpFormatter`` in every ``add_argument`` to check the metavar, and
+    each one without a ``width`` calls ``shutil.get_terminal_size``.  The
+    width given is the one argparse would compute, so the text reads the
+    same for any ``COLUMNS`` unless the terminal is resized in between."""
     if command is not None and command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
-        prog="fdr",
+        prog="fdr", formatter_class=formatter,
         description="Lumped-parameter simulator for a single-input "
                     "blow/suck flow-reversal device.")
     # a named command's usage line lists every command from a metavar, the
@@ -764,11 +777,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # parser: there argparse would also name the argument by the metavar in
     # its "required" and "invalid choice" errors, which only it can raise
     subs = parser.add_subparsers(
-        dest="command", required=True,
+        dest="command", required=True, prog="fdr",
         metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name in _COMMANDS if command is None else (command,):
         help_text, add_flags = _COMMANDS[name]
-        add_flags(subs.add_parser(name, help=help_text))
+        add_flags(subs.add_parser(name, help=help_text,
+                                  formatter_class=formatter))
     return parser
 
 

@@ -214,17 +214,25 @@ _CATALOG: dict[str, tuple[float, float, float, float, float]] = {
 
 CATALOG_TYPE_IDS: tuple[str, ...] = tuple(_CATALOG)
 
+_CATALOG_DEVICES: dict[str, Device] = {}    # filled on first use
+
 
 def catalog_device(type_id: str) -> Device:
-    """Build one of the cataloged variants ``A``..``K``."""
+    """One of the cataloged variants ``A``..``K``, matched case-insensitively
+    and without surrounding spaces.  Each variant is built the first time
+    it is asked for and the same object is returned afterwards, which is
+    safe because a ``Device`` is immutable."""
     key = type_id.strip().upper()
+    if key in _CATALOG_DEVICES:
+        return _CATALOG_DEVICES[key]
     if key not in _CATALOG:
         valid = ", ".join(CATALOG_TYPE_IDS)
         raise ValueError(f"unknown device type {type_id!r}; valid types: {valid}")
     shore_a, a_ne, w, t, h = _CATALOG[key]
     geometry = DeviceGeometry(a_ne=a_ne, gate=FlapGateGeometry(w=w, t=t, h=h))
-    return Device(geometry=geometry, material=Material.from_shore_a(shore_a),
-                  type_id=key)
+    _CATALOG_DEVICES[key] = Device(
+        geometry=geometry, material=Material.from_shore_a(shore_a), type_id=key)
+    return _CATALOG_DEVICES[key]
 
 
 def validate_geometry(g: DeviceGeometry) -> list[str]:

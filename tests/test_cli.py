@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -455,6 +456,26 @@ def test_input_file_with_bom_reads_as_without(tmp_path, capsys, argv, name,
         assert main([*argv, str(bom)]) == 0
         written = capsys.readouterr().out.encode("utf-8")
     assert written == (_GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--qin-lpm", "10", "--config"], "device.json"),
+    (["simulate", "--qin-lpm", "10", "--coeffs"], "calibrate_closures.json"),
+    (["calibrate", "--fit", "input", "--data"], "measurements.csv"),
+], ids=["config", "coeffs", "data"])
+def test_input_path_is_opened_as_given(tmp_path, capsys, argv, name):
+    # as --out: a trailing slash is not dropped (the file read as a
+    # directory), and an empty path names no file (not the directory ".")
+    good = tmp_path / name
+    good.write_bytes((_GOLDEN / name).read_bytes())
+    out = tmp_path / "out.json"
+    tail = ["--out", str(out)] if argv[0] == "calibrate" else []
+    for path, reason in [(f"{good}/", "[Errno 20] Not a directory"),
+                         ("", "[Errno 2] No such file or directory")]:
+        assert main([*argv, path, *tail]) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}: {path!r}\n")
+        assert not out.exists()
+    assert main([*argv, str(good), *tail]) == 0
 
 
 def test_friction_table(tmp_path):
@@ -1118,6 +1139,106 @@ def test_command_parser_matches_full_parser_on_drawn_argv(tmp_path_factory,
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("COLUMNS", "80")
         _assert_parses_as_full_parser(argv)
+
+
+# --- parser: the terminal width is read once per build ------------------------
+
+def _argparse_width_parser(command=None) -> argparse.ArgumentParser:
+    """``build_parser`` with argparse's own formatter, which reads the
+    terminal width each time it is built, and with ``add_subparsers``
+    left to format its own ``prog``: the oracle for help, usage and
+    errors."""
+    parser = cli._Parser(
+        prog="fdr",
+        description="Lumped-parameter simulator for a single-input "
+                    "blow/suck flow-reversal device.")
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_flags = _COMMANDS[name]
+        add_flags(subs.add_parser(name, help=help_text))
+    return parser
+
+
+# a parse of each command's flags that succeeds, then a bad choice and a bad
+# number appended to it (simulate has no flag with choices: a conflict)
+_PARSABLE = {
+    "simulate": (["--qin-lpm", "1"], ["--type", "B", "--config", "x"],
+                 ["--qin-lpm", "abc"]),
+    "sweep": (["--out", "s.csv"], ["--format", "xml"], ["--step-lpm", "x"]),
+    "compare": (["--types", "A", "--out", "c.csv"], ["--format", "xml"],
+                ["--qin-end-lpm", "1e"]),
+    "calibrate": (["--data", "builtin", "--out", "c.json"], ["--fit", "x"],
+                  ["--max-evals", "1.5"]),
+    "optimize": (["--objective", "switching", "--out", "o.json"],
+                 ["--objective", "x"], ["--at-qin-lpm", "abc"]),
+    "friction": (["--weight-n", "1", "--out", "f.csv"], ["--format", "xml"],
+                 ["--weight-n", "-"]),
+}
+
+# (argv, exit code): help, a missing flag, a parse, a bad choice, a bad
+# number and an extra argument for each command, and the root's errors
+_PARITY_CASES = [([], 2), (["-h"], 0), (["bogus"], 2), (["--bogus"], 2), *[
+    case for name, (valid, bad_choice, bad_number) in _PARSABLE.items()
+    for case in (([name, "-h"], 0), ([name], 2), ([name, *valid], None),
+                 ([name, *valid, *bad_choice], 2),
+                 ([name, *valid, *bad_number], 2),
+                 ([name, *valid, "extra"], 2))]]
+
+
+def _all_parsers(parser: argparse.ArgumentParser) -> list:
+    return [parser, *_subparsers(parser).values()]
+
+
+@pytest.mark.parametrize("columns", ["10", "30", "45", "80", "200"])
+def test_parser_reads_as_with_argparse_width(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for command in [None, *_COMMANDS]:
+        for ours, oracle in zip(_all_parsers(build_parser(command)),
+                                _all_parsers(_argparse_width_parser(command)),
+                                strict=True):
+            assert ours.prog == oracle.prog
+            assert ours.format_usage() == oracle.format_usage()
+            assert ours.format_help() == oracle.format_help()
+    for argv, code in _PARITY_CASES:
+        oracle = _argparse_width_parser(
+            argv[0] if argv and argv[0] in _COMMANDS else None)
+        ours = _parse_outcome(_parser_for(argv), argv)
+        assert ours == _parse_outcome(oracle, argv), argv
+        assert ours[1] == code, argv
+
+
+def test_terminal_width_read_once_per_parser(monkeypatch, tmp_path):
+    reads = 0
+    size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        nonlocal reads
+        reads += 1
+        return size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    _argparse_width_parser("simulate")
+    assert reads > 1        # the control: argparse reads it per formatter
+    for command in [None, *_COMMANDS]:
+        reads = 0
+        build_parser(command)
+        assert reads == 1, command
+    for argv, code in [
+            (["simulate", "--type", "B", "--qin-lpm", "10"], 0),
+            (["sweep", "--type", "B", "--out", str(tmp_path / "s.csv")], 0),
+            (["simulate", "--type", "Z", "--qin-lpm", "10"], 2),
+            ([], 2), (["-h"], 0), (["bogus"], 2),
+            *[([name, "-h"], 0) for name in _COMMANDS],
+            *[([name], 2) for name in _COMMANDS],
+            (["simulate", "--qin-lpm", "1", "extra"], 2)]:
+        reads = 0
+        try:
+            exit_code = main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+        assert (exit_code, reads) == (code, 1), argv
 
 
 # --- round trips: display units in, SI out ------------------------------------

@@ -225,3 +225,18 @@ def test_console_script_fit_error_exit_fit(tmp_path):
     assert proc.stderr.startswith("fit error: ")
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_catalog_devices_are_built_on_first_use():
+    # no catalog device is built at import; a command builds only the one
+    # its type names
+    proc = _python("-c", """
+import contextlib, io
+from fdrsim import core
+from fdrsim.cli import main
+assert core._CATALOG_DEVICES == {}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--type", "c", "--qin-lpm", "10"]) == 0
+assert list(core._CATALOG_DEVICES) == ["C"]
+""")
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fdrsim
-from fdrsim import model
+from fdrsim import core, model
 from fdrsim import (
     CATALOG_TYPE_IDS,
     Device,
@@ -115,6 +115,43 @@ def test_catalog_types_deviate_from_b_in_one_field_only():
 def test_catalog_rejects_unknown_type():
     with pytest.raises(ValueError, match="A"):
         catalog_device("Z")
+    with pytest.raises(ValueError) as exc:
+        catalog_device(" z ")
+    assert str(exc.value) == ("unknown device type ' z '; valid types: "
+                              "A, B, C, D, E, F, G, H, I, J, K")
+    assert "Z" not in core._CATALOG_DEVICES
+
+
+def _built_from_table(type_id: str) -> Device:
+    shore_a, a_ne, w, t, h = core._CATALOG[type_id]
+    return Device(DeviceGeometry(a_ne=a_ne, gate=FlapGateGeometry(w, t, h)),
+                  Material.from_shore_a(shore_a), type_id)
+
+
+@pytest.mark.parametrize("type_id", CATALOG_TYPE_IDS)
+def test_catalog_device_is_built_once_and_shared(type_id):
+    device = catalog_device(type_id)
+    for spelling in (type_id, type_id.lower(), f" {type_id}\t",
+                     f"\n{type_id.lower()}  "):
+        assert catalog_device(spelling) is device
+    built = _built_from_table(type_id)
+    assert device is not built
+    assert device == built and repr(device) == repr(built)
+
+
+def test_catalog_device_copies_leave_the_shared_one_unchanged():
+    base = catalog_device("B")
+    before = repr(base)
+    copies = [with_gate(base, w=7.0e-3), with_gate(base, a_ne=0.3e-6),
+              base._replace(type_id=None),
+              base._replace(material=Material.from_shore_a(20.0)),
+              base._replace(geometry=base.geometry._replace(a_ex=5.0e-6))]
+    for changed in copies:
+        assert changed is not base and changed != base
+    with pytest.raises(AttributeError):
+        base.type_id = "C"
+    assert catalog_device("B") is base
+    assert repr(base) == before and base == _built_from_table("B")
 
 
 def test_with_gate_overrides_and_clears_type_id():
