@@ -319,27 +319,27 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     w, t, h, a_ne = g.gate.w, g.gate.t, g.gate.h, g.a_ne
     stages: list[_Stage] | None = None
 
-    def finished(coeffs: ModelCoefficients) -> tuple[_Finish, list[_Stage]]:
-        """The finish at ``coeffs``' eta, k0 and p_c, and the stages."""
+    def finished(eta: float, k0: float, p_c: float
+                 ) -> tuple[_Finish, list[_Stage]]:
+        """The finish at ``eta``, ``k0`` and ``p_c``, and the stages."""
         nonlocal stages
-        finish = finish_at(w, t, h, a_ne, coeffs.eta, coeffs.k0, coeffs.p_c)
+        finish = finish_at(w, t, h, a_ne, eta, k0, p_c)
         if stages is None:
             stages = [stage(q) for q in qs]
         return finish, stages
 
     def objective(u: list[float]) -> float:
         params, clipped = clamp(u)
+        # a nan, or an infinite k0 or p_c, survives the clip with a nan box
+        # violation, which adds no penalty: only this check rejects it
+        if not all(map(math.isfinite, clipped)):
+            return math.inf
         violation = 0.0
         for p, c, r in zip(params, clipped, ref):
             d = (p - c) / r
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        # the constructor, cheaper per evaluation than ``_replace``, which
-        # builds a dict; the constructor still checks the trial
-        trial = ModelCoefficients(c1=start.c1, c2=start.c2, eta=clipped[0],
-                                  c_recirc=start.c_recirc, k0=clipped[1],
-                                  p_c=clipped[2], cd_out=start.cd_out)
-        finish, staged = finished(trial)
+        finish, staged = finished(*clipped)
         return _misfit(staged, ps, scale, finish) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
@@ -347,7 +347,7 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     eta, k0, p_c = clamp(best_u)[1]
     fitted = start._replace(eta=eta, k0=k0, p_c=p_c)
 
-    finish, staged = finished(fitted)
+    finish, staged = finished(eta, k0, p_c)
     residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged, ps))
     _warn_if_sonic(max(qs), device)
     report = FitReport(

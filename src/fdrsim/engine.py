@@ -23,8 +23,8 @@ cannot move the answer, and they are skipped only when
 ``model._no_row_fails`` shows that none of them could fail, so a
 candidate scores exactly what its sweep reports, failure included.  The
 top row that check reads starts the bisection, and within a search each
-candidate's bisection starts at the last candidate's bracket, whose
-refining flows keep their stages until the bracket moves.
+candidate's bisection starts at the last candidate's bracket; a binding
+stages each flow once, when a row is first read there.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) over a box on
@@ -702,16 +702,15 @@ def switching_objective(coeffs: ModelCoefficients, *,
     proves that no flow up to the grid's top fails, every row runs first,
     so the first failing one raises that error before the search; the
     top row the proof reads is the bisection's first, and a candidate
-    whose top row is not negative never switches.  The junction's side,
-    the guard's blowing bound and the grid rows' flow stages depend on
-    the template alone, and are worked out once per binding; each
-    candidate finishes the rows it reads from their stages.
+    whose top row is not negative never switches.  The junction's side
+    and the guard's blowing bound depend on the template alone, and are
+    worked out once per binding.
 
-    A binding keeps what its last candidate found.  The bisection starts
-    at that candidate's bracket, which a search's next candidate mostly
-    shares, and the flow stages of the points that refine the bracket are
-    kept until the bracket moves, so each candidate finishes those points
-    from stored stages too.
+    A binding keeps what its candidates found.  The bisection starts at
+    the last candidate's bracket, which a search's next candidate mostly
+    shares, and a binding stages each flow once, when a row is first read
+    there, so each candidate finishes the rows it reads, grid and refining
+    points alike, from stored stages.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
@@ -725,56 +724,39 @@ def switching_objective(coeffs: ModelCoefficients, *,
         n_nozzles = g.n_nozzles
         blocked_blow = _blocked_blow(template, coeffs, q_top)
         monotone = g.a_in <= 2.0 * g.a_branch
-        # the grid rows' stages by flow, computed at the first candidate
-        # whose terms pass, once every row has one
-        grid: dict[float, _Stage] | None = None
-        # the last candidate's first negative row, and the stages of the
-        # flows that refined brackets there, by flow
-        bracket: int | None = None
-        refined: dict[float, _Stage] = {}
+        # the stages of the flows the binding's candidates have read, by
+        # flow: a stage is computed after a candidate's terms pass, so a
+        # failing term is still raised before a failing stage
+        stages: dict[float, _Stage] = {}
+        bracket: int | None = None   # the last candidate's first negative row
         warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            nonlocal grid, bracket, warned
+            nonlocal bracket, warned
             try:
                 finish = finish_at(w, t, h, a_ne, eta, k0, crack)
             except ValueError as exc:   # a bad term fails every row
                 raise _sweep_error(qs[0], exc) from exc
 
-            def law(q_in: float) -> _Point:
-                return finish(stage(q_in))
-
-            if grid is None:
-                try:
-                    grid = {q: stage(q) for q in qs}
-                except ValueError:   # the sweep's error, at the first row
-                    _ramp(law, qs)   # whose stage or finish fails
-
             def row(q_in: float) -> _Point:
-                return finish(grid[q_in])
+                try:
+                    flow = stages[q_in]
+                except KeyError:
+                    flow = stages[q_in] = stage(q_in)
+                return finish(flow)
 
             top = _no_row_fails(row, q_top, blocked_blow)
-            if top is None:
+            if top is None:   # every row, so the first failing one raises
                 top = _ramp(row, qs)[-1]
             if not warned:
                 warned = _warn_if_jet_sonic((q_top / n_nozzles) / a_ne)
             if monotone:
-                lo, below, p_below = _switching_bracket(qs, row, top[3],
-                                                        bracket)
-                if lo != bracket:
-                    bracket = lo
-                    refined.clear()
-
-                def refining(q_in: float) -> _Point:
-                    flow = refined.get(q_in)
-                    if flow is None:
-                        flow = refined[q_in] = stage(q_in)
-                    return finish(flow)
-
+                bracket, below, p_below = _switching_bracket(qs, row, top[3],
+                                                             bracket)
                 switching_q = (None if below < 0 else _refine_switching(
-                    refining, qs[below], qs[lo], p_below))
+                    row, qs[below], qs[bracket], p_below))
             else:
-                switching_q = _switching_q(qs, (row(q)[3] for q in qs), law)
+                switching_q = _switching_q(qs, (row(q)[3] for q in qs), row)
             if switching_q is None:
                 return _NO_SWITCHING_VALUE
             switching_p_in = input_pressure(switching_q, coeffs)

@@ -406,12 +406,8 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
     start = ModelCoefficients(**{
         name: getattr(DEFAULT_COEFFS, name) * 0.9
         for name in ModelCoefficients._fields})
-    checked, bound, finished = [], [], []
+    bound, finished = [], []
     chain = calib._design_chain
-
-    def recording_coefficients(**fields):
-        checked.append(ModelCoefficients(**fields))
-        return checked[-1]
 
     def recording_chain(device, coeffs):
         bound.append(coeffs)
@@ -423,32 +419,69 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
 
         return stage, recording_finish_at
 
-    monkeypatch.setattr(calib, "ModelCoefficients", recording_coefficients)
     monkeypatch.setattr(calib, "_design_chain", recording_chain)
     fitted, _ = fit_closures(_device_rows(_B, (5, 15, 25)), _B, start=start,
                              max_evals=40)
     # the law is bound to the start's coefficients once; each evaluation
-    # checks its trial and finishes its rows, and so do the final residuals
+    # finishes its rows, and so do the final residuals
     assert bound == [start]
-    assert len(checked) == 40
     assert len(finished) == 41
-    for trial in checked + finished + [fitted]:
+    for trial in finished:
         assert trial == start._replace(eta=trial.eta, k0=trial.k0,
                                        p_c=trial.p_c)
-    assert [(t.eta, t.k0, t.p_c) for t in finished[:-1]] == \
-        [(t.eta, t.k0, t.p_c) for t in checked]
     assert finished[-1] == fitted
+
+
+def _recording_finish_at(monkeypatch):
+    """The ``finish_at`` calls of the fits run after this, as their
+    ``(eta, k0, p_c)``."""
+    calls = []
+    chain = calib._design_chain
+
+    def recording_chain(device, coeffs):
+        stage, finish_at = chain(device, coeffs)
+
+        def recording_finish_at(w, t, h, a_ne, eta, k0, p_c):
+            calls.append((eta, k0, p_c))
+            return finish_at(w, t, h, a_ne, eta, k0, p_c)
+
+        return stage, recording_finish_at
+
+    monkeypatch.setattr(calib, "_design_chain", recording_chain)
+    return calls
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
 def test_fit_closures_rejects_a_budget_that_is_not_an_integer(monkeypatch,
                                                               budget):
-    trials = []
-    monkeypatch.setattr(calib, "ModelCoefficients",
-                        lambda **fields: trials.append(fields))
+    trials = _recording_finish_at(monkeypatch)
     with pytest.raises(ValueError, match="^max_evals must be an integer"):
         fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=budget)
     assert trials == []
+
+
+def test_fit_closures_scores_a_non_finite_trial_inf_unfinished(monkeypatch):
+    # an infinite k0 or p_c survives the clip to the box, and so does a
+    # nan; the box violation is then nan, which adds no penalty, so only
+    # the trial's finiteness check keeps the fit from finishing its rows
+    probes = [[1.0, math.inf, 1.0], [1.0, 1.0, math.inf],
+              [math.nan, 1.0, 1.0]]
+    scores = []
+    kernel = calib.nelder_mead
+
+    def probing_kernel(f, x0, **options):
+        for u in probes:
+            try:   # scored as the kernel scores a failing evaluation
+                scores.append(f(list(u)))
+            except ValueError:
+                scores.append(math.inf)
+        assert finishes == []
+        return kernel(f, x0, **options)
+
+    finishes = _recording_finish_at(monkeypatch)
+    monkeypatch.setattr(calib, "nelder_mead", probing_kernel)
+    fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=20)
+    assert scores == [math.inf] * 3
 
 
 def test_fit_closures_requires_output_rows():

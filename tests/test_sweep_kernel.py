@@ -423,8 +423,8 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
     calls = []
 
     def counted(template, coeffs):
-        # each row a candidate finishes, by its flow: the grid rows'
-        # stages are computed once per binding, the other flows' in the law
+        # each row a candidate finishes, by its flow: a binding stages
+        # each flow once, when a row is first read there
         stage, finish_at = _design_chain(template, coeffs)
 
         def counted_finish_at(*values):

@@ -3,14 +3,16 @@
 ``engine._switching_bracket`` bisects the grid's rows for the first
 negative ``p_out`` when the signs run nonnegative, then negative.  A
 design search's binding starts each candidate's bisection at the last
-candidate's bracket, and keeps the flow stages of the points that refine
-it.  In that sign order the first negative row is unique, so any start
-must give the bracket of a cold bisection, and the refined flow must
-have the bits of the linear ``_switching_q`` scan.
+candidate's bracket, and stages each flow once, when a row is first read
+there.  In that sign order the first negative row is unique, so any
+start must give the bracket of a cold bisection, and the refined flow
+must have the bits of the linear ``_switching_q`` scan.  A binding
+stages no flow twice, and none whose row no candidate reads.
 """
 
 import warnings
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fdrsim.engine as engine
@@ -170,3 +172,45 @@ def test_a_binding_scores_each_candidate_as_a_cold_one(template, sequence):
                     == objective.bind(device)(*dimensions).hex()
                     == objective(candidate).hex()
                     == score(*dimensions).hex())
+
+
+# type B with a narrow branch, whose junction recloses the gate: scanned
+_RECLOSING_B = catalog_device("B")._replace(
+    geometry=catalog_device("B").geometry._replace(split_design_rule=False,
+                                                   a_branch=1.6e-6))
+
+
+@_PROPERTY
+@given(templates(), sequences())
+# B's own dimensions, which switch between 13 and 14 L/min, then a step
+@example((_RECLOSING_B, DEFAULT_COEFFS),
+         [(8.0e-3, 0.5e-3, 2.0e-3, 0.4e-6), (8.1e-3, 0.5e-3, 2.0e-3, 0.4e-6)])
+def test_a_binding_stages_each_flow_it_reads_once(template, sequence):
+    device, coeffs = template
+    staged, read = [], set()
+    chain = engine._design_chain
+
+    def recording_chain(template, coeffs):
+        stage, finish_at = chain(template, coeffs)
+
+        def recording_stage(q_in):
+            flow = stage(q_in)
+            staged.append(q_in)
+            return flow
+
+        def recording_finish_at(*terms):
+            finish = finish_at(*terms)
+            return lambda flow: read.add(flow[0]) or finish(flow)
+
+        return recording_stage, recording_finish_at
+
+    # hypothesis runs each example in one call: no function-scoped fixture
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(engine, "_design_chain", recording_chain)
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        score = switching_objective(coeffs).bind(device)
+        for dimensions in sequence:
+            score(*dimensions)
+    # no flow is staged twice, and none whose row no candidate read
+    assert len(staged) == len(set(staged))
+    assert set(staged) <= read
