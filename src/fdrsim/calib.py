@@ -31,7 +31,7 @@ from ._units import AREA, FLOW, PRESSURE
 from .core import Device, _Frozen
 from .engine import nelder_mead
 from .model import (DEFAULT_COEFFS, ModelCoefficients, _Finish, _Law,
-                    _Stage, _design_chain, _warn_if_sonic)
+                    _Stage, _design_chain, _fit_misfit, _warn_if_sonic)
 
 __all__ = [
     "FitError",
@@ -264,7 +264,8 @@ def _misfit(qs: Sequence, ps: Sequence[float], scale: float,
     """Sum over the rows ``qs`` of ``((p_out - p_ref) / scale)^2``,
     with ``p_out`` from the law and ``p_ref`` from the floats ``ps``: the
     rows are flows and ``law`` a point law, or they are the flows' stages
-    and ``law`` a finish (``model._design_chain``)."""
+    and ``law`` a finish (``model._design_chain``).  The fit's trials run
+    ``model._fit_misfit``, which gives this sum's bits."""
     total = 0.0
     for q, p_ref in zip(qs, ps):
         miss = (law(q)[3] - p_ref) / scale
@@ -313,20 +314,18 @@ def fit_closures(data: MeasurementSet, device: Device, *,
 
     # the fit holds c1, c2 and the device fixed: each measured flow's stage
     # is computed once, at the first trial whose terms pass, so a failing
-    # term is still raised before a failing stage
+    # term is still raised before a failing stage, and each trial runs the
+    # model's fit loop (``_fit_misfit``) on the rows it builds from them
     stage, finish_at = _design_chain(device, start)
-    g = device.geometry
-    w, t, h, a_ne = g.gate.w, g.gate.t, g.gate.h, g.a_ne
     stages: list[_Stage] | None = None
 
-    def finished(eta: float, k0: float, p_c: float
-                 ) -> tuple[_Finish, list[_Stage]]:
-        """The finish at ``eta``, ``k0`` and ``p_c``, and the stages."""
+    def staged() -> list[_Stage]:
         nonlocal stages
-        finish = finish_at(w, t, h, a_ne, eta, k0, p_c)
         if stages is None:
             stages = [stage(q) for q in qs]
-        return finish, stages
+        return stages
+
+    misfit = _fit_misfit(device, start, staged, ps, scale)
 
     def objective(u: list[float]) -> float:
         params, clipped = clamp(u)
@@ -339,16 +338,16 @@ def fit_closures(data: MeasurementSet, device: Device, *,
             d = (p - c) / r
             violation += d * d
         penalty = 1.0e9 * (1.0 + violation) if violation > 0.0 else 0.0
-        finish, staged = finished(*clipped)
-        return _misfit(staged, ps, scale, finish) + penalty
+        return misfit(*clipped) + penalty
 
     best_u, _, _ = nelder_mead(objective, [1.0, 1.0, 1.0],
                                max_evals=max_evals, diam_tol=1.0e-9)
     eta, k0, p_c = clamp(best_u)[1]
     fitted = start._replace(eta=eta, k0=k0, p_c=p_c)
 
-    finish, staged = finished(eta, k0, p_c)
-    residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged, ps))
+    g = device.geometry
+    finish = finish_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, eta, k0, p_c)
+    residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged(), ps))
     _warn_if_sonic(max(qs), device)
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,

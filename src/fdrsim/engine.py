@@ -1,14 +1,18 @@
 """Coupled operating points, ramp sweeps, design comparison, optimization.
 
 One operating point is the closed-form chain of ``model``: supply law,
-junction pressure, gate opening, jet closure.  Its point law, built once
-per device and coefficient set, is the one place that chain is computed:
-it runs on plain Python floats for one point, every sweep row, the
-switching bisection and every optimizer or fit objective.  The law is
-the finish of a flow's stage (``model._design_chain``), and the stage
-depends on the template and ``c1``, ``c2`` alone, so an objective that
-returns to the same flows computes each one's stage once per search.  No
-module imports numpy: the fits in ``calib`` run on plain floats as well.
+junction pressure, gate opening, jet closure.  The chain is computed in
+``model`` alone, on plain Python floats.  Its point law, built once per
+device and coefficient set, is the finish of a flow's stage
+(``model._design_chain``); it runs for one point, every sweep row and
+the switching objective's rows and bisection.  The suction and blowing
+objectives, and the closure fit in ``calib``, read one ``p_out`` per row
+and run ``model``'s own loops instead (``model._port_p_out``,
+``model._fit_misfit``): the finish's operations in the finish's order,
+with what their search holds fixed computed once.  The stage depends on
+the template and ``c1``, ``c2`` alone, so an objective that returns to
+the same flows computes each one's stage once per search.  No module
+imports numpy: the fits in ``calib`` run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -33,12 +37,12 @@ projection plus a dominating penalty.  The kernel and the box mapping
 work on plain Python floats too.  The kernel keeps its simplex in
 stable order by inserting each new point, and sorts in full only the
 initial simplex and after a shrink.  The search binds the engine's
-objectives to its template once (``model._design_chain``): what the
-template fixes is built and checked then, and each candidate pays only
-for its four dimensions' terms and the finish of the rows it reads,
-with no device built.  A bound objective warns of a sonic jet once per
-search, at the first candidate whose jet is sonic.  Any other objective
-callable is scored on the template's ``with_gate`` copy.
+objectives to its template once: what the template fixes is built and
+checked then, and each candidate pays only for its four dimensions'
+terms and the rest of the rows it reads, with no device built.  A bound
+objective warns of a sonic jet once per search, at the first candidate
+whose jet is sonic.  Any other objective callable is scored on the
+template's ``with_gate`` copy.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
 from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point, _Stage,
                     _blocked_blow, _design_chain, _no_row_fails, _point_law,
-                    _warn_if_jet_sonic, _warn_if_sonic, input_pressure)
+                    _port_p_out, _warn_if_jet_sonic, _warn_if_sonic,
+                    input_pressure)
 
 __all__ = [
     "MODE_BLOWING",
@@ -774,28 +779,27 @@ def _port_objective(coeffs: ModelCoefficients, q_star: float,
                     blowing: bool) -> Callable[[Device], float]:
     """p_out at ``q_star`` (negated when ``blowing``), to be minimized.
 
-    A binding computes the flow stage at ``q_star`` once, at its first
-    candidate whose terms pass, so a failing term is still raised before
-    a failing stage; each candidate then pays for its terms and the rest
-    of the row.
+    A binding runs the model's port loop (``model._port_p_out``): the
+    stage at ``q_star`` and the open gate's excess pressure are computed
+    once, at its first candidate whose terms pass, so a failing term is
+    still raised before a failing stage; each candidate then pays for its
+    terms and the rest of the row, with no finish built.
     """
     if not 0.0 <= q_star < math.inf:
         raise ValueError("q_star must be nonnegative and finite")
 
     def bind(template: Device) -> Callable[..., float]:
-        stage, finish_at = _design_chain(template, coeffs)
-        eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
-        star = None
+        port = _port_p_out(template, coeffs, q_star)
+        n_nozzles = template.geometry.n_nozzles
         warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            nonlocal star, warned
-            finish = finish_at(w, t, h, a_ne, eta, k0, crack)
-            if star is None:
-                star = stage(q_star)
-            p_out = finish(star)[3]
+            nonlocal warned
+            p_out = port(w, t, h, a_ne)
             if not warned:
-                warned = _warn_if_jet_sonic(star[3] / a_ne)
+                # the stage's jet velocity: a candidate whose terms pass
+                # has a positive n_nozzles
+                warned = _warn_if_jet_sonic((q_star / n_nozzles) / a_ne)
             return -p_out if blowing else p_out
 
         return score

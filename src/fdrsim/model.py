@@ -24,6 +24,15 @@ coefficients' terms to ``a_fg`` and ``p_out``.  A point is the finish of
 its flow's stage, so a design search or closure fit that returns to the
 same flows computes each one's stage once.
 
+Two searches read only ``p_out``, and only part of the chain moves from
+one trial to the next: a closure fit varies ``eta``, ``k0`` and ``p_c``
+on one device's measured flows, and a suction or blowing search varies
+the gate and nozzles at one flow.  Each has its own loop beside the
+finish (``_fit_misfit``, ``_port_p_out``).  A loop computes what its
+search holds fixed once, then runs the rest of the finish's operations
+in the finish's order, so it gives the finish's bits and raises its
+errors.
+
 The working gas is ambient air throughout: density ``rho = 1.204``
 kg/m^3 and heat-capacity ratio ``gamma = 1.4``, the same on both sides
 of the junction.
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import P_ATM, Device, FlapGateGeometry, Material, _Frozen
 
@@ -275,36 +284,17 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     return split, terms
 
 
-def _design_chain(template: Device, coeffs: ModelCoefficients
-                  ) -> tuple[Callable[[float], _Stage], Callable[..., _Finish]]:
-    """The point law of ``template`` in two stages, ``(stage,
-    finish_at)``: with its gate's ``w, t, h``, its nozzles' ``a_ne`` and
-    the coefficients' ``eta, k0, p_c`` replaced, the law at ``q_in`` is
-    ``finish_at(w, t, h, a_ne, eta, k0, p_c)(stage(q_in))``, the chain in
-    this module's docstring.
-
-    ``stage(q_in)``, the flow stage, depends on the template and ``c1,
-    c2`` alone: it checks the flow, then computes ``p_in``,
-    ``p_chamber`` and ``q_in / n_nozzles``.  ``finish_at`` builds and
-    checks the candidate's terms (:func:`_design_terms`), raising the
-    first failing check's ``ValueError``, and returns ``finish``, the
-    rest of the row: a stage to its (p_in, p_chamber, a_fg, p_out).  A
-    caller that returns to the same flows computes each one's stage once.
-
-    A design search binds this to its template once, and a closure fit to
-    its device; each candidate or trial then pays only for its own terms
-    and the finish of the rows it reads.  Both stages run in the order
-    written, squares as products.  A bad flow, or pressures beyond the
-    float range, raise ``ValueError`` from ``stage``, and a ``p_out``
-    beyond it from ``finish``.  A stage is defined only for a template
-    that passes its checks: compute it after a ``finish_at`` has returned,
-    so that a failing term is raised first, as in the law.
-    """
-    split, terms_at = _design_terms(template, coeffs)
+def _design_stage(template: Device, coeffs: ModelCoefficients,
+                  split: float) -> Callable[[float], _Stage]:
+    """The flow stage of ``template``'s law, ``stage(q_in)``, with the
+    junction factor ``split`` of :func:`_design_terms`: it depends on the
+    template and ``c1, c2`` alone, checks the flow, then computes
+    ``p_in``, ``p_chamber`` and ``q_in / n_nozzles``.  A bad flow, or
+    pressures beyond the float range, raise ``ValueError``."""
     c1, c2 = coeffs.c1, coeffs.c2
     g = template.geometry
-    a_in, n_nozzles, a_ex = g.a_in, g.n_nozzles, g.a_ex
-    kinetic_scale, half_rho, inf = _KINETIC_SCALE, _HALF_RHO, math.inf
+    a_in, n_nozzles = g.a_in, g.n_nozzles
+    kinetic_scale, inf = _KINETIC_SCALE, math.inf
 
     def stage(q_in: float) -> _Stage:
         if not 0.0 <= q_in < inf:
@@ -315,6 +305,40 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
         if not (-inf < p_in < inf and -inf < p_chamber < inf):
             raise ValueError(_NOT_FINITE)
         return q_in, p_in, p_chamber, q_in / n_nozzles
+
+    return stage
+
+
+def _design_chain(template: Device, coeffs: ModelCoefficients
+                  ) -> tuple[Callable[[float], _Stage], Callable[..., _Finish]]:
+    """The point law of ``template`` in two stages, ``(stage,
+    finish_at)``: with its gate's ``w, t, h``, its nozzles' ``a_ne`` and
+    the coefficients' ``eta, k0, p_c`` replaced, the law at ``q_in`` is
+    ``finish_at(w, t, h, a_ne, eta, k0, p_c)(stage(q_in))``, the chain in
+    this module's docstring.
+
+    ``stage(q_in)`` is the flow stage (:func:`_design_stage`).
+    ``finish_at`` builds and checks the candidate's terms
+    (:func:`_design_terms`), raising the first failing check's
+    ``ValueError``, and returns ``finish``, the rest of the row: a stage
+    to its (p_in, p_chamber, a_fg, p_out).  A caller that returns to the
+    same flows computes each one's stage once.
+
+    A switching search binds this to its template once; each candidate
+    then pays only for its own terms and the finish of the rows it reads.
+    A point, a sweep and a fit's final residuals finish their rows here
+    too.  Searches that read one number per row without the rest of the
+    point have their own loops, :func:`_fit_misfit` and
+    :func:`_port_p_out`: the same operations in the same order, on what
+    their search holds fixed computed once.  Both stages run in the order
+    written, squares as products.  A ``p_out`` beyond the float range
+    raises ``ValueError`` from ``finish``.  A stage is defined only for a
+    template that passes its checks: compute it after a ``finish_at`` has
+    returned, so that a failing term is raised first, as in the law.
+    """
+    split, terms_at = _design_terms(template, coeffs)
+    stage = _design_stage(template, coeffs, split)
+    a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
 
     def finish_at(w: float, t: float, h: float, a_ne: float, eta: float,
                   k0: float, crack: float) -> _Finish:
@@ -343,6 +367,110 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
         return finish
 
     return stage, finish_at
+
+
+# a closure fit's measured row: q_in, max(p_chamber, 0), rho/2 v^2, p_ref
+_FitRow = tuple[float, float, float, float]
+
+
+def _fit_misfit(template: Device, coeffs: ModelCoefficients,
+                staged: Callable[[], list[_Stage]], ps: Sequence[float],
+                scale: float) -> Callable[[float, float, float], float]:
+    """A closure fit's residual on ``template`` at its own gate and
+    nozzles, ``misfit(eta, k0, p_c)``: the sum over the measured rows, in
+    row order, of ``((p_out - p_ref) / scale)^2``, with ``p_ref`` from
+    ``ps`` and ``p_out`` the finish (:func:`_design_chain`) at the
+    template's ``w, t, h, a_ne`` and the trial's ``eta, k0, p_c`` of the
+    flows' stages, ``staged()``.  The same bits, and the same
+    ``ValueError`` at the same row, as the finish would give.
+
+    Only ``eta``, ``k0`` and ``p_c`` change from trial to trial.  So each
+    row's ``q_in``, ``max(p_chamber, 0)``, jet term ``rho/2 v^2`` and
+    ``p_ref`` are worked out once, at the first trial whose terms pass
+    (the stages are ``staged()`` then, so a failing term is still raised
+    before a failing stage), and each trial checks its terms and runs
+    the rest of the finish on each row, with ``eta rho/2 v^2`` as the
+    finish computes it.
+    """
+    _, terms_at = _design_terms(template, coeffs)
+    g = template.geometry
+    w, t, h, a_ne, a_ex = g.gate.w, g.gate.t, g.gate.h, g.a_ne, g.a_ex
+    half_rho, inf = _HALF_RHO, math.inf
+    rows: list[_FitRow] | None = None
+
+    def misfit(eta: float, k0: float, crack: float) -> float:
+        nonlocal rows
+        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
+        if rows is None:
+            built = []
+            for (q_in, _, p_chamber, q_nozzle), p_ref in zip(staged(), ps):
+                v = q_nozzle / a_ne
+                built.append((q_in, p_chamber if p_chamber > 0.0 else 0.0,
+                              half_rho * v * v, p_ref))
+            rows = built
+        total = 0.0
+        for q_in, pressure, jet, p_ref in rows:
+            excess = pressure - crack
+            opening = gain * (excess if excess > 0.0 else 0.0)
+            a_fg = opening if opening < a_max else a_max
+            s = a_fg / a_max
+            u = (1.0 - s) * q_in / out_area
+            vent = a_fg / a_ex
+            p_out = ((1.0 - s) * (half_rho * (u * u))
+                     - s * (eta * jet * (vent if vent < 1.0 else 1.0)
+                            * penalty))
+            if not -inf < p_out < inf:
+                raise ValueError(_NOT_FINITE)
+            miss = (p_out - p_ref) / scale
+            total += miss * miss
+        return total
+
+    return misfit
+
+
+def _port_p_out(template: Device, coeffs: ModelCoefficients,
+                q_star: float) -> Callable[..., float]:
+    """``p_out`` at the flow ``q_star`` with ``template``'s gate's ``w, t,
+    h`` and its nozzles' ``a_ne`` replaced, as ``port(w, t, h, a_ne)``:
+    the finish (:func:`_design_chain`) of the stage at ``q_star``, the
+    same bits, and the same ``ValueError``, checks in the same order.
+
+    Only the four dimensions change from candidate to candidate.  So the
+    stage's ``q_in`` and ``q_in / n_nozzles`` and the open gate's excess
+    pressure ``max(max(p_chamber, 0) - p_c, 0)`` are worked out once, at
+    the first candidate whose terms pass (a failing term is still raised
+    before a failing stage), and each candidate checks its terms and runs
+    the rest of the finish.
+    """
+    split, terms_at = _design_terms(template, coeffs)
+    stage = _design_stage(template, coeffs, split)
+    eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
+    a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
+    staged = False
+    q_in = q_nozzle = excess = math.nan
+
+    def port(w: float, t: float, h: float, a_ne: float) -> float:
+        nonlocal staged, q_in, q_nozzle, excess
+        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
+        if not staged:
+            q_in, _, p_chamber, q_nozzle = stage(q_star)
+            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+            excess = excess if excess > 0.0 else 0.0
+            staged = True
+        opening = gain * excess
+        a_fg = opening if opening < a_max else a_max
+        s = a_fg / a_max
+        u = (1.0 - s) * q_in / out_area
+        v = q_nozzle / a_ne
+        vent = a_fg / a_ex
+        p_out = ((1.0 - s) * (half_rho * (u * u))
+                 - s * (eta * (half_rho * v * v)
+                        * (vent if vent < 1.0 else 1.0) * penalty))
+        if not -inf < p_out < inf:
+            raise ValueError(_NOT_FINITE)
+        return p_out
+
+    return port
 
 
 def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:

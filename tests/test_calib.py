@@ -420,41 +420,47 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
         return stage, recording_finish_at
 
     monkeypatch.setattr(calib, "_design_chain", recording_chain)
+    trials = _recording_trials(monkeypatch, bound)
     fitted, _ = fit_closures(_device_rows(_B, (5, 15, 25)), _B, start=start,
                              max_evals=40)
-    # the law is bound to the start's coefficients once; each evaluation
-    # finishes its rows, and so do the final residuals
-    assert bound == [start]
-    assert len(finished) == 41
-    for trial in finished:
+    # the chain and the fit loop are each bound to the start's coefficients
+    # once; each evaluation runs the loop, and the final residuals finish
+    # their rows
+    assert bound == [start, start]
+    assert len(trials) == 40
+    assert len(finished) == 1
+    for trial in trials + finished:
         assert trial == start._replace(eta=trial.eta, k0=trial.k0,
                                        p_c=trial.p_c)
     assert finished[-1] == fitted
 
 
-def _recording_finish_at(monkeypatch):
-    """The ``finish_at`` calls of the fits run after this, as their
-    ``(eta, k0, p_c)``."""
-    calls = []
-    chain = calib._design_chain
+def _recording_trials(monkeypatch, bound=None):
+    """The trials the fits' loops (``model._fit_misfit``) run after this,
+    as their coefficients with ``eta, k0, p_c`` replaced; each loop's
+    coefficients are appended to ``bound`` if given."""
+    trials = []
+    loop = calib._fit_misfit
 
-    def recording_chain(device, coeffs):
-        stage, finish_at = chain(device, coeffs)
+    def recording_loop(device, coeffs, staged, ps, scale):
+        if bound is not None:
+            bound.append(coeffs)
+        misfit = loop(device, coeffs, staged, ps, scale)
 
-        def recording_finish_at(w, t, h, a_ne, eta, k0, p_c):
-            calls.append((eta, k0, p_c))
-            return finish_at(w, t, h, a_ne, eta, k0, p_c)
+        def recording_misfit(eta, k0, p_c):
+            trials.append(coeffs._replace(eta=eta, k0=k0, p_c=p_c))
+            return misfit(eta, k0, p_c)
 
-        return stage, recording_finish_at
+        return recording_misfit
 
-    monkeypatch.setattr(calib, "_design_chain", recording_chain)
-    return calls
+    monkeypatch.setattr(calib, "_fit_misfit", recording_loop)
+    return trials
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
 def test_fit_closures_rejects_a_budget_that_is_not_an_integer(monkeypatch,
                                                               budget):
-    trials = _recording_finish_at(monkeypatch)
+    trials = _recording_trials(monkeypatch)
     with pytest.raises(ValueError, match="^max_evals must be an integer"):
         fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=budget)
     assert trials == []
@@ -463,7 +469,7 @@ def test_fit_closures_rejects_a_budget_that_is_not_an_integer(monkeypatch,
 def test_fit_closures_scores_a_non_finite_trial_inf_unfinished(monkeypatch):
     # an infinite k0 or p_c survives the clip to the box, and so does a
     # nan; the box violation is then nan, which adds no penalty, so only
-    # the trial's finiteness check keeps the fit from finishing its rows
+    # the trial's finiteness check keeps the fit from running its loop
     probes = [[1.0, math.inf, 1.0], [1.0, 1.0, math.inf],
               [math.nan, 1.0, 1.0]]
     scores = []
@@ -475,10 +481,10 @@ def test_fit_closures_scores_a_non_finite_trial_inf_unfinished(monkeypatch):
                 scores.append(f(list(u)))
             except ValueError:
                 scores.append(math.inf)
-        assert finishes == []
+        assert trials == []
         return kernel(f, x0, **options)
 
-    finishes = _recording_finish_at(monkeypatch)
+    trials = _recording_trials(monkeypatch)
     monkeypatch.setattr(calib, "nelder_mead", probing_kernel)
     fit_closures(_device_rows(_B, (5, 15, 25)), _B, max_evals=20)
     assert scores == [math.inf] * 3
