@@ -30,8 +30,8 @@ from typing import NamedTuple, Sequence
 from ._units import AREA, FLOW, PRESSURE
 from .core import Device, _Frozen
 from .engine import nelder_mead
-from .model import (DEFAULT_COEFFS, ModelCoefficients, _Finish, _Law,
-                    _Stage, _design_chain, _fit_misfit, _warn_if_sonic)
+from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _fit_misfit,
+                    _point_law, _warn_if_sonic)
 
 __all__ = [
     "FitError",
@@ -259,13 +259,11 @@ def _spread(values: Sequence[float]) -> float:
         return math.inf
 
 
-def _misfit(qs: Sequence, ps: Sequence[float], scale: float,
-            law: _Law | _Finish) -> float:
-    """Sum over the rows ``qs`` of ``((p_out - p_ref) / scale)^2``,
-    with ``p_out`` from the law and ``p_ref`` from the floats ``ps``: the
-    rows are flows and ``law`` a point law, or they are the flows' stages
-    and ``law`` a finish (``model._design_chain``).  The fit's trials run
-    ``model._fit_misfit``, which gives this sum's bits."""
+def _misfit(qs: Sequence[float], ps: Sequence[float], scale: float,
+            law: _Law) -> float:
+    """Sum over the flows ``qs`` of ``((p_out - p_ref) / scale)^2``, with
+    ``p_out`` from the point law ``law`` and ``p_ref`` from ``ps``.  The
+    fit's trials run ``model._fit_misfit``, which gives this sum's bits."""
     total = 0.0
     for q, p_ref in zip(qs, ps):
         miss = (law(q)[3] - p_ref) / scale
@@ -312,20 +310,11 @@ def fit_closures(data: MeasurementSet, device: Device, *,
         params = [ui * r for ui, r in zip(u, ref)]
         return params, [min(max(p, a), b) for p, a, b in zip(params, lo, hi)]
 
-    # the fit holds c1, c2 and the device fixed: each measured flow's stage
-    # is computed once, at the first trial whose terms pass, so a failing
-    # term is still raised before a failing stage, and each trial runs the
-    # model's fit loop (``_fit_misfit``) on the rows it builds from them
-    stage, finish_at = _design_chain(device, start)
-    stages: list[_Stage] | None = None
-
-    def staged() -> list[_Stage]:
-        nonlocal stages
-        if stages is None:
-            stages = [stage(q) for q in qs]
-        return stages
-
-    misfit = _fit_misfit(device, start, staged, ps, scale)
+    # the fit holds c1, c2 and the device fixed: each trial runs the
+    # model's fit loop, which stages the measured flows once, at the first
+    # trial whose terms pass; the final residuals come from the device's
+    # law at the fitted coefficients
+    misfit = _fit_misfit(device, start, qs, ps, scale)
 
     def objective(u: list[float]) -> float:
         params, clipped = clamp(u)
@@ -345,9 +334,8 @@ def fit_closures(data: MeasurementSet, device: Device, *,
     eta, k0, p_c = clamp(best_u)[1]
     fitted = start._replace(eta=eta, k0=k0, p_c=p_c)
 
-    g = device.geometry
-    finish = finish_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, eta, k0, p_c)
-    residuals = tuple(p_ref - finish(st)[3] for st, p_ref in zip(staged(), ps))
+    law = _point_law(device, fitted)
+    residuals = tuple(p_ref - law(q)[3] for q, p_ref in zip(qs, ps))
     _warn_if_sonic(max(qs), device)
     report = FitReport(
         coefficients={"eta": fitted.eta, "c_recirc": fitted.c_recirc,

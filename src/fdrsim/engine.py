@@ -11,8 +11,11 @@ and run ``model``'s own loops instead (``model._port_p_out``,
 ``model._fit_misfit``): the finish's operations in the finish's order,
 with what their search holds fixed computed once.  The stage depends on
 the template and ``c1``, ``c2`` alone, so an objective that returns to
-the same flows computes each one's stage once per search.  No module
-imports numpy: the fits in ``calib`` run on plain floats as well.
+the same flows computes each one's stage once per search.  A binding
+takes each chain value from ``model`` whole, the switching guard's
+blowing bound and the jet velocity of the sonic check included, and
+computes none itself.  No module imports numpy: the fits in ``calib``
+run on plain floats as well.
 
 Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
@@ -55,9 +58,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
 from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point, _Stage,
-                    _blocked_blow, _design_chain, _no_row_fails, _point_law,
-                    _port_p_out, _warn_if_jet_sonic, _warn_if_sonic,
-                    input_pressure)
+                    _design_chain, _no_row_fails, _point_law, _port_p_out,
+                    _warn_if_jet_sonic, _warn_if_sonic, input_pressure)
 
 __all__ = [
     "MODE_BLOWING",
@@ -727,7 +729,7 @@ def switching_objective(coeffs: ModelCoefficients, *,
         eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
         g = template.geometry
         n_nozzles = g.n_nozzles
-        blocked_blow = _blocked_blow(template, coeffs, q_top)
+        guard = _no_row_fails(template, coeffs, q_top)
         monotone = g.a_in <= 2.0 * g.a_branch
         # the stages of the flows the binding's candidates have read, by
         # flow: a stage is computed after a candidate's terms pass, so a
@@ -750,11 +752,11 @@ def switching_objective(coeffs: ModelCoefficients, *,
                     flow = stages[q_in] = stage(q_in)
                 return finish(flow)
 
-            top = _no_row_fails(row, q_top, blocked_blow)
+            top = guard(row)
             if top is None:   # every row, so the first failing one raises
                 top = _ramp(row, qs)[-1]
             if not warned:
-                warned = _warn_if_jet_sonic((q_top / n_nozzles) / a_ne)
+                warned = _warn_if_jet_sonic(q_top, n_nozzles, a_ne)
             if monotone:
                 bracket, below, p_below = _switching_bracket(qs, row, top[3],
                                                              bracket)
@@ -796,10 +798,8 @@ def _port_objective(coeffs: ModelCoefficients, q_star: float,
         def score(w: float, t: float, h: float, a_ne: float) -> float:
             nonlocal warned
             p_out = port(w, t, h, a_ne)
-            if not warned:
-                # the stage's jet velocity: a candidate whose terms pass
-                # has a positive n_nozzles
-                warned = _warn_if_jet_sonic((q_star / n_nozzles) / a_ne)
+            if not warned:   # a candidate whose terms pass has nozzles
+                warned = _warn_if_jet_sonic(q_star, n_nozzles, a_ne)
             return -p_out if blowing else p_out
 
         return score

@@ -22,16 +22,20 @@ and ``q / n_nozzles``, depends only on the device's ports and nozzles
 and on ``c1``, ``c2``; the finish takes a stage and the gate's and
 coefficients' terms to ``a_fg`` and ``p_out``.  A point is the finish of
 its flow's stage, so a design search or closure fit that returns to the
-same flows computes each one's stage once.
+same flows computes each one's stage once.  One call per template
+(``_design_terms``) sets up both stages, and each binding of a template
+here makes that call once and hands its caller the whole binding: the
+law, a loop, or the switching search's row guard.
 
 Two searches read only ``p_out``, and only part of the chain moves from
 one trial to the next: a closure fit varies ``eta``, ``k0`` and ``p_c``
 on one device's measured flows, and a suction or blowing search varies
 the gate and nozzles at one flow.  Each has its own loop beside the
-finish (``_fit_misfit``, ``_port_p_out``).  A loop computes what its
-search holds fixed once, then runs the rest of the finish's operations
-in the finish's order, so it gives the finish's bits and raises its
-errors.
+finish (``_fit_misfit``, ``_port_p_out``), which stages its own flows.
+A loop computes what its search holds fixed once, then runs the rest of
+the finish's operations in the finish's order, so it gives the finish's
+bits and raises its errors.  A fit's final residuals come from the
+device's law at the fitted coefficients.
 
 The working gas is ambient air throughout: density ``rho = 1.204``
 kg/m^3 and heat-capacity ratio ``gamma = 1.4``, the same on both sides
@@ -201,12 +205,19 @@ _Finish = Callable[[_Stage], _Point]
 
 
 def _design_terms(template: Device, coeffs: ModelCoefficients
-                  ) -> tuple[float, Callable[..., _Terms]]:
-    """The junction factor ``split = 1 - (a_in / (2 a_branch))^2`` of
-    ``template``, and its other terms with its gate's ``w, t, h``, its
-    nozzles' ``a_ne`` and the gain's ``k0`` replaced, as ``terms(w, t, h,
-    a_ne, k0)``: ``a_fg_max = w h``, the gain ``k0 D_ref / D``,
-    ``penalty(w)`` and ``cd_out a_out``.
+                  ) -> tuple[float, Callable[[float], _Stage],
+                             Callable[..., _Terms]]:
+    """The whole set-up of ``template``'s law that its gate, nozzles and
+    closure coefficients leave alone, as ``(split, stage, terms)``.
+
+    ``split = 1 - (a_in / (2 a_branch))^2`` is the junction factor.
+    ``stage(q_in)`` is the flow stage, from the template and ``c1, c2``
+    alone: it checks the flow, then computes ``p_in``, ``p_chamber`` and
+    ``q_in / n_nozzles``; a bad flow, or pressures beyond the float
+    range, raise ``ValueError``.  ``terms(w, t, h, a_ne, k0)`` gives the
+    other terms with the gate's ``w, t, h``, the nozzles' ``a_ne`` and
+    the gain's ``k0`` replaced: ``a_fg_max = w h``, the gain ``k0 D_ref /
+    D``, ``penalty(w)`` and ``cd_out a_out``.
 
     What the template alone fixes is built and checked here, once; each
     call builds and checks the rest.  The checks run in this order, and
@@ -215,7 +226,9 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     ``D``, as :func:`gate_stiffness` checks them; the gain; ``a_ex``,
     ``w_ref`` and ``cd_out a_out``; ``a_ne``; ``n_nozzles``.  A template
     check that fails is raised in its place in that order, after the
-    candidate's checks that come before it; ``split`` then means nothing.
+    candidate's checks that come before it; ``split`` and ``stage`` then
+    mean nothing, so a caller stages a flow only after ``terms`` has
+    returned, and a failing term is raised first, as in the law.
     """
     g = template.geometry
     youngs = template.material.youngs_modulus
@@ -281,20 +294,9 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
             raise ValueError(message)
         return a_max, gain, penalty, out_area
 
-    return split, terms
-
-
-def _design_stage(template: Device, coeffs: ModelCoefficients,
-                  split: float) -> Callable[[float], _Stage]:
-    """The flow stage of ``template``'s law, ``stage(q_in)``, with the
-    junction factor ``split`` of :func:`_design_terms`: it depends on the
-    template and ``c1, c2`` alone, checks the flow, then computes
-    ``p_in``, ``p_chamber`` and ``q_in / n_nozzles``.  A bad flow, or
-    pressures beyond the float range, raise ``ValueError``."""
     c1, c2 = coeffs.c1, coeffs.c2
-    g = template.geometry
     a_in, n_nozzles = g.a_in, g.n_nozzles
-    kinetic_scale, inf = _KINETIC_SCALE, math.inf
+    kinetic_scale = _KINETIC_SCALE
 
     def stage(q_in: float) -> _Stage:
         if not 0.0 <= q_in < inf:
@@ -306,7 +308,7 @@ def _design_stage(template: Device, coeffs: ModelCoefficients,
             raise ValueError(_NOT_FINITE)
         return q_in, p_in, p_chamber, q_in / n_nozzles
 
-    return stage
+    return split, stage, terms
 
 
 def _design_chain(template: Device, coeffs: ModelCoefficients
@@ -317,27 +319,27 @@ def _design_chain(template: Device, coeffs: ModelCoefficients
     ``finish_at(w, t, h, a_ne, eta, k0, p_c)(stage(q_in))``, the chain in
     this module's docstring.
 
-    ``stage(q_in)`` is the flow stage (:func:`_design_stage`).
-    ``finish_at`` builds and checks the candidate's terms
-    (:func:`_design_terms`), raising the first failing check's
-    ``ValueError``, and returns ``finish``, the rest of the row: a stage
-    to its (p_in, p_chamber, a_fg, p_out).  A caller that returns to the
-    same flows computes each one's stage once.
+    ``stage(q_in)`` is the flow stage, and ``finish_at`` builds and
+    checks the candidate's terms, both from one :func:`_design_terms`
+    call; ``finish_at`` raises the first failing check's ``ValueError``
+    and returns ``finish``, the rest of the row: a stage to its (p_in,
+    p_chamber, a_fg, p_out).  A caller that returns to the same flows
+    computes each one's stage once.
 
     A switching search binds this to its template once; each candidate
     then pays only for its own terms and the finish of the rows it reads.
-    A point, a sweep and a fit's final residuals finish their rows here
-    too.  Searches that read one number per row without the rest of the
-    point have their own loops, :func:`_fit_misfit` and
-    :func:`_port_p_out`: the same operations in the same order, on what
-    their search holds fixed computed once.  Both stages run in the order
-    written, squares as products.  A ``p_out`` beyond the float range
-    raises ``ValueError`` from ``finish``.  A stage is defined only for a
-    template that passes its checks: compute it after a ``finish_at`` has
-    returned, so that a failing term is raised first, as in the law.
+    The device's law (:func:`_point_law`) finishes its rows here too: a
+    point, a sweep and a fit's final residuals.  Searches that read one
+    number per row without the rest of the point have their own loops,
+    :func:`_fit_misfit` and :func:`_port_p_out`: the same operations in
+    the same order, on what their search holds fixed computed once.  Both
+    stages run in the order written, squares as products.  A ``p_out``
+    beyond the float range raises ``ValueError`` from ``finish``.  A stage
+    is defined only for a template that passes its checks: compute it
+    after a ``finish_at`` has returned, so that a failing term is raised
+    first, as in the law.
     """
-    split, terms_at = _design_terms(template, coeffs)
-    stage = _design_stage(template, coeffs, split)
+    _, stage, terms_at = _design_terms(template, coeffs)
     a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
 
     def finish_at(w: float, t: float, h: float, a_ne: float, eta: float,
@@ -374,25 +376,25 @@ _FitRow = tuple[float, float, float, float]
 
 
 def _fit_misfit(template: Device, coeffs: ModelCoefficients,
-                staged: Callable[[], list[_Stage]], ps: Sequence[float],
+                qs: Sequence[float], ps: Sequence[float],
                 scale: float) -> Callable[[float, float, float], float]:
     """A closure fit's residual on ``template`` at its own gate and
-    nozzles, ``misfit(eta, k0, p_c)``: the sum over the measured rows, in
-    row order, of ``((p_out - p_ref) / scale)^2``, with ``p_ref`` from
-    ``ps`` and ``p_out`` the finish (:func:`_design_chain`) at the
-    template's ``w, t, h, a_ne`` and the trial's ``eta, k0, p_c`` of the
-    flows' stages, ``staged()``.  The same bits, and the same
-    ``ValueError`` at the same row, as the finish would give.
+    nozzles, ``misfit(eta, k0, p_c)``: the sum over the measured flows
+    ``qs``, in row order, of ``((p_out - p_ref) / scale)^2``, with
+    ``p_ref`` from ``ps`` and ``p_out`` the finish (:func:`_design_chain`)
+    at the template's ``w, t, h, a_ne`` and the trial's ``eta, k0, p_c``
+    of the flow's stage.  The same bits, and the same ``ValueError`` at
+    the same row, as the finish would give.
 
-    Only ``eta``, ``k0`` and ``p_c`` change from trial to trial.  So each
-    row's ``q_in``, ``max(p_chamber, 0)``, jet term ``rho/2 v^2`` and
-    ``p_ref`` are worked out once, at the first trial whose terms pass
-    (the stages are ``staged()`` then, so a failing term is still raised
-    before a failing stage), and each trial checks its terms and runs
-    the rest of the finish on each row, with ``eta rho/2 v^2`` as the
-    finish computes it.
+    Only ``eta``, ``k0`` and ``p_c`` change from trial to trial.  So the
+    loop stages the measured flows itself, once, at the first trial whose
+    terms pass (so a failing term is still raised before a failing
+    stage), and keeps each row's ``q_in``, ``max(p_chamber, 0)``, jet
+    term ``rho/2 v^2`` and ``p_ref``; each trial checks its terms and
+    runs the rest of the finish on each row, with ``eta rho/2 v^2`` as
+    the finish computes it.
     """
-    _, terms_at = _design_terms(template, coeffs)
+    _, stage, terms_at = _design_terms(template, coeffs)
     g = template.geometry
     w, t, h, a_ne, a_ex = g.gate.w, g.gate.t, g.gate.h, g.a_ne, g.a_ex
     half_rho, inf = _HALF_RHO, math.inf
@@ -403,7 +405,8 @@ def _fit_misfit(template: Device, coeffs: ModelCoefficients,
         a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
         if rows is None:
             built = []
-            for (q_in, _, p_chamber, q_nozzle), p_ref in zip(staged(), ps):
+            for q, p_ref in zip(qs, ps):
+                q_in, _, p_chamber, q_nozzle = stage(q)
                 v = q_nozzle / a_ne
                 built.append((q_in, p_chamber if p_chamber > 0.0 else 0.0,
                               half_rho * v * v, p_ref))
@@ -442,8 +445,7 @@ def _port_p_out(template: Device, coeffs: ModelCoefficients,
     before a failing stage), and each candidate checks its terms and runs
     the rest of the finish.
     """
-    split, terms_at = _design_terms(template, coeffs)
-    stage = _design_stage(template, coeffs, split)
+    _, stage, terms_at = _design_terms(template, coeffs)
     eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
     a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
     staged = False
@@ -504,26 +506,17 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     return law
 
 
-def _blocked_blow(device: Device, coeffs: ModelCoefficients,
-                  q_top: float) -> float:
-    """``rho/2 (q_top / (cd_out a_out))^2``, the blowing term at ``q_top``
-    with the gate shut, for :func:`_no_row_fails`; inf when it overflows,
-    or when ``cd_out a_out`` is zero, which fails every row of the law."""
-    try:
-        u = q_top / (coeffs.cd_out * device.geometry.a_out)
-    except ZeroDivisionError:
-        return math.inf
-    return _HALF_RHO * (u * u)
-
-
-def _no_row_fails(law: _Law, q_top: float, blocked_blow: float
-                  ) -> _Point | None:
-    """``law(q_top)``, only if ``law``, a device's point law, returns at
+def _no_row_fails(template: Device, coeffs: ModelCoefficients,
+                  q_top: float) -> Callable[[_Law], _Point | None]:
+    """``guard(law)``, for ``law`` the point law of ``template`` with its
+    gate and nozzles replaced: ``law(q_top)``, only if ``law`` returns at
     every flow in ``[0, q_top]``, so a scan may stop early without
-    skipping a ``ValueError``; ``None`` otherwise.  Calls the law once, at
+    skipping a ``ValueError``; ``None`` otherwise.  ``guard`` calls the law once, at
     ``q_top``, and hands its point back so that a caller need not compute
-    it again.  ``blocked_blow`` is the device's :func:`_blocked_blow` at
-    ``q_top``, which its template alone fixes.
+    it again.  The blocked-gate blowing bound ``rho/2 (q_top / (cd_out
+    a_out))^2``, which the template alone fixes, is worked out here once;
+    it is inf when it overflows, or when ``cd_out a_out`` is zero, which
+    fails every row of the law.
 
     Every operation of the law, squares included, is a ``+ - * /`` that
     IEEE 754 rounds correctly, so each rounds monotonically; and with
@@ -532,22 +525,32 @@ def _no_row_fails(law: _Law, q_top: float, blocked_blow: float
     velocity ``v`` never fall as the flow grows.  So a finite
     ``law(q_top)`` keeps ``p_in`` and ``p_chamber`` finite at every lower
     flow, and ``s = a_fg / a_fg_max`` lies in [0, 1] whatever the gate
-    does.  The blowing term is at most its value with the gate shut,
-    ``blocked_blow``, and the suction term at most ``eta rho/2 v_top^2``,
-    as the vent and the penalty lie in [0, 1].  That factor of the law's
-    own suction term at ``q_top`` is finite whenever ``law(q_top)`` is:
-    were it inf, that term and ``p_out`` would be inf or nan (as a nan
-    penalty, ``c_recirc = 0`` times an infinite width excess, makes every
-    row's).  So when the blowing bound is finite, ``p_out`` is the
-    difference of two finite nonnegative terms and no row is inf or nan.
-    A blowing bound that overflows only means the check cannot rule a
-    failure out.
+    does.  The blowing term is at most its value with the gate shut, the
+    blocked-gate bound, and the suction term at most ``eta rho/2
+    v_top^2``, as the vent and the penalty lie in [0, 1].  That factor of
+    the law's own suction term at ``q_top`` is finite whenever
+    ``law(q_top)`` is: were it inf, that term and ``p_out`` would be inf
+    or nan (as a nan penalty, ``c_recirc = 0`` times an infinite width
+    excess, makes every row's).  So when the blowing bound is finite,
+    ``p_out`` is the difference of two finite nonnegative terms and no
+    row is inf or nan.  A blowing bound that overflows only means the
+    check cannot rule a failure out.
     """
     try:
-        top = law(q_top)
-    except ValueError:
-        return None
-    return top if blocked_blow < math.inf else None
+        u = q_top / (coeffs.cd_out * template.geometry.a_out)
+    except ZeroDivisionError:
+        bounded = False
+    else:
+        bounded = _HALF_RHO * (u * u) < math.inf
+
+    def guard(law: _Law) -> _Point | None:
+        try:
+            top = law(q_top)
+        except ValueError:
+            return None
+        return top if bounded else None
+
+    return guard
 
 
 def _warn_if_sonic(q_in: float, device: Device) -> None:
@@ -555,15 +558,17 @@ def _warn_if_sonic(q_in: float, device: Device) -> None:
     line, if the jet at ``q_in``, a call's largest flow, tops the ambient
     speed of sound sqrt(gamma P_atm / rho)."""
     g = device.geometry
-    _warn_if_jet_sonic((q_in / g.n_nozzles) / g.a_ne, stacklevel=3)
+    _warn_if_jet_sonic(q_in, g.n_nozzles, g.a_ne, stacklevel=3)
 
 
-def _warn_if_jet_sonic(v: float, *, stacklevel: int = 2) -> bool:
-    """:func:`_warn_if_sonic` for a jet of velocity ``v``, the law's ``(q
-    / n_nozzles) / a_ne``, attributed to the caller's line at the default
-    ``stacklevel``; whether it warned.  A caller that holds a flow's stage
-    divides its ``q / n_nozzles`` by ``a_ne``, as the row does."""
-    if v > _SONIC_SPEED:
+def _warn_if_jet_sonic(q_in: float, n_nozzles: int, a_ne: float, *,
+                       stacklevel: int = 2) -> bool:
+    """:func:`_warn_if_sonic` for the jet of ``n_nozzles`` nozzles of exit
+    area ``a_ne`` at ``q_in``, whose velocity is the law's ``(q_in /
+    n_nozzles) / a_ne``, attributed to the caller's line at the default
+    ``stacklevel``; whether it warned.  A design search passes its
+    candidate's ``a_ne``."""
+    if (q_in / n_nozzles) / a_ne > _SONIC_SPEED:
         # static message so repeated sweep points collapse to one report
         warnings.warn("jet velocity exceeds the ambient speed of sound; "
                       "the incompressible jet closure is extrapolating",

@@ -407,26 +407,20 @@ def test_fit_closures_trials_keep_every_unfitted_coefficient(monkeypatch):
         name: getattr(DEFAULT_COEFFS, name) * 0.9
         for name in ModelCoefficients._fields})
     bound, finished = [], []
-    chain = calib._design_chain
+    law = calib._point_law
 
-    def recording_chain(device, coeffs):
-        bound.append(coeffs)
-        stage, finish_at = chain(device, coeffs)
+    def recording_law(device, coeffs):
+        finished.append(coeffs)
+        return law(device, coeffs)
 
-        def recording_finish_at(w, t, h, a_ne, eta, k0, p_c):
-            finished.append(coeffs._replace(eta=eta, k0=k0, p_c=p_c))
-            return finish_at(w, t, h, a_ne, eta, k0, p_c)
-
-        return stage, recording_finish_at
-
-    monkeypatch.setattr(calib, "_design_chain", recording_chain)
+    monkeypatch.setattr(calib, "_point_law", recording_law)
     trials = _recording_trials(monkeypatch, bound)
     fitted, _ = fit_closures(_device_rows(_B, (5, 15, 25)), _B, start=start,
                              max_evals=40)
-    # the chain and the fit loop are each bound to the start's coefficients
-    # once; each evaluation runs the loop, and the final residuals finish
-    # their rows
-    assert bound == [start, start]
+    # the fit loop is bound to the start's coefficients once; each
+    # evaluation runs the loop, and the final residuals run the device's
+    # law at the fitted coefficients
+    assert bound == [start]
     assert len(trials) == 40
     assert len(finished) == 1
     for trial in trials + finished:
@@ -442,10 +436,10 @@ def _recording_trials(monkeypatch, bound=None):
     trials = []
     loop = calib._fit_misfit
 
-    def recording_loop(device, coeffs, staged, ps, scale):
+    def recording_loop(device, coeffs, qs, ps, scale):
         if bound is not None:
             bound.append(coeffs)
-        misfit = loop(device, coeffs, staged, ps, scale)
+        misfit = loop(device, coeffs, qs, ps, scale)
 
         def recording_misfit(eta, k0, p_c):
             trials.append(coeffs._replace(eta=eta, k0=k0, p_c=p_c))

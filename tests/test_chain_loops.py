@@ -83,23 +83,10 @@ def _fit_oracle(template, coeffs, qs, ps, scale):
         nonlocal stages
         finish = finish_at(*_dimensions(template), eta, k0, p_c)
         if stages is None:
-            stages = [stage(q) for q in qs]
-        return _misfit(stages, ps, scale, finish)
+            stages = {q: stage(q) for q in qs}   # the flows are distinct
+        return _misfit(qs, ps, scale, lambda q: finish(stages[q]))
 
     return misfit
-
-
-def _fit_loop(template, coeffs, qs, ps, scale):
-    stage, _ = _design_chain(template, coeffs)
-    stages = None
-
-    def staged():
-        nonlocal stages
-        if stages is None:
-            stages = [stage(q) for q in qs]
-        return stages
-
-    return _fit_misfit(template, coeffs, staged, ps, scale)
 
 
 _B = _template("B", 2.0e-6)
@@ -129,7 +116,7 @@ def test_fit_loop_equals_the_finish_per_trial(template, coeffs, data, scale,
                                               trials):
     qs, ps = data
     oracle = _fit_oracle(template, coeffs, qs, ps, scale)
-    loop = _fit_loop(template, coeffs, qs, ps, scale)
+    loop = _fit_misfit(template, coeffs, qs, ps, scale)
     for trial in trials:
         assert _outcome(loop, *trial) == _outcome(oracle, *trial)
 
@@ -221,9 +208,10 @@ def test_a_fit_trial_builds_no_finish():
             results.append(fit_closures(data, _B, max_evals=40))
 
     counts = _model_calls(fit, ("terms", "stage", "finish_at", "finish"))
-    # 40 trials and the final residuals check their terms; only the final
-    # residuals build a finish, and run it on each row
-    assert counts == {"terms": 41, "stage": len(flows), "finish_at": 1,
+    # 40 trials and the final residuals check their terms; the fit loop
+    # stages each flow once, and only the final residuals, which run the
+    # device's law, build a finish and stage and finish each row again
+    assert counts == {"terms": 41, "stage": 2 * len(flows), "finish_at": 1,
                       "finish": len(flows)}
 
 

@@ -831,6 +831,24 @@ def test_calibrate_closures_split_overflow_exit_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_calibrate_closures_flow_overflow_exit_config(tmp_path, capsys):
+    # every trial's supply pressure overflows, so the search scores them
+    # all inf and the final residuals, the device's law at the fitted
+    # coefficients, raise the stage's error
+    data = tmp_path / "huge_flow.csv"
+    data.write_text("q_in_lpm,p_out_kpa\n1e300,1\n2e300,-1\n",
+                    encoding="utf-8")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--data", str(data), "--fit", "closures",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: operating point is not finite (flow beyond the model's "
+        "range)"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _config_files(directory, device, coeffs):
     """``--config`` and ``--coeffs`` flags for JSON files holding the two
     objects."""

@@ -1,5 +1,5 @@
-"""The closure fit computes each measured flow's stage once per fit, and
-scores every trial as the fit did when each trial built its own law.
+"""The closure fit computes each measured flow's stage once per search,
+and scores every trial as the fit did when each trial built its own law.
 
 ``old_fit_closures`` below is ``calib.fit_closures`` as it stood when each
 evaluation built ``_point_law(device, trial)`` and ran every measured row
@@ -19,7 +19,7 @@ from test_design_binding import _template, templates
 
 from fdrsim import (DEFAULT_COEFFS, FitError, FitReport, MeasurementRow,
                     MeasurementSet, ModelCoefficients, calib, fit_closures,
-                    nelder_mead)
+                    model, nelder_mead)
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.calib import _misfit, _spread
 from fdrsim.model import _point_law, _warn_if_sonic
@@ -183,21 +183,30 @@ def test_fit_equals_the_fit_with_a_law_per_trial(data, device, start,
 
 def test_fit_runs_each_flow_stage_once(monkeypatch):
     # the fit holds c1, c2 and the device fixed: one stage per measured
-    # flow for the whole fit, not one per flow and evaluation
-    staged = []
-    chain = calib._design_chain
+    # flow for the whole search, not one per flow and evaluation, and one
+    # per flow in the final residuals, which run the device's law
+    staged, searched = [], []
+    terms = model._design_terms
+    law = calib._point_law
 
-    def counted_chain(device, coeffs):
-        stage, finish_at = chain(device, coeffs)
+    def counted_terms(template, coeffs):
+        split, stage, terms_at = terms(template, coeffs)
 
         def counted_stage(q_in):
             staged.append(q_in)
             return stage(q_in)
 
-        return counted_stage, finish_at
+        return split, counted_stage, terms_at
 
-    monkeypatch.setattr(calib, "_design_chain", counted_chain)
+    def final_law(device, coeffs):
+        searched.extend(staged)
+        staged.clear()
+        return law(device, coeffs)
+
     data = _rows(_B, (5, 10, 15, 20), _FIT)
+    monkeypatch.setattr(model, "_design_terms", counted_terms)
+    monkeypatch.setattr(calib, "_point_law", final_law)
     _, report = fit_closures(data, _B, max_evals=60)
+    assert searched == [r.q_in for r in data.rows]
     assert staged == [r.q_in for r in data.rows]
     assert len(report.residuals["p_out"]) == 4

@@ -12,8 +12,11 @@ from fdrsim import (
     P_ATM,
     ModelCoefficients,
     SupersonicJetWarning,
+    blowing_objective,
     catalog_device,
     solve_operating_point,
+    suction_objective,
+    switching_objective,
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.model import (_GAMMA, _RHO, _design_terms, _point_law,
@@ -74,6 +77,30 @@ def test_jet_velocity_frozen():
         _warn_if_sonic(q_sonic * (1.0 + 1.0e-9), _B)
 
 
+@pytest.mark.parametrize("objective", ["suction", "blowing", "switching"])
+def test_bound_objectives_warn_at_the_sonic_flow(objective):
+    # as the device's own check: silent 1e-9 below the sonic jet, one
+    # warning 1e-9 above it; switching reads the jet at its grid's top,
+    # 30 L/min, so its template's a_ne puts that flow on either side
+    sonic = math.sqrt(_GAMMA * P_ATM / _RHO)
+    n = _GEOM_B.n_nozzles
+    for factor, warns in ((1.0 - 1.0e-9, False), (1.0 + 1.0e-9, True)):
+        device, coeffs = _B, DEFAULT_COEFFS
+        if objective == "switching":
+            a_ne = (30.0 * M3S_PER_LPM / n) / (sonic * factor)
+            device = _device(a_ne=a_ne)
+            score = switching_objective(coeffs)
+        else:
+            q_star = sonic * n * _GEOM_B.a_ne * factor
+            score = (suction_objective if objective == "suction"
+                     else blowing_objective)(coeffs, q_star)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score(device)
+        assert ([w.category for w in caught]
+                == [SupersonicJetWarning] * warns)
+
+
 def test_jet_dynamic_pressure_frozen_and_warns():
     # fully open and venting with eta = 1, the port sucks the jet's whole
     # dynamic pressure rho/2 v^2
@@ -98,7 +125,7 @@ def test_halving_nozzle_area_quadruples_jet_pressure():
 
 def _penalty(w, coeffs=DEFAULT_COEFFS, w_ref=_GEOM_B.channel_width_ref):
     gate = _GEOM_B.gate
-    _, terms = _design_terms(_device(channel_width_ref=w_ref), coeffs)
+    _, _, terms = _design_terms(_device(channel_width_ref=w_ref), coeffs)
     return terms(w, gate.t, gate.h, _GEOM_B.a_ne, coeffs.k0)[2]
 
 

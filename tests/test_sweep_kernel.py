@@ -35,8 +35,8 @@ from fdrsim import (
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
-from fdrsim.model import (_NOT_FINITE, _blocked_blow, _design_chain,
-                          _design_terms, _no_row_fails, _point_law)
+from fdrsim.model import (_NOT_FINITE, _design_chain, _design_terms,
+                          _no_row_fails, _point_law)
 
 
 # --- frozen oracle ------------------------------------------------------------
@@ -477,7 +477,7 @@ def test_device_terms_equal_oracle_terms(device, coeffs):
                                                          device.material),
         recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref),
         coeffs.cd_out * g.a_out)
-    split, terms_at = _design_terms(device, coeffs)
+    split, _, terms_at = _design_terms(device, coeffs)
     terms = (split, *terms_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne,
                               coeffs.k0))
     assert _bits(terms) == _bits(expected)
@@ -555,8 +555,7 @@ def test_guard_verdict_equals_frozen_guard(device, coeffs):
     # that passes hands back the law's own point at the top
     q_top = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)[-1]
     law = _point_law(device, coeffs)
-    blocked_blow = _blocked_blow(device, coeffs, q_top)
-    top = _no_row_fails(law, q_top, blocked_blow)
+    top = _no_row_fails(device, coeffs, q_top)(law)
     assert ((top is not None)
             == _frozen_no_row_fails(law, device, coeffs, q_top))
     if top is not None:
