@@ -26,8 +26,9 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 fit
 failure.  A sweep grid whose step does not divide the range, or that
 would exceed ``engine.MAX_GRID_POINTS`` points, is a configuration error,
 and so is a flag the command would ignore: ``--target-p-in-kpa`` outside
-the switching objective, ``--at-qin-lpm`` in it, and ``--max-evals`` with
-``calibrate --fit input``.
+the switching objective, ``--at-qin-lpm`` in it, ``--max-evals`` with
+``calibrate --fit input``, and ``--si`` with ``--format json``.  A flow
+given as ``-0`` reads as ``0``.
 A ``SupersonicJetWarning`` reaches stderr as one ``warning: <message>``
 line per distinct message and call; under an ``error`` warning filter
 (``python -W error``, ``PYTHONWARNINGS=error``) it is a solver failure
@@ -451,11 +452,12 @@ def _device_from_args(args: argparse.Namespace) -> Device:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
-    st = engine.solve_operating_point(FLOW.to_si(args.qin_lpm), device, coeffs)
+    q_lpm = args.qin_lpm + 0.0   # -0 + 0 is 0; any other value is kept
+    st = engine.solve_operating_point(FLOW.to_si(q_lpm), device, coeffs)
     a_ex = device.geometry.a_ex
     kpa, mm2 = PRESSURE.to_display, AREA.to_display
     print("\n".join([
-        f"q_in      = {_fmt(args.qin_lpm)} L/min ({_fmt(st.q_in)} m^3/s)",
+        f"q_in      = {_fmt(q_lpm)} L/min ({_fmt(st.q_in)} m^3/s)",
         f"p_in      = {_fmt(kpa(st.p_in))} kPa ({_fmt(st.p_in)} Pa)",
         f"p_chamber = {_fmt(kpa(st.p_chamber))} kPa ({_fmt(st.p_chamber)} Pa)",
         f"a_fg      = {_fmt(mm2(st.a_fg))} mm^2 ({_fmt(st.a_fg)} m^2)"
@@ -465,6 +467,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
+    if args.si and args.format == "json":
+        raise ValueError("--si applies only to --format csv")
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     result = engine.sweep(device, coeffs, FLOW.to_si(args.qin_start_lpm),
@@ -578,7 +582,8 @@ def _cmd_friction(args: argparse.Namespace) -> str:
     device = _device_from_args(args)
     coeffs = _load_coeffs(args.coeffs)
     try:
-        q_list = [FLOW.to_si(float(tok))
+        # -0 + 0 is 0; any other value is kept
+        q_list = [FLOW.to_si(float(tok) + 0.0)
                   for tok in args.qin_lpm.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"--qin-lpm expects comma-separated numbers: {exc}"

@@ -3,15 +3,15 @@
 One operating point is the closed-form chain of ``model``: supply law,
 junction pressure, gate opening, jet closure.  The chain is computed in
 ``model`` alone, on plain Python floats.  Its point law, built once per
-device and coefficient set, is the finish of a flow's stage
-(``model._design_chain``); it runs for one point, every sweep row and
-the switching objective's rows and bisection.  The suction and blowing
-objectives, and the closure fit in ``calib``, read one ``p_out`` per row
-and run ``model``'s own loops instead (``model._port_p_out``,
-``model._fit_misfit``): the finish's operations in the finish's order,
-with what their search holds fixed computed once.  The stage depends on
-the template and ``c1``, ``c2`` alone, so an objective that returns to
-the same flows computes each one's stage once per search.  A binding
+device and coefficient set, is the finish (``model._finish``) of a
+flow's stage and the device's terms; it runs for one point and every
+sweep row.  A design search's binding composes the same three pieces
+from one ``model._design_terms`` call per template: each candidate
+builds its terms, and each row it reads is the finish of a stored stage
+and those terms, the switching objective's grid and bisection rows and
+the suction and blowing objectives' one row alike.  The stage depends
+on the template and ``c1``, ``c2`` alone, so an objective that returns
+to the same flows computes each one's stage once per search.  A binding
 takes each chain value from ``model`` whole, the switching guard's
 blowing bound and the jet velocity of the sonic check included, and
 computes none itself.  No module imports numpy: the fits in ``calib``
@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
 from .model import (DEFAULT_COEFFS, ModelCoefficients, _Law, _Point, _Stage,
-                    _design_chain, _no_row_fails, _point_law, _port_p_out,
+                    _design_terms, _finish, _no_row_fails, _point_law,
                     _warn_if_jet_sonic, _warn_if_sonic, input_pressure)
 
 __all__ = [
@@ -725,7 +725,8 @@ def switching_objective(coeffs: ModelCoefficients, *,
     q_top = qs[-1]
 
     def bind(template: Device) -> Callable[..., float]:
-        stage, finish_at = _design_chain(template, coeffs)
+        stage, terms_at = _design_terms(template, coeffs)
+        finish = _finish
         eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
         g = template.geometry
         n_nozzles = g.n_nozzles
@@ -741,7 +742,7 @@ def switching_objective(coeffs: ModelCoefficients, *,
         def score(w: float, t: float, h: float, a_ne: float) -> float:
             nonlocal bracket, warned
             try:
-                finish = finish_at(w, t, h, a_ne, eta, k0, crack)
+                terms = terms_at(w, t, h, a_ne, eta, k0, crack)
             except ValueError as exc:   # a bad term fails every row
                 raise _sweep_error(qs[0], exc) from exc
 
@@ -750,7 +751,7 @@ def switching_objective(coeffs: ModelCoefficients, *,
                     flow = stages[q_in]
                 except KeyError:
                     flow = stages[q_in] = stage(q_in)
-                return finish(flow)
+                return finish(flow, terms)
 
             top = guard(row)
             if top is None:   # every row, so the first failing one raises
@@ -781,23 +782,27 @@ def _port_objective(coeffs: ModelCoefficients, q_star: float,
                     blowing: bool) -> Callable[[Device], float]:
     """p_out at ``q_star`` (negated when ``blowing``), to be minimized.
 
-    A binding runs the model's port loop (``model._port_p_out``): the
-    stage at ``q_star`` and the open gate's excess pressure are computed
-    once, at its first candidate whose terms pass, so a failing term is
-    still raised before a failing stage; each candidate then pays for its
-    terms and the rest of the row, with no finish built.
+    A binding stages ``q_star`` once, at its first candidate whose terms
+    pass, so a failing term is still raised before a failing stage; each
+    candidate then pays for its terms and the finish of that one row.
     """
     if not 0.0 <= q_star < math.inf:
         raise ValueError("q_star must be nonnegative and finite")
 
     def bind(template: Device) -> Callable[..., float]:
-        port = _port_p_out(template, coeffs, q_star)
+        stage, terms_at = _design_terms(template, coeffs)
+        finish = _finish
+        eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
         n_nozzles = template.geometry.n_nozzles
+        star: _Stage | None = None
         warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
-            nonlocal warned
-            p_out = port(w, t, h, a_ne)
+            nonlocal star, warned
+            terms = terms_at(w, t, h, a_ne, eta, k0, crack)
+            if star is None:
+                star = stage(q_star)
+            p_out = finish(star, terms)[3]
             if not warned:   # a candidate whose terms pass has nozzles
                 warned = _warn_if_jet_sonic(q_star, n_nozzles, a_ne)
             return -p_out if blowing else p_out

@@ -19,23 +19,23 @@ a closed form:
 
 The chain runs in two stages.  The flow stage, ``p_in``, ``p_chamber``
 and ``q / n_nozzles``, depends only on the device's ports and nozzles
-and on ``c1``, ``c2``; the finish takes a stage and the gate's and
-coefficients' terms to ``a_fg`` and ``p_out``.  A point is the finish of
-its flow's stage, so a design search or closure fit that returns to the
-same flows computes each one's stage once.  One call per template
-(``_design_terms``) sets up both stages, and each binding of a template
-here makes that call once and hands its caller the whole binding: the
-law, a loop, or the switching search's row guard.
+and on ``c1``, ``c2``; the finish (``_finish``) takes a stage and the
+gate's, nozzles' and coefficients' terms to ``a_fg`` and ``p_out``.  A
+point is the finish of its flow's stage, so a design search or closure
+fit that returns to the same flows computes each one's stage once.  One
+call per template (``_design_terms``) sets up the stage and the terms.
+The device's law makes that call once, and so does each binding of a
+design search in ``engine``, which composes ``stage``, ``terms`` and
+``_finish`` per candidate and computes no chain value itself.
 
-Two searches read only ``p_out``, and only part of the chain moves from
-one trial to the next: a closure fit varies ``eta``, ``k0`` and ``p_c``
-on one device's measured flows, and a suction or blowing search varies
-the gate and nozzles at one flow.  Each has its own loop beside the
-finish (``_fit_misfit``, ``_port_p_out``), which stages its own flows.
-A loop computes what its search holds fixed once, then runs the rest of
-the finish's operations in the finish's order, so it gives the finish's
-bits and raises its errors.  A fit's final residuals come from the
-device's law at the fitted coefficients.
+A closure fit reads only ``p_out``, and varies only ``eta``, ``k0`` and
+``p_c`` on one device's measured flows.  Its loop (``_fit_misfit``) is
+the one copy of the finish's arithmetic outside ``_finish``, kept
+because it is measurably faster: it stages its own flows once,
+takes each trial's terms from ``terms``, and runs the rest of the
+finish's operations in the finish's order on each row, so it gives the
+finish's bits and raises its errors.  A fit's final residuals come from
+the device's law at the fitted coefficients.
 
 The working gas is ambient air throughout: density ``rho = 1.204``
 kg/m^3 and heat-capacity ratio ``gamma = 1.4``, the same on both sides
@@ -199,25 +199,28 @@ def _check_flow(q_in: float) -> None:
 
 _Point = tuple[float, float, float, float]   # p_in, p_chamber, a_fg, p_out
 _Law = Callable[[float], _Point]
-_Terms = tuple[float, float, float, float]   # a_max, gain, penalty, out_area
+# a_fg_max, gain, penalty, cd_out a_out, a_ne, eta, p_c, a_ex
+_Terms = tuple[float, float, float, float, float, float, float, float]
 _Stage = tuple[float, float, float, float]   # q_in, p_in, p_chamber, q_in / n_nozzles
-_Finish = Callable[[_Stage], _Point]
 
 
 def _design_terms(template: Device, coeffs: ModelCoefficients
-                  ) -> tuple[float, Callable[[float], _Stage],
-                             Callable[..., _Terms]]:
+                  ) -> tuple[Callable[[float], _Stage], Callable[..., _Terms]]:
     """The whole set-up of ``template``'s law that its gate, nozzles and
-    closure coefficients leave alone, as ``(split, stage, terms)``.
+    closure coefficients leave alone, as ``(stage, terms)``; the law at
+    ``q_in`` with the gate's ``w, t, h``, the nozzles' ``a_ne`` and the
+    coefficients' ``eta, k0, p_c`` replaced is ``_finish(stage(q_in),
+    terms(w, t, h, a_ne, eta, k0, p_c))``, the chain in this module's
+    docstring.
 
-    ``split = 1 - (a_in / (2 a_branch))^2`` is the junction factor.
     ``stage(q_in)`` is the flow stage, from the template and ``c1, c2``
-    alone: it checks the flow, then computes ``p_in``, ``p_chamber`` and
-    ``q_in / n_nozzles``; a bad flow, or pressures beyond the float
-    range, raise ``ValueError``.  ``terms(w, t, h, a_ne, k0)`` gives the
-    other terms with the gate's ``w, t, h``, the nozzles' ``a_ne`` and
-    the gain's ``k0`` replaced: ``a_fg_max = w h``, the gain ``k0 D_ref /
-    D``, ``penalty(w)`` and ``cd_out a_out``.
+    alone: it checks the flow, then computes ``p_in``, ``p_chamber`` (with
+    the junction factor ``1 - (a_in / (2 a_branch))^2``) and ``q_in /
+    n_nozzles``; a bad flow, or pressures beyond the float range, raise
+    ``ValueError``.  ``terms(w, t, h, a_ne, eta, k0, p_c)`` gives all
+    else the finish reads: ``a_fg_max = w h``, the gain ``k0 D_ref / D``,
+    ``penalty(w)``, ``cd_out a_out``, then ``a_ne``, ``eta``, ``p_c`` and
+    the template's ``a_ex``.
 
     What the template alone fixes is built and checked here, once; each
     call builds and checks the rest.  The checks run in this order, and
@@ -226,9 +229,9 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     ``D``, as :func:`gate_stiffness` checks them; the gain; ``a_ex``,
     ``w_ref`` and ``cd_out a_out``; ``a_ne``; ``n_nozzles``.  A template
     check that fails is raised in its place in that order, after the
-    candidate's checks that come before it; ``split`` and ``stage`` then
-    mean nothing, so a caller stages a flow only after ``terms`` has
-    returned, and a failing term is raised first, as in the law.
+    candidate's checks that come before it; ``stage`` then means nothing,
+    so a caller stages a flow only after ``terms`` has returned, and a
+    failing term is raised first, as in the law.
     """
     g = template.geometry
     youngs = template.material.youngs_modulus
@@ -265,10 +268,10 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
     except ValueError as exc:
         message = str(exc)
     reference = _REFERENCE_STIFFNESS
-    c_recirc, inf = coeffs.c_recirc, math.inf
+    c_recirc, a_ex, inf = coeffs.c_recirc, g.a_ex, math.inf
 
-    def terms(w: float, t: float, h: float, a_ne: float, k0: float
-              ) -> _Terms:
+    def terms(w: float, t: float, h: float, a_ne: float, eta: float,
+              k0: float, crack: float) -> _Terms:
         if stop == 0:
             raise ValueError(message)
         # each derived divisor or scale positive and finite: a zero or
@@ -292,7 +295,7 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
             raise ValueError("a_ne must be positive")
         if stop == 3:
             raise ValueError(message)
-        return a_max, gain, penalty, out_area
+        return a_max, gain, penalty, out_area, a_ne, eta, crack, a_ex
 
     c1, c2 = coeffs.c1, coeffs.c2
     a_in, n_nozzles = g.a_in, g.n_nozzles
@@ -308,67 +311,45 @@ def _design_terms(template: Device, coeffs: ModelCoefficients
             raise ValueError(_NOT_FINITE)
         return q_in, p_in, p_chamber, q_in / n_nozzles
 
-    return split, stage, terms
+    return stage, terms
 
 
-def _design_chain(template: Device, coeffs: ModelCoefficients
-                  ) -> tuple[Callable[[float], _Stage], Callable[..., _Finish]]:
-    """The point law of ``template`` in two stages, ``(stage,
-    finish_at)``: with its gate's ``w, t, h``, its nozzles' ``a_ne`` and
-    the coefficients' ``eta, k0, p_c`` replaced, the law at ``q_in`` is
-    ``finish_at(w, t, h, a_ne, eta, k0, p_c)(stage(q_in))``, the chain in
-    this module's docstring.
+def _finisher() -> Callable[[_Stage, _Terms], _Point]:
+    """Build :func:`_finish` once, its constants held in closure cells: a
+    sweep's rows read them faster there than as globals."""
+    half_rho, inf, not_finite = _HALF_RHO, math.inf, _NOT_FINITE
 
-    ``stage(q_in)`` is the flow stage, and ``finish_at`` builds and
-    checks the candidate's terms, both from one :func:`_design_terms`
-    call; ``finish_at`` raises the first failing check's ``ValueError``
-    and returns ``finish``, the rest of the row: a stage to its (p_in,
-    p_chamber, a_fg, p_out).  A caller that returns to the same flows
-    computes each one's stage once.
+    # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
+    # else hi``: the builtins' own comparison, without their call cost
+    def _finish(stage: _Stage, terms: _Terms) -> _Point:
+        """The finish of one row: a flow's stage and a candidate's terms
+        (:func:`_design_terms`) to the point's (p_in, p_chamber, a_fg,
+        p_out).  Every point but a closure fit's trial rows comes from
+        here: the device's law, and a design search's bound scores.  The
+        operations run in the order written, squares as products.  A
+        ``p_out`` beyond the float range raises ``ValueError``."""
+        q_in, p_in, p_chamber, q_nozzle = stage
+        a_max, gain, penalty, out_area, a_ne, eta, crack, a_ex = terms
+        excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
+        opening = gain * (excess if excess > 0.0 else 0.0)
+        a_fg = opening if opening < a_max else a_max
+        s = a_fg / a_max
+        u = (1.0 - s) * q_in / out_area
+        p_blow = half_rho * (u * u)
+        v = q_nozzle / a_ne
+        vent = a_fg / a_ex
+        p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
+                  * penalty)
+        p_out = (1.0 - s) * p_blow - s * p_suck
+        # a_fg lies in [0, a_fg_max] by construction
+        if not -inf < p_out < inf:
+            raise ValueError(not_finite)
+        return p_in, p_chamber, a_fg, p_out
 
-    A switching search binds this to its template once; each candidate
-    then pays only for its own terms and the finish of the rows it reads.
-    The device's law (:func:`_point_law`) finishes its rows here too: a
-    point, a sweep and a fit's final residuals.  Searches that read one
-    number per row without the rest of the point have their own loops,
-    :func:`_fit_misfit` and :func:`_port_p_out`: the same operations in
-    the same order, on what their search holds fixed computed once.  Both
-    stages run in the order written, squares as products.  A ``p_out``
-    beyond the float range raises ``ValueError`` from ``finish``.  A stage
-    is defined only for a template that passes its checks: compute it
-    after a ``finish_at`` has returned, so that a failing term is raised
-    first, as in the law.
-    """
-    _, stage, terms_at = _design_terms(template, coeffs)
-    a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
+    return _finish
 
-    def finish_at(w: float, t: float, h: float, a_ne: float, eta: float,
-                  k0: float, crack: float) -> _Finish:
-        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
 
-        # max(lo, x) as ``x if x > lo else lo``, min(hi, x) as ``x if x < hi
-        # else hi``: the builtins' own comparison, without their call cost
-        def finish(stage: _Stage) -> _Point:
-            q_in, p_in, p_chamber, q_nozzle = stage
-            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
-            opening = gain * (excess if excess > 0.0 else 0.0)
-            a_fg = opening if opening < a_max else a_max
-            s = a_fg / a_max
-            u = (1.0 - s) * q_in / out_area
-            p_blow = half_rho * (u * u)
-            v = q_nozzle / a_ne
-            vent = a_fg / a_ex
-            p_suck = (eta * (half_rho * v * v) * (vent if vent < 1.0 else 1.0)
-                      * penalty)
-            p_out = (1.0 - s) * p_blow - s * p_suck
-            # a_fg lies in [0, a_fg_max] by construction
-            if not -inf < p_out < inf:
-                raise ValueError(_NOT_FINITE)
-            return p_in, p_chamber, a_fg, p_out
-
-        return finish
-
-    return stage, finish_at
+_finish = _finisher()
 
 
 # a closure fit's measured row: q_in, max(p_chamber, 0), rho/2 v^2, p_ref
@@ -381,28 +362,31 @@ def _fit_misfit(template: Device, coeffs: ModelCoefficients,
     """A closure fit's residual on ``template`` at its own gate and
     nozzles, ``misfit(eta, k0, p_c)``: the sum over the measured flows
     ``qs``, in row order, of ``((p_out - p_ref) / scale)^2``, with
-    ``p_ref`` from ``ps`` and ``p_out`` the finish (:func:`_design_chain`)
-    at the template's ``w, t, h, a_ne`` and the trial's ``eta, k0, p_c``
-    of the flow's stage.  The same bits, and the same ``ValueError`` at
-    the same row, as the finish would give.
+    ``p_ref`` from ``ps`` and ``p_out`` the :func:`_finish` of the flow's
+    stage and the trial's terms (:func:`_design_terms`).  The same bits,
+    and the same ``ValueError`` at the same row, as the finish would give.
 
-    Only ``eta``, ``k0`` and ``p_c`` change from trial to trial.  So the
-    loop stages the measured flows itself, once, at the first trial whose
-    terms pass (so a failing term is still raised before a failing
+    This is the one loop beside the finish, and it pays for itself: only
+    ``eta``, ``k0`` and ``p_c`` change from trial to trial, and a finish
+    call per row makes a 24-row, 400-trial fit about a third slower.  So
+    the loop stages the measured flows itself, once, at the first trial
+    whose terms pass (so a failing term is still raised before a failing
     stage), and keeps each row's ``q_in``, ``max(p_chamber, 0)``, jet
-    term ``rho/2 v^2`` and ``p_ref``; each trial checks its terms and
-    runs the rest of the finish on each row, with ``eta rho/2 v^2`` as
-    the finish computes it.
+    term ``rho/2 v^2`` and ``p_ref``; each trial takes its terms from
+    ``terms`` and runs the rest of the finish's operations, in the
+    finish's order, on each row inline, with ``eta rho/2 v^2`` as the
+    finish computes it.
     """
-    _, stage, terms_at = _design_terms(template, coeffs)
+    stage, terms_at = _design_terms(template, coeffs)
     g = template.geometry
-    w, t, h, a_ne, a_ex = g.gate.w, g.gate.t, g.gate.h, g.a_ne, g.a_ex
+    w, t, h, a_ne = g.gate.w, g.gate.t, g.gate.h, g.a_ne
     half_rho, inf = _HALF_RHO, math.inf
     rows: list[_FitRow] | None = None
 
     def misfit(eta: float, k0: float, crack: float) -> float:
         nonlocal rows
-        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
+        a_max, gain, penalty, out_area, _, _, _, a_ex = terms_at(
+            w, t, h, a_ne, eta, k0, crack)
         if rows is None:
             built = []
             for q, p_ref in zip(qs, ps):
@@ -431,66 +415,22 @@ def _fit_misfit(template: Device, coeffs: ModelCoefficients,
     return misfit
 
 
-def _port_p_out(template: Device, coeffs: ModelCoefficients,
-                q_star: float) -> Callable[..., float]:
-    """``p_out`` at the flow ``q_star`` with ``template``'s gate's ``w, t,
-    h`` and its nozzles' ``a_ne`` replaced, as ``port(w, t, h, a_ne)``:
-    the finish (:func:`_design_chain`) of the stage at ``q_star``, the
-    same bits, and the same ``ValueError``, checks in the same order.
-
-    Only the four dimensions change from candidate to candidate.  So the
-    stage's ``q_in`` and ``q_in / n_nozzles`` and the open gate's excess
-    pressure ``max(max(p_chamber, 0) - p_c, 0)`` are worked out once, at
-    the first candidate whose terms pass (a failing term is still raised
-    before a failing stage), and each candidate checks its terms and runs
-    the rest of the finish.
-    """
-    _, stage, terms_at = _design_terms(template, coeffs)
-    eta, k0, crack = coeffs.eta, coeffs.k0, coeffs.p_c
-    a_ex, half_rho, inf = template.geometry.a_ex, _HALF_RHO, math.inf
-    staged = False
-    q_in = q_nozzle = excess = math.nan
-
-    def port(w: float, t: float, h: float, a_ne: float) -> float:
-        nonlocal staged, q_in, q_nozzle, excess
-        a_max, gain, penalty, out_area = terms_at(w, t, h, a_ne, k0)
-        if not staged:
-            q_in, _, p_chamber, q_nozzle = stage(q_star)
-            excess = (p_chamber if p_chamber > 0.0 else 0.0) - crack
-            excess = excess if excess > 0.0 else 0.0
-            staged = True
-        opening = gain * excess
-        a_fg = opening if opening < a_max else a_max
-        s = a_fg / a_max
-        u = (1.0 - s) * q_in / out_area
-        v = q_nozzle / a_ne
-        vent = a_fg / a_ex
-        p_out = ((1.0 - s) * (half_rho * (u * u))
-                 - s * (eta * (half_rho * v * v)
-                        * (vent if vent < 1.0 else 1.0) * penalty))
-        if not -inf < p_out < inf:
-            raise ValueError(_NOT_FINITE)
-        return p_out
-
-    return port
-
-
 def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
     """The device's own point law: the map from a flow ``q_in`` to its
-    (p_in, p_chamber, a_fg, p_out), the finish of the flow's stage
-    (:func:`_design_chain`) at the device's own dimensions and
-    coefficients, so a device and the same candidate of a design search
-    share their bits, checks and messages.
+    (p_in, p_chamber, a_fg, p_out), ``_finish(stage(q_in), terms)`` with
+    the device's own terms (:func:`_design_terms`), so a device and the
+    same candidate of a design search share their bits, checks and
+    messages.
 
     A bad flow, then a bad term, or pressures beyond the float range
     raise ``ValueError``, from the law.  No warning: callers use
     :func:`_warn_if_sonic`.
     """
     g = device.geometry
-    stage, finish_at = _design_chain(device, coeffs)
+    stage, terms_at = _design_terms(device, coeffs)
     try:
-        finish = finish_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, coeffs.eta,
-                           coeffs.k0, coeffs.p_c)
+        terms = terms_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, coeffs.eta,
+                         coeffs.k0, coeffs.p_c)
     except ValueError as exc:
         message = str(exc)
 
@@ -499,9 +439,10 @@ def _point_law(device: Device, coeffs: ModelCoefficients) -> _Law:
             raise ValueError(message)
 
         return failing
+    finish = _finish
 
     def law(q_in: float) -> _Point:
-        return finish(stage(q_in))
+        return finish(stage(q_in), terms)
 
     return law
 

@@ -56,6 +56,20 @@ def test_simulate_rest_is_neutral(capsys):
     assert "p_out     = 0 kPa (0 Pa)" in out
 
 
+def test_negative_zero_flow_reads_as_zero(tmp_path, capsys):
+    outputs = {}
+    for flow in ("0", "-0"):
+        out = tmp_path / f"mu{flow}.csv"
+        assert main(["simulate", "--type", "B", "--qin-lpm", flow]) == 0
+        assert main(["friction", "--type", "B", "--weight-n", "1",
+                     f"--qin-lpm={flow},1", "--out", str(out)]) == 0
+        outputs[flow] = capsys.readouterr().out, out.read_bytes()
+    assert outputs["-0"] == outputs["0"]
+    simulated, curve = outputs["-0"]
+    assert simulated.startswith("q_in      = 0 L/min (0 m^3/s)\n")
+    assert curve.splitlines()[1] == b"0,0,1,0.5,0.4"
+
+
 def test_simulate_unknown_type_exit_config(capsys):
     assert main(["simulate", "--type", "Z", "--qin-lpm", "10"]) == 2
     err = capsys.readouterr().err
@@ -586,8 +600,10 @@ def test_optimize_non_finite_flag_exit_config(tmp_path, capsys, flags):
       "10"], "--max-evals"),
     (["calibrate", "--data", "builtin", "--fit", "input", "--max-evals",
       "400"], "--max-evals"),
+    (["sweep", "--type", "B", "--format", "json", "--si"], "--si"),
 ], ids=["suction-target", "blowing-target", "switching-flow",
-        "switching-default-flow", "input-budget", "input-default-budget"])
+        "switching-default-flow", "input-budget", "input-default-budget",
+        "json-si"])
 def test_ignored_flag_exit_config(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2

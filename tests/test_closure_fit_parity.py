@@ -190,13 +190,13 @@ def test_fit_runs_each_flow_stage_once(monkeypatch):
     law = calib._point_law
 
     def counted_terms(template, coeffs):
-        split, stage, terms_at = terms(template, coeffs)
+        stage, terms_at = terms(template, coeffs)
 
         def counted_stage(q_in):
             staged.append(q_in)
             return stage(q_in)
 
-        return split, counted_stage, terms_at
+        return counted_stage, terms_at
 
     def final_law(device, coeffs):
         searched.extend(staged)

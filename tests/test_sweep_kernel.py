@@ -35,8 +35,8 @@ from fdrsim import (
 )
 from fdrsim._units import M3S_PER_LPM
 from fdrsim.core import DEFAULT_CHANNEL_WIDTH_REF
-from fdrsim.model import (_NOT_FINITE, _design_chain, _design_terms,
-                          _no_row_fails, _point_law)
+from fdrsim.model import (_NOT_FINITE, _design_terms, _no_row_fails,
+                          _point_law)
 
 
 # --- frozen oracle ------------------------------------------------------------
@@ -421,19 +421,15 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
         _RECLOSING: [qs[-1], *qs],
     }
     calls = []
+    finish = engine._finish
 
-    def counted(template, coeffs):
+    def counted(stage, terms):
         # each row a candidate finishes, by its flow: a binding stages
         # each flow once, when a row is first read there
-        stage, finish_at = _design_chain(template, coeffs)
+        calls.append(stage[0])
+        return finish(stage, terms)
 
-        def counted_finish_at(*values):
-            finish = finish_at(*values)
-            return lambda st: calls.append(st[0]) or finish(st)
-
-        return stage, counted_finish_at
-
-    monkeypatch.setattr(engine, "_design_chain", counted)
+    monkeypatch.setattr(engine, "_finish", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
         for device, sequence in expected.items():
@@ -457,29 +453,22 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
 
 # --- the device's terms -------------------------------------------------------
 
-def _junction_split(geometry):
-    """The oracle's junction factor ``1 - (a_in / (2 a_branch))^2``, read
-    out of ``_bifurcation_pressure``: a gas whose kinetic scale is exactly
-    1, at the flow ``q = a_in`` and no supply pressure, leaves the factor
-    alone."""
-    unit_gas = SimpleNamespace(rho_in=1.0, rho=1.0, gamma=-1.0)
-    return _bifurcation_pressure(geometry.a_in, 0.0, unit_gas, geometry)
-
-
 @_PROPERTY
 @given(devices(), coefficients())
 def test_device_terms_equal_oracle_terms(device, coeffs):
+    # the junction factor is the flow stage's, not a term: its bits are
+    # pinned through p_chamber, on unequal splits and a zero supply law,
+    # by test_kernel_rows_equal_scalar_path_in_any_order
     g = device.geometry
     expected = (
-        _junction_split(g),
         _GateComplianceModel.for_gate(g.gate, coeffs.k0, coeffs.p_c).a_fg_max,
         coeffs.k0 * REFERENCE_STIFFNESS / gate_stiffness(g.gate,
                                                          device.material),
         recirculation_penalty(g.gate.w, coeffs, g.channel_width_ref),
-        coeffs.cd_out * g.a_out)
-    split, _, terms_at = _design_terms(device, coeffs)
-    terms = (split, *terms_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne,
-                              coeffs.k0))
+        coeffs.cd_out * g.a_out, g.a_ne, coeffs.eta, coeffs.p_c, g.a_ex)
+    _, terms_at = _design_terms(device, coeffs)
+    terms = terms_at(g.gate.w, g.gate.t, g.gate.h, g.a_ne, coeffs.eta,
+                     coeffs.k0, coeffs.p_c)
     assert _bits(terms) == _bits(expected)
 
 

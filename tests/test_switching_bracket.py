@@ -188,25 +188,26 @@ _RECLOSING_B = catalog_device("B")._replace(
 def test_a_binding_stages_each_flow_it_reads_once(template, sequence):
     device, coeffs = template
     staged, read = [], set()
-    chain = engine._design_chain
+    design_terms, finish = engine._design_terms, engine._finish
 
-    def recording_chain(template, coeffs):
-        stage, finish_at = chain(template, coeffs)
+    def recording_terms(template, coeffs):
+        stage, terms = design_terms(template, coeffs)
 
         def recording_stage(q_in):
             flow = stage(q_in)
             staged.append(q_in)
             return flow
 
-        def recording_finish_at(*terms):
-            finish = finish_at(*terms)
-            return lambda flow: read.add(flow[0]) or finish(flow)
+        return recording_stage, terms
 
-        return recording_stage, recording_finish_at
+    def recording_finish(flow, terms):
+        read.add(flow[0])
+        return finish(flow, terms)
 
     # hypothesis runs each example in one call: no function-scoped fixture
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
-        patch.setattr(engine, "_design_chain", recording_chain)
+        patch.setattr(engine, "_design_terms", recording_terms)
+        patch.setattr(engine, "_finish", recording_finish)
         warnings.simplefilter("ignore", SupersonicJetWarning)
         score = switching_objective(coeffs).bind(device)
         for dimensions in sequence:
