@@ -8,7 +8,7 @@ flow's stage and the device's terms; it runs for one point and every
 sweep row.  A design search's binding composes the same three pieces
 from one ``model._design_terms`` call per template: each candidate
 builds its terms, and each row it reads is the finish of a stored stage
-and those terms, the switching objective's grid and bisection rows and
+and those terms, the switching objective's grid and refining rows and
 the suction and blowing objectives' one row alike.  The stage depends
 on the template and ``c1``, ``c2`` alone, so an objective that returns
 to the same flows computes each one's stage once per search.  A binding
@@ -21,16 +21,16 @@ Ramps are quasi-static: each grid point is an independent steady state,
 so sweeping up and sweeping down give pointwise identical results.  A
 sweep reports the switching point, where the output pressure crosses
 zero (blowing to suction), refined by bisection between the bracketing
-grid points.  The optimizer's switching objective does not compute the
-whole grid.  When the device's junction cannot reclose the gate
-(``a_in <= 2 a_branch``), the signs along its grid run blowing, then
-suction, and it finds the bracket by bisection over the row indices;
-otherwise it scans the rows up to the first bracket.  Rows it skips
-cannot move the answer, and they are skipped only when
+grid points.  One scan finds that bracket for a sweep and for the
+optimizer's switching objective alike.  The objective does not compute
+the whole grid: the scan reads the rows only up to the first bracket.
+Rows it skips cannot move the answer, and they are skipped only when
 ``model._no_row_fails`` shows that none of them could fail, so a
 candidate scores exactly what its sweep reports, failure included.  The
-top row that check reads starts the bisection, and within a search each
-candidate's bisection starts at the last candidate's bracket; a binding
+top row that check reads is stored for the scan.  When the device's
+junction cannot reclose the gate (``a_in <= 2 a_branch``), the signs
+along its grid run blowing, then suction, and within a search each
+candidate's scan starts at the last candidate's bracket; a binding
 stages each flow once, when a row is first read there.
 
 Geometry exploration uses a small deterministic Nelder-Mead kernel
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from operator import add, index
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._units import M3S_PER_LPM
 from .core import Device, catalog_device, validate_geometry, with_gate
@@ -231,42 +231,26 @@ def _refine_switching(law: _Law, q_lo: float, q_hi: float, p_lo: float
     return 0.5 * (lo + hi)
 
 
-def _switching_q(qs: Sequence[float], p_outs: Iterable[float], law: _Law
-                 ) -> float | None:
-    """The flow where ``p_out`` first changes sign along the grid (exact
-    zeros skipped), refined by bisection; ``None`` if it never does.
-    Reads ``p_outs`` only up to that first bracket.  A linear scan, so it
-    holds for any sign pattern; :func:`_switching_bracket` finds the same
-    bracket in fewer rows where the signs run nonnegative, then
-    negative."""
-    last_q = last_p = 0.0   # the last row whose p_out is not 0, if any
-    for q, p_out in zip(qs, p_outs):
-        if p_out != 0.0:
-            if last_p != 0.0 and (p_out < 0.0) != (last_p < 0.0):
-                return _refine_switching(law, last_q, q, last_p)
-            last_q, last_p = q, p_out
-    return None
+def _switching_q(qs: Sequence[float], p_outs: Sequence[float | None],
+                 law: _Law, start: int = 0) -> tuple[int, float] | None:
+    """The first sign change of ``p_out`` along the grid (exact zeros
+    skipped): the row where the sign changes and the flow that
+    :func:`_refine_switching` finds between that row and the last
+    nonzero row below it; ``None`` if the sign never changes.
 
+    ``p_outs`` holds the rows' ``p_out``, ``None`` for a row not yet
+    read (a list, then); each row the search needs is read once, through
+    ``law`` at its grid flow, and stored there.  From row ``start``, the
+    search walks down while the rows are not positive, then scans up to
+    the first change; it reads no row above that change.
 
-def _switching_bracket(qs: Sequence[float], row: _Law, p_top: float,
-                       hint: int | None = None) -> tuple[int, int, float]:
-    """The bracket :func:`_switching_q` refines, over ``row``'s points at
-    ``qs``, the law at the grid's flows, when their ``p_out`` signs run
-    nonnegative, then negative; ``p_top`` is the top row's ``p_out``,
-    already read.  Returns ``(lo, below, p_below)``: the index of the
-    first negative row (``len(qs)`` if none), the nearest row below it
-    whose ``p_out`` is not an exact zero (-1 if none) and that row's
-    ``p_out``.  The first negative row is found by bisection over the row
-    indices, each row read at most once; a top row that is not negative
-    ends the search, as no row is.
-
-    ``hint``, the ``lo`` of an earlier call, warm-starts the bisection:
-    rows ``hint`` and ``hint - 1`` are read first, and when they do not
-    bracket, the bisection goes on over the rows they leave open, with
-    the rows it has read.  In this sign order the first negative row is
-    unique, so any hint gives the same bracket, and so the same
-    refinement and bits, as none; a search whose candidates barely move
-    reads two rows where the cold bisection reads about six.
+    From row 0 this is a plain scan, which holds for any sign pattern.
+    A ``start`` above 0 is allowed only when the signs run nonnegative,
+    then negative.  Then the walk stops at a positive row below the
+    first negative one, or at row 0, so the scan meets the bracket a
+    scan from row 0 meets, with the same bits.  Started at its own
+    answer, it reads that row, the last positive row below it and the
+    exact zeros between them.
 
     That order holds on the grid 0, 1, .., 30 L/min whenever ``a_in <= 2
     a_branch``, so that the junction factor ``split`` is at least 0 and
@@ -277,39 +261,30 @@ def _switching_bracket(qs: Sequence[float], row: _Law, p_top: float,
     rho/2 / (n_nozzles a_ne)^2 penalty(w)`` and ``r = a_fg_max / a_ex``,
     so its sign falls strictly in ``s``; on a 1 L/min grid adjacent open
     rows differ in ``ln s`` by at least ``ln(30/29)``, about 3.4%, far
-    above the rounding of either term.  A saturated gate
-    gives ``1 - s = 0`` exactly, so ``p_out = -p_suck <= 0``.  A
-    reclosing junction (``split < 0``) can turn the signs back, and a
-    user's grid can be fine enough to void the margin: those keep the
-    scan.
+    above the rounding of either term.  A saturated gate gives ``1 - s =
+    0`` exactly, so ``p_out = -p_suck <= 0``.  A reclosing junction
+    (``split < 0``) can turn the signs back, and a user's grid can be
+    fine enough to void the margin: those start at row 0.
     """
-    top = len(qs) - 1
-    if not p_top < 0.0:
-        return len(qs), -1, 0.0
-    p_outs = {top: p_top}
-    lo, hi = 0, top
-    if hint is not None:
-        for mid in (hint, hint - 1):
-            if lo <= mid < hi:
-                p_outs[mid] = p_out = row(qs[mid])[3]
-                if p_out < 0.0:
-                    hi = mid
-                else:
-                    lo = mid + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        p_outs[mid] = p_out = row(qs[mid])[3]
-        if p_out < 0.0:
-            hi = mid
-        else:
-            lo = mid + 1
-    for below in range(lo - 1, -1, -1):
-        p_out = p_outs.get(below)
+    i = start
+    while i > 0:
+        p_out = p_outs[i]
         if p_out is None:
-            p_out = row(qs[below])[3]
+            p_out = p_outs[i] = law(qs[i])[3]
+        if p_out > 0.0:
+            break
+        i -= 1
+    last = -1
+    last_p = 0.0   # the p_out of row ``last``, the last row not 0, if any
+    for i in range(i, len(qs)):
+        p_out = p_outs[i]
+        if p_out is None:
+            p_out = p_outs[i] = law(qs[i])[3]
         if p_out != 0.0:
-            return lo, below, p_out
-    return lo, -1, 0.0
+            if last_p != 0.0 and (p_out < 0.0) != (last_p < 0.0):
+                return i, _refine_switching(law, qs[last], qs[i], last_p)
+            last, last_p = i, p_out
+    return None
 
 
 def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
@@ -329,9 +304,11 @@ def sweep(device: Device, coeffs: ModelCoefficients = DEFAULT_COEFFS,
     p_ins, p_chambers, a_fgs, p_outs = zip(*_ramp(law, qs))
     states = tuple(map(OperatingState, qs, p_ins, p_chambers, a_fgs, p_outs))
     _warn_if_sonic(qs[-1], device)
-    switching_q = _switching_q(qs, p_outs, law)
-    switching_p_in = (None if switching_q is None
-                      else input_pressure(switching_q, coeffs))
+    switching = _switching_q(qs, p_outs, law)
+    switching_q = switching_p_in = None
+    if switching is not None:
+        switching_q = switching[1]
+        switching_p_in = input_pressure(switching_q, coeffs)
     # 0.0 - x, not -x: a grid whose least p_out is 0 sucks +0, not -0
     return SweepResult(states=states, switching_q=switching_q,
                        switching_p_in=switching_p_in,
@@ -700,29 +677,31 @@ def switching_objective(coeffs: ModelCoefficients, *,
     The value is the one ``sweep`` reports over the grid 0, 1, .., 30
     L/min, found without building its states.
 
-    The bracket of the first sign change is found without reading every
-    row: by bisection over the row indices (:func:`_switching_bracket`)
-    when ``a_in <= 2 a_branch``, so the junction cannot reclose the gate,
-    and otherwise by a lazy scan up to that bracket.  Rows left unread
-    cannot move the bracket or its bisection, only fail, as ``sweep``
-    would with :class:`SweepError`.  Unless ``model._no_row_fails``
-    proves that no flow up to the grid's top fails, every row runs first,
-    so the first failing one raises that error before the search; the
-    top row the proof reads is the bisection's first, and a candidate
-    whose top row is not negative never switches.  The junction's side
-    and the guard's blowing bound depend on the template alone, and are
-    worked out once per binding.
+    The bracket of the first sign change is found by
+    :func:`_switching_q`, which reads the rows only up to it.  Rows left
+    unread cannot move the bracket or its bisection, only fail, as
+    ``sweep`` would with :class:`SweepError`.  Unless
+    ``model._no_row_fails`` proves that no flow up to the grid's top
+    fails, every row runs first, so the first failing one raises that
+    error before the search; the scan never reads the top row again.
+    The junction's side and the guard's blowing bound depend on the
+    template alone, and are worked out once per binding.
 
-    A binding keeps what its candidates found.  The bisection starts at
-    the last candidate's bracket, which a search's next candidate mostly
-    shares, and a binding stages each flow once, when a row is first read
-    there, so each candidate finishes the rows it reads, grid and refining
-    points alike, from stored stages.
+    A binding keeps what its candidates found.  When ``a_in <= 2
+    a_branch``, so the junction cannot reclose the gate and the signs
+    run blowing, then suction, a candidate whose top row is not negative
+    never switches, and each later candidate's scan starts at the last
+    candidate's bracket, which it mostly shares: it reads two rows where
+    a scan from row 0 reads about fifteen.  A reclosing junction's
+    candidates scan from row 0.  A binding stages each flow once, when a
+    row is first read there, so each candidate finishes the rows it
+    reads, grid and refining points alike, from stored stages.
     """
     if target_p_in is not None and not math.isfinite(target_p_in):
         raise ValueError("target_p_in must be finite")
     qs = _grid(0.0, DEFAULT_Q_END, 1.0 * M3S_PER_LPM)
     q_top = qs[-1]
+    unread = (None,) * (len(qs) - 1)   # the rows below the top, unread
 
     def bind(template: Device) -> Callable[..., float]:
         stage, terms_at = _design_terms(template, coeffs)
@@ -736,7 +715,9 @@ def switching_objective(coeffs: ModelCoefficients, *,
         # flow: a stage is computed after a candidate's terms pass, so a
         # failing term is still raised before a failing stage
         stages: dict[float, _Stage] = {}
-        bracket: int | None = None   # the last candidate's first negative row
+        # the row of the last candidate's sign change, where the next
+        # candidate's scan starts when the junction cannot reclose the gate
+        bracket = 0
         warned = False
 
         def score(w: float, t: float, h: float, a_ne: float) -> float:
@@ -758,15 +739,13 @@ def switching_objective(coeffs: ModelCoefficients, *,
                 top = _ramp(row, qs)[-1]
             if not warned:
                 warned = _warn_if_jet_sonic(q_top, n_nozzles, a_ne)
-            if monotone:
-                bracket, below, p_below = _switching_bracket(qs, row, top[3],
-                                                             bracket)
-                switching_q = (None if below < 0 else _refine_switching(
-                    row, qs[below], qs[bracket], p_below))
-            else:
-                switching_q = _switching_q(qs, (row(q)[3] for q in qs), row)
-            if switching_q is None:
+            if monotone and not top[3] < 0.0:   # no row is negative
                 return _NO_SWITCHING_VALUE
+            switching = _switching_q(qs, [*unread, top[3]], row,
+                                     bracket if monotone else 0)
+            if switching is None:
+                return _NO_SWITCHING_VALUE
+            bracket, switching_q = switching
             switching_p_in = input_pressure(switching_q, coeffs)
             if target_p_in is None:
                 return switching_p_in

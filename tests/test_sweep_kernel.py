@@ -398,10 +398,10 @@ def test_switching_objective_equals_sweep_on_tiny_nozzles(device, coeffs,
 
 
 def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
-    # after the no-failure check at the grid's top, a junction that cannot
-    # reclose the gate has its first negative row found by bisection over
-    # the row indices; a reclosing one is scanned row by row, up to the
-    # first bracket.  Either way the bracket's bisection follows.
+    # after the no-failure check at the grid's top, a binding's first
+    # candidate, and every candidate of a reclosing junction, scans the
+    # rows from row 0 up to the first bracket; the bracket's bisection
+    # follows.
     qs = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)
     b = catalog_device("B")
     # type B with a narrow branch: the same switch between 13 and 14 L/min
@@ -415,10 +415,11 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
         return calls
 
     expected = {
-        b: [qs[-1], *(qs[i] for i in (15, 7, 11, 13, 14)), *bisection(b)],
+        b: [qs[-1], *qs[:15], *bisection(b)],
         reclosing_b: [qs[-1], *qs[:15], *bisection(reclosing_b)],
-        # a reclosing junction that never switches reads every row
-        _RECLOSING: [qs[-1], *qs],
+        # a reclosing junction that never switches reads every row, the
+        # top row once
+        _RECLOSING: [qs[-1], *qs[:-1]],
     }
     calls = []
     finish = engine._finish
@@ -436,18 +437,29 @@ def test_switching_objective_stops_at_the_first_bracket(monkeypatch):
             calls.clear()
             switching_objective(DEFAULT_COEFFS)(device)
             assert calls == sequence
-        # a binding's next candidate starts at the last one's bracket: the
-        # top row, rows 14 and 13, then the same bisection of the bracket
-        score = switching_objective(DEFAULT_COEFFS).bind(b)
-        g = b.geometry
-        for rows in ((15, 7, 11, 13, 14), (14, 13)):
-            calls.clear()
-            score(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
-            assert calls == [qs[-1], *(qs[i] for i in rows), *bisection(b)]
+        # a binding's next candidate starts at the last one's sign change,
+        # when the junction cannot reclose the gate: the top row, rows 14
+        # and 13, then the same bisection of the bracket.  A reclosing
+        # junction's candidates all scan from row 0.
+        for device, rows in ((b, (14, 13)), (reclosing_b, range(15))):
+            score = switching_objective(DEFAULT_COEFFS).bind(device)
+            g = device.geometry
+            for sequence in (range(15), rows):
+                calls.clear()
+                score(g.gate.w, g.gate.t, g.gate.h, g.a_ne)
+                assert calls == [qs[-1], *(qs[i] for i in sequence),
+                                 *bisection(device)]
         # a gate that never opens: the top row is not negative, so no row
         # is, and the no-failure check's read of it is the only one
         calls.clear()
         switching_objective(_SHUT)(b)
+        assert calls == [qs[-1]]
+        # nor is a top row of exactly 0
+        monkeypatch.setattr(engine, "_finish", lambda stage, terms: (
+            calls.append(stage[0]) or (*finish(stage, terms)[:3], 0.0)))
+        calls.clear()
+        assert (switching_objective(DEFAULT_COEFFS)(b)
+                == engine._NO_SWITCHING_VALUE)
         assert calls == [qs[-1]]
 
 
@@ -585,9 +597,8 @@ _SIGN_RETURNS = (
                                  k0=1.0e-6), None)
 def test_switching_objective_equals_sweep_on_guard_devices(device, coeffs,
                                                            target):
-    # areas and coefficients over hundreds of decades: the bisection over
-    # the grid's rows and the scan it falls back to score what the sweep
-    # reports
+    # areas and coefficients over hundreds of decades: the scan from the
+    # last bracket and the scan from row 0 score what the sweep reports
     _assert_objective_equals_sweep(device, coeffs, target)
 
 

@@ -1,13 +1,14 @@
-"""A warm-started switching bracket is the cold one, and the scan's.
+"""A warm-started switching scan finds the cold one's bracket.
 
-``engine._switching_bracket`` bisects the grid's rows for the first
-negative ``p_out`` when the signs run nonnegative, then negative.  A
-design search's binding starts each candidate's bisection at the last
-candidate's bracket, and stages each flow once, when a row is first read
-there.  In that sign order the first negative row is unique, so any
-start must give the bracket of a cold bisection, and the refined flow
-must have the bits of the linear ``_switching_q`` scan.  A binding
-stages no flow twice, and none whose row no candidate reads.
+``engine._switching_q`` finds the first sign change of ``p_out`` along
+the grid.  A design search's binding starts each candidate's scan at the
+last candidate's sign change, when the signs run nonnegative, then
+negative, and stages each flow once, when a row is first read there.  In
+that sign order the first negative row is unique, so any start must give
+the row and the refined bits of a scan from row 0, and of a plain scan
+of the whole grid.  A binding stages no flow twice, and none whose row
+no candidate reads, and a design search reads no more rows than it did
+when its counts were last measured.
 """
 
 import warnings
@@ -21,6 +22,7 @@ from fdrsim import (
     DEFAULT_COEFFS,
     SupersonicJetWarning,
     catalog_device,
+    optimize_geometry,
     switching_objective,
     with_gate,
 )
@@ -34,21 +36,43 @@ _QS = engine._grid(0.0, 30.0 * M3S_PER_LPM, 1.0 * M3S_PER_LPM)
 _TOP = len(_QS) - 1
 
 
-def _refined(bracket, law):
-    """The flow a bracket ``(lo, below, p_below)`` refines to, as bits."""
-    lo, below, p_below = bracket
-    if below < 0:
-        return None
-    return engine._refine_switching(law, _QS[below], _QS[lo],
-                                    p_below).hex()
+def _first_change(p_outs, law):
+    """The first sign change of a plain scan over every row, exact zeros
+    skipped, as ``(row, refined flow's bits)``; ``None`` if none."""
+    nonzero = [(i, p) for i, p in enumerate(p_outs) if p != 0.0]
+    for (below, p_below), (i, p) in zip(nonzero, nonzero[1:]):
+        if (p < 0.0) != (p_below < 0.0):
+            return i, engine._refine_switching(law, _QS[below], _QS[i],
+                                               p_below).hex()
+    return None
 
 
-def _scanned(p_outs, law):
-    q = engine._switching_q(_QS, p_outs, law)
-    return None if q is None else q.hex()
+def _searched(p_outs, law, start):
+    """``_switching_q`` from ``start`` over rows not yet read, as ``(row,
+    refined flow's bits)`` or ``None``, and the grid flows it read."""
+    reads = []
+    rows = dict(zip(_QS, p_outs))
+    refine_switching = engine._refine_switching
+    refining = False
+
+    def row(q):
+        if q in rows and not refining:
+            reads.append(q)
+            return 0.0, 0.0, 0.0, rows[q]
+        return law(q)
+
+    def refine(*args):
+        nonlocal refining
+        refining = True
+        return refine_switching(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_refine_switching", refine)
+        found = engine._switching_q(_QS, [None] * len(_QS), row, start)
+    return (None if found is None else (found[0], found[1].hex())), reads
 
 
-# --- the bracket on any monotone sign pattern ---------------------------------
+# --- the scan on any monotone sign pattern ------------------------------------
 
 _POSITIVE = st.floats(1.0e-300, 1.0e6)
 
@@ -73,44 +97,36 @@ def _interpolated(p_outs):
     return law
 
 
-_HINTS = st.one_of(st.none(), st.integers(0, len(_QS)))
-
-
 @_PROPERTY
-@given(sign_patterns(), _HINTS)
-# hints at the first row, the last row and past every row
+@given(sign_patterns(), st.integers(0, _TOP))
+# starts at the first row and the last row
 @example([1.0] * 10 + [-1.0] * 21, 0)
 @example([1.0] * 10 + [-1.0] * 21, _TOP)
-@example([1.0] * 10 + [-1.0] * 21, len(_QS))
-# a hint past the switch, and one just above it
+# a start past the switch, one just above it, and one at it
 @example([1.0] * 10 + [-1.0] * 21, 20)
 @example([1.0] * 10 + [-1.0] * 21, 11)
+@example([1.0] * 10 + [-1.0] * 21, 10)
 # exact zeros below the bracket, down to row 0: no bracket at all
 @example([0.0] * 12 + [-1.0] * 19, 12)
 @example([2.0, 0.0, 0.0, 3.0, 0.0, 0.0] + [-1.0] * 25, 6)
-# a top row that is not negative, zero or positive: no row is negative
+# no row is negative: the top row zero or positive
 @example([0.0] * 31, 30)
 @example([1.0] * 31, 15)
-def test_warm_bracket_equals_the_cold_one_and_the_scan(p_outs, hint):
-    reads = []
-
-    def row(q):
-        reads.append(q)
-        return 0.0, 0.0, 0.0, p_outs[_QS.index(q)]
-
-    warm = engine._switching_bracket(_QS, row, p_outs[-1], hint)
-    assert len(reads) == len(set(reads))   # each row read at most once
-    cold = engine._switching_bracket(_QS, row, p_outs[-1])
-    assert warm == cold
+def test_warm_bracket_equals_the_cold_one_and_the_scan(p_outs, start):
     law = _interpolated(p_outs)
-    assert _refined(warm, law) == _scanned(p_outs, law)
-    # started at its own bracket, the bisection reads rows lo and lo - 1,
-    # then only the exact zeros under them
-    lo, below, _ = warm
-    reads.clear()
-    assert engine._switching_bracket(_QS, row, p_outs[-1], lo) == warm
-    zeros = lo - 1 - max(below, 0) if lo <= _TOP else 0
-    assert len(reads) <= (2 if lo < _TOP else 1) + zeros
+    cold, _ = _searched(p_outs, law, 0)
+    assert cold == _first_change(p_outs, law)
+    for other in range(len(_QS)):
+        assert _searched(p_outs, law, other)[0] == cold
+    warm, reads = _searched(p_outs, law, start)
+    assert warm == cold
+    assert len(reads) == len(set(reads))   # each row read at most once
+    if cold is not None:
+        # started at its own answer, the scan reads that row and the last
+        # nonzero row below it, and the exact zeros between them
+        row = cold[0]
+        below = max(i for i in range(row) if p_outs[i] != 0.0)
+        assert len(_searched(p_outs, law, row)[1]) == 2 + (row - 1 - below)
 
 
 # --- the bracket on the device's rows, candidate after candidate --------------
@@ -153,19 +169,21 @@ def test_a_binding_scores_each_candidate_as_a_cold_one(template, sequence):
     device, coeffs = template
     objective = switching_objective(coeffs)
     score = objective.bind(device)
-    previous = None
+    start = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SupersonicJetWarning)
         for dimensions in sequence:
             candidate = with_gate(device, **dict(zip("w t h a_ne".split(),
                                                      dimensions)))
             law = _point_law(candidate, coeffs)
-            p_outs = [law(q)[3] for q in _QS]
-            cold = engine._switching_bracket(_QS, law, p_outs[-1])
-            warm = engine._switching_bracket(_QS, law, p_outs[-1], previous)
+            p_outs = tuple(law(q)[3] for q in _QS)
+            cold = engine._switching_q(_QS, p_outs, law)
+            warm = engine._switching_q(_QS, [None] * len(_QS), law, start)
             assert warm == cold
-            assert _refined(warm, law) == _scanned(p_outs, law)
-            previous = warm[0]
+            assert (None if cold is None else (cold[0], cold[1].hex())
+                    ) == _first_change(p_outs, law)
+            if cold is not None:
+                start = cold[0]
             # the binding, warm and with its stored stages, scores what a
             # fresh binding scores, and so does the same candidate again
             assert (score(*dimensions).hex()
@@ -215,3 +233,44 @@ def test_a_binding_stages_each_flow_it_reads_once(template, sequence):
     # no flow is staged twice, and none whose row no candidate read
     assert len(staged) == len(set(staged))
     assert set(staged) <= read
+
+
+# --- the work a design search does --------------------------------------------
+
+_BOX_B = {"w": (6.0e-3, 10.0e-3), "t": (0.4e-3, 0.6e-3),
+          "h": (1.8e-3, 2.0e-3), "a_ne": (0.32e-6, 0.48e-6)}
+
+
+@pytest.mark.parametrize("target_p_in, finishes, stages", [
+    (None, 1466, 123),
+    (20.0e3, 1088, 93),
+])
+def test_a_switching_search_reads_no_more_rows(monkeypatch, target_p_in,
+                                               finishes, stages):
+    # the rows a 4-key search on type B reads, and the flows it stages,
+    # at the default budget: no more than when they were last counted.
+    # The counts are deterministic, so the bound has no tolerance.
+    counts = {"finish": 0, "stage": 0}
+    design_terms, finish = engine._design_terms, engine._finish
+
+    def counted_terms(template, coeffs):
+        stage, terms = design_terms(template, coeffs)
+
+        def counted_stage(q_in):
+            counts["stage"] += 1
+            return stage(q_in)
+
+        return counted_stage, terms
+
+    def counted_finish(flow, terms):
+        counts["finish"] += 1
+        return finish(flow, terms)
+
+    monkeypatch.setattr(engine, "_design_terms", counted_terms)
+    monkeypatch.setattr(engine, "_finish", counted_finish)
+    objective = switching_objective(DEFAULT_COEFFS, target_p_in=target_p_in)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupersonicJetWarning)
+        optimize_geometry(objective, _BOX_B, catalog_device("B"))
+    assert counts["finish"] <= finishes
+    assert counts["stage"] <= stages
